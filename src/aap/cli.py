@@ -129,6 +129,9 @@ def _cmd_run(args) -> int:
     print(f"residual     {report.residual_history[-1]:.3e}")
     print(f"mixing       {len(report.mask_trace)} steps, "
           f"{accepted} sketched, {fallbacks} fallbacks")
+    print(f"factor       {report.factor_updates} updated, "
+          f"{report.factor_refreshes} refactored, "
+          f"{report.window_restarts} window restarts")
     print(f"wall time    {report.wall_time_seconds:.3f} s")
 
     if args.out is not None:

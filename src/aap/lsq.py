@@ -1,9 +1,18 @@
 """Row-restricted least squares and cheap spectral estimates.
 
-The mixing step solves min_alpha |M alpha - r|_2 where M is a row subset of
-the increment window. The factorization is a Householder QR without pivoting
-(LAPACK, via numpy) recomputed at every mixing step; the triangular factor is
-returned so the stability guard can reuse it.
+The mixing step solves min_alpha |M alpha - r|_2 where M is the increment
+window or a row subset of it. Two factorizations serve it:
+
+* `WindowFactor` keeps a thin QR factor of the whole (statically restricted)
+  window and updates it as the window moves: the oldest column leaves by
+  Givens rotations and a new one enters by classical Gram-Schmidt with one
+  reorthogonalisation pass. A step costs O(l1 m) instead of the O(l1 m^2) of
+  a fresh factorization. The factor is recomputed by Householder QR only
+  when the second Gram-Schmidt pass shows loss of orthogonality.
+* `qr_masked_solve` factors a row subset afresh (Householder QR without
+  pivoting, LAPACK), for sketched steps whose rows change every step.
+
+Both return the triangular factor so the stability guard can reuse it.
 
 The smallest singular value of the triangular factor is estimated by inverse
 power iteration on R^T R. Each sweep costs two triangular solves, and the
@@ -12,10 +21,15 @@ estimate approaches sigma_min from above as the sweep count grows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, qr_multiply, solve_triangular
 
 # Relative floor on |diag(R)| below which the factor is treated as singular.
 RANK_RTOL = 1e-14
+
+# An appended column whose second Gram-Schmidt pass keeps less than this
+# share of the norm the first pass left has lost orthogonality to the basis
+# (a third pass would be needed); the factor is then recomputed.
+REORTH_KEEP = 2.0 ** -0.5
 
 
 class RankDeficient(RuntimeError):
@@ -76,14 +90,137 @@ def qr_masked_solve(
             )
         mat = window[rows, :cols]
         r = rhs[rows]
-    q, r_factor = np.linalg.qr(mat, mode="reduced")
+    # Q^T r from the Householder reflectors, without forming Q.
+    qtr, r_factor = qr_multiply(mat, r, mode="right")
+    return _back_substitute(r_factor, qtr), r_factor
+
+
+def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
+    """alpha = R^{-1} Q^T r after the rank check on diag(R)."""
     _check_diag(r_factor)
-    alpha = solve_triangular(
-        r_factor, q.T @ r, lower=False, check_finite=False
-    )
+    alpha = solve_triangular(r_factor, qtr, lower=False, check_finite=False)
     if not np.isfinite(alpha).all():
         raise RankDeficient("least squares produced non-finite coefficients")
-    return alpha, r_factor
+    return alpha
+
+
+class WindowFactor:
+    """Thin QR factor of the leading columns of a chronological window.
+
+    ``q`` (rows x m, column-major) and ``r`` (m x m) are allocated once; the
+    leading ``cols`` columns of q and the leading cols x cols block of r
+    factor the window columns pushed so far. The factor trails the window:
+    `push` records that a column entered it, and `solve` first brings the
+    factor up to date, dropping the columns that left the window by Givens
+    rotations and appending the new ones by classical Gram-Schmidt with one
+    reorthogonalisation pass (CGS2). If nothing of the factor is still in
+    the window it is rebuilt by appends alone, so runs of sketched steps,
+    which do not use it, cost nothing here. `reset` empties the factor when
+    the window restarts.
+
+    ``updates`` counts solves served by an updated factor and ``refreshes``
+    those that needed a fresh Householder QR of the window after an append
+    lost orthogonality.
+    """
+
+    def __init__(self, rows: int, m: int):
+        self.q = np.zeros((rows, m), order="F")
+        self.r = np.zeros((m, m), order="F")
+        self.cols = 0
+        self.pending = 0
+        self.updates = 0
+        self.refreshes = 0
+        self._h = np.zeros(m)
+        self._h2 = np.zeros(m)
+        self._w = np.zeros(rows)
+
+    def push(self):
+        """Record that one column entered the window (dropping its oldest
+        column when full)."""
+        self.pending += 1
+
+    def reset(self):
+        """Forget every column; the window restarts empty."""
+        self.cols = 0
+        self.pending = 0
+
+    def solve(self, window: np.ndarray, rhs: np.ndarray, cols: int):
+        """Least squares over ``window[:, :cols]`` from the updated factor.
+
+        Same contract as ``qr_masked_solve(window, rhs, None, cols)``:
+        returns (alpha, r_factor) and raises RankDeficient on a collapsed
+        diagonal or non-finite coefficients. ``r_factor`` is a view of the
+        factor, valid until the next call.
+        """
+        if cols < 1 or cols > window.shape[1]:
+            raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
+        keep = cols - self.pending
+        if keep > self.cols:
+            raise ValueError(
+                f"window has {cols} columns, {self.pending} of them new, but "
+                f"the factor holds only {self.cols}"
+            )
+        if keep <= 0:
+            self.cols = 0
+            keep = 0
+        while self.cols > keep:
+            self._drop_oldest()
+        self.pending = 0
+        for j in range(keep, cols):
+            if not self._append(window[:, j]):
+                self._refactor(window, cols)
+                break
+        else:
+            self.updates += 1
+        qtr = self._h[:cols]
+        np.dot(self.q[:, :cols].T, rhs, out=qtr)
+        r_factor = self.r[:cols, :cols]
+        return _back_substitute(r_factor, qtr), r_factor
+
+    def _refactor(self, window: np.ndarray, cols: int):
+        """Fresh Householder QR of ``window[:, :cols]`` into the buffers."""
+        q, r = np.linalg.qr(window[:, :cols], mode="reduced")
+        self.q[:, :cols] = q
+        self.r[:cols, :cols] = r
+        self.cols = cols
+        self.refreshes += 1
+
+    def _drop_oldest(self):
+        # Deleting column 0 leaves R upper Hessenberg; qr_delete restores it
+        # with Givens rotations and applies them to Q, in place.
+        c = self.cols
+        qr_delete(self.q[:, :c], self.r[:c, :c], 0, 1, which="col",
+                  overwrite_qr=True, check_finite=False)
+        self.cols = c - 1
+
+    def _append(self, v: np.ndarray) -> bool:
+        """CGS2 append of column ``v``; False when it lost orthogonality.
+
+        The new basis vector is built in place in column ``cols`` of q. A
+        column in the numerical span of the basis leaves a diagonal entry at
+        roundoff level (zero for an exact copy), which the rank check of
+        `solve` then rejects.
+        """
+        c = self.cols
+        basis = self.q[:, :c]
+        h, h2, w = self._h[:c], self._h2[:c], self._w
+        qc = self.q[:, c]
+        np.dot(basis.T, v, out=h)
+        np.dot(basis, h, out=w)
+        np.subtract(v, w, out=qc)
+        first = float(np.linalg.norm(qc))
+        np.dot(basis.T, qc, out=h2)
+        np.dot(basis, h2, out=w)
+        np.subtract(qc, w, out=qc)
+        np.add(h, h2, out=h)
+        rho = float(np.linalg.norm(qc))
+        self.r[:c, c] = h
+        self.r[c, :c] = 0.0
+        self.r[c, c] = rho
+        if rho > 0.0:
+            qc /= rho
+        self.cols = c + 1
+        return not rho < REORTH_KEEP * first
 
 
 def estimate_sigma_min(r_factor: np.ndarray, iterations: int = 3) -> float:

@@ -111,7 +111,11 @@ class Workspace:
     chronological column order and shifts left when full. ``dg_window``
     is circulant: the increment of iteration k lands in column (k+1) mod m,
     so no column data moves after it is written. ``dx_norms`` is aligned
-    with ``df_window``. ``allocations`` counts buffer allocations made on
+    with ``df_window``. ``factor`` is the thin QR factor of ``df_window``
+    that unsketched mixing steps solve from; it is updated as columns enter
+    and leave instead of being recomputed. ``r_factor`` holds the triangular
+    factor of the last completed mixing step (sketched or not) for the
+    stability guard. ``allocations`` counts buffer allocations made on
     behalf of this workspace; it must not grow once the solve is running.
     """
 
@@ -131,6 +135,7 @@ class Workspace:
     dg_window: np.ndarray
     dx_norms: np.ndarray
     alpha: np.ndarray
+    factor: lsq.WindowFactor
     r_factor: np.ndarray | None
     r_cols: int = 0
     filled: int = 0
@@ -187,6 +192,7 @@ def allocate_workspace(
         dg_window=new(n, m, order="F"),
         dx_norms=new(m),
         alpha=new(m),
+        factor=lsq.WindowFactor(l1, m),
         r_factor=new(m, m) if config.adaptivity is not Adaptivity.NONE else None,
     )
     ws.allocations = count
@@ -227,23 +233,37 @@ def push_window(ws: Workspace, k: int, dx_norm: float):
 
     The restricted residual increment (df_sub, or df when the level-one mask
     is identity) enters df_window chronologically, dropping the oldest
-    column when full. dg enters dg_window at column (k+1) mod m.
+    column when full, and the window factor is told of it. dg enters
+    dg_window at column (k+1) mod m.
     """
     m = ws.m
     df_src = ws.df_sub if ws.df_sub is not None else ws.df
     if ws.filled == m:
-        for j in range(m - 1):
-            ws.df_window[:, j] = ws.df_window[:, j + 1]
-            ws.dx_norms[j] = ws.dx_norms[j + 1]
+        _shift_left(ws.df_window)
+        ws.dx_norms[:-1] = ws.dx_norms[1:]
         ws.df_window[:, m - 1] = df_src
         ws.dx_norms[m - 1] = dx_norm
     else:
         ws.df_window[:, ws.filled] = df_src
         ws.dx_norms[ws.filled] = dx_norm
         ws.filled += 1
+    ws.factor.push()
     ws.newest = (k + 1) % m
     ws.dg_window[:, ws.newest] = ws.dg
     ws.last_k = k
+
+
+def _shift_left(window: np.ndarray):
+    """Move the columns of a column-major window one place left, in place.
+
+    One overlapping move of the flat buffer: numpy copies a forward 1-D
+    overlap directly, where a 2-D slice assignment would first copy the
+    whole window to a temporary.
+    """
+    if not window.flags.f_contiguous:
+        raise ValueError("window must be column-major")
+    flat = window.reshape(-1, order="F")
+    flat[: -window.shape[0]] = flat[window.shape[0]:]
 
 
 def _axpy(a, v, out, work):
@@ -297,6 +317,12 @@ class SolveReport:
     mask_trace carries one StabilityTrace per mixing step. wall_time_seconds
     is measurement, not behavior: identical configurations and seeds give
     identical reports except for it.
+
+    The counters split the unsketched mixing steps by how the window factor
+    was brought up to date: ``factor_updates`` by dropping and appending
+    columns, ``factor_refreshes`` by a fresh QR of the window after an
+    append lost orthogonality. ``window_restarts`` counts the rank-deficient
+    steps that emptied the window.
     """
 
     problem: str
@@ -314,6 +340,9 @@ class SolveReport:
     config: SolverConfig
     trace: list[TraceStep] | None = None
     iterates: list[np.ndarray] | None = None
+    factor_updates: int = 0
+    factor_refreshes: int = 0
+    window_restarts: int = 0
 
 
 def resolve_omega(problem: FixedPointProblem, config: SolverConfig) -> float:
@@ -387,6 +416,7 @@ def solve(
     stall_span = max(m, DEFAULT_WINDOW)
     stalled = False
     last_accept = -1
+    restarts = 0
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
@@ -413,6 +443,9 @@ def solve(
             config=config,
             trace=trace,
             iterates=iterates,
+            factor_updates=ws.factor.updates,
+            factor_refreshes=ws.factor.refreshes,
+            window_restarts=restarts,
         )
 
     np.copyto(ws.x, x0)
@@ -478,7 +511,12 @@ def solve(
                 alpha_ls = None
                 r_step = None
                 try:
-                    a_try, r_try = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+                    if rows is None:
+                        a_try, r_try = ws.factor.solve(ws.df_window, f_r, c)
+                    else:
+                        a_try, r_try = lsq.qr_masked_solve(
+                            ws.df_window, f_r, rows, c
+                        )
                     if float(np.abs(a_try).max()) > COEFF_LIMIT:
                         raise lsq.RankDeficient(
                             "mixing coefficients exceed the stability limit"
@@ -498,6 +536,8 @@ def solve(
                     # the history lets mixing resume on the next step.
                     ws.filled = 0
                     ws.r_cols = 0
+                    ws.factor.reset()
+                    restarts += 1
                 if capture_trace:
                     trace.append(
                         TraceStep(
@@ -584,7 +624,9 @@ def solve_plain(
 
     f_window = np.zeros((n, m), order="F")
     g_window = np.zeros((n, m), order="F")
+    factor = lsq.WindowFactor(n, m)
     cols = 0
+    restarts = 0
     converged = False
     k = 0
     for k in range(1, config.max_iterations + 1):
@@ -612,10 +654,11 @@ def solve_plain(
             f_window[:, cols] = df
             g_window[:, cols] = dg
             cols += 1
+        factor.push()
 
         if k % p == 0:
             try:
-                alpha, _ = lsq.qr_masked_solve(f_window, f, None, cols)
+                alpha, _ = factor.solve(f_window, f, cols)
                 if float(np.abs(alpha).max()) > COEFF_LIMIT:
                     raise lsq.RankDeficient(
                         "mixing coefficients exceed the stability limit"
@@ -626,6 +669,8 @@ def solve_plain(
             except lsq.RankDeficient:
                 picard_update(x, f, omega, scratch)
                 cols = 0
+                factor.reset()
+                restarts += 1
         else:
             picard_update(x, f, omega, scratch)
         if keep_iterates:
@@ -646,4 +691,7 @@ def solve_plain(
         alternation=p,
         config=config,
         iterates=iterates,
+        factor_updates=factor.updates,
+        factor_refreshes=factor.refreshes,
+        window_restarts=restarts,
     )

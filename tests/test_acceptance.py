@@ -24,6 +24,7 @@ from aap.lsq import estimate_sigma_min
 from aap.problems import build_problem, make_linear
 from aap.sketching import build_static_mask
 from aap.solver import (
+    COEFF_LIMIT,
     SolverConfig,
     allocate_workspace,
     anderson_update,
@@ -221,10 +222,11 @@ def test_criterion_5_pressure_mask_trend():
 
 
 def test_criterion_6_workspace_memory_shape():
-    # Mirrors the solver's plain iteration path so the workspace stays
-    # inspectable, then watches allocation sites inside the solver module
-    # over iterations 2..K. The residual window must hold exactly the
-    # masked rows, never the full state dimension.
+    # Mirrors the solver's unsketched iteration path, window factor
+    # included, so the workspace stays inspectable, then watches allocation
+    # sites inside the solver and least-squares modules over iterations
+    # 2..K. The residual window must hold exactly the masked rows, never the
+    # full state dimension.
     problem = build_problem("saddle", 17)
     config = SolverConfig(static_mask="pressure")
     omega = resolve_omega(problem, config)
@@ -242,6 +244,10 @@ def test_criterion_6_workspace_memory_shape():
     np.copyto(ws.g, ws.x)
 
     iterations = 40
+    # numpy keeps freed array metadata in small bounded free lists, which
+    # would show as retained blocks the first time a deeper call path runs.
+    # One untraced solve of the same case fills them first.
+    solve(problem, config)
     tracemalloc.start(25)
     snap_warm = None
     for k in range(1, iterations + 1):
@@ -257,15 +263,16 @@ def test_criterion_6_workspace_memory_shape():
         np.take(ws.df, mask.kept, out=ws.df_sub)
         push_window(ws, k, dx_norm)
         try:
-            alpha_ls, _ = lsq.qr_masked_solve(
-                ws.df_window, ws.f_sub, None, ws.filled
-            )
+            alpha_ls, _ = ws.factor.solve(ws.df_window, ws.f_sub, ws.filled)
+            if float(np.abs(alpha_ls).max()) > COEFF_LIMIT:
+                raise lsq.RankDeficient("coefficients past the limit")
             alpha_mix = ws.alpha[: ws.filled]
             np.negative(alpha_ls, out=alpha_mix)
             anderson_update(ws, alpha_mix, omega, k)
         except lsq.RankDeficient:
             picard_update(ws.x, ws.f, omega, ws.scratch)
             ws.filled = 0
+            ws.factor.reset()
         if k == 1:
             gc.collect()
             snap_warm = tracemalloc.take_snapshot()
@@ -277,11 +284,14 @@ def test_criterion_6_workspace_memory_shape():
         stat.size_diff
         for stat in snap_done.compare_to(snap_warm, "traceback")
         if stat.size_diff > 0
-        and stat.traceback[-1].filename.endswith("solver.py")
+        and stat.traceback[-1].filename.endswith(("solver.py", "lsq.py"))
     )
     counter_delta = ws.allocations - counter_before
     shape_ok = (
         ws.df_window.shape == (l1, m)
+        and ws.factor.q.shape == (l1, m)
+        and ws.factor.updates + ws.factor.refreshes == iterations
+        and float(np.linalg.norm(ws.f_sub)) < float(np.linalg.norm(f0))
         and ws.f_sub.shape == (l1,)
         and l1 < problem.dimension
     )

@@ -458,7 +458,9 @@ class TestCli:
             "--out", str(out), "--trace", str(trace),
         ])
         assert code == 0
-        assert "converged    yes" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "converged    yes" in printed
+        assert "refactored" in printed and "window restarts" in printed
         assert load_table(str(out))[0].converged
         assert load_trace(str(trace))["problem"] == "linear"
 

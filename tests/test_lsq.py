@@ -1,8 +1,17 @@
-"""Masked least squares and the smallest-singular-value estimate."""
+"""Masked least squares, the window factor and the sigma estimate."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aap.lsq import RANK_RTOL, RankDeficient, estimate_sigma_min, qr_masked_solve
+from aap import lsq
+from aap.lsq import (
+    RANK_RTOL,
+    RankDeficient,
+    WindowFactor,
+    estimate_sigma_min,
+    qr_masked_solve,
+)
 
 from oracles import lstsq_normal_equations, sigma_min_svd
 
@@ -149,3 +158,220 @@ class TestEstimateSigmaMin:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             estimate_sigma_min(np.ones((3, 2)), 2)
+
+
+def drive_window(factor, window, columns, rhs_rng=None):
+    """Push ``columns`` through a chronological window the way the solver
+    does (shift left when full) and solve after every push.
+
+    Returns the filled column count and the last (alpha, r_factor, rhs).
+    """
+    l1, m = window.shape
+    filled = 0
+    last = None
+    for col in columns:
+        if filled == m:
+            window[:, :-1] = window[:, 1:].copy()
+            window[:, -1] = col
+        else:
+            window[:, filled] = col
+            filled += 1
+        factor.push()
+        rhs = col if rhs_rng is None else rhs_rng.standard_normal(l1)
+        alpha, r = factor.solve(window, rhs, filled)
+        last = (alpha, r, rhs)
+    return filled, last
+
+
+def factor_errors(factor, window, cols):
+    q = factor.q[:, :cols]
+    r = factor.r[:cols, :cols]
+    w = window[:, :cols]
+    recon = np.linalg.norm(q @ r - w) / np.linalg.norm(w)
+    orth = np.linalg.norm(q.T @ q - np.eye(cols))
+    return recon, orth
+
+
+class TestWindowFactor:
+    @pytest.mark.parametrize("l1, m", [(200, 10), (500, 50)])
+    def test_reconstruction_and_orthogonality_over_cycles(self, l1, m):
+        # 3m pushes past the first fill: every column of the factor has been
+        # dropped and replaced three times over.
+        rng = np.random.default_rng(l1 + m)
+        window = np.zeros((l1, m), order="F")
+        factor = WindowFactor(l1, m)
+        cols = rng.standard_normal((4 * m, l1))
+        filled, _ = drive_window(factor, window, cols)
+        assert filled == m and factor.cols == m
+        recon, orth = factor_errors(factor, window, m)
+        assert recon < 1e-13
+        assert orth < 1e-13
+        r = factor.r[:m, :m]
+        np.testing.assert_array_equal(r, np.triu(r))
+        assert factor.updates == 4 * m and factor.refreshes == 0
+
+    def test_gram_matches_fresh_factor(self):
+        # R^T R does not depend on the row signs of R, so the guard's sigma
+        # estimate sees the same matrix as with a fresh Householder factor.
+        rng = np.random.default_rng(11)
+        window = np.zeros((60, 6), order="F")
+        factor = WindowFactor(60, 6)
+        drive_window(factor, window, rng.standard_normal((20, 60)))
+        r_fresh = np.linalg.qr(window)[1]
+        r = factor.r
+        np.testing.assert_allclose(r.T @ r, r_fresh.T @ r_fresh,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_alpha_matches_lstsq_to_conditioning(self):
+        rng = np.random.default_rng(12)
+        l1, m = 300, 8
+        for trial in range(5):
+            # Geometrically graded columns give cond up to about 1e6.
+            scales = np.logspace(0, -trial - 1.5, m)
+            base = rng.standard_normal((l1, m)) @ np.diag(scales)
+            mix = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            cols = (base @ mix).T
+            window = np.zeros((l1, m), order="F")
+            factor = WindowFactor(l1, m)
+            filled, (alpha, _, rhs) = drive_window(
+                factor, window, np.vstack([rng.standard_normal((m, l1)), cols]),
+                rhs_rng=rng,
+            )
+            expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
+            cond = np.linalg.cond(window[:, :filled])
+            err = np.linalg.norm(alpha - expected) / np.linalg.norm(expected)
+            assert err <= 100.0 * cond * np.finfo(float).eps
+
+    def test_duplicate_column_raises_and_reset_recovers(self):
+        rng = np.random.default_rng(14)
+        l1, m = 30, 4
+        window = np.zeros((l1, m), order="F")
+        factor = WindowFactor(l1, m)
+        col = rng.standard_normal(l1)
+        with pytest.raises(RankDeficient):
+            drive_window(factor, window, [rng.standard_normal(l1), col, col])
+        factor.reset()
+        assert factor.cols == 0 and factor.pending == 0
+        window[:] = 0.0
+        filled, (alpha, _, rhs) = drive_window(
+            factor, window, rng.standard_normal((6, l1)), rhs_rng=rng
+        )
+        expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
+        np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
+        recon, orth = factor_errors(factor, window, filled)
+        assert recon < 1e-14 and orth < 1e-14
+
+    def test_zero_column_raises(self):
+        window = np.zeros((10, 3), order="F")
+        factor = WindowFactor(10, 3)
+        with pytest.raises(RankDeficient):
+            drive_window(factor, window, [np.zeros(10)])
+
+    def test_lagging_factor_catches_up(self):
+        # Pushes without a solve in between (sketched steps) are folded in
+        # by the next solve; past a whole window the factor is rebuilt.
+        rng = np.random.default_rng(15)
+        l1, m = 50, 5
+        window = np.zeros((l1, m), order="F")
+        factor = WindowFactor(l1, m)
+        filled = 0
+        for pushes in (2, 1, 3, 4, 1, 7, 2):
+            for _ in range(pushes):
+                if filled == m:
+                    window[:, :-1] = window[:, 1:].copy()
+                    window[:, -1] = rng.standard_normal(l1)
+                else:
+                    window[:, filled] = rng.standard_normal(l1)
+                    filled += 1
+                factor.push()
+            rhs = rng.standard_normal(l1)
+            alpha, _ = factor.solve(window, rhs, filled)
+            expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
+            np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
+            recon, orth = factor_errors(factor, window, filled)
+            assert recon < 1e-14 and orth < 1e-14
+
+    def test_more_columns_than_factor_rejected(self):
+        window = np.ones((10, 3), order="F")
+        factor = WindowFactor(10, 3)
+        with pytest.raises(ValueError):
+            factor.solve(window, np.ones(10), 2)
+
+    def test_loss_of_orthogonality_refactors(self, monkeypatch):
+        # With the keep ratio above 1 every append counts as lost, so every
+        # solve goes through the fresh Householder refactorization, which
+        # must give the same answer.
+        monkeypatch.setattr(lsq, "REORTH_KEEP", 1.5)
+        rng = np.random.default_rng(16)
+        window = np.zeros((40, 4), order="F")
+        factor = WindowFactor(40, 4)
+        filled, (alpha, _, rhs) = drive_window(
+            factor, window, rng.standard_normal((9, 40)), rhs_rng=rng
+        )
+        assert factor.refreshes == 9 and factor.updates == 0
+        expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
+        np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
+        recon, orth = factor_errors(factor, window, filled)
+        assert recon < 1e-14 and orth < 1e-14
+
+
+# One operation of a random window history: push a fresh column, push a
+# scaled copy of a column already in the window, or restart the window.
+_op = st.tuples(
+    st.sampled_from(("push",) * 6 + ("dup", "reset")),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l1=st.integers(3, 40),
+    m=st.integers(1, 6),
+    ops=st.lists(_op, min_size=1, max_size=40),
+    solve_every=st.integers(1, 3),
+)
+def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
+    m = min(m, l1)
+    window = np.zeros((l1, m), order="F")
+    factor = WindowFactor(l1, m)
+    filled = 0
+    for step, (kind, seed) in enumerate(ops):
+        if kind == "reset":
+            filled = 0
+            factor.reset()
+            continue
+        rng = np.random.default_rng(seed)
+        if kind == "dup" and filled:
+            col = window[:, rng.integers(filled)] * rng.uniform(0.5, 2.0)
+        else:
+            col = rng.standard_normal(l1)
+        if filled == m:
+            window[:, :-1] = window[:, 1:].copy()
+            window[:, -1] = col
+        else:
+            window[:, filled] = col
+            filled += 1
+        factor.push()
+        if step % solve_every:
+            continue
+        rhs = rng.standard_normal(l1)
+        w = window[:, :filled]
+        svals = np.linalg.svd(w, compute_uv=False)
+        try:
+            alpha, r = factor.solve(window, rhs, filled)
+        except RankDeficient:
+            # Only a numerically rank-deficient window may be refused; the
+            # solver then restarts it.
+            assert svals[-1] <= 1e-10 * svals[0]
+            filled = 0
+            factor.reset()
+            continue
+        cond = svals[0] / svals[-1]
+        recon, orth = factor_errors(factor, window, filled)
+        assert recon < 1e-12
+        assert orth < 1e-12
+        expected = np.linalg.lstsq(w, rhs, rcond=None)[0]
+        err = np.linalg.norm(alpha - expected)
+        assert err <= 100.0 * cond * np.finfo(float).eps * max(
+            np.linalg.norm(expected), 1.0
+        )

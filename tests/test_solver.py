@@ -430,6 +430,20 @@ class TestBreakdownRecovery:
         first = reasons.index("stalled")
         assert all(r == "stalled" for r in reasons[first:])
 
+    def test_factor_counters_cover_unsketched_steps(self):
+        # Every step the guard did not sketch solves from the window factor,
+        # updated or refactored; every fallback restarts the window.
+        problem = build_problem("saddle", 9)
+        config = SolverConfig(
+            static_mask="pressure", adaptivity="subselect-power", rng_seed=3
+        )
+        report = solve(problem, config)
+        unsketched = sum(1 for rec in report.mask_trace if not rec.accepted)
+        fallbacks = sum(1 for rec in report.mask_trace if rec.fallback)
+        assert report.factor_updates > 0
+        assert report.factor_updates + report.factor_refreshes == unsketched
+        assert report.window_restarts == fallbacks > 0
+
     def test_guard_soundness_on_accepted_steps(self):
         for name, mask, adapt in [
             ("saddle", "pressure", "subselect-power"),
@@ -459,6 +473,15 @@ class TestTransparency:
                 assert len(full.iterates) == len(plain.iterates)
                 for xa, xb in zip(full.iterates, plain.iterates):
                     np.testing.assert_array_equal(xa, xb)
+
+    def test_factor_counters_identical(self):
+        problem = build_problem("saddle", 9)
+        config = SolverConfig(alternation=2, rel_tolerance=1e-8)
+        full = solve(problem, config)
+        plain = solve_plain(problem, config)
+        assert full.factor_updates == plain.factor_updates > 0
+        assert full.factor_refreshes == plain.factor_refreshes
+        assert full.window_restarts == plain.window_restarts
 
     def test_residual_histories_identical(self):
         problem = build_problem("plaplace", 9)

@@ -15,7 +15,7 @@ from .fixed_point import (
 )
 from .lsq import RankDeficient, estimate_sigma_min, qr_masked_solve
 from .sketching import Adaptivity, InvalidMask, MaskOperator, StabilityTrace
-from .solver import SolveReport, SolverConfig, TraceStep, solve, solve_plain
+from .solver import SolveReport, SolverConfig, TraceStep, solve
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,5 @@ __all__ = [
     "from_fixed_point_form",
     "qr_masked_solve",
     "solve",
-    "solve_plain",
     "__version__",
 ]

@@ -18,6 +18,9 @@ import numpy as np
 from .fixed_point import FixedPointProblem, field_indices
 from .lsq import RankDeficient, estimate_sigma_min
 
+# Inverse-power sweeps behind the guard's sigma_min estimate.
+SIGMA_MIN_SWEEPS = 3
+
 
 class InvalidMask(ValueError):
     """Mask index set is empty, unsorted, duplicated, or out of range."""
@@ -73,9 +76,6 @@ class MaskOperator:
     def size(self) -> int:
         return int(self.kept.size)
 
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        return v[self.kept]
-
 
 def identity_mask(dim: int) -> MaskOperator:
     return MaskOperator(kept=np.arange(dim), dim=dim)
@@ -95,16 +95,15 @@ def build_static_mask(problem: FixedPointProblem, spec) -> MaskOperator:
     return MaskOperator(kept=np.asarray(spec, dtype=np.intp), dim=problem.dimension)
 
 
-def update_lipschitz(l_prev: float, df: np.ndarray, dx: np.ndarray) -> float:
-    """Running Lipschitz estimate max(L_prev, |df| / |dx|).
+def update_lipschitz(l_prev: float, df_norm: float, dx_norm: float) -> float:
+    """Running Lipschitz estimate max(L_prev, |df| / |dx|), from the norms.
 
     A zero displacement carries no information and leaves the estimate
     unchanged.
     """
-    dx_norm = float(np.linalg.norm(dx))
-    if dx_norm == 0.0:
-        return l_prev
-    return max(l_prev, float(np.linalg.norm(df)) / dx_norm)
+    if dx_norm > 0.0:
+        return max(l_prev, df_norm / dx_norm)
+    return l_prev
 
 
 def eta(j: int, kind: str, exponent: float = 1.1) -> float:
@@ -128,12 +127,11 @@ def epsilon_lhs(
     norm_f: float,
     dx_norms: np.ndarray,
     etas: np.ndarray,
-    strict: bool = False,
 ) -> float:
     """Perturbation budget for the sketch, possibly negative.
 
     Evaluates n_dim * eta_j * sigma_min / (L * |f| * |dx_j|) - 1 over the
-    window columns and reduces with max (default) or min (strict mode).
+    window columns and reduces with max.
     Plain 2-norms are expected; together with the n_dim factor this is the
     dimension-scaled norm convention |v|^2 = (1/N) sum v_i^2. Columns with
     zero displacement are skipped; with no usable column the budget is -1
@@ -148,8 +146,7 @@ def epsilon_lhs(
         terms.append(n_dim * eta_j * sigma_min / (lipschitz * norm_f * dx_j))
     if not terms:
         return -1.0
-    pick = min(terms) if strict else max(terms)
-    return float(pick) - 1.0
+    return float(max(terms)) - 1.0
 
 
 def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray) -> float:
@@ -248,7 +245,7 @@ def adaptive_step(
 
     try:
         sigma = estimate_sigma_min(
-            ws.r_factor[: ws.r_cols, : ws.r_cols], config.sigma_min_iterations
+            ws.r_factor[: ws.r_cols, : ws.r_cols], SIGMA_MIN_SWEEPS
         )
     except RankDeficient:
         rec.reason = "no-factor"
@@ -270,7 +267,6 @@ def adaptive_step(
         norm_f,
         ws.dx_norms[:c],
         np.asarray(etas),
-        strict=config.strict_stability,
     )
     rec.eps_lhs = lhs
     if lhs < 0.0:

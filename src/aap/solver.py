@@ -5,16 +5,18 @@ p-th iteration, replaces the step with an Anderson mixing update built from
 a window of past increments. The window least squares can be restricted
 twice: statically to a physics field (level one) and dynamically to a
 guarded row sketch (level two). With both restrictions off, the loop is the
-plain alternating scheme; `solve_plain` implements that reference path
-directly and the two paths produce bitwise identical iterates.
+plain alternating scheme, and the iterates are bitwise those of a plain
+reference loop written against the same kernels.
 
-All solver buffers are allocated once up front; the iteration body works
-in place and does not grow the heap as it runs.
+`solve` runs `step` once per iteration and records what it returns. The
+buffers are allocated once and `step` works in place, so the workspace does
+not grow as the solve runs; the report grows by one residual per iteration
+and one record per mixing step.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .sketching import (
     StabilityTrace,
     adaptive_step,
     build_static_mask,
+    update_lipschitz,
 )
 
 DEFAULT_WINDOW = 10
@@ -63,12 +66,11 @@ class SolverConfig:
         Percentage of restricted rows the sketch keeps.
     eta_exponent
         Growth exponent of the "power" budget weights.
-    sigma_min_iterations
-        Inverse-power sweeps used by the guard's sigma_min estimate (1 to 5).
-    strict_stability
-        Reduce the budget over columns with min instead of max.
     rng_seed
         Seed for the randomized sketch; fixed seed gives identical runs.
+
+    The guard's sigma_min sweep count and its reduction over the window
+    columns are fixed in `aap.sketching`.
     """
 
     window: int | None = None
@@ -80,8 +82,6 @@ class SolverConfig:
     adaptivity: Adaptivity = Adaptivity.NONE
     sketch_percent: float = 30.0
     eta_exponent: float = 1.1
-    sigma_min_iterations: int = 3
-    strict_stability: bool = False
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -97,31 +97,24 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 < self.sketch_percent <= 100.0):
             raise ValueError("sketch_percent must lie in (0, 100]")
-        if not (1 <= self.sigma_min_iterations <= 5):
-            raise ValueError("sigma_min_iterations must lie in [1, 5]")
         if not isinstance(self.adaptivity, Adaptivity):
             object.__setattr__(self, "adaptivity", Adaptivity(self.adaptivity))
 
 
 @dataclass
 class Workspace:
-    """Preallocated solver state.
+    """Preallocated solver state, and the per-run state `step` advances.
 
-    The increment window ``df_window`` (restricted rows) is stored in
-    chronological column order and shifts left when full. ``dg_window``
-    is circulant: the increment of iteration k lands in column (k+1) mod m,
-    so no column data moves after it is written. ``dx_norms`` is aligned
-    with ``df_window``. ``factor`` is the thin QR factor of ``df_window``
-    that unsketched mixing steps solve from; it is updated as columns enter
-    and leave instead of being recomputed. ``r_factor`` holds the triangular
-    factor of the last completed mixing step (sketched or not) for the
-    stability guard. ``allocations`` counts buffer allocations made on
-    behalf of this workspace; it must not grow once the solve is running.
+    ``df_window`` (restricted rows), ``dg_window`` (full rows) and
+    ``dx_norms`` share one chronological column order, oldest first, and
+    shift left when full. ``factor``, the thin QR factor of ``df_window``
+    that unsketched mixing steps solve from, is updated as columns enter and
+    leave. ``r_factor`` holds the triangular factor of the last completed
+    mixing step (sketched or not) for the stability guard. The scalars and
+    ``rng`` are the run's state.
     """
 
-    n: int
     m: int
-    l1: int
     mask: MaskOperator
     x: np.ndarray
     f: np.ndarray
@@ -134,15 +127,15 @@ class Workspace:
     df_window: np.ndarray
     dg_window: np.ndarray
     dx_norms: np.ndarray
-    alpha: np.ndarray
     factor: lsq.WindowFactor
     r_factor: np.ndarray | None
+    rng: np.random.Generator
     r_cols: int = 0
     filled: int = 0
-    newest: int = 0
-    last_k: int = 0
     lipschitz: float = 0.0
-    allocations: int = 0
+    stalled: bool = False
+    last_accept: int = -1
+    restarts: int = 0
 
 
 def allocate_workspace(
@@ -167,49 +160,37 @@ def allocate_workspace(
     if mask.dim != n:
         raise ValueError(f"mask built for dimension {mask.dim}, problem has {n}")
     l1 = mask.size
-    count = 0
-
-    def new(*shape, order="C"):
-        nonlocal count
-        count += 1
-        return np.zeros(shape, order=order)
-
     restricted = not mask.is_identity
-    ws = Workspace(
-        n=n,
+    return Workspace(
         m=m,
-        l1=l1,
         mask=mask,
-        x=new(n),
-        f=new(n),
-        g=new(n),
-        df=new(n),
-        dg=new(n),
-        scratch=new(n),
-        f_sub=new(l1) if restricted else None,
-        df_sub=new(l1) if restricted else None,
-        df_window=new(l1, m, order="F"),
-        dg_window=new(n, m, order="F"),
-        dx_norms=new(m),
-        alpha=new(m),
+        x=np.zeros(n),
+        f=np.zeros(n),
+        g=np.zeros(n),
+        df=np.zeros(n),
+        dg=np.zeros(n),
+        scratch=np.zeros(n),
+        f_sub=np.zeros(l1) if restricted else None,
+        df_sub=np.zeros(l1) if restricted else None,
+        df_window=np.zeros((l1, m), order="F"),
+        dg_window=np.zeros((n, m), order="F"),
+        dx_norms=np.zeros(m),
         factor=lsq.WindowFactor(l1, m),
-        r_factor=new(m, m) if config.adaptivity is not Adaptivity.NONE else None,
+        r_factor=(
+            np.zeros((m, m)) if config.adaptivity is not Adaptivity.NONE else None
+        ),
+        rng=np.random.default_rng(config.rng_seed),
     )
-    ws.allocations = count
-    return ws
 
 
-def picard_update(x, f, omega, work=None):
+def picard_update(x, f, omega, work):
     """Relaxed Picard step x <- x - omega * f, in place; returns x.
 
-    With ``work`` given, the scaled residual goes through the preallocated
-    scratch buffer and the update allocates nothing.
+    The scaled residual goes through the preallocated buffer ``work``, so
+    the update allocates nothing.
     """
-    if work is None:
-        x -= omega * f
-    else:
-        np.multiply(f, omega, out=work)
-        np.subtract(x, work, out=x)
+    np.multiply(f, omega, out=work)
+    np.subtract(x, work, out=x)
     return x
 
 
@@ -228,29 +209,25 @@ def update_increments(ws: Workspace, problem: FixedPointProblem, omega: float):
     np.subtract(ws.g, ws.dg, out=ws.dg)
 
 
-def push_window(ws: Workspace, k: int, dx_norm: float):
-    """Append the iteration-k increments to the windows.
+def push_window(ws: Workspace, dx_norm: float):
+    """Append the newest increments to the windows, chronologically.
 
     The restricted residual increment (df_sub, or df when the level-one mask
-    is identity) enters df_window chronologically, dropping the oldest
-    column when full, and the window factor is told of it. dg enters
-    dg_window at column (k+1) mod m.
+    is identity), dg and dx_norm enter the same column of df_window,
+    dg_window and dx_norms, after a shift that drops the oldest column when
+    the windows are full. The window factor is told of the push.
     """
-    m = ws.m
-    df_src = ws.df_sub if ws.df_sub is not None else ws.df
-    if ws.filled == m:
+    if ws.filled == ws.m:
         _shift_left(ws.df_window)
+        _shift_left(ws.dg_window)
         ws.dx_norms[:-1] = ws.dx_norms[1:]
-        ws.df_window[:, m - 1] = df_src
-        ws.dx_norms[m - 1] = dx_norm
     else:
-        ws.df_window[:, ws.filled] = df_src
-        ws.dx_norms[ws.filled] = dx_norm
         ws.filled += 1
+    j = ws.filled - 1
+    ws.df_window[:, j] = ws.df_sub if ws.df_sub is not None else ws.df
+    ws.dg_window[:, j] = ws.dg
+    ws.dx_norms[j] = dx_norm
     ws.factor.push()
-    ws.newest = (k + 1) % m
-    ws.dg_window[:, ws.newest] = ws.dg
-    ws.last_k = k
 
 
 def _shift_left(window: np.ndarray):
@@ -266,25 +243,105 @@ def _shift_left(window: np.ndarray):
     flat[: -window.shape[0]] = flat[window.shape[0]:]
 
 
-def _axpy(a, v, out, work):
-    """out += a * v through a preallocated scratch buffer."""
-    np.multiply(v, a, out=work)
-    np.add(out, work, out=out)
+def anderson_update(ws: Workspace, alpha: np.ndarray, omega: float):
+    """Mixing update x <- x - omega * f - dg_window[:, :c] @ alpha, in place.
 
-
-def anderson_update(ws: Workspace, alpha: np.ndarray, omega: float, k: int):
-    """Mixing update x <- x - omega * f + sum_i alpha_i * dg_i, in place.
-
-    ``alpha`` has one coefficient per filled column, chronological order
-    (oldest first). The circulant dg columns are visited through the
-    chronology-to-storage permutation and accumulated oldest to newest.
+    ``alpha`` is the window least-squares solution, one coefficient per
+    filled column, oldest first; the dg columns are combined by one
+    matrix-vector product into scratch.
     """
-    c = len(alpha)
     picard_update(ws.x, ws.f, omega, ws.scratch)
-    for i in range(c):
-        col = (k - c + i + 2) % ws.m
-        _axpy(alpha[i], ws.dg_window[:, col], ws.x, ws.scratch)
-    return ws.x
+    np.dot(ws.dg_window[:, : len(alpha)], alpha, out=ws.scratch)
+    np.subtract(ws.x, ws.scratch, out=ws.x)
+
+
+def step(
+    ws: Workspace,
+    problem: FixedPointProblem,
+    config: SolverConfig,
+    omega: float,
+    k: int,
+    norm_f0: float,
+    history: list[float],
+):
+    """Run iteration k in place; returns (relres, mixing).
+
+    Returns at once, x untouched, when relres = |T(x)| / norm_f0 is below
+    the tolerance. Otherwise x moves by a Picard step or, when k = 0 mod p,
+    by mixing over the filled window; a rank-deficient least squares
+    degrades that step to Picard, flags it, and restarts the window.
+    ``history`` (relres of iterations 0..k-1) is only read, by the stall
+    detector. ``mixing`` is None unless the step mixed, and then (record,
+    columns, rows, alpha, r_factor): the guard's StabilityTrace, the window
+    width, the sketch rows (None for the identity), and the least-squares
+    solution and factor (None after a fallback; the factor is only valid
+    until the next step).
+    """
+    update_increments(ws, problem, omega)
+    relres = float(np.linalg.norm(ws.f)) / norm_f0
+    if relres < config.rel_tolerance:
+        return relres, None
+
+    np.multiply(ws.df, omega, out=ws.scratch)
+    np.add(ws.scratch, ws.dg, out=ws.scratch)
+    dx_norm = float(np.linalg.norm(ws.scratch))
+    ws.lipschitz = update_lipschitz(
+        ws.lipschitz, float(np.linalg.norm(ws.df)), dx_norm
+    )
+    if ws.f_sub is not None:
+        np.take(ws.f, ws.mask.kept, out=ws.f_sub)
+        np.take(ws.df, ws.mask.kept, out=ws.df_sub)
+    push_window(ws, dx_norm)
+
+    adaptive = config.adaptivity is not Adaptivity.NONE
+    stall_span = max(ws.m, DEFAULT_WINDOW)
+    if (
+        adaptive
+        and not ws.stalled
+        and k >= ws.m + stall_span
+        and ws.last_accept > k - stall_span
+        and relres > STALL_FACTOR * history[k - stall_span]
+    ):
+        ws.stalled = True
+
+    if k % config.alternation != 0:
+        picard_update(ws.x, ws.f, omega, ws.scratch)
+        return relres, None
+
+    rows = None
+    if adaptive and not ws.stalled:
+        rows, rec = adaptive_step(ws, config, problem.dimension, k, ws.rng)
+        if rec.accepted:
+            ws.last_accept = k
+    else:
+        reason = "stalled" if ws.stalled else "disabled"
+        rec = StabilityTrace(iteration=k, lipschitz=ws.lipschitz, reason=reason)
+
+    c = ws.filled
+    f_r = ws.f_sub if ws.f_sub is not None else ws.f
+    try:
+        if rows is None:
+            alpha_ls, r_step = ws.factor.solve(ws.df_window, f_r, c)
+        else:
+            alpha_ls, r_step = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+        if float(np.abs(alpha_ls).max()) > COEFF_LIMIT:
+            raise lsq.RankDeficient("coefficients exceed COEFF_LIMIT")
+        if ws.r_factor is not None:
+            ws.r_factor[:c, :c] = r_step
+            ws.r_cols = c
+        anderson_update(ws, alpha_ls, omega)
+    except lsq.RankDeficient:
+        alpha_ls = r_step = None
+        rec.fallback = True
+        picard_update(ws.x, ws.f, omega, ws.scratch)
+        # Restart the window: a degenerate column would otherwise force this
+        # fallback for m consecutive steps. Dropping the history lets mixing
+        # resume on the next step.
+        ws.filled = 0
+        ws.r_cols = 0
+        ws.factor.reset()
+        ws.restarts += 1
+    return relres, (rec, c, rows, alpha_ls, r_step)
 
 
 @dataclass
@@ -387,11 +444,8 @@ def solve(
 ) -> SolveReport:
     """Run the two-level alternating Anderson-Picard iteration.
 
-    Iterates until |T(x_k)| / |T(x_0)| < rel_tolerance or max_iterations.
-    The convergence check uses the freshly evaluated residual at the top of
-    each iteration. Mixing runs on iterations k with k = 0 mod p over the
-    filled window columns; a rank-deficient least squares degrades that step
-    to plain Picard, flags it in the mask trace, and restarts the window.
+    Iterates `step` until |T(x_k)| / |T(x_0)| < rel_tolerance or
+    max_iterations.
 
     Two safety valves keep sketching from wrecking a run: coefficient
     vectors past COEFF_LIMIT are handled like rank-deficient solves, and a
@@ -401,7 +455,7 @@ def solve(
     capture_trace records per-mixing-step window snapshots (full restricted
     increments, masks, coefficients, factors) for offline verification.
     keep_iterates records a copy of x after every update. Both are
-    diagnostic modes and allocate; the plain loop does not.
+    diagnostic modes and allocate.
     """
     t_start = time.perf_counter()
     omega = resolve_omega(problem, config)
@@ -409,14 +463,7 @@ def solve(
     # A window wider than the restricted row count would make the least
     # squares underdetermined; clamp it.
     m = min(resolve_window(problem, config), len(mask.kept))
-    p = config.alternation
     ws = allocate_workspace(problem.dimension, config, mask, window=m)
-    rng = np.random.default_rng(config.rng_seed)
-    adaptive = config.adaptivity is not Adaptivity.NONE
-    stall_span = max(m, DEFAULT_WINDOW)
-    stalled = False
-    last_accept = -1
-    restarts = 0
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
@@ -430,7 +477,7 @@ def solve(
         return SolveReport(
             problem=problem.name,
             n=problem.dimension,
-            l1=ws.l1,
+            l1=ws.mask.size,
             converged=converged,
             iterations=iterations,
             residual_history=history,
@@ -439,13 +486,13 @@ def solve(
             final_state=ws.x.copy(),
             omega=omega,
             window=m,
-            alternation=p,
+            alternation=config.alternation,
             config=config,
             trace=trace,
             iterates=iterates,
             factor_updates=ws.factor.updates,
             factor_refreshes=ws.factor.refreshes,
-            window_restarts=restarts,
+            window_restarts=ws.restarts,
         )
 
     np.copyto(ws.x, x0)
@@ -464,81 +511,16 @@ def solve(
     k = 0
     try:
         for k in range(1, config.max_iterations + 1):
-            update_increments(ws, problem, omega)
-            relres = float(np.linalg.norm(ws.f)) / norm_f0
+            relres, mixing = step(ws, problem, config, omega, k, norm_f0, history)
             history.append(relres)
             if relres < config.rel_tolerance:
                 converged = True
                 break
-
-            np.multiply(ws.df, omega, out=ws.scratch)
-            np.add(ws.scratch, ws.dg, out=ws.scratch)
-            dx_norm = float(np.linalg.norm(ws.scratch))
-            if dx_norm > 0.0:
-                df_norm = float(np.linalg.norm(ws.df))
-                ws.lipschitz = max(ws.lipschitz, df_norm / dx_norm)
-
-            if ws.f_sub is not None:
-                np.take(ws.f, mask.kept, out=ws.f_sub)
-                np.take(ws.df, mask.kept, out=ws.df_sub)
-            push_window(ws, k, dx_norm)
-
-            if (
-                adaptive
-                and not stalled
-                and k >= m + stall_span
-                and last_accept > k - stall_span
-                and relres > STALL_FACTOR * history[k - stall_span]
-            ):
-                stalled = True
-
-            if k % p == 0:
-                rows = None
-                if adaptive and not stalled:
-                    rows, rec = adaptive_step(ws, config, problem.dimension, k, rng)
-                    if rec.accepted:
-                        last_accept = k
-                else:
-                    rec = StabilityTrace(
-                        iteration=k,
-                        lipschitz=ws.lipschitz,
-                        reason="stalled" if stalled else "disabled",
-                    )
+            if mixing is not None:
+                rec, c, rows, alpha, r_step = mixing
                 mask_trace.append(rec)
-
-                c = ws.filled
-                f_r = ws.f_sub if ws.f_sub is not None else ws.f
-                alpha_ls = None
-                r_step = None
-                try:
-                    if rows is None:
-                        a_try, r_try = ws.factor.solve(ws.df_window, f_r, c)
-                    else:
-                        a_try, r_try = lsq.qr_masked_solve(
-                            ws.df_window, f_r, rows, c
-                        )
-                    if float(np.abs(a_try).max()) > COEFF_LIMIT:
-                        raise lsq.RankDeficient(
-                            "mixing coefficients exceed the stability limit"
-                        )
-                    alpha_ls, r_step = a_try, r_try
-                    if ws.r_factor is not None:
-                        ws.r_factor[:c, :c] = r_step
-                        ws.r_cols = c
-                    alpha_mix = ws.alpha[:c]
-                    np.negative(alpha_ls, out=alpha_mix)
-                    anderson_update(ws, alpha_mix, omega, k)
-                except lsq.RankDeficient:
-                    rec.fallback = True
-                    picard_update(ws.x, ws.f, omega, ws.scratch)
-                    # Restart the window: a degenerate column would otherwise
-                    # force this fallback for m consecutive steps. Dropping
-                    # the history lets mixing resume on the next step.
-                    ws.filled = 0
-                    ws.r_cols = 0
-                    ws.factor.reset()
-                    restarts += 1
                 if capture_trace:
+                    f_r = ws.f_sub if ws.f_sub is not None else ws.f
                     trace.append(
                         TraceStep(
                             iteration=k,
@@ -546,7 +528,7 @@ def solve(
                             window_increments=ws.df_window[:, :c].copy(),
                             dx_norms=ws.dx_norms[:c].copy(),
                             f_restricted=f_r.copy(),
-                            alpha=None if alpha_ls is None else alpha_ls.copy(),
+                            alpha=None if alpha is None else alpha.copy(),
                             r_factor=None if r_step is None else r_step.copy(),
                             mask=None if rows is None else np.asarray(rows).copy(),
                             lipschitz=ws.lipschitz,
@@ -558,8 +540,6 @@ def solve(
                             fallback=rec.fallback,
                         )
                     )
-            else:
-                picard_update(ws.x, ws.f, omega, ws.scratch)
             if keep_iterates:
                 iterates.append(ws.x.copy())
     except NumericalBreakdown as exc:
@@ -567,131 +547,3 @@ def solve(
         raise
 
     return report(converged, k)
-
-
-def solve_plain(
-    problem: FixedPointProblem,
-    config: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    *,
-    keep_iterates: bool = False,
-) -> SolveReport:
-    """Reference alternating Anderson-Picard loop, no masking machinery.
-
-    Full-window storage with plain chronological shifting, the same
-    arithmetic kernels as `solve`, and no restriction or sketch paths.
-    With the two-level solver configured transparently (identity level-one
-    mask, 100 percent sketch, adaptivity off) the two produce bitwise
-    identical iterate sequences.
-    """
-    t_start = time.perf_counter()
-    omega = resolve_omega(problem, config)
-    n = problem.dimension
-    m = min(resolve_window(problem, config), n)
-    p = config.alternation
-
-    x0 = _resolve_x0(problem, x0)
-    f0 = evaluate_residual(problem, x0)
-    norm_f0 = float(np.linalg.norm(f0))
-    history = [1.0]
-    iterates: list[np.ndarray] | None = [] if keep_iterates else None
-    scratch = np.zeros(n)
-
-    x = x0.copy()
-    f_prev = f0.copy()
-    if norm_f0 == 0.0:
-        return SolveReport(
-            problem=problem.name,
-            n=n,
-            l1=n,
-            converged=True,
-            iterations=0,
-            residual_history=history,
-            mask_trace=[],
-            wall_time_seconds=time.perf_counter() - t_start,
-            final_state=x,
-            omega=omega,
-            window=m,
-            alternation=p,
-            config=config,
-            iterates=iterates,
-        )
-
-    picard_update(x, f_prev, omega, scratch)
-    g_prev = x.copy()
-    if keep_iterates:
-        iterates.append(x.copy())
-
-    f_window = np.zeros((n, m), order="F")
-    g_window = np.zeros((n, m), order="F")
-    factor = lsq.WindowFactor(n, m)
-    cols = 0
-    restarts = 0
-    converged = False
-    k = 0
-    for k in range(1, config.max_iterations + 1):
-        f = evaluate_residual(problem, x)
-        np.multiply(f, omega, out=scratch)
-        g = np.subtract(x, scratch)
-        df = np.subtract(f, f_prev)
-        dg = np.subtract(g, g_prev)
-        f_prev = f
-        g_prev = g
-
-        relres = float(np.linalg.norm(f)) / norm_f0
-        history.append(relres)
-        if relres < config.rel_tolerance:
-            converged = True
-            break
-
-        if cols == m:
-            for j in range(m - 1):
-                f_window[:, j] = f_window[:, j + 1]
-                g_window[:, j] = g_window[:, j + 1]
-            f_window[:, m - 1] = df
-            g_window[:, m - 1] = dg
-        else:
-            f_window[:, cols] = df
-            g_window[:, cols] = dg
-            cols += 1
-        factor.push()
-
-        if k % p == 0:
-            try:
-                alpha, _ = factor.solve(f_window, f, cols)
-                if float(np.abs(alpha).max()) > COEFF_LIMIT:
-                    raise lsq.RankDeficient(
-                        "mixing coefficients exceed the stability limit"
-                    )
-                picard_update(x, f, omega, scratch)
-                for i in range(cols):
-                    _axpy(-alpha[i], g_window[:, i], x, scratch)
-            except lsq.RankDeficient:
-                picard_update(x, f, omega, scratch)
-                cols = 0
-                factor.reset()
-                restarts += 1
-        else:
-            picard_update(x, f, omega, scratch)
-        if keep_iterates:
-            iterates.append(x.copy())
-
-    return SolveReport(
-        problem=problem.name,
-        n=n,
-        l1=n,
-        converged=converged,
-        iterations=k,
-        residual_history=history,
-        mask_trace=[],
-        wall_time_seconds=time.perf_counter() - t_start,
-        final_state=x.copy(),
-        omega=omega,
-        window=m,
-        alternation=p,
-        config=config,
-        iterates=iterates,
-        factor_updates=factor.updates,
-        factor_refreshes=factor.refreshes,
-        window_restarts=restarts,
-    )

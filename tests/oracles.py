@@ -1,12 +1,31 @@
-"""Independent reference implementations used to check the package.
+"""Reference implementations used to check the package.
 
-Everything here is written against the underlying mathematics, not against
+Most of them are written against the underlying mathematics, not against
 the package code: dense assemblies use explicit index loops, least squares
 goes through the normal equations, and the Krylov reference is a textbook
 Arnoldi process. Agreement between these and the package is therefore
 evidence, not tautology.
+
+`solve_plain` is the exception. It is the plain alternating loop with
+neither restriction, written as directly as possible, and it shares the
+package's arithmetic kernels (the Picard update, the window factor, the
+mixing matrix-vector product) on purpose: the two-level solver, configured
+transparently, must reproduce its iterates bitwise, and only the same
+kernels make a bitwise comparison meaningful.
 """
+import time
+
 import numpy as np
+
+from aap import lsq
+from aap.fixed_point import evaluate_residual
+from aap.solver import (
+    COEFF_LIMIT,
+    SolveReport,
+    picard_update,
+    resolve_omega,
+    resolve_window,
+)
 
 
 def gmres_iterates(a, b, x0, steps):
@@ -153,3 +172,97 @@ def shift_window_reference(increments, m):
     """
     kept = increments[-m:] if len(increments) > m else list(increments)
     return [np.asarray(v) for v in kept]
+
+
+def solve_plain(problem, config, *, keep_iterates=False):
+    """Reference alternating Anderson-Picard loop, no masking machinery.
+
+    Full-row windows in chronological order, shifted one column at a time,
+    and no restriction, sketch or stall paths. With the two-level solver
+    configured transparently (identity level-one mask, adaptivity off) the
+    two produce bitwise identical iterate sequences. Starts from the
+    problem's initial state, or zero, which must not be a root.
+    """
+    t_start = time.perf_counter()
+    omega = resolve_omega(problem, config)
+    n = problem.dimension
+    m = min(resolve_window(problem, config), n)
+    p = config.alternation
+    x0 = problem.initial_state
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    f_prev = evaluate_residual(problem, x)
+    norm_f0 = float(np.linalg.norm(f_prev))
+    if norm_f0 == 0.0:
+        raise ValueError("x0 is already a root; nothing to compare")
+    history = [1.0]
+    iterates = [] if keep_iterates else None
+    scratch = np.zeros(n)
+    f_window = np.zeros((n, m), order="F")
+    g_window = np.zeros((n, m), order="F")
+    factor = lsq.WindowFactor(n, m)
+    cols = 0
+    restarts = 0
+    converged = False
+    picard_update(x, f_prev, omega, scratch)
+    g_prev = x.copy()
+    if keep_iterates:
+        iterates.append(x.copy())
+    for k in range(1, config.max_iterations + 1):
+        f = evaluate_residual(problem, x)
+        np.multiply(f, omega, out=scratch)
+        g = np.subtract(x, scratch)
+        df = np.subtract(f, f_prev)
+        dg = np.subtract(g, g_prev)
+        f_prev = f
+        g_prev = g
+
+        relres = float(np.linalg.norm(f)) / norm_f0
+        history.append(relres)
+        if relres < config.rel_tolerance:
+            converged = True
+            break
+
+        if cols == m:
+            for j in range(m - 1):
+                f_window[:, j] = f_window[:, j + 1]
+                g_window[:, j] = g_window[:, j + 1]
+        else:
+            cols += 1
+        f_window[:, cols - 1] = df
+        g_window[:, cols - 1] = dg
+        factor.push()
+
+        picard_update(x, f, omega, scratch)
+        if k % p == 0:
+            try:
+                alpha, _ = factor.solve(f_window, f, cols)
+                if float(np.abs(alpha).max()) > COEFF_LIMIT:
+                    raise lsq.RankDeficient("coefficients past the limit")
+                np.dot(g_window[:, :cols], alpha, out=scratch)
+                np.subtract(x, scratch, out=x)
+            except lsq.RankDeficient:
+                cols = 0
+                factor.reset()
+                restarts += 1
+        if keep_iterates:
+            iterates.append(x.copy())
+
+    return SolveReport(
+        problem=problem.name,
+        n=n,
+        l1=n,
+        converged=converged,
+        iterations=k,
+        residual_history=history,
+        mask_trace=[],
+        wall_time_seconds=time.perf_counter() - t_start,
+        final_state=x.copy(),
+        omega=omega,
+        window=m,
+        alternation=p,
+        config=config,
+        iterates=iterates,
+        factor_updates=factor.updates,
+        factor_refreshes=factor.refreshes,
+        window_restarts=restarts,
+    )

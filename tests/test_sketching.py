@@ -24,11 +24,6 @@ from aap.solver import SolverConfig, allocate_workspace
 
 
 class TestMaskOperator:
-    def test_restrict_picks_rows(self):
-        mask = MaskOperator(kept=np.array([1, 3]), dim=5)
-        v = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
-        np.testing.assert_array_equal(mask.restrict(v), [11.0, 13.0])
-
     def test_identity_flag(self):
         assert identity_mask(4).is_identity
         assert not MaskOperator(kept=np.array([0, 2]), dim=4).is_identity
@@ -79,13 +74,13 @@ class TestBuildStaticMask:
 
 class TestLipschitz:
     def test_ratio_raises_estimate(self):
-        assert update_lipschitz(2.0, np.array([3.0]), np.array([1.0])) == 3.0
+        assert update_lipschitz(2.0, 3.0, 1.0) == 3.0
 
     def test_ratio_below_keeps_estimate(self):
-        assert update_lipschitz(5.0, np.array([3.0]), np.array([1.0])) == 5.0
+        assert update_lipschitz(5.0, 3.0, 1.0) == 5.0
 
     def test_zero_displacement_no_update(self):
-        assert update_lipschitz(2.0, np.array([3.0]), np.zeros(1)) == 2.0
+        assert update_lipschitz(2.0, 3.0, 0.0) == 2.0
 
     def test_bounded_by_spectral_norm_on_linear_map(self):
         rng = np.random.default_rng(0)
@@ -97,7 +92,9 @@ class TestLipschitz:
         for _ in range(30):
             x = rng.standard_normal(8)
             f = a @ x
-            lk = update_lipschitz(lk, f - f_prev, x - x_prev)
+            lk = update_lipschitz(
+                lk, np.linalg.norm(f - f_prev), np.linalg.norm(x - x_prev)
+            )
             x_prev, f_prev = x, f
         assert 0.0 < lk <= spectral * (1.0 + 1e-12)
 
@@ -147,14 +144,6 @@ class TestEpsilonLhs:
             np.array([1.0, 0.25]), np.array([1.0, 1.0]),
         )
         assert out == 3.0  # the small-displacement column wins under max
-
-    def test_strict_mode_takes_min(self):
-        out = epsilon_lhs(
-            1, 1.0, 1.0, 1.0,
-            np.array([1.0, 0.25]), np.array([1.0, 1.0]),
-            strict=True,
-        )
-        assert out == 0.0
 
     def test_zero_displacement_column_skipped(self):
         out = epsilon_lhs(

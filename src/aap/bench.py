@@ -26,8 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixed_point import NumericalBreakdown
+from .lsq import estimate_sigma_min
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
-from .sketching import Adaptivity, eta, perturbation_norm
+from .sketching import (
+    Adaptivity,
+    epsilon_rhs,
+    eta,
+    perturbation_norm,
+    stability_hypothesis,
+)
 from .solver import SolveReport, SolverConfig, solve
 
 TRACE_FORMAT = "aap-trace-1"
@@ -434,9 +441,7 @@ def write_trace(report: SolveReport, path: str):
                 "mask": None if st.mask is None else st.mask.tolist(),
                 "lipschitz": st.lipschitz,
                 "sigma_min": st.sigma_min,
-                "eps_lhs": st.eps_lhs,
                 "eps_rhs": st.eps_rhs,
-                "etas": None if st.etas is None else list(st.etas),
                 "accepted": st.accepted,
                 "fallback": st.fallback,
             }
@@ -507,8 +512,24 @@ class StepCheck:
 
 @dataclass
 class TraceVerification:
+    """Outcome of a trace check.
+
+    ``accepted`` lists the steps that mixed with a sketch, and ``checked``
+    those of them whose stability hypothesis the verifier confirmed. The
+    trace passes when the bound holds wherever the hypothesis does and every
+    accepted sketch is checked: an accepted step that fails the hypothesis
+    means the guard and the verifier disagree.
+    """
+
     steps: list[StepCheck] = field(default_factory=list)
-    passed: bool = True
+
+    @property
+    def accepted(self) -> list[StepCheck]:
+        return [s for s in self.steps if s.masked and not s.fallback]
+
+    @property
+    def checked(self) -> list[StepCheck]:
+        return [s for s in self.accepted if s.hypotheses_satisfied]
 
     @property
     def violations(self) -> list[StepCheck]:
@@ -517,17 +538,21 @@ class TraceVerification:
             if s.hypotheses_satisfied and not s.bound_satisfied
         ]
 
+    @property
+    def passed(self) -> bool:
+        return not self.violations and len(self.checked) == len(self.accepted)
+
 
 def verify_theorem_trace(path_or_doc) -> TraceVerification:
     """Recheck the perturbation bound of every mixing step in a trace.
 
     For each step the stored triangular factor is checked against the
-    restricted increments (mismatch means a corrupted trace), the two
-    stability hypotheses are recomputed from scratch (true smallest singular
-    value from an SVD of the factor, recorded Lipschitz estimate, recorded
-    increment norms), and the perturbation norm is compared against the
-    eta-sum bound. The report fails only where the hypotheses verify and
-    the bound still does not hold.
+    restricted increments (mismatch means a corrupted trace). For a step
+    that mixed with a sketch, `stability_hypothesis` is recomputed from the
+    record: the factor's smallest singular value, the recorded Lipschitz
+    estimate and increment norms, the residual's norm and the share of it
+    the sketch dropped (`epsilon_rhs`). Where it holds, the perturbation
+    norm must stay within the eta-sum bound.
     """
     doc = path_or_doc if isinstance(path_or_doc, dict) else load_trace(path_or_doc)
     l1 = int(doc["l1"])
@@ -546,8 +571,6 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"step {idx}: malformed record ({exc})") from exc
         result.steps.append(check)
-        if check.hypotheses_satisfied and not check.bound_satisfied:
-            result.passed = False
     return result
 
 
@@ -604,24 +627,15 @@ def _verify_step(st: dict, l1: int, eta_kind: str | None, exponent: float):
     delta = perturbation_norm(increments, masked_cols, alpha)
 
     f_res = np.asarray(st["f_restricted"], dtype=float)
-    norm_f = float(np.linalg.norm(f_res))
-    kept_norm_sq = float(f_res[rows] @ f_res[rows])
-    dropped = max(norm_f * norm_f - kept_norm_sq, 0.0)
-    eps = np.sqrt(dropped) / norm_f if norm_f > 0 else 0.0
-
-    sigma_true = float(np.linalg.svd(r_factor, compute_uv=False)[-1])
-    lipschitz = float(st["lipschitz"])
-    dx_norms = np.asarray(st["dx_norms"], dtype=float)
     etas = [eta(j, eta_kind, exponent) for j in range(1, c + 1)]
-    hyp_ok = lipschitz > 0 and norm_f > 0
-    if hyp_ok:
-        for j in range(c):
-            if dx_norms[j] <= 0:
-                continue
-            need = lipschitz * norm_f * dx_norms[j] * (1.0 + eps)
-            if etas[j] * sigma_true < need:
-                hyp_ok = False
-                break
+    hyp_ok = stability_hypothesis(
+        estimate_sigma_min(r_factor),
+        float(st["lipschitz"]),
+        float(np.linalg.norm(f_res)),
+        np.asarray(st["dx_norms"], dtype=float),
+        etas,
+        epsilon_rhs(f_res, rows),
+    )
     bound = float(sum(etas)) + BOUND_SLACK
     return StepCheck(
         iteration=int(st["iteration"]),

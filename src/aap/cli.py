@@ -11,7 +11,8 @@ Subcommands:
 * `aap verify-trace` rechecks the stability bound recorded in a trace.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
-invalid input of any kind, 3 when trace verification finds a violation.
+invalid input of any kind, 3 when trace verification finds a violation of
+the bound or an accepted sketch that fails the stability hypothesis.
 """
 from __future__ import annotations
 
@@ -240,10 +241,13 @@ def _cmd_verify(args) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
 
-    masked = [s for s in result.steps if s.masked and not s.fallback]
-    checked = [s for s in masked if s.hypotheses_satisfied]
-    print(f"steps        {len(result.steps)} "
-          f"({len(masked)} masked, {len(checked)} hypothesis-checked)")
+    print(f"steps        {len(result.steps)}")
+    print(f"checked      {len(result.checked)} of {len(result.accepted)} "
+          "accepted")
+    for step in result.accepted:
+        if not step.hypotheses_satisfied:
+            print(f"unchecked    iteration {step.iteration}: accepted sketch "
+                  "fails the stability hypothesis")
     for step in result.violations:
         print(f"violation    iteration {step.iteration}: "
               f"delta {step.delta:.6e} > bound {step.bound:.6e}")

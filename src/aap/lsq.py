@@ -1,4 +1,4 @@
-"""Row-restricted least squares and cheap spectral estimates.
+"""Row-restricted least squares and the smallest singular value.
 
 The mixing step solves min_alpha |M alpha - r|_2 where M is the increment
 window or a row subset of it. Two factorizations serve it:
@@ -10,18 +10,16 @@ window or a row subset of it. Two factorizations serve it:
   a fresh factorization. The factor is recomputed by Householder QR only
   when the second Gram-Schmidt pass shows loss of orthogonality.
 * `qr_masked_solve` factors a row subset afresh (Householder QR without
-  pivoting, LAPACK), for sketched steps whose rows change every step.
+  pivoting, LAPACK), for the row sketch the stability guard proposes.
 
-Both return the triangular factor so the stability guard can reuse it.
-
-The smallest singular value of the triangular factor is estimated by inverse
-power iteration on R^T R. Each sweep costs two triangular solves, and the
-estimate approaches sigma_min from above as the sweep count grows.
+Both return the triangular factor R, which has the singular values of M.
+`estimate_sigma_min` takes the smallest of them exactly, from an SVD of the
+small c x c factor; the stability guard tests its hypothesis with it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr_delete, qr_multiply, solve_triangular
+from scipy.linalg import qr_delete, qr_multiply, solve_triangular, svdvals
 
 # Relative floor on |diag(R)| below which the factor is treated as singular.
 RANK_RTOL = 1e-14
@@ -30,6 +28,11 @@ RANK_RTOL = 1e-14
 # share of the norm the first pass left has lost orthogonality to the basis
 # (a third pass would be needed); the factor is then recomputed.
 REORTH_KEEP = 2.0 ** -0.5
+
+# Mixing coefficients beyond this magnitude mean the window fit is
+# numerically meaningless (healthy runs stay several orders below it); the
+# solve is treated as rank deficient.
+COEFF_LIMIT = 1e8
 
 
 class RankDeficient(RuntimeError):
@@ -75,7 +78,8 @@ def qr_masked_solve(
         R factor of the restricted matrix.
 
     The input window is never modified. Raises RankDeficient when the factor
-    diagonal collapses below a relative threshold of 1e-14.
+    diagonal collapses below a relative threshold of 1e-14 or a coefficient
+    exceeds COEFF_LIMIT.
     """
     if cols < 1 or cols > window.shape[1]:
         raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
@@ -101,6 +105,8 @@ def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
     alpha = solve_triangular(r_factor, qtr, lower=False, check_finite=False)
     if not np.isfinite(alpha).all():
         raise RankDeficient("least squares produced non-finite coefficients")
+    if float(np.abs(alpha).max()) > COEFF_LIMIT:
+        raise RankDeficient("coefficients exceed COEFF_LIMIT")
     return alpha
 
 
@@ -149,8 +155,8 @@ class WindowFactor:
 
         Same contract as ``qr_masked_solve(window, rhs, None, cols)``:
         returns (alpha, r_factor) and raises RankDeficient on a collapsed
-        diagonal or non-finite coefficients. ``r_factor`` is a view of the
-        factor, valid until the next call.
+        diagonal or non-finite or oversized coefficients. ``r_factor`` is a
+        view of the factor, valid until the next call.
         """
         if cols < 1 or cols > window.shape[1]:
             raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
@@ -223,28 +229,10 @@ class WindowFactor:
         return not rho < REORTH_KEEP * first
 
 
-def estimate_sigma_min(r_factor: np.ndarray, iterations: int = 3) -> float:
-    """Estimate sigma_min(R) by inverse power iteration on R^T R.
+def estimate_sigma_min(r_factor: np.ndarray) -> float:
+    """Smallest singular value of a triangular factor, from its SVD.
 
-    Starts from the normalized all-ones vector and runs ``iterations`` sweeps
-    (1 to 5); each sweep solves R^T y = v and R w = y. Returns the square
-    root of the resulting smallest-eigenvalue estimate of R^T R. The estimate
-    is an upper bound on sigma_min and is non-increasing in the sweep count.
+    Exact to rounding. The factor is c x c with c at most the window size,
+    so the SVD is cheap next to the factorization that produced it.
     """
-    if not (1 <= iterations <= 5):
-        raise ValueError("iterations must lie in [1, 5]")
-    r_factor = np.asarray(r_factor)
-    if r_factor.ndim != 2 or r_factor.shape[0] != r_factor.shape[1]:
-        raise ValueError("r_factor must be square")
-    _check_diag(r_factor)
-    c = r_factor.shape[0]
-    v = np.full(c, 1.0 / np.sqrt(c))
-    theta = 1.0
-    for _ in range(iterations):
-        y = solve_triangular(r_factor, v, lower=False, trans="T")
-        w = solve_triangular(r_factor, y, lower=False)
-        theta = float(np.linalg.norm(w))
-        if theta == 0.0:
-            raise RankDeficient("inverse iteration collapsed to zero")
-        v = w / theta
-    return 1.0 / np.sqrt(theta)
+    return float(svdvals(r_factor)[-1])

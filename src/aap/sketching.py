@@ -2,11 +2,11 @@
 
 Level one is a static mask picked from the problem's field layout (for
 example, pressure rows only). Level two is a dynamic row sketch chosen per
-mixing step, guarded so the perturbation it introduces into the mixing least
-squares stays provably bounded: the guard compares the relative perturbation
-the sketch would cause (eps_rhs) against a budget derived from the window's
-conditioning and the operator's Lipschitz estimate (eps_lhs) and falls back
-to the identity whenever the budget is not clearly sufficient.
+mixing step, admitted only when `stability_hypothesis` holds for it, so the
+perturbation it introduces into the mixing update stays within the eta-sum
+bound. The guard tests the hypothesis with the exact smallest singular value
+of the sketched window's own factor; the offline trace verifier tests the
+same function on the recorded step.
 """
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lsq
 from .fixed_point import FixedPointProblem, field_indices
-from .lsq import RankDeficient, estimate_sigma_min
-
-# Inverse-power sweeps behind the guard's sigma_min estimate.
-SIGMA_MIN_SWEEPS = 3
+from .lsq import estimate_sigma_min
 
 
 class InvalidMask(ValueError):
@@ -120,33 +118,38 @@ def eta(j: int, kind: str, exponent: float = 1.1) -> float:
     raise ValueError(f"unknown eta kind {kind!r}")
 
 
-def epsilon_lhs(
-    n_dim: int,
-    sigma_min: float,
+def stability_hypothesis(
+    sigma: float,
     lipschitz: float,
     norm_f: float,
-    dx_norms: np.ndarray,
-    etas: np.ndarray,
-) -> float:
-    """Perturbation budget for the sketch, possibly negative.
+    dx_norms,
+    etas,
+    eps: float,
+) -> bool:
+    """The condition under which a row sketch is admitted.
 
-    Evaluates n_dim * eta_j * sigma_min / (L * |f| * |dx_j|) - 1 over the
-    window columns and reduces with max.
-    Plain 2-norms are expected; together with the n_dim factor this is the
-    dimension-scaled norm convention |v|^2 = (1/N) sum v_i^2. Columns with
-    zero displacement are skipped; with no usable column the budget is -1
-    (sketch disabled for the step).
+    True when eta_j * sigma >= L * |f| * |dx_j| * (1 + eps) for every window
+    column j, in plain 2-norms. ``sigma`` is the smallest singular value of
+    the sketched window S F (rows S kept of the restricted increments F),
+    ``lipschitz`` the running estimate L, ``norm_f`` the norm of the
+    restricted residual f, ``dx_norms`` and ``etas`` the per-column
+    displacement norms and budget weights, and ``eps`` the share of |f| the
+    sketch drops (`epsilon_rhs`). A column with dx_j = 0 passes.
+
+    Under it the perturbation of the mixing update stays within the eta sum.
+    The sketched coefficients alpha minimise |S F alpha - S f|, so
+    |alpha| <= |S f| / sigma <= |f| / sigma. Each column of F is a residual
+    increment, so |(I - S) F_j| <= |F_j| <= L |dx_j|. Hence
+
+        |(F - S F) alpha| <= sum_j |alpha_j| |(I - S) F_j|
+                          <= sum_j L |f| |dx_j| / sigma <= sum_j eta_j.
+
+    The bound needs the inequality at every column and in plain norms, so
+    neither a dimension factor on the left nor a max over the columns is
+    part of it; the (1 + eps) factor is a margin the bound does not use.
     """
-    if lipschitz <= 0.0 or norm_f <= 0.0:
-        raise ValueError("lipschitz and norm_f must be positive")
-    terms = []
-    for eta_j, dx_j in zip(etas, dx_norms):
-        if dx_j == 0.0:
-            continue
-        terms.append(n_dim * eta_j * sigma_min / (lipschitz * norm_f * dx_j))
-    if not terms:
-        return -1.0
-    return float(max(terms)) - 1.0
+    need = lipschitz * norm_f * (1.0 + eps) * np.asarray(dx_norms)
+    return bool(np.all(np.asarray(etas) * sigma >= need))
 
 
 def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray) -> float:
@@ -195,20 +198,20 @@ def sketch_size(percent: float, l1: int) -> int:
 class StabilityTrace:
     """Per-mixing-step record of the guard's decision.
 
-    ``reason`` is one of: "accepted", "rejected", "no-factor",
-    "no-lipschitz", "lhs-negative", "underdetermined", "disabled".
-    ``fallback`` flags a rank-deficient least squares that degraded the
-    step to plain Picard.
+    ``reason`` is one of: "accepted", "rejected", "no-lipschitz",
+    "lhs-negative", "underdetermined", "disabled", "stalled", and
+    "no-factor" when the whole window is rank deficient, which also sets
+    ``fallback``: the step degraded to plain Picard. ``sigma_min`` is the
+    smallest singular value of the last factor the guard tested (None when
+    it tested none, or the sketched factor was rank deficient).
     """
 
     iteration: int
     lipschitz: float
     sigma_min: float | None = None
-    eps_lhs: float | None = None
     eps_rhs: float | None = None
     ell2: int | None = None
     accepted: bool = False
-    etas: tuple[float, ...] | None = None
     reason: str = "disabled"
     fallback: bool = False
 
@@ -216,19 +219,25 @@ class StabilityTrace:
 def adaptive_step(
     workspace,
     config,
-    n_dim: int,
     iteration: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | None, StabilityTrace]:
+    r_window: np.ndarray,
+):
     """Decide the level-two sketch for one mixing step.
 
-    Uses the triangular factor stored at the most recent completed mixing
-    step to estimate the window's smallest singular value, computes the
-    budget eps_lhs from it, proposes a row set by the configured strategy,
-    and accepts it only when 0 < eps_rhs <= eps_lhs. Every other outcome
-    falls back to the identity with the reason recorded.
+    ``r_window`` is the triangular factor of the whole restricted window,
+    from the least squares the step has already solved. The guard proposes
+    rows by the configured strategy, factors the sketched window, and
+    accepts when `stability_hypothesis` holds with that factor's exact
+    smallest singular value and the sketch's eps_rhs. Two cheaper checks
+    come first: a sketch with fewer rows than the window has columns is
+    "underdetermined", and when the hypothesis fails with the whole
+    window's sigma and eps = 0 ("lhs-negative") no sketch can pass, since
+    a row subset's sigma_min is at most the whole window's and eps >= 0.
+    A rank-deficient sketch is rejected.
 
-    Returns (rows, record): rows is None for the identity decision.
+    Returns (sketch, record): sketch is None for the identity decision, else
+    (rows, alpha, r_factor) of the sketched least squares.
     """
     ws = workspace
     f_r = ws.f_sub if ws.f_sub is not None else ws.f
@@ -236,62 +245,45 @@ def adaptive_step(
     c = ws.filled
     rec = StabilityTrace(iteration=iteration, lipschitz=ws.lipschitz)
 
-    if ws.r_cols == 0:
-        rec.reason = "no-factor"
-        return None, rec
     if ws.lipschitz <= 0.0:
         rec.reason = "no-lipschitz"
         return None, rec
-
-    try:
-        sigma = estimate_sigma_min(
-            ws.r_factor[: ws.r_cols, : ws.r_cols], SIGMA_MIN_SWEEPS
-        )
-    except RankDeficient:
-        rec.reason = "no-factor"
-        return None, rec
-    rec.sigma_min = sigma
-
-    kind = config.adaptivity.eta_kind
-    etas = tuple(eta(j, kind, config.eta_exponent) for j in range(1, c + 1))
-    rec.etas = etas
-
-    norm_f = float(np.linalg.norm(f_r))
-    if norm_f == 0.0:
-        rec.reason = "lhs-negative"
-        return None, rec
-    lhs = epsilon_lhs(
-        n_dim,
-        sigma,
-        ws.lipschitz,
-        norm_f,
-        ws.dx_norms[:c],
-        np.asarray(etas),
-    )
-    rec.eps_lhs = lhs
-    if lhs < 0.0:
-        rec.reason = "lhs-negative"
-        return None, rec
-
     l2 = sketch_size(config.sketch_percent, l1)
     rec.ell2 = l2
     if l2 < c:
         rec.reason = "underdetermined"
         return None, rec
 
+    kind = config.adaptivity.eta_kind
+    etas = [eta(j, kind, config.eta_exponent) for j in range(1, c + 1)]
+    dx_norms = ws.dx_norms[:c]
+    norm_f = float(np.linalg.norm(f_r))
+    rec.sigma_min = estimate_sigma_min(r_window)
+    if not stability_hypothesis(
+        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, 0.0
+    ):
+        rec.reason = "lhs-negative"
+        return None, rec
+
     if config.adaptivity.randomized:
         rows = select_randomized(l1, l2, rng)
     else:
         rows = select_subselection(f_r, l2)
-    rhs = epsilon_rhs(f_r, rows)
-    rec.eps_rhs = rhs
-
-    if 0.0 < rhs <= lhs:
-        rec.accepted = True
-        rec.reason = "accepted"
-        return rows, rec
+    rec.eps_rhs = epsilon_rhs(f_r, rows)
     rec.reason = "rejected"
-    return None, rec
+    try:
+        alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+    except lsq.RankDeficient:
+        rec.sigma_min = None
+        return None, rec
+    rec.sigma_min = estimate_sigma_min(r_factor)
+    if not stability_hypothesis(
+        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, rec.eps_rhs
+    ):
+        return None, rec
+    rec.accepted = True
+    rec.reason = "accepted"
+    return (rows, alpha, r_factor), rec
 
 
 def perturbation_norm(

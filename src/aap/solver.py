@@ -33,11 +33,6 @@ from .sketching import (
 
 DEFAULT_WINDOW = 10
 
-# Mixing coefficients beyond this magnitude mean the window fit is
-# numerically meaningless (healthy runs stay several orders below it);
-# the step is treated like a rank-deficient solve.
-COEFF_LIMIT = 1e8
-
 # Sketched least squares can keep a run dancing in a noise band near its
 # floor instead of converging. If the residual has not improved by this
 # factor over a trailing stretch of iterations in which sketches were
@@ -68,9 +63,6 @@ class SolverConfig:
         Growth exponent of the "power" budget weights.
     rng_seed
         Seed for the randomized sketch; fixed seed gives identical runs.
-
-    The guard's sigma_min sweep count and its reduction over the window
-    columns are fixed in `aap.sketching`.
     """
 
     window: int | None = None
@@ -108,10 +100,8 @@ class Workspace:
     ``df_window`` (restricted rows), ``dg_window`` (full rows) and
     ``dx_norms`` share one chronological column order, oldest first, and
     shift left when full. ``factor``, the thin QR factor of ``df_window``
-    that unsketched mixing steps solve from, is updated as columns enter and
-    leave. ``r_factor`` holds the triangular factor of the last completed
-    mixing step (sketched or not) for the stability guard. The scalars and
-    ``rng`` are the run's state.
+    that every mixing step solves from first, is updated as columns enter
+    and leave. The scalars and ``rng`` are the run's state.
     """
 
     m: int
@@ -128,9 +118,7 @@ class Workspace:
     dg_window: np.ndarray
     dx_norms: np.ndarray
     factor: lsq.WindowFactor
-    r_factor: np.ndarray | None
     rng: np.random.Generator
-    r_cols: int = 0
     filled: int = 0
     lipschitz: float = 0.0
     stalled: bool = False
@@ -147,8 +135,7 @@ def allocate_workspace(
     """Allocate every buffer the iteration needs, once.
 
     ``mask`` is the resolved level-one restriction (None means identity).
-    The restricted mirrors f_sub / df_sub exist only for a real restriction,
-    and the triangular-factor buffer exists only when adaptivity is on.
+    The restricted mirrors f_sub / df_sub exist only for a real restriction.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -176,9 +163,6 @@ def allocate_workspace(
         dg_window=np.zeros((n, m), order="F"),
         dx_norms=np.zeros(m),
         factor=lsq.WindowFactor(l1, m),
-        r_factor=(
-            np.zeros((m, m)) if config.adaptivity is not Adaptivity.NONE else None
-        ),
         rng=np.random.default_rng(config.rng_seed),
     )
 
@@ -268,14 +252,16 @@ def step(
 
     Returns at once, x untouched, when relres = |T(x)| / norm_f0 is below
     the tolerance. Otherwise x moves by a Picard step or, when k = 0 mod p,
-    by mixing over the filled window; a rank-deficient least squares
-    degrades that step to Picard, flags it, and restarts the window.
+    by mixing over the filled window. A mixing step first solves the whole
+    window from the kept factor; with adaptivity on, the guard may replace
+    that solution by the one of a row sketch it accepts. A rank-deficient
+    window degrades the step to Picard, flags it, and restarts the window.
     ``history`` (relres of iterations 0..k-1) is only read, by the stall
     detector. ``mixing`` is None unless the step mixed, and then (record,
     columns, rows, alpha, r_factor): the guard's StabilityTrace, the window
     width, the sketch rows (None for the identity), and the least-squares
-    solution and factor (None after a fallback; the factor is only valid
-    until the next step).
+    solution and factor used (None after a fallback; the factor is only
+    valid until the next step).
     """
     update_increments(ws, problem, omega)
     relres = float(np.linalg.norm(ws.f)) / norm_f0
@@ -308,40 +294,38 @@ def step(
         picard_update(ws.x, ws.f, omega, ws.scratch)
         return relres, None
 
-    rows = None
-    if adaptive and not ws.stalled:
-        rows, rec = adaptive_step(ws, config, problem.dimension, k, ws.rng)
-        if rec.accepted:
-            ws.last_accept = k
-    else:
-        reason = "stalled" if ws.stalled else "disabled"
-        rec = StabilityTrace(iteration=k, lipschitz=ws.lipschitz, reason=reason)
-
+    sketching = adaptive and not ws.stalled
+    idle = "stalled" if ws.stalled else "disabled"
     c = ws.filled
     f_r = ws.f_sub if ws.f_sub is not None else ws.f
     try:
-        if rows is None:
-            alpha_ls, r_step = ws.factor.solve(ws.df_window, f_r, c)
-        else:
-            alpha_ls, r_step = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
-        if float(np.abs(alpha_ls).max()) > COEFF_LIMIT:
-            raise lsq.RankDeficient("coefficients exceed COEFF_LIMIT")
-        if ws.r_factor is not None:
-            ws.r_factor[:c, :c] = r_step
-            ws.r_cols = c
-        anderson_update(ws, alpha_ls, omega)
+        alpha, r_step = ws.factor.solve(ws.df_window, f_r, c)
     except lsq.RankDeficient:
-        alpha_ls = r_step = None
-        rec.fallback = True
+        rec = StabilityTrace(
+            iteration=k,
+            lipschitz=ws.lipschitz,
+            reason="no-factor" if sketching else idle,
+            fallback=True,
+        )
         picard_update(ws.x, ws.f, omega, ws.scratch)
         # Restart the window: a degenerate column would otherwise force this
         # fallback for m consecutive steps. Dropping the history lets mixing
         # resume on the next step.
         ws.filled = 0
-        ws.r_cols = 0
         ws.factor.reset()
         ws.restarts += 1
-    return relres, (rec, c, rows, alpha_ls, r_step)
+        return relres, (rec, c, None, None, None)
+
+    rows = None
+    if sketching:
+        sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step)
+        if sketch is not None:
+            rows, alpha, r_step = sketch
+            ws.last_accept = k
+    else:
+        rec = StabilityTrace(iteration=k, lipschitz=ws.lipschitz, reason=idle)
+    anderson_update(ws, alpha, omega)
+    return relres, (rec, c, rows, alpha, r_step)
 
 
 @dataclass
@@ -358,9 +342,7 @@ class TraceStep:
     mask: np.ndarray | None
     lipschitz: float
     sigma_min: float | None
-    eps_lhs: float | None
     eps_rhs: float | None
-    etas: tuple[float, ...] | None
     accepted: bool
     fallback: bool
 
@@ -375,11 +357,12 @@ class SolveReport:
     is measurement, not behavior: identical configurations and seeds give
     identical reports except for it.
 
-    The counters split the unsketched mixing steps by how the window factor
-    was brought up to date: ``factor_updates`` by dropping and appending
-    columns, ``factor_refreshes`` by a fresh QR of the window after an
-    append lost orthogonality. ``window_restarts`` counts the rank-deficient
-    steps that emptied the window.
+    Every mixing step solves the whole window from its kept factor first, so
+    the counters split the mixing steps by how that factor was brought up
+    to date: ``factor_updates`` by dropping and appending columns,
+    ``factor_refreshes`` by a fresh QR of the window after an append lost
+    orthogonality. ``window_restarts`` counts the rank-deficient steps that
+    emptied the window.
     """
 
     problem: str
@@ -448,9 +431,9 @@ def solve(
     max_iterations.
 
     Two safety valves keep sketching from wrecking a run: coefficient
-    vectors past COEFF_LIMIT are handled like rank-deficient solves, and a
-    run whose residual stops improving while sketches are being accepted
-    turns adaptivity off for good (reason "stalled" in the trace).
+    vectors past `lsq.COEFF_LIMIT` are handled like rank-deficient solves,
+    and a run whose residual stops improving while sketches are being
+    accepted turns adaptivity off for good (reason "stalled" in the trace).
 
     capture_trace records per-mixing-step window snapshots (full restricted
     increments, masks, coefficients, factors) for offline verification.
@@ -533,9 +516,7 @@ def solve(
                             mask=None if rows is None else np.asarray(rows).copy(),
                             lipschitz=ws.lipschitz,
                             sigma_min=rec.sigma_min,
-                            eps_lhs=rec.eps_lhs,
                             eps_rhs=rec.eps_rhs,
-                            etas=rec.etas,
                             accepted=rec.accepted,
                             fallback=rec.fallback,
                         )

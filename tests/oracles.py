@@ -20,7 +20,6 @@ import numpy as np
 from aap import lsq
 from aap.fixed_point import evaluate_residual
 from aap.solver import (
-    COEFF_LIMIT,
     SolveReport,
     picard_update,
     resolve_omega,
@@ -236,8 +235,6 @@ def solve_plain(problem, config, *, keep_iterates=False):
         if k % p == 0:
             try:
                 alpha, _ = factor.solve(f_window, f, cols)
-                if float(np.abs(alpha).max()) > COEFF_LIMIT:
-                    raise lsq.RankDeficient("coefficients past the limit")
                 np.dot(g_window[:, :cols], alpha, out=scratch)
                 np.subtract(x, scratch, out=x)
             except lsq.RankDeficient:

@@ -321,6 +321,39 @@ class TestTraceFiles:
         assert "wall" not in text and "time" not in text
 
 
+def synthetic_trace(lipschitz):
+    """One accepted, sketched step with a consistent factor and a
+    perturbation far above the eta-sum bound; ``lipschitz`` decides whether
+    the stability hypothesis holds."""
+    rng = np.random.default_rng(0)
+    l1, c = 6, 2
+    increments = rng.standard_normal((l1, c)) * 10.0
+    rows = [0, 1, 2]
+    r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
+    return {
+        "format": "aap-trace-1",
+        "problem": "synthetic",
+        "l1": l1,
+        "eta_exponent": 1.1,
+        "adaptivity": "subselect-constant",
+        "steps": [{
+            "iteration": 1,
+            "columns": c,
+            "increments": increments.tolist(),
+            "dx_norms": [1e-6, 1e-6],
+            "f_restricted": np.ones(l1).tolist(),
+            "alpha": [5.0, -4.0],
+            "r_factor": r_factor.tolist(),
+            "mask": rows,
+            "lipschitz": lipschitz,
+            "sigma_min": None,
+            "eps_rhs": None,
+            "accepted": True,
+            "fallback": False,
+        }],
+    }
+
+
 class TestVerifyTrace:
     def test_no_adaptivity_trace_all_deltas_zero(self, tmp_path):
         problem = build_problem("linear", 15)
@@ -361,42 +394,9 @@ class TestVerifyTrace:
             verify_theorem_trace(str(path))
 
     def test_constructed_violation_fails(self):
-        # Hand-built step: consistent factor, hypotheses forced true by a
-        # tiny Lipschitz estimate, but a perturbation far above the bound.
-        rng = np.random.default_rng(0)
-        l1, c = 6, 2
-        increments = rng.standard_normal((l1, c)) * 10.0
-        rows = [0, 1, 2]
-        restricted = increments[rows]
-        r_factor = np.linalg.qr(restricted, mode="reduced")[1]
-        alpha = np.array([5.0, -4.0])
-        doc = {
-            "format": "aap-trace-1",
-            "problem": "synthetic",
-            "l1": l1,
-            "eta_exponent": 1.1,
-            "adaptivity": "subselect-constant",
-            "steps": [
-                {
-                    "iteration": 1,
-                    "columns": c,
-                    "increments": increments.tolist(),
-                    "dx_norms": [1e-6, 1e-6],
-                    "f_restricted": np.ones(l1).tolist(),
-                    "alpha": alpha.tolist(),
-                    "r_factor": r_factor.tolist(),
-                    "mask": rows,
-                    "lipschitz": 1e-9,
-                    "sigma_min": None,
-                    "eps_lhs": None,
-                    "eps_rhs": None,
-                    "etas": [1.0, 1.0],
-                    "accepted": True,
-                    "fallback": False,
-                }
-            ],
-        }
-        result = verify_theorem_trace(doc)
+        # Hypotheses forced true by a tiny Lipschitz estimate, but a
+        # perturbation far above the bound.
+        result = verify_theorem_trace(synthetic_trace(lipschitz=1e-9))
         assert not result.passed
         step = result.steps[0]
         assert step.hypotheses_satisfied
@@ -516,35 +516,21 @@ class TestCli:
         path.write_text("{not json")
         assert main(["verify-trace", str(path)]) == 2
 
-    def test_verify_trace_violation_exit_code(self, tmp_path):
-        rng = np.random.default_rng(0)
-        l1, c = 6, 2
-        increments = (rng.standard_normal((l1, c)) * 10.0)
-        rows = [0, 1, 2]
-        r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
-        doc = {
-            "format": "aap-trace-1",
-            "problem": "synthetic",
-            "l1": l1,
-            "eta_exponent": 1.1,
-            "adaptivity": "subselect-constant",
-            "steps": [{
-                "iteration": 1, "columns": c,
-                "increments": increments.tolist(),
-                "dx_norms": [1e-6, 1e-6],
-                "f_restricted": np.ones(l1).tolist(),
-                "alpha": [5.0, -4.0],
-                "r_factor": r_factor.tolist(),
-                "mask": rows,
-                "lipschitz": 1e-9,
-                "sigma_min": None, "eps_lhs": None, "eps_rhs": None,
-                "etas": [1.0, 1.0],
-                "accepted": True, "fallback": False,
-            }],
-        }
+    def test_verify_trace_violation_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(synthetic_trace(lipschitz=1e-9)))
         assert main(["verify-trace", str(path)]) == 3
+        assert "checked      1 of 1 accepted" in capsys.readouterr().out
+
+    def test_verify_trace_disagreement_exit_code(self, tmp_path, capsys):
+        # An accepted sketch that fails the stability hypothesis: the guard
+        # and the verifier disagree, whatever the bound says.
+        path = tmp_path / "unchecked.json"
+        path.write_text(json.dumps(synthetic_trace(lipschitz=1e9)))
+        assert main(["verify-trace", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "checked      0 of 1 accepted" in out
+        assert "fails the stability hypothesis" in out
 
     def test_bench_kernels_writes_grid_and_summary(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

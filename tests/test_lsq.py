@@ -1,4 +1,4 @@
-"""Masked least squares, the window factor and the sigma estimate."""
+"""Masked least squares and the window factor."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from aap import lsq
 from aap.lsq import (
-    RANK_RTOL,
     RankDeficient,
     WindowFactor,
-    estimate_sigma_min,
     qr_masked_solve,
 )
 
-from oracles import lstsq_normal_equations, sigma_min_svd
+from oracles import lstsq_normal_equations
 
 
 class TestQrMaskedSolve:
@@ -92,74 +90,6 @@ class TestQrMaskedSolve:
             qr_masked_solve(window, np.ones(5), None, 4)
 
 
-class TestEstimateSigmaMin:
-    def test_diagonal_factor_is_exact(self):
-        r = np.diag([4.0, 2.0, 0.5])
-        # On a diagonal matrix inverse iteration locks onto the smallest
-        # entry; three sweeps are plenty for a 8x spectral gap.
-        est = estimate_sigma_min(r, 3)
-        assert est == pytest.approx(0.5, rel=1e-5)
-
-    def test_estimate_is_upper_bound(self):
-        rng = np.random.default_rng(7)
-        for trial in range(50):
-            c = int(rng.integers(1, 8))
-            mat = rng.standard_normal((20, c))
-            r = np.linalg.qr(mat, mode="reduced")[1]
-            truth = sigma_min_svd(r)
-            for sweeps in (1, 2, 3, 4, 5):
-                est = estimate_sigma_min(r, sweeps)
-                assert est >= truth * (1.0 - 1e-10)
-
-    def test_estimate_nonincreasing_in_sweeps(self):
-        rng = np.random.default_rng(8)
-        for trial in range(20):
-            mat = rng.standard_normal((20, 6))
-            r = np.linalg.qr(mat, mode="reduced")[1]
-            values = [estimate_sigma_min(r, s) for s in (1, 2, 3, 4, 5)]
-            for lo, hi in zip(values[1:], values[:-1]):
-                assert lo <= hi * (1.0 + 1e-12)
-
-    def test_accurate_under_spectral_gap(self):
-        # With sigma_min separated from the rest of the spectrum
-        # (sigma_min / sigma_2nd <= 0.5) three inverse-power sweeps land
-        # within 10% of the SVD value in at least 95 of 100 seeded cases.
-        rng = np.random.default_rng(9)
-        hits = 0
-        for trial in range(100):
-            svals = np.sort(rng.uniform(1.0, 5.0, size=10))[::-1]
-            svals[-1] = svals[-2] * rng.uniform(0.1, 0.5)
-            u = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-            v = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-            r = np.linalg.qr((u * svals) @ v.T, mode="reduced")[1]
-            truth = sigma_min_svd(r)
-            est = estimate_sigma_min(r, 3)
-            if abs(est - truth) <= 0.1 * truth:
-                hits += 1
-        assert hits >= 95
-
-    def test_singular_factor_raises(self):
-        r = np.diag([1.0, 0.0])
-        with pytest.raises(RankDeficient):
-            estimate_sigma_min(r, 3)
-
-    def test_threshold_scales_with_magnitude(self):
-        r = np.diag([1.0, RANK_RTOL / 10.0])
-        with pytest.raises(RankDeficient):
-            estimate_sigma_min(r, 3)
-
-    def test_sweep_count_validated(self):
-        r = np.eye(2)
-        with pytest.raises(ValueError):
-            estimate_sigma_min(r, 0)
-        with pytest.raises(ValueError):
-            estimate_sigma_min(r, 6)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_sigma_min(np.ones((3, 2)), 2)
-
-
 def drive_window(factor, window, columns, rhs_rng=None):
     """Push ``columns`` through a chronological window the way the solver
     does (shift left when full) and solve after every push.
@@ -211,8 +141,8 @@ class TestWindowFactor:
         assert factor.updates == 4 * m and factor.refreshes == 0
 
     def test_gram_matches_fresh_factor(self):
-        # R^T R does not depend on the row signs of R, so the guard's sigma
-        # estimate sees the same matrix as with a fresh Householder factor.
+        # R^T R does not depend on the row signs of R, so the guard reads
+        # the singular values a fresh Householder factor would give.
         rng = np.random.default_rng(11)
         window = np.zeros((60, 6), order="F")
         factor = WindowFactor(60, 6)

@@ -10,7 +10,6 @@ from aap.sketching import (
     MaskOperator,
     adaptive_step,
     build_static_mask,
-    epsilon_lhs,
     epsilon_rhs,
     eta,
     identity_mask,
@@ -18,8 +17,10 @@ from aap.sketching import (
     select_randomized,
     select_subselection,
     sketch_size,
+    stability_hypothesis,
     update_lipschitz,
 )
+from aap.lsq import estimate_sigma_min
 from aap.solver import SolverConfig, allocate_workspace
 
 
@@ -121,46 +122,63 @@ class TestEta:
             eta(1, "geometric")
 
 
-class TestEpsilonLhs:
-    def test_balanced_case_is_zero(self):
-        out = epsilon_lhs(1, 1.0, 1.0, 1.0, np.array([1.0]), np.array([1.0]))
-        assert out == 0.0
+class TestStabilityHypothesis:
+    def test_balanced_case_holds(self):
+        assert stability_hypothesis(1.0, 1.0, 1.0, [1.0], [1.0], 0.0)
 
-    def test_doubled_sigma_is_one(self):
-        out = epsilon_lhs(1, 2.0, 1.0, 1.0, np.array([1.0]), np.array([1.0]))
-        assert out == 1.0
+    def test_halved_sigma_fails(self):
+        assert not stability_hypothesis(0.5, 1.0, 1.0, [1.0], [1.0], 0.0)
 
-    def test_halved_sigma_is_negative(self):
-        out = epsilon_lhs(1, 0.5, 1.0, 1.0, np.array([1.0]), np.array([1.0]))
-        assert out == -0.5
+    def test_one_plus_eps_factor(self):
+        # Doubling sigma admits a sketch that drops up to all of |f|.
+        assert stability_hypothesis(2.0, 1.0, 1.0, [1.0], [1.0], 1.0)
+        assert not stability_hypothesis(2.0, 1.0, 1.0, [1.0], [1.0], 1.5)
 
-    def test_dimension_factor(self):
-        out = epsilon_lhs(100, 1.0, 1.0, 1.0, np.array([1.0]), np.array([1.0]))
-        assert out == 99.0
-
-    def test_max_over_columns(self):
-        out = epsilon_lhs(
-            1, 1.0, 1.0, 1.0,
-            np.array([1.0, 0.25]), np.array([1.0, 1.0]),
+    def test_every_column_must_hold(self):
+        assert stability_hypothesis(
+            1.0, 1.0, 1.0, [1.0, 0.25], [1.0, 1.0], 0.0
         )
-        assert out == 3.0  # the small-displacement column wins under max
-
-    def test_zero_displacement_column_skipped(self):
-        out = epsilon_lhs(
-            1, 1.0, 1.0, 1.0,
-            np.array([0.0, 1.0]), np.array([5.0, 1.0]),
+        # A column with a wide margin does not make up for one without.
+        assert not stability_hypothesis(
+            1.0, 1.0, 1.0, [0.25, 2.0], [1.0, 1.0], 0.0
         )
-        assert out == 0.0
 
-    def test_no_usable_column(self):
-        out = epsilon_lhs(1, 1.0, 1.0, 1.0, np.zeros(2), np.ones(2))
-        assert out == -1.0
+    def test_zero_displacement_column_passes(self):
+        assert stability_hypothesis(
+            1.0, 1.0, 1.0, [0.0, 1.0], [5.0, 1.0], 0.0
+        )
+        assert not stability_hypothesis(
+            0.5, 1.0, 1.0, [0.0, 1.0], [5.0, 1.0], 0.0
+        )
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            epsilon_lhs(1, 1.0, 0.0, 1.0, np.ones(1), np.ones(1))
-        with pytest.raises(ValueError):
-            epsilon_lhs(1, 1.0, 1.0, 0.0, np.ones(1), np.ones(1))
+    def test_all_zero_displacements_pass(self):
+        assert stability_hypothesis(0.0, 1.0, 1.0, np.zeros(2), np.ones(2), 0.0)
+
+    def test_hypothesis_implies_the_bound(self):
+        # Random windows, sketches and increment norms, with the weights
+        # set so the hypothesis just holds: the perturbation of the sketched
+        # coefficients must stay within the eta sum.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            l1 = int(rng.integers(4, 20))
+            c = int(rng.integers(1, 4))
+            window = rng.standard_normal((l1, c))
+            f = rng.standard_normal(l1)
+            rows = np.sort(rng.choice(l1, size=int(rng.integers(c, l1 + 1)),
+                                      replace=False))
+            dx_norms = rng.uniform(0.5, 2.0, c)
+            lipschitz = float(np.max(np.linalg.norm(window, axis=0) / dx_norms))
+            alpha = np.linalg.lstsq(window[rows], f[rows], rcond=None)[0]
+            sigma = float(np.linalg.svd(window[rows], compute_uv=False)[-1])
+            eps = epsilon_rhs(f, rows)
+            norm_f = float(np.linalg.norm(f))
+            etas = lipschitz * norm_f * dx_norms * (1.0 + eps) / sigma
+            etas *= 1.0 + 1e-12
+            assert stability_hypothesis(sigma, lipschitz, norm_f, dx_norms,
+                                        etas, eps)
+            masked = np.zeros_like(window)
+            masked[rows] = window[rows]
+            assert perturbation_norm(window, masked, alpha) <= etas.sum()
 
 
 class TestEpsilonRhs:
@@ -284,103 +302,145 @@ class TestSketchSize:
             sketch_size(101.0, 10)
 
 
-def make_workspace(l1, filled, r_diag, f_values, dx_norms, lipschitz,
+def make_workspace(columns, f_values, dx_norms, lipschitz,
                    adaptivity=Adaptivity.SUBSELECT_CONSTANT):
-    """Workspace in a handcrafted post-push state for adaptive_step."""
+    """Workspace in a handcrafted post-push state for adaptive_step.
+
+    ``columns`` (l1 x c) fill the window. Returns the config, the workspace
+    and the whole window's triangular factor.
+    """
+    columns = np.asarray(columns, dtype=float)
+    l1, c = columns.shape
     config = SolverConfig(window=8, adaptivity=adaptivity)
     ws = allocate_workspace(l1, config)
-    ws.filled = filled
+    ws.filled = c
+    ws.df_window[:, :c] = columns
     ws.f[:] = f_values
-    ws.dx_norms[:filled] = dx_norms
+    ws.dx_norms[:c] = dx_norms
     ws.lipschitz = lipschitz
-    if r_diag is not None:
-        c = len(r_diag)
-        ws.r_factor[:c, :c] = np.diag(r_diag)
-        ws.r_cols = c
-    return config, ws
+    return config, ws, np.linalg.qr(columns, mode="reduced")[1]
+
+
+def spikes(l1, *entries):
+    """l1 x len(entries) window; column j holds the (row, value) pairs of
+    entries[j]."""
+    window = np.zeros((l1, len(entries)))
+    for j, pairs in enumerate(entries):
+        for row, value in pairs:
+            window[row, j] = value
+    return window
 
 
 class TestAdaptiveStep:
-    def test_no_stored_factor_gives_identity(self):
-        config, ws = make_workspace(
-            10, 1, None, np.ones(10), [1.0], lipschitz=1.0
-        )
-        rows, rec = adaptive_step(ws, config, 10, 1, np.random.default_rng(0))
-        assert rows is None
-        assert rec.reason == "no-factor"
-        assert not rec.accepted
+    # f = linspace(1, 2, 10): subselection keeps rows 7, 8, 9 (30%).
+    F = np.linspace(1.0, 2.0, 10)
 
     def test_no_lipschitz_gives_identity(self):
-        config, ws = make_workspace(
-            10, 1, [1.0], np.ones(10), [1.0], lipschitz=0.0
+        config, ws, r = make_workspace(
+            spikes(10, [(7, 1.0)]), self.F, [1.0], lipschitz=0.0
         )
-        rows, rec = adaptive_step(ws, config, 10, 2, np.random.default_rng(0))
-        assert rows is None
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        assert sketch is None
         assert rec.reason == "no-lipschitz"
 
     def test_negative_budget_gives_identity(self):
-        # sigma so small that even the dimension factor cannot save it:
-        # eps_lhs = N * sigma / (L |f| |dx|) - 1 < 0.
-        f = np.ones(10)  # |f| = sqrt(10)
-        config, ws = make_workspace(
-            10, 1, [1e-6], f, [1.0], lipschitz=1.0
+        # The whole window's sigma already fails the hypothesis at eps = 0,
+        # so no row subset can pass and no sketch is factored.
+        config, ws, r = make_workspace(
+            spikes(10, [(7, 1e-6)]), self.F, [1.0], lipschitz=1.0
         )
-        rows, rec = adaptive_step(ws, config, 10, 2, np.random.default_rng(0))
-        assert rows is None
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        assert sketch is None
         assert rec.reason == "lhs-negative"
-        assert rec.eps_lhs < 0.0
+        assert rec.sigma_min == estimate_sigma_min(r)
+        assert rec.eps_rhs is None
 
     def test_accepted_mask_obeys_guard(self):
-        # Large sigma makes the budget generous; the subselection keeps
-        # 3 of 10 rows, discarding some residual mass, so eps_rhs lands
-        # strictly between 0 and eps_lhs.
-        f = np.linspace(1.0, 2.0, 10)
-        config, ws = make_workspace(
-            10, 2, [50.0, 40.0], f, [1.0, 1.0], lipschitz=1.0
-        )
-        rows, rec = adaptive_step(ws, config, 10, 3, np.random.default_rng(0))
+        # A large sigma on the kept rows admits the sketch: the hypothesis
+        # holds with the sketched factor's sigma and the dropped share.
+        window = spikes(10, [(7, 50.0)], [(8, 40.0)])
+        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                                       lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
         assert rec.accepted and rec.reason == "accepted"
-        assert rows.size == 3
-        assert 0.0 < rec.eps_rhs <= rec.eps_lhs
+        rows, alpha, r_sketch = sketch
         np.testing.assert_array_equal(rows, [7, 8, 9])
+        assert rec.sigma_min == estimate_sigma_min(r_sketch)
+        assert rec.eps_rhs == epsilon_rhs(self.F, rows)
+        assert stability_hypothesis(rec.sigma_min, 1.0,
+                                    float(np.linalg.norm(self.F)), [1.0, 1.0],
+                                    [1.0, 1.0], rec.eps_rhs)
+        expected = np.linalg.lstsq(window[rows], self.F[rows], rcond=None)[0]
+        np.testing.assert_allclose(alpha, expected, rtol=1e-12)
+
+    def test_sketch_failing_hypothesis_rejected(self):
+        # The whole window is well conditioned through rows 0 and 1, which
+        # the sketch drops; on the kept rows sigma is 1, too small.
+        window = spikes(10, [(0, 50.0), (7, 1.0)], [(1, 40.0), (8, 1.0)])
+        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                                       lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        assert sketch is None
+        assert rec.reason == "rejected" and not rec.accepted
+        assert rec.sigma_min == pytest.approx(1.0)
+
+    def test_rank_deficient_sketch_rejected(self):
+        window = spikes(10, [(0, 50.0)], [(1, 40.0)])
+        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                                       lipschitz=1e-3)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        assert sketch is None
+        assert rec.reason == "rejected" and rec.sigma_min is None
 
     def test_underdetermined_sketch_rejected(self):
         # l2 = 30% of 10 = 3 rows cannot support 4 window columns.
-        f = np.linspace(1.0, 2.0, 10)
-        config, ws = make_workspace(
-            10, 4, [50.0, 40.0, 30.0, 20.0], f, np.ones(4), lipschitz=1.0
-        )
-        rows, rec = adaptive_step(ws, config, 10, 5, np.random.default_rng(0))
-        assert rows is None
+        window = spikes(10, *[[(6 + j, 50.0)] for j in range(4)])
+        config, ws, r = make_workspace(window, self.F, np.ones(4),
+                                       lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, config, 5, np.random.default_rng(0), r)
+        assert sketch is None
         assert rec.reason == "underdetermined"
 
-    def test_zero_residual_rejected(self):
-        config, ws = make_workspace(
-            10, 1, [50.0], np.zeros(10), [1.0], lipschitz=1.0
+    def test_zero_residual_gives_zero_coefficients(self):
+        # Nothing to drop and nothing to fit: the hypothesis holds at once
+        # and the sketched coefficients are those of the whole window, zero.
+        config, ws, r = make_workspace(
+            spikes(10, [(0, 50.0), (7, 1.0)]), np.zeros(10), [1.0],
+            lipschitz=1.0,
         )
-        rows, rec = adaptive_step(ws, config, 10, 2, np.random.default_rng(0))
-        assert rows is None
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        assert rec.accepted and rec.eps_rhs == 0.0
+        np.testing.assert_array_equal(sketch[1], [0.0])
 
     def test_randomized_strategy_uses_rng(self):
         f = np.linspace(1.0, 2.0, 20)
-        config, ws = make_workspace(
-            20, 1, [100.0], f, [1.0], lipschitz=1.0,
+        config, ws, r = make_workspace(
+            np.full((20, 1), 100.0), f, [1.0], lipschitz=1.0,
             adaptivity=Adaptivity.RANDOMIZED_CONSTANT,
         )
-        rows_a, _ = adaptive_step(ws, config, 20, 2, np.random.default_rng(1))
-        rows_b, _ = adaptive_step(ws, config, 20, 2, np.random.default_rng(1))
-        rows_c, _ = adaptive_step(ws, config, 20, 2, np.random.default_rng(7))
-        np.testing.assert_array_equal(rows_a, rows_b)
-        assert rows_c is not None and not np.array_equal(rows_a, rows_c)
+        sketch_a, _ = adaptive_step(ws, config, 2, np.random.default_rng(1), r)
+        sketch_b, _ = adaptive_step(ws, config, 2, np.random.default_rng(1), r)
+        sketch_c, _ = adaptive_step(ws, config, 2, np.random.default_rng(7), r)
+        np.testing.assert_array_equal(sketch_a[0], sketch_b[0])
+        assert sketch_c is not None
+        assert not np.array_equal(sketch_a[0], sketch_c[0])
 
-    def test_power_etas_recorded(self):
-        f = np.linspace(1.0, 2.0, 10)
-        config, ws = make_workspace(
-            10, 2, [50.0, 40.0], f, [1.0, 1.0], lipschitz=1.0,
-            adaptivity=Adaptivity.SUBSELECT_POWER,
-        )
-        _, rec = adaptive_step(ws, config, 10, 3, np.random.default_rng(0))
-        assert rec.etas == (1.0, 2.0**1.1)
+    def test_power_etas_widen_the_budget(self):
+        # The newer column's large displacement fails the constant weights
+        # but passes under eta_2 = 2**1.1.
+        window = spikes(10, [(7, 50.0)], [(8, 40.0)])
+        decisions = {}
+        for adaptivity in (Adaptivity.SUBSELECT_CONSTANT,
+                           Adaptivity.SUBSELECT_POWER):
+            config, ws, r = make_workspace(window, self.F, [1.0, 7.0],
+                                           lipschitz=1.0,
+                                           adaptivity=adaptivity)
+            _, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+            decisions[adaptivity] = rec.reason
+        assert decisions == {
+            Adaptivity.SUBSELECT_CONSTANT: "rejected",
+            Adaptivity.SUBSELECT_POWER: "accepted",
+        }
 
 
 class TestPerturbationNorm:

@@ -5,9 +5,10 @@ Three jobs live here because they share the same output conventions:
 * `run_experiment` executes a plan (a cross product of masks, adaptivity
   strategies, and alternation values over a size grid) and collects one
   record per run. Tables are CSV with a JSON metadata sidecar.
-* `write_trace` / `load_trace` / `verify_theorem_trace` serialize the
-  per-mixing-step snapshots a traced solve records and recheck the
-  perturbation bound against them offline.
+* `write_trace` / `load_trace` / `verify_theorem_trace` store a traced
+  solve as a numpy archive (format ``aap-trace-2``: a JSON header, a log
+  that holds each restricted increment column once, and per-step arrays)
+  and recheck the perturbation bound against it offline.
 * `bench_masked_kernels` times row-masked matrix-vector products and QR
   factorizations against their full-matrix versions over a grid of sizes
   and retention fractions.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,7 +39,7 @@ from .sketching import (
 )
 from .solver import SolveReport, SolverConfig, solve
 
-TRACE_FORMAT = "aap-trace-1"
+TRACE_FORMAT = "aap-trace-2"
 
 # Stop repeating a timing cell once the running average moves by less than
 # this between consecutive repetitions.
@@ -310,7 +312,7 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
         for (size, mask, adapt, p), (rec, report) in zip(cells, results):
             if report is None:
                 continue
-            name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.json"
+            name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz"
             write_trace(report, os.path.join(plan.traces, name))
 
     if plan.best:
@@ -418,35 +420,24 @@ def load_table(path: str) -> list[RunRecord]:
 
 
 def write_trace(report: SolveReport, path: str):
-    """Serialize a traced solve to JSON.
+    """Write a traced solve to ``path`` as an ``aap-trace-2`` archive.
 
-    Requires the solve to have run with capture_trace=True; the file holds
-    the full restricted increment windows per mixing step, so it grows with
-    l1 * m * (number of mixing steps). No timing fields are written.
+    Requires the solve to have run with capture_trace=True. The archive is
+    an uncompressed numpy ``.npz`` written to exactly the given path,
+    whatever its suffix. It holds a JSON header and plain arrays: the
+    column log (every restricted increment column and its dx_norm, stored
+    once; each step's window is log columns [iteration - columns,
+    iteration)), one restricted residual per step, the per-step scalars,
+    and the ragged coefficients, factors and sketch rows as flat arrays
+    with per-step lengths. So the file grows with l1 * (iterations +
+    steps), not with l1 * m * steps. No timing fields are written, and
+    identical solves give byte-identical files.
     """
     if report.trace is None:
         raise ValueError("report has no trace; solve with capture_trace=True")
     config = report.config
-    steps = []
-    for st in report.trace:
-        steps.append(
-            {
-                "iteration": st.iteration,
-                "columns": st.columns,
-                "increments": st.window_increments.tolist(),
-                "dx_norms": st.dx_norms.tolist(),
-                "f_restricted": st.f_restricted.tolist(),
-                "alpha": None if st.alpha is None else st.alpha.tolist(),
-                "r_factor": None if st.r_factor is None else st.r_factor.tolist(),
-                "mask": None if st.mask is None else st.mask.tolist(),
-                "lipschitz": st.lipschitz,
-                "sigma_min": st.sigma_min,
-                "eps_rhs": st.eps_rhs,
-                "accepted": st.accepted,
-                "fallback": st.fallback,
-            }
-        )
-    doc = {
+    steps = report.trace
+    header = {
         "format": TRACE_FORMAT,
         "problem": report.problem,
         "n": report.n,
@@ -462,38 +453,186 @@ def write_trace(report: SolveReport, path: str):
         "rel_tolerance": config.rel_tolerance,
         "converged": report.converged,
         "iterations": report.iterations,
-        "residual_history": report.residual_history,
-        "steps": steps,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    log = steps[0].log if steps else None
+    arrays = {
+        "residual_history": np.asarray(report.residual_history, dtype=float),
+        "increments": np.zeros((report.l1, 0)) if log is None else log.increments,
+        "dx_norms": np.zeros(0) if log is None else log.dx_norms,
+        "f_restricted": np.array(
+            [st.f_restricted for st in steps], dtype=float
+        ).reshape(len(steps), report.l1),
+    }
+    for name, dtype in _STEP_SCALARS.items():
+        values = [getattr(st, name) for st in steps]
+        arrays[name] = np.array(
+            [np.nan if v is None else v for v in values], dtype=dtype
+        )
+    for name, dtype in _RAGGED.items():
+        pieces = [getattr(st, name) for st in steps]
+        arrays[name] = np.concatenate(
+            [np.zeros(0, dtype)] + [np.ravel(p) for p in pieces if p is not None]
+        )
+        arrays[name + "_len"] = np.array(
+            [0 if p is None else len(p) for p in pieces], dtype=np.int64
+        )
+    _save_trace(path, header, arrays)
 
 
-_TRACE_REQUIRED = (
-    "format",
-    "problem",
-    "l1",
-    "eta_exponent",
-    "adaptivity",
-    "steps",
+# Per-step scalars and their dtypes; NaN stands for a None sigma_min or
+# eps_rhs.
+_STEP_SCALARS = {
+    "iteration": np.int64,
+    "columns": np.int64,
+    "lipschitz": float,
+    "sigma_min": float,
+    "eps_rhs": float,
+    "accepted": bool,
+    "fallback": bool,
+}
+# Ragged per-step arrays and their dtypes. A step's piece has ``<name>_len``
+# rows (``r_factor`` rows have ``columns`` entries); a zero length stands for
+# None, since a recorded piece is never empty.
+_RAGGED = {"alpha": float, "r_factor": float, "mask": np.int64}
+_LENGTHS = tuple(name + "_len" for name in _RAGGED)
+
+
+def _save_trace(path: str, header: dict, arrays: dict):
+    """Write a header and named arrays to exactly ``path`` as an npz archive.
+
+    The header goes in as the UTF-8 bytes of its JSON text. Writing through
+    an open handle keeps numpy from appending ``.npz`` to the name. Every
+    member carries zipfile's default 1980 date, so the bytes depend on the
+    contents alone.
+    """
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header=np.frombuffer(text.encode(), dtype=np.uint8),
+            **arrays,
+        )
+
+
+def _read_trace(path: str) -> tuple[dict, dict]:
+    """Read back what `_save_trace` wrote: (header, arrays).
+
+    Anything that is not an npz archive of arrays with a JSON object for a
+    header, a JSON trace of format aap-trace-1 included, raises ParseError;
+    a missing file raises OSError.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise ParseError("not an npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"unreadable trace archive ({exc})") from exc
+    if not all(isinstance(a, np.ndarray) for a in arrays.values()):
+        raise ParseError("trace archive holds a member that is not an array")
+    if "header" not in arrays:
+        raise ParseError("trace has no header")
+    try:
+        header = json.loads(arrays.pop("header").tobytes().decode())
+    except ValueError as exc:
+        raise ParseError(f"trace header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ParseError("trace header is not a JSON object")
+    return header, arrays
+
+
+_TRACE_REQUIRED = ("problem", "l1", "eta_exponent", "adaptivity", "iterations")
+_TRACE_ARRAYS = (
+    ("residual_history", "increments", "dx_norms", "f_restricted")
+    + tuple(_STEP_SCALARS) + tuple(_RAGGED) + _LENGTHS
 )
+_INDEX_ARRAYS = ("iteration", "columns", "mask") + _LENGTHS
 
 
 def load_trace(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, lineno=exc.lineno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("trace is not a JSON object", lineno=1)
+    """Read a trace archive into the mapping `verify_theorem_trace` reads.
+
+    The mapping holds the header fields, ``residual_history`` and
+    ``steps``: one dict per mixing step whose ``increments`` and
+    ``dx_norms`` are views of the column log (``sigma_min`` and ``eps_rhs``
+    read NaN where the record held None). Raises ParseError on anything
+    malformed, including shapes or lengths that disagree and windows or
+    sketch rows that run past their arrays.
+    """
+    header, arrays = _read_trace(path)
+    if header.get("format") != TRACE_FORMAT:
+        raise ParseError(f"unknown trace format {header.get('format')!r}")
     for key in _TRACE_REQUIRED:
-        if key not in doc:
-            raise ParseError(f"trace is missing {key!r}", lineno=1)
-    if doc["format"] != TRACE_FORMAT:
-        raise ParseError(f"unknown trace format {doc['format']!r}", lineno=1)
+        if key not in header:
+            raise ParseError(f"trace is missing {key!r}")
+    for name in _TRACE_ARRAYS:
+        if name not in arrays:
+            raise ParseError(f"trace is missing array {name!r}")
+    for name in _INDEX_ARRAYS:
+        if not np.issubdtype(arrays[name].dtype, np.integer):
+            raise ParseError(f"trace array {name!r} is not integer")
+    try:
+        l1 = int(header["l1"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"trace l1 is not an integer ({exc})") from exc
+
+    log, dx_norms = arrays["increments"], arrays["dx_norms"]
+    if log.ndim != 2 or log.shape[0] != l1 or dx_norms.shape != log.shape[1:]:
+        raise ParseError(
+            f"column log has shape {log.shape} and {dx_norms.shape} norms, "
+            f"expected {l1} rows and one norm per column"
+        )
+    n_steps = len(arrays["iteration"])
+    shapes = {name: (n_steps,) for name in (*_STEP_SCALARS, *_LENGTHS)}
+    shapes["f_restricted"] = (n_steps, l1)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ParseError(f"trace array {name!r} has shape "
+                             f"{arrays[name].shape}, expected {shape}")
+    ends, columns = arrays["iteration"], arrays["columns"]
+    if n_steps and (
+        columns.min() < 1 or (ends - columns).min() < 0
+        or ends.max() > log.shape[1]
+    ):
+        raise ParseError("step windows run past the column log")
+    mask = arrays["mask"]
+    if mask.size and (mask.min() < 0 or mask.max() >= l1):
+        raise ParseError(f"sketch rows run past the {l1} restricted rows")
+    pieces = {
+        name: _split_ragged(name, arrays[name], arrays[name + "_len"],
+                            columns if name == "r_factor" else None)
+        for name in _RAGGED
+    }
+
+    doc = dict(header)
+    doc["residual_history"] = arrays["residual_history"]
+    doc["steps"] = [
+        {
+            **{name: arrays[name][i].item() for name in _STEP_SCALARS},
+            "increments": log[:, k - c:k],
+            "dx_norms": dx_norms[k - c:k],
+            "f_restricted": arrays["f_restricted"][i],
+            **{name: pieces[name][i] for name in _RAGGED},
+        }
+        for i, (k, c) in enumerate(zip(ends, columns))
+    ]
     return doc
+
+
+def _split_ragged(name, flat, lengths, widths):
+    """Cut a flat ragged array into per-step pieces of ``lengths`` rows,
+    each ``widths`` wide (1-D pieces when None); zero lengths give None."""
+    sizes = lengths if widths is None else lengths * widths
+    if flat.ndim != 1 or (lengths < 0).any() or sizes.sum() != flat.size:
+        raise ParseError(f"step lengths of {name!r} do not add up to its "
+                         f"{flat.size} entries")
+    cuts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [
+        None if n == 0 else (piece if widths is None else piece.reshape(n, -1))
+        for n, piece in zip(lengths, cuts)
+    ]
 
 
 @dataclass

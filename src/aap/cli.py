@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .bench import (
     ParseError,
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--init", default="zero", choices=("zero", "poisson"),
                      help="initial guess (poisson applies to plaplace only)")
     run.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a step trace JSON here")
+                     help="write the step trace here, as an npz archive "
+                          "(the name is kept as given)")
     run.add_argument("--out", default=None, metavar="PATH",
                      help="write a one-row result table here")
 
@@ -130,6 +132,9 @@ def _cmd_run(args) -> int:
     print(f"residual     {report.residual_history[-1]:.3e}")
     print(f"mixing       {len(report.mask_trace)} steps, "
           f"{accepted} sketched, {fallbacks} fallbacks")
+    reasons = Counter(rec.reason for rec in report.mask_trace).most_common()
+    print("guard        " + (", ".join(f"{r} {n}" for r, n in reasons)
+                             or "no mixing steps"))
     print(f"factor       {report.factor_updates} updated, "
           f"{report.factor_refreshes} refactored, "
           f"{report.window_restarts} window restarts")

@@ -16,7 +16,7 @@ and one record per mixing step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class Workspace:
     ``dx_norms`` share one chronological column order, oldest first, and
     shift left when full. ``factor``, the thin QR factor of ``df_window``
     that every mixing step solves from first, is updated as columns enter
-    and leave. The scalars and ``rng`` are the run's state.
+    and leave. The scalars and ``rng`` are the run's state; ``log``, set
+    only by a traced solve, keeps every column pushed.
     """
 
     m: int
@@ -119,6 +120,7 @@ class Workspace:
     dx_norms: np.ndarray
     factor: lsq.WindowFactor
     rng: np.random.Generator
+    log: ColumnLog | None = None
     filled: int = 0
     lipschitz: float = 0.0
     stalled: bool = False
@@ -199,7 +201,8 @@ def push_window(ws: Workspace, dx_norm: float):
     The restricted residual increment (df_sub, or df when the level-one mask
     is identity), dg and dx_norm enter the same column of df_window,
     dg_window and dx_norms, after a shift that drops the oldest column when
-    the windows are full. The window factor is told of the push.
+    the windows are full. The window factor is told of the push, and the
+    column log, when there is one, keeps a copy.
     """
     if ws.filled == ws.m:
         _shift_left(ws.df_window)
@@ -212,6 +215,8 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.dg_window[:, j] = ws.dg
     ws.dx_norms[j] = dx_norm
     ws.factor.push()
+    if ws.log is not None:
+        ws.log.append(ws.df_window[:, j], dx_norm)
 
 
 def _shift_left(window: np.ndarray):
@@ -328,14 +333,55 @@ def step(
     return relres, (rec, c, rows, alpha, r_step)
 
 
+class ColumnLog:
+    """Every restricted increment column a traced solve pushed, in order.
+
+    Each iteration k >= 1 that does not converge pushes exactly one column,
+    log column k - 1, and a window restart only empties the window. So the
+    window of the mixing step at iteration k with c columns is log columns
+    [k - c, k), and so are its dx_norms. Storage is column-major and doubles
+    when full; the arrays the properties return are valid until the next
+    append.
+    """
+
+    def __init__(self, rows: int):
+        self._increments = np.zeros((rows, 64), order="F")
+        self._dx_norms = np.zeros(64)
+        self.size = 0
+
+    def append(self, column: np.ndarray, dx_norm: float):
+        n = self.size
+        if n == len(self._dx_norms):
+            grown = np.zeros((self._increments.shape[0], 2 * n), order="F")
+            grown[:, :n] = self._increments
+            self._increments = grown
+            self._dx_norms = np.concatenate((self._dx_norms, np.zeros(n)))
+        self._increments[:, n] = column
+        self._dx_norms[n] = dx_norm
+        self.size = n + 1
+
+    @property
+    def increments(self) -> np.ndarray:
+        return self._increments[:, :self.size]
+
+    @property
+    def dx_norms(self) -> np.ndarray:
+        return self._dx_norms[:self.size]
+
+
 @dataclass
 class TraceStep:
-    """Snapshot of one mixing step, recorded when tracing is on."""
+    """Snapshot of one mixing step, recorded when tracing is on.
+
+    The window is not copied: ``log`` is the solve's shared ColumnLog, and
+    ``window_increments`` and ``dx_norms`` are views of its columns
+    [iteration - columns, iteration). The restricted residual, coefficients,
+    factor and sketch rows (None for the identity) are the step's own.
+    """
 
     iteration: int
     columns: int
-    window_increments: np.ndarray
-    dx_norms: np.ndarray
+    log: ColumnLog = field(repr=False, compare=False)
     f_restricted: np.ndarray
     alpha: np.ndarray | None
     r_factor: np.ndarray | None
@@ -345,6 +391,14 @@ class TraceStep:
     eps_rhs: float | None
     accepted: bool
     fallback: bool
+
+    @property
+    def window_increments(self) -> np.ndarray:
+        return self.log.increments[:, self.iteration - self.columns:self.iteration]
+
+    @property
+    def dx_norms(self) -> np.ndarray:
+        return self.log.dx_norms[self.iteration - self.columns:self.iteration]
 
 
 @dataclass
@@ -435,8 +489,10 @@ def solve(
     and a run whose residual stops improving while sketches are being
     accepted turns adaptivity off for good (reason "stalled" in the trace).
 
-    capture_trace records per-mixing-step window snapshots (full restricted
-    increments, masks, coefficients, factors) for offline verification.
+    capture_trace records per-mixing-step snapshots (restricted residual,
+    masks, coefficients, factors) for offline verification, and a log of
+    every pushed restricted increment column that the snapshots' windows
+    index into.
     keep_iterates records a copy of x after every update. Both are
     diagnostic modes and allocate.
     """
@@ -447,6 +503,8 @@ def solve(
     # squares underdetermined; clamp it.
     m = min(resolve_window(problem, config), len(mask.kept))
     ws = allocate_workspace(problem.dimension, config, mask, window=m)
+    if capture_trace:
+        ws.log = ColumnLog(ws.mask.size)
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
@@ -508,8 +566,7 @@ def solve(
                         TraceStep(
                             iteration=k,
                             columns=c,
-                            window_increments=ws.df_window[:, :c].copy(),
-                            dx_norms=ws.dx_norms[:c].copy(),
+                            log=ws.log,
                             f_restricted=f_r.copy(),
                             alpha=None if alpha is None else alpha.copy(),
                             r_factor=None if r_step is None else r_step.copy(),

@@ -1,5 +1,6 @@
 """Plan parsing, the experiment driver, traces, verifier, kernel timings."""
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from aap.bench import (
     write_bench_table,
     write_table,
     write_trace,
+    _read_trace,
+    _save_trace,
 )
 from aap.cli import main
 from aap.problems import build_problem
@@ -211,8 +214,8 @@ class TestRunExperiment:
         run_experiment(plan)
         files = sorted(p.name for p in (tmp_path / "traces").iterdir())
         assert files == [
-            "saddle-9-none-none-p1.json",
-            "saddle-9-pressure-none-p1.json",
+            "saddle-9-none-none-p1.npz",
+            "saddle-9-pressure-none-p1.npz",
         ]
 
 
@@ -279,79 +282,184 @@ class TestTraceFiles:
         doc = load_trace(str(path))
         assert doc["problem"] == "saddle"
         assert doc["l1"] == report.l1
+        assert doc["iterations"] == report.iterations
         assert len(doc["steps"]) == len(report.trace)
         step = doc["steps"][0]
         assert np.asarray(step["increments"]).shape == (
             report.l1, step["columns"],
         )
 
+    def test_increments_are_views_of_the_log(self, tmp_path):
+        path = tmp_path / "trace.json"
+        write_trace(traced_report(), str(path))
+        doc = load_trace(str(path))
+        log = doc["steps"][-1]["increments"].base
+        assert log is not None
+        assert all(st["increments"].base is log for st in doc["steps"])
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        write_trace(traced_report(), str(tmp_path / "x.json"))
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
     def test_requires_captured_trace(self, tmp_path):
         report = solve(build_problem("linear", 10))
         with pytest.raises(ValueError):
             write_trace(report, str(tmp_path / "t.json"))
 
-    def test_malformed_json_reports_line(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"format": "aap-trace-1",\n  "steps": [}\n')
-        with pytest.raises(ParseError) as info:
-            load_trace(str(path))
-        assert info.value.lineno == 2
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "odd.json"
-        path.write_text(json.dumps({"format": "aap-trace-9"}))
-        with pytest.raises(ParseError):
-            load_trace(str(path))
-
-    def test_missing_field_rejected(self, tmp_path):
-        report = traced_report()
-        path = tmp_path / "trace.json"
+    def test_size_grows_with_log_not_windows(self, tmp_path):
+        # Each window column is stored once: a file that stored the window
+        # per step would take about 8 * l1 * m bytes a step.
+        problem = build_problem("saddle", 17)
+        config = SolverConfig(static_mask="pressure",
+                              adaptivity="subselect-power")
+        report = solve(problem, config, capture_trace=True)
+        path = tmp_path / "trace.npz"
         write_trace(report, str(path))
-        doc = json.loads(path.read_text())
-        del doc["l1"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
-            load_trace(str(path))
+        steps = len(report.trace)
+        bound = (8 * report.l1 * (report.iterations + steps)
+                 + 8 * sum(st.columns ** 2 for st in report.trace)
+                 + 64 * 1024)
+        assert path.stat().st_size <= bound
+        stored_per_step = 8 * report.l1 * sum(st.columns for st in report.trace)
+        assert stored_per_step > bound
 
     def test_no_timing_fields(self, tmp_path):
-        report = traced_report()
         path = tmp_path / "trace.json"
-        write_trace(report, str(path))
-        text = path.read_text()
-        assert "wall" not in text and "time" not in text
+        write_trace(traced_report(), str(path))
+        header, arrays = _read_trace(str(path))
+        for name in list(header) + list(arrays):
+            assert "wall" not in name and "time" not in name
+
+    # Every malformed trace raises ParseError, so verify-trace exits 2.
+
+    def test_truncated_file_rejected(self, written):
+        data = written.read_bytes()
+        written.write_bytes(data[: len(data) // 2])
+        assert_rejected(written)
+
+    def test_non_zip_file_rejected(self, written):
+        written.write_bytes(b"\x00" * 64)
+        assert_rejected(written)
+
+    def test_zip_of_non_arrays_rejected(self, written):
+        with zipfile.ZipFile(written, "w") as archive:
+            archive.writestr("header.txt", "{}")
+        assert_rejected(written)
+
+    def test_bare_array_rejected(self, written):
+        with open(written, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        assert_rejected(written)
+
+    def test_v1_json_file_rejected(self, written):
+        written.write_text(json.dumps({
+            "format": "aap-trace-1", "problem": "saddle", "l1": 2,
+            "eta_exponent": 1.1, "adaptivity": "none", "steps": [],
+        }))
+        assert_rejected(written)
+
+    def test_unknown_format_rejected(self, written):
+        rewrite(written, lambda h, a: h.update(format="aap-trace-9"))
+        assert_rejected(written)
+
+    def test_missing_field_rejected(self, written):
+        rewrite(written, lambda h, a: h.pop("l1"))
+        assert_rejected(written)
+
+    @pytest.mark.parametrize(
+        "name", ["increments", "f_restricted", "mask", "alpha_len"]
+    )
+    def test_missing_array_rejected(self, written, name):
+        rewrite(written, lambda h, a: a.pop(name))
+        assert_rejected(written)
+
+    @pytest.mark.parametrize("name", ["alpha_len", "r_factor_len", "mask_len"])
+    def test_step_lengths_past_array_rejected(self, written, name):
+        def edit(header, arrays):
+            arrays[name][-1] += 1
+        rewrite(written, edit)
+        assert_rejected(written)
+
+    def test_window_past_log_rejected(self, written):
+        def edit(header, arrays):
+            arrays["increments"] = arrays["increments"][:, :-2]
+            arrays["dx_norms"] = arrays["dx_norms"][:-2]
+        rewrite(written, edit)
+        assert_rejected(written)
+
+    def test_window_before_log_rejected(self, written):
+        def edit(header, arrays):
+            arrays["columns"][0] = arrays["iteration"][0] + 1
+        rewrite(written, edit)
+        assert_rejected(written)
+
+    def test_sketch_rows_past_window_rejected(self, written):
+        def edit(header, arrays):
+            arrays["mask"][-1] = header["l1"]
+        rewrite(written, edit)
+        assert_rejected(written)
 
 
-def synthetic_trace(lipschitz):
+@pytest.fixture
+def written(tmp_path):
+    """A trace file of a sketched saddle solve."""
+    path = tmp_path / "trace.json"
+    write_trace(traced_report(), str(path))
+    return path
+
+
+def rewrite(path, edit):
+    """Apply ``edit(header, arrays)`` to a written trace, in place."""
+    header, arrays = _read_trace(str(path))
+    edit(header, arrays)
+    _save_trace(str(path), header, arrays)
+
+
+def assert_rejected(path):
+    with pytest.raises(ParseError):
+        load_trace(str(path))
+    assert main(["verify-trace", str(path)]) == 2
+
+
+def synthetic_trace(path, lipschitz):
     """One accepted, sketched step with a consistent factor and a
     perturbation far above the eta-sum bound; ``lipschitz`` decides whether
-    the stability hypothesis holds."""
+    the stability hypothesis holds. The step at iteration 2 mixes over both
+    columns of the log."""
     rng = np.random.default_rng(0)
     l1, c = 6, 2
     increments = rng.standard_normal((l1, c)) * 10.0
-    rows = [0, 1, 2]
+    rows = np.array([0, 1, 2])
     r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
-    return {
-        "format": "aap-trace-1",
+    header = {
+        "format": "aap-trace-2",
         "problem": "synthetic",
         "l1": l1,
         "eta_exponent": 1.1,
         "adaptivity": "subselect-constant",
-        "steps": [{
-            "iteration": 1,
-            "columns": c,
-            "increments": increments.tolist(),
-            "dx_norms": [1e-6, 1e-6],
-            "f_restricted": np.ones(l1).tolist(),
-            "alpha": [5.0, -4.0],
-            "r_factor": r_factor.tolist(),
-            "mask": rows,
-            "lipschitz": lipschitz,
-            "sigma_min": None,
-            "eps_rhs": None,
-            "accepted": True,
-            "fallback": False,
-        }],
+        "iterations": 3,
     }
+    arrays = {
+        "residual_history": np.ones(4),
+        "increments": increments,
+        "dx_norms": np.array([1e-6, 1e-6]),
+        "iteration": np.array([2]),
+        "columns": np.array([c]),
+        "f_restricted": np.ones((1, l1)),
+        "lipschitz": np.array([lipschitz]),
+        "sigma_min": np.array([np.nan]),
+        "eps_rhs": np.array([np.nan]),
+        "accepted": np.array([True]),
+        "fallback": np.array([False]),
+        "alpha": np.array([5.0, -4.0]),
+        "alpha_len": np.array([c]),
+        "r_factor": r_factor.ravel(),
+        "r_factor_len": np.array([c]),
+        "mask": rows,
+        "mask_len": np.array([len(rows)]),
+    }
+    _save_trace(str(path), header, arrays)
+    return str(path)
 
 
 class TestVerifyTrace:
@@ -380,23 +488,19 @@ class TestVerifyTrace:
         report = traced_report()
         path = tmp_path / "t.json"
         write_trace(report, str(path))
-        doc = json.loads(path.read_text())
-        corrupted = None
-        for step in doc["steps"]:
-            if step["mask"] is not None and step["alpha"] is not None:
-                shape = np.asarray(step["increments"]).shape
-                step["increments"] = np.zeros(shape).tolist()
-                corrupted = step
-                break
-        assert corrupted is not None
-        path.write_text(json.dumps(doc))
+        sketched = next(st for st in report.trace if st.accepted)
+
+        def edit(header, arrays):
+            arrays["increments"][:, sketched.iteration - 1] = 0.0
+        rewrite(path, edit)
         with pytest.raises(ParseError):
             verify_theorem_trace(str(path))
 
-    def test_constructed_violation_fails(self):
+    def test_constructed_violation_fails(self, tmp_path):
         # Hypotheses forced true by a tiny Lipschitz estimate, but a
         # perturbation far above the bound.
-        result = verify_theorem_trace(synthetic_trace(lipschitz=1e-9))
+        path = synthetic_trace(tmp_path / "bad.json", lipschitz=1e-9)
+        result = verify_theorem_trace(path)
         assert not result.passed
         step = result.steps[0]
         assert step.hypotheses_satisfied
@@ -463,6 +567,22 @@ class TestCli:
         assert "refactored" in printed and "window restarts" in printed
         assert load_table(str(out))[0].converged
         assert load_trace(str(trace))["problem"] == "linear"
+        mixing = int(printed.split("mixing")[1].split()[0])
+        assert f"guard        disabled {mixing}\n" in printed
+
+    def test_run_prints_guard_reasons(self, capsys):
+        code = main([
+            "run", "--problem", "saddle", "--size", "17",
+            "--mask", "pressure", "--adapt", "sub-pow",
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        mixing = int(printed.split("mixing")[1].split()[0])
+        guard = printed.split("guard")[1].splitlines()[0].split(",")
+        counts = dict(item.split() for item in guard)
+        assert int(counts["accepted"]) > 0
+        assert "lhs-negative" in counts
+        assert sum(int(n) for n in counts.values()) == mixing
 
     def test_run_nonconvergence_exit_code(self, tmp_path):
         code = main([
@@ -517,17 +637,16 @@ class TestCli:
         assert main(["verify-trace", str(path)]) == 2
 
     def test_verify_trace_violation_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(synthetic_trace(lipschitz=1e-9)))
-        assert main(["verify-trace", str(path)]) == 3
+        path = synthetic_trace(tmp_path / "bad.json", lipschitz=1e-9)
+        assert main(["verify-trace", path]) == 3
         assert "checked      1 of 1 accepted" in capsys.readouterr().out
 
     def test_verify_trace_disagreement_exit_code(self, tmp_path, capsys):
         # An accepted sketch that fails the stability hypothesis: the guard
         # and the verifier disagree, whatever the bound says.
-        path = tmp_path / "unchecked.json"
-        path.write_text(json.dumps(synthetic_trace(lipschitz=1e9)))
-        assert main(["verify-trace", str(path)]) == 3
+        path = synthetic_trace(tmp_path / "unchecked.json",
+                                     lipschitz=1e9)
+        assert main(["verify-trace", path]) == 3
         out = capsys.readouterr().out
         assert "checked      0 of 1 accepted" in out
         assert "fails the stability hypothesis" in out

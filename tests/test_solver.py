@@ -521,9 +521,26 @@ def test_random_contractive_problems(n, m, p, mask, adaptivity, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.json")
         write_trace(report, path)
-        verification = verify_theorem_trace(load_trace(path))
+        doc = load_trace(path)
+    verification = verify_theorem_trace(doc)
     assert len(verification.checked) == len(verification.accepted) == accepted
     assert verification.violations == []
+    # The trace file gives back every recorded array bit for bit.
+    assert len(doc["steps"]) == len(report.trace)
+    for st, loaded in zip(report.trace, doc["steps"]):
+        for key, recorded in (
+            ("increments", st.window_increments),
+            ("dx_norms", st.dx_norms),
+            ("f_restricted", st.f_restricted),
+            ("alpha", st.alpha),
+            ("r_factor", st.r_factor),
+            ("mask", st.mask),
+        ):
+            if recorded is None:
+                assert loaded[key] is None
+            else:
+                assert loaded[key].shape == recorded.shape
+                assert loaded[key].tobytes() == recorded.tobytes()
 
     transparent = SolverConfig(sketch_percent=100.0, **common)
     full = solve(problem, transparent, keep_iterates=True)

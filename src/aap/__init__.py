@@ -1,9 +1,10 @@
 """Fixed-point acceleration by alternating Anderson-Picard mixing.
 
 Public surface: problem containers and helpers (`FixedPointProblem`,
-`from_fixed_point_form`), the solver (`solve`, `SolverConfig`), the masking
-strategies (`Adaptivity`), and the built-in grid problems under
-`aap.problems`.
+`from_fixed_point_form`), the solver (`solve`, `SolverConfig`), its report
+(`SolveReport`, one `MixingStep` record per mixing step, and the `Trace` of
+a traced solve), the masking strategies (`Adaptivity`), and the built-in
+grid problems under `aap.problems`.
 """
 from .fixed_point import (
     FixedPointProblem,
@@ -14,8 +15,8 @@ from .fixed_point import (
     from_fixed_point_form,
 )
 from .lsq import RankDeficient, estimate_sigma_min, qr_masked_solve
-from .sketching import Adaptivity, InvalidMask, MaskOperator, StabilityTrace
-from .solver import SolveReport, SolverConfig, TraceStep, solve
+from .sketching import Adaptivity, InvalidMask, MaskOperator, MixingStep
+from .solver import SolveReport, SolverConfig, Trace, solve
 
 __version__ = "0.1.0"
 
@@ -24,12 +25,12 @@ __all__ = [
     "FixedPointProblem",
     "InvalidMask",
     "MaskOperator",
+    "MixingStep",
     "NumericalBreakdown",
     "RankDeficient",
     "SolveReport",
     "SolverConfig",
-    "StabilityTrace",
-    "TraceStep",
+    "Trace",
     "UnknownField",
     "estimate_sigma_min",
     "evaluate_residual",

@@ -6,9 +6,10 @@ Three jobs live here because they share the same output conventions:
   strategies, and alternation values over a size grid) and collects one
   record per run. Tables are CSV with a JSON metadata sidecar.
 * `write_trace` / `load_trace` / `verify_theorem_trace` store a traced
-  solve as a numpy archive (format ``aap-trace-2``: a JSON header, a log
-  that holds each restricted increment column once, and per-step arrays)
-  and recheck the perturbation bound against it offline.
+  solve as a numpy archive (format ``aap-trace-3``: a JSON header, the
+  arrays of its `Trace` and one array per `MixingStep` field), read back
+  the same records and `Trace`, and recheck the perturbation bound against
+  them offline.
 * `bench_masked_kernels` times row-masked matrix-vector products and QR
   factorizations against their full-matrix versions over a grid of sizes
   and retention fractions.
@@ -19,11 +20,12 @@ timing lives in clearly named columns that consumers are free to ignore.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,15 +33,17 @@ from .fixed_point import NumericalBreakdown
 from .lsq import estimate_sigma_min
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .sketching import (
+    REASONS,
     Adaptivity,
+    MixingStep,
     epsilon_rhs,
     eta,
     perturbation_norm,
     stability_hypothesis,
 )
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, SolverConfig, Trace, solve
 
-TRACE_FORMAT = "aap-trace-2"
+TRACE_FORMAT = "aap-trace-3"
 
 # Stop repeating a timing cell once the running average moves by less than
 # this between consecutive repetitions.
@@ -420,23 +424,19 @@ def load_table(path: str) -> list[RunRecord]:
 
 
 def write_trace(report: SolveReport, path: str):
-    """Write a traced solve to ``path`` as an ``aap-trace-2`` archive.
+    """Write a traced solve to ``path`` as an ``aap-trace-3`` archive.
 
     Requires the solve to have run with capture_trace=True. The archive is
     an uncompressed numpy ``.npz`` written to exactly the given path,
-    whatever its suffix. It holds a JSON header and plain arrays: the
-    column log (every restricted increment column and its dx_norm, stored
-    once; each step's window is log columns [iteration - columns,
-    iteration)), one restricted residual per step, the per-step scalars,
-    and the ragged coefficients, factors and sketch rows as flat arrays
-    with per-step lengths. So the file grows with l1 * (iterations +
-    steps), not with l1 * m * steps. No timing fields are written, and
+    whatever its suffix. It holds a JSON header, the arrays of
+    `Trace.arrays` (each window column stored once, so the file grows with
+    l1 * (iterations + steps), not with l1 * m * steps) and one array per
+    MixingStep field, with NaN for None. No timing fields are written, and
     identical solves give byte-identical files.
     """
     if report.trace is None:
         raise ValueError("report has no trace; solve with capture_trace=True")
     config = report.config
-    steps = report.trace
     header = {
         "format": TRACE_FORMAT,
         "problem": report.problem,
@@ -454,47 +454,22 @@ def write_trace(report: SolveReport, path: str):
         "converged": report.converged,
         "iterations": report.iterations,
     }
-    log = steps[0].log if steps else None
     arrays = {
         "residual_history": np.asarray(report.residual_history, dtype=float),
-        "increments": np.zeros((report.l1, 0)) if log is None else log.increments,
-        "dx_norms": np.zeros(0) if log is None else log.dx_norms,
-        "f_restricted": np.array(
-            [st.f_restricted for st in steps], dtype=float
-        ).reshape(len(steps), report.l1),
+        **report.trace.arrays(),
     }
-    for name, dtype in _STEP_SCALARS.items():
-        values = [getattr(st, name) for st in steps]
-        arrays[name] = np.array(
-            [np.nan if v is None else v for v in values], dtype=dtype
-        )
-    for name, dtype in _RAGGED.items():
-        pieces = [getattr(st, name) for st in steps]
-        arrays[name] = np.concatenate(
-            [np.zeros(0, dtype)] + [np.ravel(p) for p in pieces if p is not None]
-        )
-        arrays[name + "_len"] = np.array(
-            [0 if p is None else len(p) for p in pieces], dtype=np.int64
+    for f in fields(MixingStep):
+        values = [getattr(rec, f.name) for rec in report.mask_trace]
+        arrays[f.name] = np.array(
+            [np.nan if v is None else v for v in values], dtype=_archive_dtype(f)
         )
     _save_trace(path, header, arrays)
 
 
-# Per-step scalars and their dtypes; NaN stands for a None sigma_min or
-# eps_rhs.
-_STEP_SCALARS = {
-    "iteration": np.int64,
-    "columns": np.int64,
-    "lipschitz": float,
-    "sigma_min": float,
-    "eps_rhs": float,
-    "accepted": bool,
-    "fallback": bool,
-}
-# Ragged per-step arrays and their dtypes. A step's piece has ``<name>_len``
-# rows (``r_factor`` rows have ``columns`` entries); a zero length stands for
-# None, since a recorded piece is never empty.
-_RAGGED = {"alpha": float, "r_factor": float, "mask": np.int64}
-_LENGTHS = tuple(name + "_len" for name in _RAGGED)
+def _archive_dtype(f) -> np.dtype:
+    """The archive dtype of a MixingStep field, from its annotation: int64,
+    text, or float (with NaN for None)."""
+    return np.dtype({"int": np.int64, "str": np.str_}.get(f.type, float))
 
 
 def _save_trace(path: str, header: dict, arrays: dict):
@@ -544,22 +519,17 @@ def _read_trace(path: str) -> tuple[dict, dict]:
 
 
 _TRACE_REQUIRED = ("problem", "l1", "eta_exponent", "adaptivity", "iterations")
-_TRACE_ARRAYS = (
-    ("residual_history", "increments", "dx_norms", "f_restricted")
-    + tuple(_STEP_SCALARS) + tuple(_RAGGED) + _LENGTHS
-)
-_INDEX_ARRAYS = ("iteration", "columns", "mask") + _LENGTHS
 
 
 def load_trace(path: str) -> dict:
-    """Read a trace archive into the mapping `verify_theorem_trace` reads.
+    """Read a trace archive back into the records and arrays of its solve.
 
-    The mapping holds the header fields, ``residual_history`` and
-    ``steps``: one dict per mixing step whose ``increments`` and
-    ``dx_norms`` are views of the column log (``sigma_min`` and ``eps_rhs``
-    read NaN where the record held None). Raises ParseError on anything
-    malformed, including shapes or lengths that disagree and windows or
-    sketch rows that run past their arrays.
+    The mapping holds the header fields, ``residual_history``, ``steps``
+    (one MixingStep per mixing step, equal to the report's mask_trace, NaN
+    read back as None) and ``trace`` (a `Trace` over the archive's arrays).
+    Raises ParseError on anything malformed: a missing array or header
+    key, an unknown guard reason, dtypes, shapes or lengths that disagree,
+    and windows or sketch rows that run past their arrays.
     """
     header, arrays = _read_trace(path)
     if header.get("format") != TRACE_FORMAT:
@@ -567,86 +537,51 @@ def load_trace(path: str) -> dict:
     for key in _TRACE_REQUIRED:
         if key not in header:
             raise ParseError(f"trace is missing {key!r}")
-    for name in _TRACE_ARRAYS:
-        if name not in arrays:
-            raise ParseError(f"trace is missing array {name!r}")
-    for name in _INDEX_ARRAYS:
-        if not np.issubdtype(arrays[name].dtype, np.integer):
-            raise ParseError(f"trace array {name!r} is not integer")
     try:
         l1 = int(header["l1"])
+        n = arrays["iteration"].size
+        columns = [_read_field(f, arrays[f.name], n) for f in fields(MixingStep)]
+        steps = [MixingStep(*values) for values in zip(*columns)]
+        trace = Trace.from_arrays(arrays, steps)
+        history = arrays["residual_history"]
+    except KeyError as exc:
+        raise ParseError(f"trace is missing array {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"trace l1 is not an integer ({exc})") from exc
-
-    log, dx_norms = arrays["increments"], arrays["dx_norms"]
-    if log.ndim != 2 or log.shape[0] != l1 or dx_norms.shape != log.shape[1:]:
-        raise ParseError(
-            f"column log has shape {log.shape} and {dx_norms.shape} norms, "
-            f"expected {l1} rows and one norm per column"
-        )
-    n_steps = len(arrays["iteration"])
-    shapes = {name: (n_steps,) for name in (*_STEP_SCALARS, *_LENGTHS)}
-    shapes["f_restricted"] = (n_steps, l1)
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ParseError(f"trace array {name!r} has shape "
-                             f"{arrays[name].shape}, expected {shape}")
-    ends, columns = arrays["iteration"], arrays["columns"]
-    if n_steps and (
-        columns.min() < 1 or (ends - columns).min() < 0
-        or ends.max() > log.shape[1]
-    ):
-        raise ParseError("step windows run past the column log")
-    mask = arrays["mask"]
-    if mask.size and (mask.min() < 0 or mask.max() >= l1):
-        raise ParseError(f"sketch rows run past the {l1} restricted rows")
-    pieces = {
-        name: _split_ragged(name, arrays[name], arrays[name + "_len"],
-                            columns if name == "r_factor" else None)
-        for name in _RAGGED
-    }
-
-    doc = dict(header)
-    doc["residual_history"] = arrays["residual_history"]
-    doc["steps"] = [
-        {
-            **{name: arrays[name][i].item() for name in _STEP_SCALARS},
-            "increments": log[:, k - c:k],
-            "dx_norms": dx_norms[k - c:k],
-            "f_restricted": arrays["f_restricted"][i],
-            **{name: pieces[name][i] for name in _RAGGED},
-        }
-        for i, (k, c) in enumerate(zip(ends, columns))
-    ]
-    return doc
+        raise ParseError(str(exc)) from exc
+    for rec in steps:
+        if rec.reason not in REASONS:
+            raise ParseError(f"step {rec.iteration}: unknown reason {rec.reason!r}")
+    if trace.increments.shape[0] != l1:
+        raise ParseError(f"column log has {trace.increments.shape[0]} rows, "
+                         f"expected l1 = {l1}")
+    return dict(header, residual_history=history, steps=steps, trace=trace)
 
 
-def _split_ragged(name, flat, lengths, widths):
-    """Cut a flat ragged array into per-step pieces of ``lengths`` rows,
-    each ``widths`` wide (1-D pieces when None); zero lengths give None."""
-    sizes = lengths if widths is None else lengths * widths
-    if flat.ndim != 1 or (lengths < 0).any() or sizes.sum() != flat.size:
-        raise ParseError(f"step lengths of {name!r} do not add up to its "
-                         f"{flat.size} entries")
-    cuts = np.split(flat, np.cumsum(sizes)[:-1])
-    return [
-        None if n == 0 else (piece if widths is None else piece.reshape(n, -1))
-        for n, piece in zip(lengths, cuts)
-    ]
+def _read_field(f, column: np.ndarray, n: int) -> list:
+    """The values of one MixingStep field, one per step, from its array."""
+    dtype = _archive_dtype(f)
+    if column.shape != (n,) or column.dtype.kind != dtype.kind:
+        raise ValueError(f"trace array {f.name!r} has shape {column.shape} and "
+                         f"dtype {column.dtype}, expected ({n},) {dtype}")
+    values = column.tolist()
+    if f.default is None:
+        values = [None if math.isnan(v) else v for v in values]
+    return values
 
 
 @dataclass
 class StepCheck:
-    """Verification outcome for one mixing step."""
+    """Verification outcome for one mixing step; a step the verifier does
+    not test (a fallback or an unsketched step) passes vacuously."""
 
     iteration: int
     columns: int
     masked: bool
     fallback: bool
-    hypotheses_satisfied: bool
-    delta: float
-    bound: float
-    bound_satisfied: bool
+    hypotheses_satisfied: bool = False
+    delta: float = 0.0
+    bound: float = 0.0
+    bound_satisfied: bool = True
 
 
 @dataclass
@@ -685,16 +620,16 @@ class TraceVerification:
 def verify_theorem_trace(path_or_doc) -> TraceVerification:
     """Recheck the perturbation bound of every mixing step in a trace.
 
-    For each step the stored triangular factor is checked against the
-    restricted increments (mismatch means a corrupted trace). For a step
-    that mixed with a sketch, `stability_hypothesis` is recomputed from the
-    record: the factor's smallest singular value, the recorded Lipschitz
-    estimate and increment norms, the residual's norm and the share of it
-    the sketch dropped (`epsilon_rhs`). Where it holds, the perturbation
-    norm must stay within the eta-sum bound.
+    ``path_or_doc`` is a trace path or what `load_trace` returns. For each
+    step the stored triangular factor is checked against the restricted
+    increments (mismatch means a corrupted trace). For a step that mixed
+    with a sketch, `stability_hypothesis` is recomputed from the record:
+    the factor's smallest singular value, the recorded Lipschitz estimate
+    and increment norms, the residual's norm and the share of it the sketch
+    dropped (`epsilon_rhs`). Where it holds, the perturbation norm must stay
+    within the eta-sum bound.
     """
     doc = path_or_doc if isinstance(path_or_doc, dict) else load_trace(path_or_doc)
-    l1 = int(doc["l1"])
     eta_exponent = float(doc["eta_exponent"])
     try:
         eta_kind = Adaptivity(doc["adaptivity"]).eta_kind
@@ -702,9 +637,9 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
         raise ParseError(f"unknown adaptivity {doc['adaptivity']!r}") from exc
 
     result = TraceVerification()
-    for idx, st in enumerate(doc["steps"]):
+    for idx, rec in enumerate(doc["steps"]):
         try:
-            check = _verify_step(st, l1, eta_kind, eta_exponent)
+            check = _verify_step(rec, doc["trace"], idx, eta_kind, eta_exponent)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -713,71 +648,48 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     return result
 
 
-def _verify_step(st: dict, l1: int, eta_kind: str | None, exponent: float):
-    c = int(st["columns"])
-    increments = np.asarray(st["increments"], dtype=float)
-    if increments.shape != (l1, c):
-        raise ParseError(
-            f"step {st['iteration']}: increments have shape "
-            f"{increments.shape}, expected ({l1}, {c})"
-        )
-    mask = st["mask"]
-    fallback = bool(st["fallback"])
-    alpha = st["alpha"]
-    if fallback or alpha is None:
-        return StepCheck(
-            iteration=int(st["iteration"]),
-            columns=c,
-            masked=mask is not None,
-            fallback=True,
-            hypotheses_satisfied=False,
-            delta=0.0,
-            bound=0.0,
-            bound_satisfied=True,
-        )
-    alpha = np.asarray(alpha, dtype=float)
-    r_factor = np.asarray(st["r_factor"], dtype=float)
+def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str,
+                 exponent: float):
+    increments, dx_norms = trace.window(rec)
+    c = rec.columns
+    mask = trace.mask[i]
+    alpha = trace.alpha[i]
+    if rec.fallback or alpha is None:
+        return StepCheck(rec.iteration, c, masked=mask is not None,
+                         fallback=True)
+    r_factor = trace.r_factor[i]
 
-    rows = np.arange(l1) if mask is None else np.asarray(mask, dtype=int)
+    rows = np.arange(increments.shape[0]) if mask is None else mask
     restricted = increments[rows]
     gram = restricted.T @ restricted
     gram_r = r_factor.T @ r_factor
     scale = max(float(np.linalg.norm(gram)), 1e-300)
     if float(np.linalg.norm(gram - gram_r)) > FACTOR_RTOL * scale:
         raise ParseError(
-            f"step {st['iteration']}: stored triangular factor disagrees "
+            f"step {rec.iteration}: stored triangular factor disagrees "
             "with the recorded increments"
         )
 
     if mask is None:
-        return StepCheck(
-            iteration=int(st["iteration"]),
-            columns=c,
-            masked=False,
-            fallback=False,
-            hypotheses_satisfied=False,
-            delta=0.0,
-            bound=0.0,
-            bound_satisfied=True,
-        )
+        return StepCheck(rec.iteration, c, masked=False, fallback=False)
 
     masked_cols = np.zeros_like(increments)
     masked_cols[rows] = increments[rows]
     delta = perturbation_norm(increments, masked_cols, alpha)
 
-    f_res = np.asarray(st["f_restricted"], dtype=float)
+    f_res = trace.f_restricted[i]
     etas = [eta(j, eta_kind, exponent) for j in range(1, c + 1)]
     hyp_ok = stability_hypothesis(
         estimate_sigma_min(r_factor),
-        float(st["lipschitz"]),
+        rec.lipschitz,
         float(np.linalg.norm(f_res)),
-        np.asarray(st["dx_norms"], dtype=float),
+        dx_norms,
         etas,
         epsilon_rhs(f_res, rows),
     )
     bound = float(sum(etas)) + BOUND_SLACK
     return StepCheck(
-        iteration=int(st["iteration"]),
+        iteration=rec.iteration,
         columns=c,
         masked=True,
         fallback=False,

@@ -6,12 +6,13 @@ mixing step, admitted only when `stability_hypothesis` holds for it, so the
 perturbation it introduces into the mixing update stays within the eta-sum
 bound. The guard tests the hypothesis with the exact smallest singular value
 of the sketched window's own factor; the offline trace verifier tests the
-same function on the recorded step.
+same function on the recorded step. `MixingStep` is the one record of a
+mixing step, written by the guard and read back from trace files.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,26 +195,43 @@ def sketch_size(percent: float, l1: int) -> int:
     return max(1, int(round(percent * l1 / 100.0)))
 
 
-@dataclass
-class StabilityTrace:
-    """Per-mixing-step record of the guard's decision.
+# The guard's decisions, as recorded in MixingStep.reason.
+REASONS = (
+    "accepted", "rejected", "no-lipschitz", "lhs-negative",
+    "underdetermined", "disabled", "stalled", "no-factor",
+)
 
-    ``reason`` is one of: "accepted", "rejected", "no-lipschitz",
-    "lhs-negative", "underdetermined", "disabled", "stalled", and
-    "no-factor" when the whole window is rank deficient, which also sets
-    ``fallback``: the step degraded to plain Picard. ``sigma_min`` is the
-    smallest singular value of the last factor the guard tested (None when
-    it tested none, or the sketched factor was rank deficient).
+
+@dataclass
+class MixingStep:
+    """The record of one mixing step: its window and the guard's decision.
+
+    The step at ``iteration`` k mixed over a window of ``columns`` c, with
+    the running Lipschitz estimate ``lipschitz``. ``reason`` is one of
+    REASONS: "accepted" when a sketch supplied the coefficients,
+    "no-factor" when the whole window was rank deficient and the step fell
+    back to plain Picard, and otherwise why the whole window's solution
+    was kept ("disabled" and "stalled" when the guard did not run).
+    ``sigma_min`` is the smallest singular value of the last factor the
+    guard tested (None when it tested none, or the sketched factor was
+    rank deficient), ``eps_rhs`` the share of |f| its proposed rows drop
+    (None when it proposed none).
     """
 
     iteration: int
+    columns: int
     lipschitz: float
+    reason: str
     sigma_min: float | None = None
     eps_rhs: float | None = None
-    ell2: int | None = None
-    accepted: bool = False
-    reason: str = "disabled"
-    fallback: bool = False
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason == "accepted"
+
+    @property
+    def fallback(self) -> bool:
+        return self.reason == "no-factor"
 
 
 def adaptive_step(
@@ -237,19 +255,17 @@ def adaptive_step(
     A rank-deficient sketch is rejected.
 
     Returns (sketch, record): sketch is None for the identity decision, else
-    (rows, alpha, r_factor) of the sketched least squares.
+    (rows, alpha, r_factor) of the sketched least squares; record is the
+    step's MixingStep.
     """
     ws = workspace
     f_r = ws.f_sub if ws.f_sub is not None else ws.f
     l1 = f_r.shape[0]
     c = ws.filled
-    rec = StabilityTrace(iteration=iteration, lipschitz=ws.lipschitz)
-
+    rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
     if ws.lipschitz <= 0.0:
-        rec.reason = "no-lipschitz"
         return None, rec
     l2 = sketch_size(config.sketch_percent, l1)
-    rec.ell2 = l2
     if l2 < c:
         rec.reason = "underdetermined"
         return None, rec
@@ -281,7 +297,6 @@ def adaptive_step(
         rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, rec.eps_rhs
     ):
         return None, rec
-    rec.accepted = True
     rec.reason = "accepted"
     return (rows, alpha, r_factor), rec
 

@@ -8,15 +8,17 @@ guarded row sketch (level two). With both restrictions off, the loop is the
 plain alternating scheme, and the iterates are bitwise those of a plain
 reference loop written against the same kernels.
 
-`solve` runs `step` once per iteration and records what it returns. The
+`solve` runs `step` once per iteration and records what it returns: one
+relative residual per iteration and one `MixingStep` per mixing step. The
 buffers are allocated once and `step` works in place, so the workspace does
-not grow as the solve runs; the report grows by one residual per iteration
-and one record per mixing step.
+not grow as the solve runs; a traced solve also keeps its arrays in one
+`Trace`, which grows by one column per iteration.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .fixed_point import FixedPointProblem, NumericalBreakdown, evaluate_residua
 from .sketching import (
     Adaptivity,
     MaskOperator,
-    StabilityTrace,
+    MixingStep,
     adaptive_step,
     build_static_mask,
     update_lipschitz,
@@ -101,8 +103,9 @@ class Workspace:
     ``dx_norms`` share one chronological column order, oldest first, and
     shift left when full. ``factor``, the thin QR factor of ``df_window``
     that every mixing step solves from first, is updated as columns enter
-    and leave. The scalars and ``rng`` are the run's state; ``log``, set
-    only by a traced solve, keeps every column pushed.
+    and leave. The scalars and ``rng`` are the run's state; ``trace``, set
+    only by a traced solve, keeps every column pushed and the arrays of
+    every mixing step.
     """
 
     m: int
@@ -120,7 +123,7 @@ class Workspace:
     dx_norms: np.ndarray
     factor: lsq.WindowFactor
     rng: np.random.Generator
-    log: ColumnLog | None = None
+    trace: Trace | None = None
     filled: int = 0
     lipschitz: float = 0.0
     stalled: bool = False
@@ -202,7 +205,7 @@ def push_window(ws: Workspace, dx_norm: float):
     is identity), dg and dx_norm enter the same column of df_window,
     dg_window and dx_norms, after a shift that drops the oldest column when
     the windows are full. The window factor is told of the push, and the
-    column log, when there is one, keeps a copy.
+    trace, when there is one, logs a copy.
     """
     if ws.filled == ws.m:
         _shift_left(ws.df_window)
@@ -215,8 +218,8 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.dg_window[:, j] = ws.dg
     ws.dx_norms[j] = dx_norm
     ws.factor.push()
-    if ws.log is not None:
-        ws.log.append(ws.df_window[:, j], dx_norm)
+    if ws.trace is not None:
+        ws.trace.push(ws.df_window[:, j], dx_norm)
 
 
 def _shift_left(window: np.ndarray):
@@ -253,23 +256,23 @@ def step(
     norm_f0: float,
     history: list[float],
 ):
-    """Run iteration k in place; returns (relres, mixing).
+    """Run iteration k in place; returns (relres, record).
 
     Returns at once, x untouched, when relres = |T(x)| / norm_f0 is below
-    the tolerance. Otherwise x moves by a Picard step or, when k = 0 mod p,
-    by mixing over the filled window. A mixing step first solves the whole
-    window from the kept factor; with adaptivity on, the guard may replace
-    that solution by the one of a row sketch it accepts. A rank-deficient
-    window degrades the step to Picard, flags it, and restarts the window.
+    the tolerance, and raises NumericalBreakdown when it is not finite.
+    Otherwise x moves by a Picard step or, when k = 0 mod p, by mixing over
+    the filled window. A mixing step first solves the whole window from the
+    kept factor; with adaptivity on, the guard may replace that solution by
+    the one of a row sketch it accepts. A rank-deficient window degrades
+    the step to Picard (reason "no-factor") and restarts the window.
     ``history`` (relres of iterations 0..k-1) is only read, by the stall
-    detector. ``mixing`` is None unless the step mixed, and then (record,
-    columns, rows, alpha, r_factor): the guard's StabilityTrace, the window
-    width, the sketch rows (None for the identity), and the least-squares
-    solution and factor used (None after a fallback; the factor is only
-    valid until the next step).
+    detector. ``record`` is the step's MixingStep, None unless it mixed.
+    When ``ws.trace`` is set, the step's arrays go there.
     """
     update_increments(ws, problem, omega)
     relres = float(np.linalg.norm(ws.f)) / norm_f0
+    if not math.isfinite(relres):
+        raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
     if relres < config.rel_tolerance:
         return relres, None
 
@@ -299,19 +302,13 @@ def step(
         picard_update(ws.x, ws.f, omega, ws.scratch)
         return relres, None
 
-    sketching = adaptive and not ws.stalled
-    idle = "stalled" if ws.stalled else "disabled"
     c = ws.filled
     f_r = ws.f_sub if ws.f_sub is not None else ws.f
     try:
         alpha, r_step = ws.factor.solve(ws.df_window, f_r, c)
     except lsq.RankDeficient:
-        rec = StabilityTrace(
-            iteration=k,
-            lipschitz=ws.lipschitz,
-            reason="no-factor" if sketching else idle,
-            fallback=True,
-        )
+        if ws.trace is not None:
+            ws.trace.record(f_r, None, None, None)
         picard_update(ws.x, ws.f, omega, ws.scratch)
         # Restart the window: a degenerate column would otherwise force this
         # fallback for m consecutive steps. Dropping the history lets mixing
@@ -319,37 +316,66 @@ def step(
         ws.filled = 0
         ws.factor.reset()
         ws.restarts += 1
-        return relres, (rec, c, None, None, None)
+        return relres, MixingStep(k, c, ws.lipschitz, reason="no-factor")
 
     rows = None
-    if sketching:
+    if adaptive and not ws.stalled:
         sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step)
         if sketch is not None:
             rows, alpha, r_step = sketch
             ws.last_accept = k
     else:
-        rec = StabilityTrace(iteration=k, lipschitz=ws.lipschitz, reason=idle)
+        rec = MixingStep(k, c, ws.lipschitz,
+                         reason="stalled" if ws.stalled else "disabled")
+    if ws.trace is not None:
+        ws.trace.record(f_r, alpha, r_step, rows)
     anderson_update(ws, alpha, omega)
-    return relres, (rec, c, rows, alpha, r_step)
+    return relres, rec
 
 
-class ColumnLog:
-    """Every restricted increment column a traced solve pushed, in order.
+# The per-step arrays of a Trace whose length varies from step to step, and
+# their dtypes.
+_RAGGED = {"alpha": float, "r_factor": float, "mask": np.int64}
 
-    Each iteration k >= 1 that does not converge pushes exactly one column,
-    log column k - 1, and a window restart only empties the window. So the
-    window of the mixing step at iteration k with c columns is log columns
-    [k - c, k), and so are its dx_norms. Storage is column-major and doubles
-    when full; the arrays the properties return are valid until the next
-    append.
+
+class Trace:
+    """The arrays of a traced solve, each stored once.
+
+    The column log keeps every restricted increment column the solve pushed,
+    with its dx_norm. Each iteration k >= 1 that does not converge pushes
+    exactly one column, log column k - 1, and a window restart only empties
+    the window, so the window of the mixing step at iteration k with c
+    columns is log columns [k - c, k) (`window`). The log is column-major
+    and doubles when full; `increments` and `dx_norms` are valid until the
+    next push. Per mixing step, in the order of the report's mask_trace,
+    the trace keeps the restricted residual ``f_restricted`` and the
+    coefficients ``alpha``, triangular factor ``r_factor`` and sketch rows
+    ``mask`` of the least squares used: None after a fallback, and ``mask``
+    None for the identity. The step's scalars are its MixingStep.
     """
 
     def __init__(self, rows: int):
         self._increments = np.zeros((rows, 64), order="F")
         self._dx_norms = np.zeros(64)
         self.size = 0
+        self.f_restricted: list[np.ndarray] = []
+        self.alpha: list[np.ndarray | None] = []
+        self.r_factor: list[np.ndarray | None] = []
+        self.mask: list[np.ndarray | None] = []
 
-    def append(self, column: np.ndarray, dx_norm: float):
+    def __len__(self) -> int:
+        return len(self.f_restricted)
+
+    @property
+    def increments(self) -> np.ndarray:
+        return self._increments[:, :self.size]
+
+    @property
+    def dx_norms(self) -> np.ndarray:
+        return self._dx_norms[:self.size]
+
+    def push(self, column: np.ndarray, dx_norm: float):
+        """Log one pushed column and its dx_norm."""
         n = self.size
         if n == len(self._dx_norms):
             grown = np.zeros((self._increments.shape[0], 2 * n), order="F")
@@ -360,45 +386,83 @@ class ColumnLog:
         self._dx_norms[n] = dx_norm
         self.size = n + 1
 
-    @property
-    def increments(self) -> np.ndarray:
-        return self._increments[:, :self.size]
+    def record(self, f_restricted, alpha, r_factor, mask):
+        """Keep copies of one mixing step's arrays."""
+        self.f_restricted.append(f_restricted.copy())
+        for name, piece in zip(_RAGGED, (alpha, r_factor, mask)):
+            getattr(self, name).append(None if piece is None else np.array(piece))
 
-    @property
-    def dx_norms(self) -> np.ndarray:
-        return self._dx_norms[:self.size]
+    def window(self, rec: MixingStep) -> tuple[np.ndarray, np.ndarray]:
+        """The step's window increments and dx_norms, as views of the log."""
+        lo, hi = rec.iteration - rec.columns, rec.iteration
+        return self._increments[:, lo:hi], self._dx_norms[lo:hi]
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The trace as plain arrays: the log, the residuals as one row per
+        step, and each ragged list flat, with its per-step row counts in
+        ``<name>_len``. A zero count stands for None, since a recorded piece
+        is never empty; ``r_factor`` rows are as long as the window."""
+        rows = self._increments.shape[0]
+        out = {
+            "increments": self.increments,
+            "dx_norms": self.dx_norms,
+            "f_restricted": np.array(self.f_restricted, dtype=float)
+            .reshape(len(self), rows),
+        }
+        for name, dtype in _RAGGED.items():
+            pieces = getattr(self, name)
+            out[name] = np.concatenate(
+                [np.zeros(0, dtype)] + [np.ravel(p) for p in pieces if p is not None]
+            )
+            out[name + "_len"] = np.array(
+                [0 if p is None else len(p) for p in pieces], dtype=np.int64
+            )
+        return out
 
-@dataclass
-class TraceStep:
-    """Snapshot of one mixing step, recorded when tracing is on.
+    @classmethod
+    def from_arrays(cls, arrays: dict, records: list[MixingStep]) -> Trace:
+        """The trace that `arrays` gave, for the steps ``records``.
 
-    The window is not copied: ``log`` is the solve's shared ColumnLog, and
-    ``window_increments`` and ``dx_norms`` are views of its columns
-    [iteration - columns, iteration). The restricted residual, coefficients,
-    factor and sketch rows (None for the identity) are the step's own.
-    """
-
-    iteration: int
-    columns: int
-    log: ColumnLog = field(repr=False, compare=False)
-    f_restricted: np.ndarray
-    alpha: np.ndarray | None
-    r_factor: np.ndarray | None
-    mask: np.ndarray | None
-    lipschitz: float
-    sigma_min: float | None
-    eps_rhs: float | None
-    accepted: bool
-    fallback: bool
-
-    @property
-    def window_increments(self) -> np.ndarray:
-        return self.log.increments[:, self.iteration - self.columns:self.iteration]
-
-    @property
-    def dx_norms(self) -> np.ndarray:
-        return self.log.dx_norms[self.iteration - self.columns:self.iteration]
+        The log and the residuals are the given arrays, and the ragged
+        pieces are views of them. Raises KeyError for a missing array, and
+        ValueError for shapes, dtypes or lengths that disagree and for
+        windows or sketch rows that run past the log or the restricted rows.
+        """
+        log, dx_norms = arrays["increments"], arrays["dx_norms"]
+        if log.ndim != 2 or dx_norms.shape != log.shape[1:]:
+            raise ValueError(f"column log has shape {log.shape} and "
+                             f"{dx_norms.shape} norms, expected one per column")
+        trace = cls(0)
+        trace._increments, trace._dx_norms = log, dx_norms
+        trace.size = log.shape[1]
+        rows, n = log.shape[0], len(records)
+        residuals = arrays["f_restricted"]
+        if residuals.shape != (n, rows):
+            raise ValueError(f"f_restricted has shape {residuals.shape}, "
+                             f"expected {(n, rows)}")
+        trace.f_restricted = list(residuals)
+        if any(not 1 <= r.columns <= r.iteration <= trace.size for r in records):
+            raise ValueError("step windows run past the column log")
+        widths = np.array([r.columns for r in records], dtype=np.int64)
+        for name in _RAGGED:
+            flat, lengths = arrays[name], arrays[name + "_len"]
+            if lengths.shape != (n,) or lengths.dtype.kind != "i":
+                raise ValueError(f"{name}_len is not one integer per step")
+            sizes = lengths * widths if name == "r_factor" else lengths
+            if flat.ndim != 1 or (lengths < 0).any() or sizes.sum() != flat.size:
+                raise ValueError(f"step lengths of {name!r} do not add up to "
+                                 f"its {flat.size} entries")
+            pieces = np.split(flat, np.cumsum(sizes)[:-1])
+            setattr(trace, name, [
+                None if k == 0 else p.reshape(k, -1) if name == "r_factor" else p
+                for k, p in zip(lengths, pieces)
+            ])
+        mask = arrays["mask"]
+        if mask.dtype.kind != "i" or (
+            mask.size and (mask.min() < 0 or mask.max() >= rows)
+        ):
+            raise ValueError(f"sketch rows run past the {rows} restricted rows")
+        return trace
 
 
 @dataclass
@@ -407,7 +471,8 @@ class SolveReport:
 
     residual_history[k] is |T(x_k)| / |T(x_0)|; entry 0 is 1 by definition
     and one entry follows per iteration, so its length is iterations + 1.
-    mask_trace carries one StabilityTrace per mixing step. wall_time_seconds
+    mask_trace carries one MixingStep per mixing step, and ``trace``, for a
+    traced solve, the arrays of those steps. wall_time_seconds
     is measurement, not behavior: identical configurations and seeds give
     identical reports except for it.
 
@@ -425,14 +490,14 @@ class SolveReport:
     converged: bool
     iterations: int
     residual_history: list[float]
-    mask_trace: list[StabilityTrace]
+    mask_trace: list[MixingStep]
     wall_time_seconds: float
     final_state: np.ndarray
     omega: float
     window: int
     alternation: int
     config: SolverConfig
-    trace: list[TraceStep] | None = None
+    trace: Trace | None = None
     iterates: list[np.ndarray] | None = None
     factor_updates: int = 0
     factor_refreshes: int = 0
@@ -489,10 +554,9 @@ def solve(
     and a run whose residual stops improving while sketches are being
     accepted turns adaptivity off for good (reason "stalled" in the trace).
 
-    capture_trace records per-mixing-step snapshots (restricted residual,
-    masks, coefficients, factors) for offline verification, and a log of
-    every pushed restricted increment column that the snapshots' windows
-    index into.
+    capture_trace keeps a `Trace` of every pushed restricted increment
+    column and, per mixing step, the restricted residual, coefficients,
+    factor and sketch rows, for offline verification.
     keep_iterates records a copy of x after every update. Both are
     diagnostic modes and allocate.
     """
@@ -504,14 +568,13 @@ def solve(
     m = min(resolve_window(problem, config), len(mask.kept))
     ws = allocate_workspace(problem.dimension, config, mask, window=m)
     if capture_trace:
-        ws.log = ColumnLog(ws.mask.size)
+        ws.trace = Trace(ws.mask.size)
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
     norm_f0 = float(np.linalg.norm(f0))
     history = [1.0]
-    mask_trace: list[StabilityTrace] = []
-    trace: list[TraceStep] | None = [] if capture_trace else None
+    mask_trace: list[MixingStep] = []
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
     def report(converged, iterations):
@@ -529,7 +592,7 @@ def solve(
             window=m,
             alternation=config.alternation,
             config=config,
-            trace=trace,
+            trace=ws.trace,
             iterates=iterates,
             factor_updates=ws.factor.updates,
             factor_refreshes=ws.factor.refreshes,
@@ -552,32 +615,13 @@ def solve(
     k = 0
     try:
         for k in range(1, config.max_iterations + 1):
-            relres, mixing = step(ws, problem, config, omega, k, norm_f0, history)
+            relres, rec = step(ws, problem, config, omega, k, norm_f0, history)
             history.append(relres)
             if relres < config.rel_tolerance:
                 converged = True
                 break
-            if mixing is not None:
-                rec, c, rows, alpha, r_step = mixing
+            if rec is not None:
                 mask_trace.append(rec)
-                if capture_trace:
-                    f_r = ws.f_sub if ws.f_sub is not None else ws.f
-                    trace.append(
-                        TraceStep(
-                            iteration=k,
-                            columns=c,
-                            log=ws.log,
-                            f_restricted=f_r.copy(),
-                            alpha=None if alpha is None else alpha.copy(),
-                            r_factor=None if r_step is None else r_step.copy(),
-                            mask=None if rows is None else np.asarray(rows).copy(),
-                            lipschitz=ws.lipschitz,
-                            sigma_min=rec.sigma_min,
-                            eps_rhs=rec.eps_rhs,
-                            accepted=rec.accepted,
-                            fallback=rec.fallback,
-                        )
-                    )
             if keep_iterates:
                 iterates.append(ws.x.copy())
     except NumericalBreakdown as exc:

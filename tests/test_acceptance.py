@@ -161,16 +161,16 @@ def test_criterion_3_guard_soundness(tmp_path):
     bound_bad = 0
     for label, report in _traced_strategy_runs():
         config = report.config
-        for rec, st in zip(report.mask_trace, report.trace, strict=True):
+        for rec, f_r in zip(report.mask_trace, report.trace.f_restricted,
+                            strict=True):
             if not rec.accepted:
                 continue
             accepted_total += 1
             etas = [eta(j, config.adaptivity.eta_kind, config.eta_exponent)
-                    for j in range(1, st.columns + 1)]
+                    for j in range(1, rec.columns + 1)]
             guard_bad += not stability_hypothesis(
-                rec.sigma_min, st.lipschitz,
-                float(np.linalg.norm(st.f_restricted)), st.dx_norms, etas,
-                rec.eps_rhs,
+                rec.sigma_min, rec.lipschitz, float(np.linalg.norm(f_r)),
+                report.trace.window(rec)[1], etas, rec.eps_rhs,
             )
         path = tmp_path / f"{label}.json"
         write_trace(report, str(path))
@@ -274,11 +274,10 @@ def _drive_step(problem, config, iterations):
         # No local keeps relres: a float taken from the interpreter's free
         # list at one snapshot and freshly allocated at the other would
         # read as retained.
-        history[k], mixing = step(ws, problem, config, omega, k, norm_f0,
-                                  history)
-        reason = mixing[0].reason
-        reasons[reason] = reasons.get(reason, 0) + 1
-        del mixing
+        history[k], rec = step(ws, problem, config, omega, k, norm_f0,
+                               history)
+        reasons[rec.reason] = reasons.get(rec.reason, 0) + 1
+        del rec
         if k == 1:
             gc.collect()
             snap_warm = tracemalloc.take_snapshot()
@@ -340,10 +339,11 @@ def test_criterion_7_guard_sigma_is_exact():
     compared = 0
     mismatched = 0
     for _, report in _traced_strategy_runs():
-        for rec, st in zip(report.mask_trace, report.trace, strict=True):
+        for rec, r_factor in zip(report.mask_trace, report.trace.r_factor,
+                                 strict=True):
             if rec.reason in ("accepted", "lhs-negative"):
                 compared += 1
-                mismatched += rec.sigma_min != float(svdvals(st.r_factor)[-1])
+                mismatched += rec.sigma_min != float(svdvals(r_factor)[-1])
     elapsed = time.perf_counter() - t0
     ok = compared > 0 and mismatched == 0 and elapsed < 30.0
     _verdict(

@@ -283,19 +283,30 @@ class TestTraceFiles:
         assert doc["problem"] == "saddle"
         assert doc["l1"] == report.l1
         assert doc["iterations"] == report.iterations
-        assert len(doc["steps"]) == len(report.trace)
+        assert len(doc["steps"]) == len(doc["trace"]) == len(report.trace)
         step = doc["steps"][0]
-        assert np.asarray(step["increments"]).shape == (
-            report.l1, step["columns"],
-        )
+        assert doc["trace"].window(step)[0].shape == (report.l1, step.columns)
+
+    def test_records_round_trip(self, tmp_path):
+        # The file gives back the report's own records; a None sigma_min or
+        # eps_rhs is stored as NaN and reads back as None.
+        report = traced_report()
+        path = tmp_path / "trace.json"
+        write_trace(report, str(path))
+        assert load_trace(str(path))["steps"] == report.mask_trace
+        assert any(rec.sigma_min is None for rec in report.mask_trace)
+        _, arrays = _read_trace(str(path))
+        assert np.isnan(arrays["sigma_min"]).any()
+        assert "accepted" not in arrays and "fallback" not in arrays
 
     def test_increments_are_views_of_the_log(self, tmp_path):
         path = tmp_path / "trace.json"
         write_trace(traced_report(), str(path))
         doc = load_trace(str(path))
-        log = doc["steps"][-1]["increments"].base
+        windows = [doc["trace"].window(rec)[0] for rec in doc["steps"]]
+        log = windows[-1].base
         assert log is not None
-        assert all(st["increments"].base is log for st in doc["steps"])
+        assert all(w.base is log for w in windows)
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         write_trace(traced_report(), str(tmp_path / "x.json"))
@@ -317,10 +328,11 @@ class TestTraceFiles:
         write_trace(report, str(path))
         steps = len(report.trace)
         bound = (8 * report.l1 * (report.iterations + steps)
-                 + 8 * sum(st.columns ** 2 for st in report.trace)
+                 + 8 * sum(rec.columns ** 2 for rec in report.mask_trace)
                  + 64 * 1024)
         assert path.stat().st_size <= bound
-        stored_per_step = 8 * report.l1 * sum(st.columns for st in report.trace)
+        stored_per_step = 8 * report.l1 * sum(rec.columns
+                                              for rec in report.mask_trace)
         assert stored_per_step > bound
 
     def test_no_timing_fields(self, tmp_path):
@@ -364,6 +376,12 @@ class TestTraceFiles:
 
     def test_missing_field_rejected(self, written):
         rewrite(written, lambda h, a: h.pop("l1"))
+        assert_rejected(written)
+
+    def test_unknown_reason_rejected(self, written):
+        def edit(header, arrays):
+            arrays["reason"][0] = "approved"
+        rewrite(written, edit)
         assert_rejected(written)
 
     @pytest.mark.parametrize(
@@ -432,7 +450,7 @@ def synthetic_trace(path, lipschitz):
     rows = np.array([0, 1, 2])
     r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
     header = {
-        "format": "aap-trace-2",
+        "format": "aap-trace-3",
         "problem": "synthetic",
         "l1": l1,
         "eta_exponent": 1.1,
@@ -449,8 +467,7 @@ def synthetic_trace(path, lipschitz):
         "lipschitz": np.array([lipschitz]),
         "sigma_min": np.array([np.nan]),
         "eps_rhs": np.array([np.nan]),
-        "accepted": np.array([True]),
-        "fallback": np.array([False]),
+        "reason": np.array(["accepted"]),
         "alpha": np.array([5.0, -4.0]),
         "alpha_len": np.array([c]),
         "r_factor": r_factor.ravel(),
@@ -488,7 +505,7 @@ class TestVerifyTrace:
         report = traced_report()
         path = tmp_path / "t.json"
         write_trace(report, str(path))
-        sketched = next(st for st in report.trace if st.accepted)
+        sketched = next(rec for rec in report.mask_trace if rec.accepted)
 
         def edit(header, arrays):
             arrays["increments"][:, sketched.iteration - 1] = 0.0
@@ -508,7 +525,7 @@ class TestVerifyTrace:
 
     def test_fallback_steps_pass_vacuously(self, tmp_path):
         report = traced_report()
-        assert any(s.fallback for s in report.trace)
+        assert any(rec.fallback for rec in report.mask_trace)
         path = tmp_path / "t.json"
         write_trace(report, str(path))
         result = verify_theorem_trace(str(path))
@@ -583,6 +600,30 @@ class TestCli:
         assert int(counts["accepted"]) > 0
         assert "lhs-negative" in counts
         assert sum(int(n) for n in counts.values()) == mixing
+
+    def test_run_counts_unsketched_fallbacks(self, capsys):
+        # Without a sketch the guard never runs, but a rank-deficient window
+        # still falls back, and the guard line says so.
+        code = main([
+            "run", "--problem", "saddle", "--size", "9",
+            "--mask", "pressure",
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        fallbacks = int(printed.split("sketched,")[1].split()[0])
+        guard = printed.split("guard")[1].splitlines()[0].split(",")
+        counts = dict(item.split() for item in guard)
+        assert int(counts["no-factor"]) == fallbacks > 0
+        assert set(counts) == {"disabled", "no-factor"}
+
+    @pytest.mark.parametrize("adapt", ["none", "sub-pow"])
+    def test_run_breakdown_exit_code(self, adapt, capsys):
+        code = main([
+            "run", "--problem", "saddle", "--size", "17",
+            "--mask", "pressure", "-p", "2", "--adapt", adapt,
+        ])
+        assert code == 1
+        assert "breakdown:" in capsys.readouterr().err
 
     def test_run_nonconvergence_exit_code(self, tmp_path):
         code = main([

@@ -5,9 +5,11 @@ import pytest
 from aap.fixed_point import UnknownField
 from aap.problems import GridSpec, make_bidomain_toy, make_saddle_point
 from aap.sketching import (
+    REASONS,
     Adaptivity,
     InvalidMask,
     MaskOperator,
+    MixingStep,
     adaptive_step,
     build_static_mask,
     epsilon_rhs,
@@ -469,3 +471,11 @@ class TestPerturbationNorm:
             expected = np.linalg.norm(delta @ alpha)
             got = perturbation_norm(cols, masked, alpha)
             assert got == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+class TestMixingStep:
+    def test_flags_follow_the_reason(self):
+        for reason in REASONS:
+            rec = MixingStep(4, 2, 1.0, reason)
+            assert rec.accepted == (reason == "accepted")
+            assert rec.fallback == (reason == "no-factor")

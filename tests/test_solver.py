@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aap.bench import load_trace, verify_theorem_trace, write_trace
@@ -336,9 +336,25 @@ class TestSolve:
         config = SolverConfig(static_mask="pressure", adaptivity="subselect-power")
         report = solve(problem, config, capture_trace=True)
         assert len(report.trace) == len(report.mask_trace)
-        step = report.trace[-1]
-        assert step.window_increments.shape == (report.l1, step.columns)
-        assert step.f_restricted.shape == (report.l1,)
+        rec = report.mask_trace[-1]
+        increments, dx_norms = report.trace.window(rec)
+        assert increments.shape == (report.l1, rec.columns)
+        assert dx_norms.shape == (rec.columns,)
+        assert report.trace.f_restricted[-1].shape == (report.l1,)
+
+    @pytest.mark.parametrize("adaptivity", ["none", "subselect-power"])
+    def test_overflowing_residual_raises_breakdown(self, adaptivity):
+        # Saddle with the pressure mask diverges at p = 2 until |T(x)|
+        # overflows while every entry stays finite.
+        problem = build_problem("saddle", 17)
+        config = SolverConfig(static_mask="pressure", alternation=2,
+                              adaptivity=adaptivity)
+        with pytest.raises(NumericalBreakdown) as info:
+            solve(problem, config)
+        report = info.value.report
+        assert report is not None and not report.converged
+        assert 0 < report.iterations < config.max_iterations
+        assert np.isfinite(report.residual_history).all()
 
     def test_keep_iterates_counts_updates(self):
         problem = make_linear(12)
@@ -358,22 +374,39 @@ def assert_accepted_steps_hold(report):
     hold on the recorded window.
     """
     config = report.config
+    trace = report.trace
+    assert len(trace) == len(report.mask_trace)
     accepted = 0
-    for rec, st in zip(report.mask_trace, report.trace, strict=True):
+    for i, rec in enumerate(report.mask_trace):
         if not rec.accepted:
             continue
         accepted += 1
         etas = [eta(j, config.adaptivity.eta_kind, config.eta_exponent)
-                for j in range(1, st.columns + 1)]
-        sigma = estimate_sigma_min(st.r_factor)
-        eps = epsilon_rhs(st.f_restricted, st.mask)
+                for j in range(1, rec.columns + 1)]
+        sigma = estimate_sigma_min(trace.r_factor[i])
+        eps = epsilon_rhs(trace.f_restricted[i], trace.mask[i])
         assert sigma == rec.sigma_min
         assert eps == rec.eps_rhs
         assert stability_hypothesis(
-            sigma, st.lipschitz, float(np.linalg.norm(st.f_restricted)),
-            st.dx_norms, etas, eps,
+            sigma, rec.lipschitz, float(np.linalg.norm(trace.f_restricted[i])),
+            trace.window(rec)[1], etas, eps,
         )
     return accepted
+
+
+def assert_same_trace(loaded, recorded):
+    """Every array of a Trace read back from a file equals the recorded one,
+    dtype, shape and bytes."""
+    pairs = [(loaded.increments, recorded.increments),
+             (loaded.dx_norms, recorded.dx_norms)]
+    for name in ("f_restricted", "alpha", "r_factor", "mask"):
+        pairs += zip(getattr(loaded, name), getattr(recorded, name), strict=True)
+    for got, want in pairs:
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBreakdownRecovery:
@@ -525,22 +558,9 @@ def test_random_contractive_problems(n, m, p, mask, adaptivity, seed):
     verification = verify_theorem_trace(doc)
     assert len(verification.checked) == len(verification.accepted) == accepted
     assert verification.violations == []
-    # The trace file gives back every recorded array bit for bit.
-    assert len(doc["steps"]) == len(report.trace)
-    for st, loaded in zip(report.trace, doc["steps"]):
-        for key, recorded in (
-            ("increments", st.window_increments),
-            ("dx_norms", st.dx_norms),
-            ("f_restricted", st.f_restricted),
-            ("alpha", st.alpha),
-            ("r_factor", st.r_factor),
-            ("mask", st.mask),
-        ):
-            if recorded is None:
-                assert loaded[key] is None
-            else:
-                assert loaded[key].shape == recorded.shape
-                assert loaded[key].tobytes() == recorded.tobytes()
+    # The trace file gives back every record and every array bit for bit.
+    assert doc["steps"] == report.mask_trace
+    assert_same_trace(doc["trace"], report.trace)
 
     transparent = SolverConfig(sketch_percent=100.0, **common)
     full = solve(problem, transparent, keep_iterates=True)
@@ -550,3 +570,42 @@ def test_random_contractive_problems(n, m, p, mask, adaptivity, seed):
     assert len(full.iterates) == len(plain.iterates)
     for xa, xb in zip(full.iterates, plain.iterates):
         np.testing.assert_array_equal(xa, xb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    m=st.integers(1, 6),
+    p=st.integers(1, 3),
+    mask=st.sampled_from((None, "head", "tail")),
+    adaptivity=st.sampled_from(tuple(Adaptivity)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Draws that once ran on at relres inf (no sketch) and that raised a raw
+# ValueError out of the guard's SVD of an overflowed window.
+@example(n=3, m=3, p=3, mask="tail", adaptivity=Adaptivity.NONE,
+         seed=394687208)
+@example(n=2, m=6, p=2, mask="head",
+         adaptivity=Adaptivity.RANDOMIZED_CONSTANT, seed=2992219808)
+def test_random_noncontractive_problems(n, m, p, mask, adaptivity, seed):
+    # x = B x + c with |B|_2 in [0.5, 1.5]: masked mixing can diverge even
+    # below 1, and must then stop in NumericalBreakdown, never run on with
+    # a non-finite residual or fail any other way.
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    b *= rng.uniform(0.5, 1.5) / np.linalg.norm(b, 2)
+    c = rng.standard_normal(n)
+    half = n // 2
+    problem = from_fixed_point_form(
+        lambda x: b @ x + c,
+        n,
+        fields=(("head", (0, half)), ("tail", (half, n))),
+    )
+    config = SolverConfig(window=m, alternation=p, rel_tolerance=1e-10,
+                          max_iterations=1000, static_mask=mask,
+                          adaptivity=adaptivity, rng_seed=seed)
+    try:
+        report = solve(problem, config)
+    except NumericalBreakdown as exc:
+        report = exc.report
+    assert np.isfinite(report.residual_history).all()

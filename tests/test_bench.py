@@ -617,13 +617,21 @@ class TestCli:
         assert set(counts) == {"disabled", "no-factor"}
 
     @pytest.mark.parametrize("adapt", ["none", "sub-pow"])
-    def test_run_breakdown_exit_code(self, adapt, capsys):
-        code = main([
-            "run", "--problem", "saddle", "--size", "17",
-            "--mask", "pressure", "-p", "2", "--adapt", adapt,
-        ])
+    def test_run_breakdown_exit_code(self, adapt, capsys, recwarn):
+        # The CLI runs under numpy's default error state, not the one the
+        # autouse fixture sets. pytest records warnings instead of printing
+        # them, so the stderr check alone would pass vacuously; recwarn
+        # sees every warning.
+        with np.errstate(divide="warn", over="warn", invalid="warn"):
+            code = main([
+                "run", "--problem", "saddle", "--size", "17",
+                "--mask", "pressure", "-p", "2", "--adapt", adapt,
+            ])
         assert code == 1
-        assert "breakdown:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "breakdown:" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_run_nonconvergence_exit_code(self, tmp_path):
         code = main([

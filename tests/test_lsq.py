@@ -91,8 +91,8 @@ class TestQrMaskedSolve:
 
 
 def drive_window(factor, window, columns, rhs_rng=None):
-    """Push ``columns`` through a chronological window the way the solver
-    does (shift left when full) and solve after every push.
+    """Push ``columns`` through a chronological window, a simple reference
+    that shifts it left when full, and solve after every push.
 
     Returns the filled column count and the last (alpha, r_factor, rhs).
     """

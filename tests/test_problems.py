@@ -193,6 +193,22 @@ class TestBidomain:
                 atol=1e-13,
             )
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5), (65, 65)])
+    def test_neumann_apply_equals_pad_form(self, shape):
+        rng = np.random.default_rng(6)
+        field = rng.standard_normal(shape)
+        padded = np.pad(field, 1, mode="edge")
+        expected = (
+            padded[:-2, 1:-1]
+            + padded[2:, 1:-1]
+            + padded[1:-1, :-2]
+            + padded[1:-1, 2:]
+            - 4.0 * field
+        ) / (0.3 * 0.3)
+        got = neumann_laplacian_apply(field, 0.3)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_stacked_residual_sums_to_zero(self):
         # Rate, ionic, and stimulus terms cancel pairwise between the two
         # equations and each zero-flux Laplacian telescopes to zero, so the

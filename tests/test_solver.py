@@ -199,6 +199,44 @@ class TestPushWindow:
             for j, col in enumerate(shift_window_reference(pushed, 10)):
                 np.testing.assert_array_equal(window[:, j], col)
 
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_sliding_windows_match_shift_reference(self, m):
+        # Three passes over the wider buffers, with a window restart (as
+        # `step` does one) part way through; the views must always read
+        # what shifting the windows left would, over the same buffers.
+        rng = np.random.default_rng(m)
+        n = 5
+        ws = allocate_workspace(n, SolverConfig(window=m))
+        buffers = ws.buffers
+        width = buffers[2].size
+        assert width > m
+        pushes = 3 * width + 2
+        restart = pushes // 2 + 1
+        dfs, dgs, norms = [], [], []
+        for k in range(pushes):
+            if k == restart:
+                ws.filled = 0
+                dfs, dgs, norms = [], [], []
+            ws.df[:] = rng.standard_normal(n)
+            ws.dg[:] = rng.standard_normal(n)
+            dfs.append(ws.df.copy())
+            dgs.append(ws.dg.copy())
+            norms.append(float(rng.uniform()))
+            push_window(ws, norms[-1])
+            c = ws.filled
+            assert c == min(len(dfs), m)
+            for window, pushed in ((ws.df_window, dfs), (ws.dg_window, dgs)):
+                assert window.shape == (n, m)
+                np.testing.assert_array_equal(
+                    window[:, :c], np.column_stack(shift_window_reference(pushed, m))
+                )
+            np.testing.assert_array_equal(
+                ws.dx_norms[:c], shift_window_reference(norms, m)
+            )
+            assert ws.buffers is buffers
+            for view, buf in zip((ws.df_window, ws.dg_window, ws.dx_norms), buffers):
+                assert view.base is buf
+
 
 class TestAndersonUpdate:
     def test_zero_alpha_reduces_to_picard(self):

@@ -1,6 +1,6 @@
-"""Experiment driver, trace files, the trace verifier, and kernel timings.
+"""Experiment driver, trace files and the trace verifier.
 
-Three jobs live here because they share the same output conventions:
+Two jobs live here because they share the same output conventions:
 
 * `run_experiment` executes a plan (a cross product of masks, adaptivity
   strategies, and alternation values over a size grid) and collects one
@@ -10,9 +10,6 @@ Three jobs live here because they share the same output conventions:
   arrays of its `Trace` and one array per `MixingStep` field), read back
   the same records and `Trace`, and recheck the perturbation bound against
   them offline.
-* `bench_masked_kernels` times row-masked matrix-vector products and QR
-  factorizations against their full-matrix versions over a grid of sizes
-  and retention fractions.
 
 Tables and traces never contain wall-clock values in deterministic fields;
 timing lives in clearly named columns that consumers are free to ignore.
@@ -24,14 +21,13 @@ import math
 import os
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .fixed_point import NumericalBreakdown
 from .lsq import estimate_sigma_min
-from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
+from .problems import ResourceLimit, build_problem
 from .sketching import (
     REASONS,
     Adaptivity,
@@ -44,13 +40,6 @@ from .sketching import (
 from .solver import SolveReport, SolverConfig, Trace, solve
 
 TRACE_FORMAT = "aap-trace-3"
-
-# Stop repeating a timing cell once the running average moves by less than
-# this between consecutive repetitions.
-AVERAGE_RTOL = 1e-5
-REP_CAP = 10_000
-
-DEFAULT_RETENTIONS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 # Relative mismatch between R^T R and the restricted Gram matrix beyond
 # which a trace is considered corrupted rather than merely inaccurate.
@@ -85,7 +74,6 @@ class ExperimentPlan:
     repetitions: int = 1
     seed: int = 0
     best: bool = False
-    workers: int = 1
     out: str | None = None
     traces: str | None = None
 
@@ -96,12 +84,6 @@ class ExperimentPlan:
             raise ParseError("plan config matrix is empty")
         if self.repetitions < 1:
             raise ParseError("repetitions must be at least 1")
-        if self.workers < 1:
-            raise ParseError("workers must be at least 1")
-        if self.best and self.workers > 1:
-            raise ParseError(
-                "best mode ranks by wall time and needs workers = 1"
-            )
 
 
 @dataclass
@@ -133,7 +115,6 @@ _PLAN_KEYS = _LIST_KEYS | {
     "repetitions",
     "seed",
     "best",
-    "workers",
     "out",
     "traces",
 }
@@ -193,7 +174,7 @@ def _parse_plan_value(key, val):
         return items
     if key in ("sketch", "tol"):
         return float(val)
-    if key in ("max_iterations", "repetitions", "seed", "workers"):
+    if key in ("max_iterations", "repetitions", "seed"):
         return int(val)
     if key == "window":
         return None if val in ("", "none") else int(val)
@@ -236,8 +217,7 @@ def _plan_config(plan: ExperimentPlan, mask: str, adapt: str, p: int) -> SolverC
     )
 
 
-def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int,
-             timed: bool):
+def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int):
     """Execute one cell of the plan matrix; failures become failed rows."""
     record = RunRecord(
         problem=plan.problem,
@@ -268,8 +248,7 @@ def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int,
         record.iterations = report.iterations
         record.converged = report.converged
         record.window = report.window
-        if timed:
-            record.wall_time_seconds = best_wall
+        record.wall_time_seconds = best_wall
         trace_report = report if want_trace else None
     except NumericalBreakdown as exc:
         partial = getattr(exc, "report", None)
@@ -285,10 +264,8 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     """Run every (size, mask, adaptivity, alternation) cell of the plan.
 
     Rows come back in plan order, one per cell, with failures recorded as
-    non-converged rows. With workers > 1 the cells run concurrently and the
-    wall-time column stays empty; timing requires the sequential mode.
-    When the plan names a traces directory, each successful run's trace is
-    written there.
+    non-converged rows. When the plan names a traces directory, each
+    successful run's trace is written there.
     """
     cells = [
         (size, mask, adapt, p)
@@ -297,19 +274,7 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
         for adapt in plan.adaptivities
         for p in plan.alternations
     ]
-    timed = plan.workers == 1
-    results = []
-    if plan.workers == 1:
-        for cell in cells:
-            results.append(_run_one(plan, *cell, timed=timed))
-    else:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [
-                pool.submit(_run_one, plan, *cell, timed=timed)
-                for cell in cells
-            ]
-            results = [f.result() for f in futures]
-
+    results = [_run_one(plan, *cell) for cell in cells]
     records = [rec for rec, _ in results]
     if plan.traces is not None:
         os.makedirs(plan.traces, exist_ok=True)
@@ -322,7 +287,7 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     if plan.best:
         by_size: dict[int, RunRecord] = {}
         for rec in records:
-            if not rec.converged or rec.wall_time_seconds is None:
+            if not rec.converged:
                 continue
             cur = by_size.get(rec.size)
             if cur is None or rec.wall_time_seconds < cur.wall_time_seconds:
@@ -698,180 +663,6 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str,
         bound=bound,
         bound_satisfied=delta <= bound,
     )
-
-
-@dataclass
-class BenchRecord:
-    """One timing cell of the masked-kernel benchmark."""
-
-    n: int
-    columns: int
-    retention: float
-    op: str
-    masked_seconds: float
-    full_seconds: float
-    reps: int
-
-
-def _time_until_stable(fn, rep_cap: int) -> tuple[float, int]:
-    """Average fn's wall time until the running mean settles."""
-    total = 0.0
-    mean = 0.0
-    for rep in range(1, rep_cap + 1):
-        t0 = time.perf_counter()
-        fn()
-        total += time.perf_counter() - t0
-        new_mean = total / rep
-        if rep >= 3 and abs(new_mean - mean) <= AVERAGE_RTOL * mean:
-            return new_mean, rep
-        mean = new_mean
-    return mean, rep_cap
-
-
-def bench_masked_kernels(
-    n_values,
-    columns: int = 50,
-    retentions=DEFAULT_RETENTIONS,
-    rep_cap: int = REP_CAP,
-    seed: int = 0,
-    pin: bool = True,
-) -> tuple[list[BenchRecord], list[dict]]:
-    """Time masked vs full matvec and QR over sizes and retentions.
-
-    Returns the complete record grid (one record per (n, retention, op))
-    and a per-(n, op) summary holding the largest retention at which the
-    masked kernel beat the full one, or None if none did. The run pins to
-    one hardware thread where the platform allows it.
-    """
-    n_values = list(n_values)
-    if n_values != sorted(n_values):
-        raise ValueError("n_values must be ascending")
-    saved_affinity = None
-    if pin and hasattr(os, "sched_setaffinity"):
-        saved_affinity = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(saved_affinity)})
-    try:
-        records = []
-        for n in n_values:
-            rng = np.random.default_rng(seed + n)
-            a = rng.standard_normal((n, columns))
-            v = rng.standard_normal(n)
-            for retention in retentions:
-                if not 0.0 < retention <= 1.0:
-                    raise ValueError(f"retention {retention} outside (0, 1]")
-                kept = max(1, round(retention * n))
-                if kept == n:
-                    # A full mask is the identity; routing it through a
-                    # gather would time the copy, not the mask.
-                    masked_matvec = lambda: a.T @ v
-                    masked_qr = lambda: np.linalg.qr(a, mode="reduced")
-                else:
-                    idx = np.sort(rng.choice(n, size=kept, replace=False))
-                    # The gather is part of the masked kernel's cost.
-                    masked_matvec = lambda: a[idx].T @ v[idx]
-                    masked_qr = lambda: np.linalg.qr(a[idx], mode="reduced")
-                cells = {
-                    "matvec": (lambda: a.T @ v, masked_matvec),
-                    "qr": (
-                        lambda: np.linalg.qr(a, mode="reduced"),
-                        masked_qr,
-                    ),
-                }
-                for op, (full_fn, masked_fn) in cells.items():
-                    full_t, reps_f = _time_until_stable(full_fn, rep_cap)
-                    masked_t, reps_m = _time_until_stable(masked_fn, rep_cap)
-                    records.append(
-                        BenchRecord(
-                            n=n,
-                            columns=columns,
-                            retention=retention,
-                            op=op,
-                            masked_seconds=masked_t,
-                            full_seconds=full_t,
-                            reps=max(reps_f, reps_m),
-                        )
-                    )
-    finally:
-        if saved_affinity is not None:
-            os.sched_setaffinity(0, saved_affinity)
-
-    summary = []
-    for n in n_values:
-        for op in ("matvec", "qr"):
-            wins = [
-                r.retention
-                for r in records
-                if r.n == n and r.op == op and r.masked_seconds < r.full_seconds
-            ]
-            summary.append(
-                {"n": n, "op": op, "max_winning_retention": max(wins, default=None)}
-            )
-    return records, summary
-
-
-_BENCH_COLUMNS = (
-    "n",
-    "columns",
-    "retention",
-    "op",
-    "masked_seconds",
-    "full_seconds",
-    "reps",
-)
-
-
-def write_bench_table(records: list[BenchRecord], path: str,
-                      meta: dict | None = None):
-    lines = [",".join(_BENCH_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.n),
-                    str(rec.columns),
-                    repr(rec.retention),
-                    rec.op,
-                    repr(rec.masked_seconds),
-                    repr(rec.full_seconds),
-                    str(rec.reps),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sidecar = dict(meta or {})
-    sidecar.setdefault("columns", list(_BENCH_COLUMNS))
-    sidecar.setdefault("rows", len(records))
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench_table(path: str) -> list[BenchRecord]:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != ",".join(_BENCH_COLUMNS):
-        raise ParseError("unrecognized benchmark table header", lineno=1)
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(_BENCH_COLUMNS):
-            raise ParseError(
-                f"expected {len(_BENCH_COLUMNS)} columns, got {len(parts)}",
-                lineno,
-            )
-        records.append(
-            BenchRecord(
-                n=int(parts[0]),
-                columns=int(parts[1]),
-                retention=float(parts[2]),
-                op=parts[3],
-                masked_seconds=float(parts[4]),
-                full_seconds=float(parts[5]),
-                reps=int(parts[6]),
-            )
-        )
-    return records
 
 
 def build_meta(extra: dict | None = None) -> dict:

@@ -4,10 +4,8 @@ Subcommands:
 
 * `aap run` solves one problem instance and optionally writes a one-row
   result table and a step trace.
-* `aap sweep` executes a plan file (a cross product of configurations)
-  and writes or prints the result table.
-* `aap bench-kernels` times masked against full kernels over a grid of
-  sizes and retention fractions.
+* `aap sweep` executes a plan file (a cross product of configurations),
+  one timed solve at a time, and writes or prints the result table.
 * `aap verify-trace` rechecks the stability bound recorded in a trace.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
@@ -23,7 +21,6 @@ from collections import Counter
 from .bench import (
     ParseError,
     RunRecord,
-    bench_masked_kernels,
     build_meta,
     canonical_adaptivity,
     format_table,
@@ -31,7 +28,6 @@ from .bench import (
     parse_plan,
     run_experiment,
     verify_theorem_trace,
-    write_bench_table,
     write_table,
     write_trace,
 )
@@ -77,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a plan file")
     sweep.add_argument("--plan", required=True, metavar="FILE")
-
-    bench = sub.add_parser("bench-kernels",
-                           help="time masked vs full matvec and QR")
-    bench.add_argument("--min-n", type=int, default=1024)
-    bench.add_argument("--max-n", type=int, default=262144)
-    bench.add_argument("--cols", type=int, default=50)
-    bench.add_argument("--reps", type=int, default=10_000,
-                       help="repetition cap per timing cell")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", required=True, metavar="PATH")
 
     verify = sub.add_parser("verify-trace",
                             help="recheck the stability bound in a trace")
@@ -174,64 +160,13 @@ def _cmd_sweep(args) -> int:
 
     records = run_experiment(plan)
     meta = build_meta({"plan": args.plan, "seed": plan.seed,
-                       "repetitions": plan.repetitions,
-                       "workers": plan.workers})
+                       "repetitions": plan.repetitions})
     if plan.out is not None:
         write_table(records, plan.out, meta=meta)
         converged = sum(1 for r in records if r.converged)
         print(f"{len(records)} rows ({converged} converged) -> {plan.out}")
     else:
         sys.stdout.write(format_table(records))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.min_n < 2 or args.max_n < args.min_n:
-        print("error: need 2 <= min-n <= max-n", file=sys.stderr)
-        return 2
-    if args.cols < 1 or args.reps < 1:
-        print("error: cols and reps must be positive", file=sys.stderr)
-        return 2
-    n_values = []
-    n = 1
-    while n < args.min_n:
-        n *= 2
-    while n <= args.max_n:
-        n_values.append(n)
-        n *= 2
-    if not n_values:
-        print("error: no power of two lies in [min-n, max-n]", file=sys.stderr)
-        return 2
-
-    records, summary = bench_masked_kernels(
-        n_values, columns=args.cols, rep_cap=args.reps, seed=args.seed
-    )
-    meta = build_meta({"seed": args.seed, "rep_cap": args.reps,
-                       "n_values": n_values})
-    write_bench_table(records, args.out, meta=meta)
-
-    summary_path = args.out + ".summary.csv"
-    lines = ["n,op,max_winning_retention"]
-    for row in summary:
-        win = row["max_winning_retention"]
-        lines.append(f"{row['n']},{row['op']},"
-                     f"{'' if win is None else repr(win)}")
-    with open(summary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    print(f"{len(records)} records -> {args.out}")
-    print(f"thresholds -> {summary_path}")
-    for row in summary:
-        win = row["max_winning_retention"]
-        label = "never faster" if win is None else f"faster up to {win:g}"
-        print(f"  n={row['n']:>8}  {row['op']:<6}  masked {label}")
-    largest = max(n_values)
-    low = [r for r in records
-           if r.n == largest and r.op == "matvec" and r.retention == 0.05]
-    if low:
-        ratio = low[0].masked_seconds / low[0].full_seconds
-        print(f"info: matvec at 5% retention, n={largest}: "
-              f"masked/full = {ratio:.3f}")
     return 0
 
 
@@ -269,7 +204,6 @@ def main(argv=None) -> int:
     handler = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "bench-kernels": _cmd_bench,
         "verify-trace": _cmd_verify,
     }[args.command]
     return handler(args)

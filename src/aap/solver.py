@@ -306,10 +306,12 @@ def step(
 
     np.multiply(ws.df, omega, out=ws.scratch)
     np.add(ws.scratch, ws.dg, out=ws.scratch)
-    dx_norm = float(np.linalg.norm(ws.scratch))
-    ws.lipschitz = update_lipschitz(
-        ws.lipschitz, float(np.linalg.norm(ws.df)), dx_norm
-    )
+    # These norms can overflow while ‖f‖ is still finite; the next
+    # iteration's check then raises NumericalBreakdown.
+    with np.errstate(over="ignore"):
+        dx_norm = float(np.linalg.norm(ws.scratch))
+        df_norm = float(np.linalg.norm(ws.df))
+    ws.lipschitz = update_lipschitz(ws.lipschitz, df_norm, dx_norm)
     if ws.f_sub is not None:
         np.take(ws.f, ws.mask.kept, out=ws.f_sub)
         np.take(ws.df, ws.mask.kept, out=ws.df_sub)

@@ -1,4 +1,4 @@
-"""Plan parsing, the experiment driver, traces, verifier, kernel timings."""
+"""Plan parsing, the experiment driver, traces, the verifier and the CLI."""
 import json
 import zipfile
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from aap.bench import (
-    BenchRecord,
     ExperimentPlan,
     ParseError,
     RunRecord,
-    bench_masked_kernels,
     canonical_adaptivity,
-    load_bench_table,
     load_table,
     load_trace,
     parse_plan,
     run_experiment,
     verify_theorem_trace,
-    write_bench_table,
     write_table,
     write_trace,
     _read_trace,
@@ -67,9 +63,10 @@ class TestParsePlan:
         assert plan.traces is None
 
     def test_unknown_key_reports_line(self):
-        with pytest.raises(ParseError) as info:
-            parse_plan("problem = linear\nsizes = 4\ncolour = red\n")
-        assert info.value.lineno == 3
+        for key in ("colour = red", "workers = 2"):
+            with pytest.raises(ParseError, match="unknown key") as info:
+                parse_plan(f"problem = linear\nsizes = 4\n{key}\n")
+            assert info.value.lineno == 3
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError):
@@ -90,12 +87,6 @@ class TestParsePlan:
         with pytest.raises(ParseError) as info:
             parse_plan("problem linear\n")
         assert info.value.lineno == 1
-
-    def test_best_requires_sequential(self):
-        with pytest.raises(ParseError):
-            parse_plan(
-                "problem = linear\nsizes = 4\nbest = true\nworkers = 2\n"
-            )
 
     def test_traces_default_next_to_table(self):
         plan = parse_plan("problem = linear\nsizes = 4\nout = /tmp/t.csv\n")
@@ -187,20 +178,6 @@ class TestRunExperiment:
                 key=lambda r: r.wall_time_seconds,
             )
             assert marked[0] is fastest
-
-    def test_parallel_mode_blanks_wall_time(self):
-        plan = ExperimentPlan(
-            problem="linear", sizes=(10, 15), alternations=(1, 2), workers=3
-        )
-        records = run_experiment(plan)
-        assert len(records) == 4
-        assert all(r.wall_time_seconds is None for r in records)
-        sequential = run_experiment(
-            ExperimentPlan(problem="linear", sizes=(10, 15), alternations=(1, 2))
-        )
-        assert [r.iterations for r in records] == [
-            r.iterations for r in sequential
-        ]
 
     def test_traces_written_per_run(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -534,42 +511,6 @@ class TestVerifyTrace:
                 assert check.delta == 0.0 and check.bound_satisfied
 
 
-class TestBenchKernels:
-    def test_complete_grid(self):
-        records, summary = bench_masked_kernels(
-            [64, 128], columns=8, retentions=(0.5, 1.0), rep_cap=3, pin=False
-        )
-        assert len(records) == 2 * 2 * 2
-        seen = {(r.n, r.retention, r.op) for r in records}
-        assert len(seen) == 8
-        assert all(r.masked_seconds > 0 and r.full_seconds > 0 for r in records)
-        assert len(summary) == 4
-        for row in summary:
-            win = row["max_winning_retention"]
-            assert win is None or 0.0 < win <= 1.0
-
-    def test_ascending_required(self):
-        with pytest.raises(ValueError):
-            bench_masked_kernels([128, 64], rep_cap=2, pin=False)
-
-    def test_retention_range_checked(self):
-        with pytest.raises(ValueError):
-            bench_masked_kernels(
-                [64], retentions=(0.0, 0.5), rep_cap=2, pin=False
-            )
-
-    def test_round_trip(self, tmp_path):
-        records = [
-            BenchRecord(
-                n=1024, columns=50, retention=0.05, op="matvec",
-                masked_seconds=1.25e-6, full_seconds=9.5e-6, reps=100,
-            )
-        ]
-        path = tmp_path / "bench.csv"
-        write_bench_table(records, str(path))
-        assert load_bench_table(str(path)) == records
-
-
 class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -618,15 +559,12 @@ class TestCli:
 
     @pytest.mark.parametrize("adapt", ["none", "sub-pow"])
     def test_run_breakdown_exit_code(self, adapt, capsys, recwarn):
-        # The CLI runs under numpy's default error state, not the one the
-        # autouse fixture sets. pytest records warnings instead of printing
-        # them, so the stderr check alone would pass vacuously; recwarn
-        # sees every warning.
-        with np.errstate(divide="warn", over="warn", invalid="warn"):
-            code = main([
-                "run", "--problem", "saddle", "--size", "17",
-                "--mask", "pressure", "-p", "2", "--adapt", adapt,
-            ])
+        # pytest records warnings instead of printing them, so the stderr
+        # check alone would pass vacuously; recwarn sees every warning.
+        code = main([
+            "run", "--problem", "saddle", "--size", "17",
+            "--mask", "pressure", "-p", "2", "--adapt", adapt,
+        ])
         assert code == 1
         err = capsys.readouterr().err
         assert "breakdown:" in err
@@ -641,6 +579,10 @@ class TestCli:
         assert code == 1
 
     def test_run_invalid_input_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench-kernels", "--out", "x.csv"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench-kernels'" in capsys.readouterr().err
         assert main(["run", "--problem", "saddle", "--size", "100"]) == 2
         assert main([
             "run", "--problem", "saddle", "--size", "9",
@@ -699,25 +641,3 @@ class TestCli:
         out = capsys.readouterr().out
         assert "checked      0 of 1 accepted" in out
         assert "fails the stability hypothesis" in out
-
-    def test_bench_kernels_writes_grid_and_summary(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main([
-            "bench-kernels", "--min-n", "64", "--max-n", "128",
-            "--cols", "8", "--reps", "3", "--out", str(out),
-        ])
-        assert code == 0
-        records = load_bench_table(str(out))
-        assert len(records) == 2 * 11 * 2
-        summary_lines = (
-            (tmp_path / "bench.csv.summary.csv").read_text().splitlines()
-        )
-        assert summary_lines[0] == "n,op,max_winning_retention"
-        assert len(summary_lines) == 5
-        assert "info: matvec at 5% retention" in capsys.readouterr().out
-
-    def test_bench_kernels_invalid_range(self, capsys):
-        assert main([
-            "bench-kernels", "--min-n", "128", "--max-n", "64",
-            "--out", "/tmp/x.csv",
-        ]) == 2

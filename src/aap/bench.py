@@ -6,10 +6,13 @@ Two jobs live here because they share the same output conventions:
   strategies, and alternation values over a size grid) and collects one
   record per run. Tables are CSV with a JSON metadata sidecar.
 * `write_trace` / `load_trace` / `verify_theorem_trace` store a traced
-  solve as a numpy archive (format ``aap-trace-3``: a JSON header, the
+  solve as a numpy archive (format ``aap-trace-4``: a JSON header, the
   arrays of its `Trace` and one array per `MixingStep` field), read back
   the same records and `Trace`, and recheck the perturbation bound against
   them offline.
+
+Plans, tables and trace records are read and written field by field from
+their dataclasses, so each format is spelled out once.
 
 Tables and traces never contain wall-clock values in deterministic fields;
 timing lives in clearly named columns that consumers are free to ignore.
@@ -21,7 +24,7 @@ import math
 import os
 import time
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -32,14 +35,15 @@ from .sketching import (
     REASONS,
     Adaptivity,
     MixingStep,
+    budget_weights,
     epsilon_rhs,
-    eta,
     perturbation_norm,
+    sketch_size,
     stability_hypothesis,
 )
 from .solver import SolveReport, SolverConfig, Trace, solve
 
-TRACE_FORMAT = "aap-trace-3"
+TRACE_FORMAT = "aap-trace-4"
 
 # Relative mismatch between R^T R and the restricted Gram matrix beyond
 # which a trace is considered corrupted rather than merely inaccurate.
@@ -58,9 +62,28 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+ADAPT_ALIASES = {
+    "none": "none",
+    "sub-pow": "subselect-power",
+    "sub-const": "subselect-constant",
+    "rand-pow": "randomized-power",
+    "rand-const": "randomized-constant",
+}
+
+
+def canonical_adaptivity(name: str) -> str:
+    """Map a CLI alias (sub-pow, rand-const, ...) to the full strategy name."""
+    name = name.strip()
+    return Adaptivity(ADAPT_ALIASES.get(name, name)).value
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment: a problem, a size grid, and a config matrix."""
+    """One experiment: a problem, a size grid, and a config matrix.
+
+    Adaptivities may be given by alias (sub-pow, ...) and are kept by their
+    full names. Every cell must make a valid `SolverConfig`.
+    """
 
     problem: str
     sizes: tuple[int, ...]
@@ -84,6 +107,13 @@ class ExperimentPlan:
             raise ParseError("plan config matrix is empty")
         if self.repetitions < 1:
             raise ParseError("repetitions must be at least 1")
+        try:
+            adaptivities = tuple(canonical_adaptivity(a) for a in self.adaptivities)
+            object.__setattr__(self, "adaptivities", adaptivities)
+            for p in self.alternations:
+                _plan_config(self, "none", adaptivities[0], p)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
 
 @dataclass
@@ -105,19 +135,33 @@ class RunRecord:
     best: bool = False
 
 
-_LIST_KEYS = {"sizes", "masks", "adapt", "alternations"}
-_PLAN_KEYS = _LIST_KEYS | {
-    "problem",
-    "sketch",
-    "window",
-    "tol",
-    "max_iterations",
-    "repetitions",
-    "seed",
-    "best",
-    "out",
-    "traces",
-}
+def _read_value(kind: str, text: str):
+    """A plan value or table cell of a field annotated ``kind``: a tuple is
+    comma separated, and an optional field is None when empty or "none"."""
+    if kind.endswith(" | None") and text in ("", "none"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("tuple["):
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(_read_value(item, v.strip()) for v in text.split(","))
+    if kind == "bool":
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    return {"int": int, "float": float, "str": str}[kind](text)
+
+
+def _write_value(value) -> str:
+    """A table cell: empty for None, true or false for a bool. A float's
+    str is its repr, so `load_table` reads back the same value."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+# Plan keys are the plan's field names, but for one alias.
+_PLAN_KEYS = {{"adaptivities": "adapt"}.get(f.name, f.name): f
+              for f in fields(ExperimentPlan)}
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -135,73 +179,23 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise ParseError(f"expected key = value, got {line!r}", lineno)
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
         if key not in _PLAN_KEYS:
             raise ParseError(f"unknown key {key!r}", lineno)
-        if key in values:
+        f = _PLAN_KEYS[key]
+        if f.name in values:
             raise ParseError(f"duplicate key {key!r}", lineno)
         try:
-            values[key] = _parse_plan_value(key, val)
+            values[f.name] = _read_value(f.type, val.strip())
         except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    if "problem" not in values:
-        raise ParseError("plan is missing 'problem'")
-    if "sizes" not in values:
-        raise ParseError("plan is missing 'sizes'")
+            raise ParseError(f"{key}: {exc}", lineno) from exc
+    for key, f in _PLAN_KEYS.items():
+        if f.default is MISSING and f.name not in values:
+            raise ParseError(f"plan is missing {key!r}")
     if "traces" not in values and values.get("out") is not None:
         # A table-writing sweep keeps per-run traces next to the table
         # unless the plan says traces = none.
         values["traces"] = values["out"] + ".traces"
-    kwargs = {
-        "problem": values["problem"],
-        "sizes": values["sizes"],
-    }
-    rename = {"adapt": "adaptivities"}
-    for key, val in values.items():
-        if key in ("problem", "sizes"):
-            continue
-        kwargs[rename.get(key, key)] = val
-    return ExperimentPlan(**kwargs)
-
-
-def _parse_plan_value(key, val):
-    if key in ("sizes", "alternations"):
-        return tuple(int(v) for v in val.split(","))
-    if key in ("masks", "adapt"):
-        items = tuple(v.strip() for v in val.split(","))
-        if key == "adapt":
-            items = tuple(canonical_adaptivity(v) for v in items)
-        return items
-    if key in ("sketch", "tol"):
-        return float(val)
-    if key in ("max_iterations", "repetitions", "seed"):
-        return int(val)
-    if key == "window":
-        return None if val in ("", "none") else int(val)
-    if key == "best":
-        if val not in ("true", "false"):
-            raise ValueError(f"best must be true or false, got {val!r}")
-        return val == "true"
-    if key in ("out", "traces"):
-        return None if val in ("", "none") else val
-    return val
-
-
-_ADAPT_ALIASES = {
-    "none": "none",
-    "sub-pow": "subselect-power",
-    "sub-const": "subselect-constant",
-    "rand-pow": "randomized-power",
-    "rand-const": "randomized-constant",
-}
-
-
-def canonical_adaptivity(name: str) -> str:
-    """Map a CLI alias (sub-pow, rand-const, ...) to the full strategy name."""
-    name = name.strip()
-    if name in _ADAPT_ALIASES:
-        return _ADAPT_ALIASES[name]
-    return Adaptivity(name).value
+    return ExperimentPlan(**values)
 
 
 def _plan_config(plan: ExperimentPlan, mask: str, adapt: str, p: int) -> SolverConfig:
@@ -217,47 +211,47 @@ def _plan_config(plan: ExperimentPlan, mask: str, adapt: str, p: int) -> SolverC
     )
 
 
+def run_record(problem: str, size: int, config: SolverConfig,
+               report: SolveReport | None, wall_time: float | None) -> RunRecord:
+    """The table row of a solve of ``problem`` at ``size`` under ``config``.
+
+    ``report`` is None for a run that failed before it solved, and may be
+    the partial report of a breakdown.
+    """
+    return RunRecord(
+        problem=problem,
+        size=size,
+        mask=config.static_mask or "none",
+        adaptivity=config.adaptivity.value,
+        sketch=config.sketch_percent,
+        window=config.window if report is None else report.window,
+        alternation=config.alternation,
+        tol=config.rel_tolerance,
+        seed=config.rng_seed,
+        iterations=None if report is None else report.iterations,
+        converged=report is not None and report.converged,
+        wall_time_seconds=wall_time,
+    )
+
+
 def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int):
     """Execute one cell of the plan matrix; failures become failed rows."""
-    record = RunRecord(
-        problem=plan.problem,
-        size=size,
-        mask=mask,
-        adaptivity=adapt,
-        sketch=plan.sketch,
-        window=plan.window,
-        alternation=p,
-        tol=plan.tol,
-        seed=plan.seed,
-        iterations=None,
-        converged=False,
-        wall_time_seconds=None,
-    )
-    trace_report = None
+    config = _plan_config(plan, mask, adapt, p)
+    want_trace = plan.traces is not None
+    best_wall = math.inf
     try:
         problem = build_problem(plan.problem, size, seed=plan.seed)
-        config = _plan_config(plan, mask, adapt, p)
-        want_trace = plan.traces is not None
-        best_wall = None
-        report = None
         for _ in range(plan.repetitions):
             t0 = time.perf_counter()
             report = solve(problem, config, capture_trace=want_trace)
-            wall = time.perf_counter() - t0
-            best_wall = wall if best_wall is None else min(best_wall, wall)
-        record.iterations = report.iterations
-        record.converged = report.converged
-        record.window = report.window
-        record.wall_time_seconds = best_wall
-        trace_report = report if want_trace else None
+            best_wall = min(best_wall, time.perf_counter() - t0)
     except NumericalBreakdown as exc:
         partial = getattr(exc, "report", None)
-        if partial is not None:
-            record.iterations = partial.iterations
-            record.window = partial.window
+        return run_record(plan.problem, size, config, partial, None), None
     except (ResourceLimit, KeyError, ValueError):
-        pass
-    return record, trace_report
+        return run_record(plan.problem, size, config, None, None), None
+    record = run_record(plan.problem, size, config, report, best_wall)
+    return record, report if want_trace else None
 
 
 def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
@@ -297,47 +291,16 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     return records
 
 
-_TABLE_COLUMNS = (
-    "problem",
-    "size",
-    "mask",
-    "adaptivity",
-    "sketch",
-    "window",
-    "alternation",
-    "tol",
-    "seed",
-    "iterations",
-    "converged",
-    "wall_time_seconds",
-    "best",
-)
+_TABLE_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def format_table(records: list[RunRecord]) -> str:
-    """CSV text for records, header included.
-
-    Floats are written with repr so that `load_table` reproduces the
-    in-memory records exactly.
-    """
+    """CSV text for records, header included, one column per RunRecord
+    field; `load_table` reproduces the in-memory records exactly."""
     lines = [",".join(_TABLE_COLUMNS)]
     for rec in records:
-        row = [
-            rec.problem,
-            str(rec.size),
-            rec.mask,
-            rec.adaptivity,
-            repr(rec.sketch),
-            "" if rec.window is None else str(rec.window),
-            str(rec.alternation),
-            repr(rec.tol),
-            str(rec.seed),
-            "" if rec.iterations is None else str(rec.iterations),
-            "true" if rec.converged else "false",
-            "" if rec.wall_time_seconds is None else repr(rec.wall_time_seconds),
-            "1" if rec.best else "",
-        ]
-        lines.append(",".join(row))
+        lines.append(",".join(_write_value(getattr(rec, name))
+                              for name in _TABLE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -366,30 +329,18 @@ def load_table(path: str) -> list[RunRecord]:
                 f"expected {len(_TABLE_COLUMNS)} columns, got {len(parts)}",
                 lineno,
             )
-        (prob, size, mask, adapt, sketch, window, p, tol, seed, iters,
-         conv, wall, best) = parts
-        records.append(
-            RunRecord(
-                problem=prob,
-                size=int(size),
-                mask=mask,
-                adaptivity=adapt,
-                sketch=float(sketch),
-                window=None if window == "" else int(window),
-                alternation=int(p),
-                tol=float(tol),
-                seed=int(seed),
-                iterations=None if iters == "" else int(iters),
-                converged=conv == "true",
-                wall_time_seconds=None if wall == "" else float(wall),
-                best=best == "1",
-            )
-        )
+        try:
+            records.append(RunRecord(*(
+                _read_value(f.type, cell)
+                for f, cell in zip(fields(RunRecord), parts)
+            )))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
     return records
 
 
 def write_trace(report: SolveReport, path: str):
-    """Write a traced solve to ``path`` as an ``aap-trace-3`` archive.
+    """Write a traced solve to ``path`` as an ``aap-trace-4`` archive.
 
     Requires the solve to have run with capture_trace=True. The archive is
     an uncompressed numpy ``.npz`` written to exactly the given path,
@@ -413,7 +364,6 @@ def write_trace(report: SolveReport, path: str):
         "adaptivity": config.adaptivity.value,
         "static_mask": config.static_mask or "none",
         "sketch_percent": config.sketch_percent,
-        "eta_exponent": config.eta_exponent,
         "seed": config.rng_seed,
         "rel_tolerance": config.rel_tolerance,
         "converged": report.converged,
@@ -483,7 +433,7 @@ def _read_trace(path: str) -> tuple[dict, dict]:
     return header, arrays
 
 
-_TRACE_REQUIRED = ("problem", "l1", "eta_exponent", "adaptivity", "iterations")
+_TRACE_REQUIRED = ("problem", "l1", "sketch_percent", "adaptivity", "iterations")
 
 
 def load_trace(path: str) -> dict:
@@ -492,9 +442,11 @@ def load_trace(path: str) -> dict:
     The mapping holds the header fields, ``residual_history``, ``steps``
     (one MixingStep per mixing step, equal to the report's mask_trace, NaN
     read back as None) and ``trace`` (a `Trace` over the archive's arrays).
-    Raises ParseError on anything malformed: a missing array or header
-    key, an unknown guard reason, dtypes, shapes or lengths that disagree,
-    and windows or sketch rows that run past their arrays.
+    Each step's pieces follow from its record and the sketch size that
+    ``sketch_percent`` and ``l1`` give, as in the guard. Raises ParseError
+    on anything malformed: a missing array or header key, an unknown guard
+    reason, dtypes, shapes or lengths that disagree, and windows or sketch
+    rows that run past their arrays.
     """
     header, arrays = _read_trace(path)
     if header.get("format") != TRACE_FORMAT:
@@ -507,15 +459,17 @@ def load_trace(path: str) -> dict:
         n = arrays["iteration"].size
         columns = [_read_field(f, arrays[f.name], n) for f in fields(MixingStep)]
         steps = [MixingStep(*values) for values in zip(*columns)]
-        trace = Trace.from_arrays(arrays, steps)
+        for rec in steps:
+            if rec.reason not in REASONS:
+                raise ValueError(f"step {rec.iteration}: unknown reason "
+                                 f"{rec.reason!r}")
+        sketch_rows = sketch_size(float(header["sketch_percent"]), l1)
+        trace = Trace.from_arrays(arrays, steps, sketch_rows)
         history = arrays["residual_history"]
     except KeyError as exc:
         raise ParseError(f"trace is missing array {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    for rec in steps:
-        if rec.reason not in REASONS:
-            raise ParseError(f"step {rec.iteration}: unknown reason {rec.reason!r}")
     if trace.increments.shape[0] != l1:
         raise ParseError(f"column log has {trace.increments.shape[0]} rows, "
                          f"expected l1 = {l1}")
@@ -595,7 +549,6 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     within the eta-sum bound.
     """
     doc = path_or_doc if isinstance(path_or_doc, dict) else load_trace(path_or_doc)
-    eta_exponent = float(doc["eta_exponent"])
     try:
         eta_kind = Adaptivity(doc["adaptivity"]).eta_kind
     except ValueError as exc:
@@ -604,7 +557,7 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     result = TraceVerification()
     for idx, rec in enumerate(doc["steps"]):
         try:
-            check = _verify_step(rec, doc["trace"], idx, eta_kind, eta_exponent)
+            check = _verify_step(rec, doc["trace"], idx, eta_kind)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -613,16 +566,12 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     return result
 
 
-def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str,
-                 exponent: float):
+def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
     increments, dx_norms = trace.window(rec)
     c = rec.columns
-    mask = trace.mask[i]
-    alpha = trace.alpha[i]
-    if rec.fallback or alpha is None:
-        return StepCheck(rec.iteration, c, masked=mask is not None,
-                         fallback=True)
-    r_factor = trace.r_factor[i]
+    if rec.fallback:
+        return StepCheck(rec.iteration, c, masked=False, fallback=True)
+    mask, alpha, r_factor = trace.mask[i], trace.alpha[i], trace.r_factor[i]
 
     rows = np.arange(increments.shape[0]) if mask is None else mask
     restricted = increments[rows]
@@ -643,7 +592,7 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str,
     delta = perturbation_norm(increments, masked_cols, alpha)
 
     f_res = trace.f_restricted[i]
-    etas = [eta(j, eta_kind, exponent) for j in range(1, c + 1)]
+    etas = budget_weights(eta_kind, c)
     hyp_ok = stability_hypothesis(
         estimate_sigma_min(r_factor),
         rec.lipschitz,

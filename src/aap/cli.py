@@ -19,14 +19,15 @@ import sys
 from collections import Counter
 
 from .bench import (
+    ADAPT_ALIASES,
     ParseError,
-    RunRecord,
     build_meta,
     canonical_adaptivity,
     format_table,
     load_trace,
     parse_plan,
     run_experiment,
+    run_record,
     verify_theorem_trace,
     write_table,
     write_trace,
@@ -35,7 +36,7 @@ from .fixed_point import NumericalBreakdown, field_indices
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .solver import SolverConfig, solve
 
-ADAPT_CHOICES = ("none", "sub-pow", "sub-const", "rand-pow", "rand-const")
+ADAPT_CHOICES = tuple(ADAPT_ALIASES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,20 +128,8 @@ def _cmd_run(args) -> int:
     print(f"wall time    {report.wall_time_seconds:.3f} s")
 
     if args.out is not None:
-        record = RunRecord(
-            problem=args.problem,
-            size=args.size,
-            mask=args.mask,
-            adaptivity=canonical_adaptivity(args.adapt),
-            sketch=args.sketch,
-            window=report.window,
-            alternation=args.alternation,
-            tol=args.tol,
-            seed=args.seed,
-            iterations=report.iterations,
-            converged=report.converged,
-            wall_time_seconds=report.wall_time_seconds,
-        )
+        record = run_record(args.problem, args.size, config, report,
+                            report.wall_time_seconds)
         write_table([record], args.out, meta=build_meta({"seed": args.seed}))
     if want_trace:
         write_trace(report, args.trace)

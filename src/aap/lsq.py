@@ -120,9 +120,9 @@ class WindowFactor:
     factor up to date, dropping the columns that left the window by Givens
     rotations and appending the new ones by classical Gram-Schmidt with one
     reorthogonalisation pass (CGS2). If nothing of the factor is still in
-    the window it is rebuilt by appends alone, so runs of sketched steps,
-    which do not use it, cost nothing here. `reset` empties the factor when
-    the window restarts.
+    the window it is rebuilt by appends alone. Every mixing step solves from
+    it first, sketched or not, so it is brought up to date once per mixing
+    step. `reset` empties the factor when the window restarts.
 
     ``updates`` counts solves served by an updated factor and ``refreshes``
     those that needed a fresh Householder QR of the window after an append
@@ -214,12 +214,15 @@ class WindowFactor:
         np.dot(basis.T, v, out=h)
         np.dot(basis, h, out=w)
         np.subtract(v, w, out=qc)
-        first = float(np.linalg.norm(qc))
-        np.dot(basis.T, qc, out=h2)
-        np.dot(basis, h2, out=w)
-        np.subtract(qc, w, out=qc)
-        np.add(h, h2, out=h)
-        rho = float(np.linalg.norm(qc))
+        # These norms can overflow while |f| is still finite, as in `step`;
+        # the solver's next finite check then raises NumericalBreakdown.
+        with np.errstate(over="ignore"):
+            first = float(np.linalg.norm(qc))
+            np.dot(basis.T, qc, out=h2)
+            np.dot(basis, h2, out=w)
+            np.subtract(qc, w, out=qc)
+            np.add(h, h2, out=h)
+            rho = float(np.linalg.norm(qc))
         self.r[:c, c] = h
         self.r[c, :c] = 0.0
         self.r[c, c] = rho

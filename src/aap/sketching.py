@@ -105,17 +105,17 @@ def update_lipschitz(l_prev: float, df_norm: float, dx_norm: float) -> float:
     return l_prev
 
 
-def eta(j: int, kind: str, exponent: float = 1.1) -> float:
-    """Per-column budget weight: j**exponent for "power", 1 for "constant".
+# Growth exponent of the "power" budget weights.
+ETA_EXPONENT = 1.1
 
-    Columns are indexed chronologically, oldest first, starting at 1.
-    """
-    if j < 1:
-        raise ValueError("column index starts at 1")
+
+def budget_weights(kind: str, c: int) -> list[float]:
+    """Budget weights eta_1..eta_c of a c-column window, oldest column
+    first: j**ETA_EXPONENT for "power", 1 for "constant"."""
     if kind == "power":
-        return float(j) ** exponent
+        return [float(j) ** ETA_EXPONENT for j in range(1, c + 1)]
     if kind == "constant":
-        return 1.0
+        return [1.0] * c
     raise ValueError(f"unknown eta kind {kind!r}")
 
 
@@ -270,8 +270,7 @@ def adaptive_step(
         rec.reason = "underdetermined"
         return None, rec
 
-    kind = config.adaptivity.eta_kind
-    etas = [eta(j, kind, config.eta_exponent) for j in range(1, c + 1)]
+    etas = budget_weights(config.adaptivity.eta_kind, c)
     dx_norms = ws.dx_norms[:c]
     norm_f = float(np.linalg.norm(f_r))
     rec.sigma_min = estimate_sigma_min(r_window)

@@ -62,8 +62,6 @@ class SolverConfig:
         Level-two sketch strategy, Adaptivity.NONE to disable.
     sketch_percent
         Percentage of restricted rows the sketch keeps.
-    eta_exponent
-        Growth exponent of the "power" budget weights.
     rng_seed
         Seed for the randomized sketch; fixed seed gives identical runs.
     """
@@ -76,7 +74,6 @@ class SolverConfig:
     static_mask: str | None = None
     adaptivity: Adaptivity = Adaptivity.NONE
     sketch_percent: float = 30.0
-    eta_exponent: float = 1.1
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -429,9 +426,9 @@ class Trace:
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The trace as plain arrays: the log, the residuals as one row per
-        step, and each ragged list flat, with its per-step row counts in
-        ``<name>_len``. A zero count stands for None, since a recorded piece
-        is never empty; ``r_factor`` rows are as long as the window."""
+        step, and the pieces of each ragged list end to end in one flat
+        array. A step's record fixes which pieces it has and their shapes
+        (`from_arrays`)."""
         rows = self._increments.shape[0]
         out = {
             "increments": self.increments,
@@ -444,19 +441,21 @@ class Trace:
             out[name] = np.concatenate(
                 [np.zeros(0, dtype)] + [np.ravel(p) for p in pieces if p is not None]
             )
-            out[name + "_len"] = np.array(
-                [0 if p is None else len(p) for p in pieces], dtype=np.int64
-            )
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: dict, records: list[MixingStep]) -> Trace:
-        """The trace that `arrays` gave, for the steps ``records``.
+    def from_arrays(cls, arrays: dict, records: list[MixingStep],
+                    sketch_rows: int) -> Trace:
+        """The trace that `arrays` gave, for the steps ``records`` of a solve
+        whose sketches keep ``sketch_rows`` rows.
 
-        The log and the residuals are the given arrays, and the ragged
-        pieces are views of them. Raises KeyError for a missing array, and
-        ValueError for shapes, dtypes or lengths that disagree and for
-        windows or sketch rows that run past the log or the restricted rows.
+        Each step's record fixes its pieces: none after a fallback,
+        otherwise c coefficients and a c x c factor, and the sketch's rows
+        only when it was accepted. The log and the residuals are the given
+        arrays, and the pieces are views of them. Raises KeyError for
+        a missing array, and ValueError for shapes, dtypes or lengths that
+        disagree and for windows or sketch rows that run past the log or the
+        restricted rows.
         """
         log, dx_norms = arrays["increments"], arrays["dx_norms"]
         if log.ndim != 2 or dx_norms.shape != log.shape[1:]:
@@ -473,24 +472,23 @@ class Trace:
         trace.f_restricted = list(residuals)
         if any(not 1 <= r.columns <= r.iteration <= trace.size for r in records):
             raise ValueError("step windows run past the column log")
-        widths = np.array([r.columns for r in records], dtype=np.int64)
-        for name in _RAGGED:
-            flat, lengths = arrays[name], arrays[name + "_len"]
-            if lengths.shape != (n,) or lengths.dtype.kind != "i":
-                raise ValueError(f"{name}_len is not one integer per step")
-            sizes = lengths * widths if name == "r_factor" else lengths
-            if flat.ndim != 1 or (lengths < 0).any() or sizes.sum() != flat.size:
-                raise ValueError(f"step lengths of {name!r} do not add up to "
-                                 f"its {flat.size} entries")
-            pieces = np.split(flat, np.cumsum(sizes)[:-1])
-            setattr(trace, name, [
-                None if k == 0 else p.reshape(k, -1) if name == "r_factor" else p
-                for k, p in zip(lengths, pieces)
-            ])
+        shapes = {
+            "alpha": [None if r.fallback else (r.columns,) for r in records],
+            "r_factor": [None if r.fallback else (r.columns,) * 2 for r in records],
+            "mask": [(sketch_rows,) if r.accepted else None for r in records],
+        }
+        for name, dtype in _RAGGED.items():
+            flat = arrays[name]
+            sizes = [0 if s is None else math.prod(s) for s in shapes[name]]
+            if (flat.ndim != 1 or flat.dtype.kind != np.dtype(dtype).kind
+                    or sum(sizes) != flat.size):
+                raise ValueError(f"{name!r} is not a flat {np.dtype(dtype)} "
+                                 f"array of the {sum(sizes)} entries its steps need")
+            pieces = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+            setattr(trace, name, [None if s is None else p.reshape(s)
+                                  for s, p in zip(shapes[name], pieces)])
         mask = arrays["mask"]
-        if mask.dtype.kind != "i" or (
-            mask.size and (mask.min() < 0 or mask.max() >= rows)
-        ):
+        if mask.size and (mask.min() < 0 or mask.max() >= rows):
             raise ValueError(f"sketch rows run past the {rows} restricted rows")
         return trace
 

@@ -22,7 +22,7 @@ from aap.bench import format_table, load_table, verify_theorem_trace, write_trac
 from aap.cli import main
 from aap.fixed_point import NumericalBreakdown, evaluate_residual, field_indices
 from aap.problems import build_problem, make_linear
-from aap.sketching import build_static_mask, eta, stability_hypothesis
+from aap.sketching import budget_weights, build_static_mask, stability_hypothesis
 from aap.solver import (
     SolverConfig,
     allocate_workspace,
@@ -167,8 +167,7 @@ def test_criterion_3_guard_soundness(tmp_path):
             if not rec.accepted:
                 continue
             accepted_total += 1
-            etas = [eta(j, config.adaptivity.eta_kind, config.eta_exponent)
-                    for j in range(1, rec.columns + 1)]
+            etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
             guard_bad += not stability_hypothesis(
                 rec.sigma_min, rec.lipschitz, float(np.linalg.norm(f_r)),
                 report.trace.window(rec)[1], etas, rec.eps_rhs,

@@ -22,6 +22,7 @@ from aap.bench import (
 )
 from aap.cli import main
 from aap.problems import build_problem
+from aap.sketching import sketch_size
 from aap.solver import SolverConfig, solve
 
 
@@ -101,12 +102,19 @@ class TestParsePlan:
         assert canonical_adaptivity("subselect-power") == "subselect-power"
         with pytest.raises(ValueError):
             canonical_adaptivity("sub-geo")
+        with pytest.raises(ParseError, match="sub-geo"):
+            parse_plan("problem = linear\nsizes = 4\nadapt = sub-geo\n")
 
     def test_plan_invariants(self):
         with pytest.raises(ParseError):
             ExperimentPlan(problem="linear", sizes=())
         with pytest.raises(ParseError):
             ExperimentPlan(problem="linear", sizes=(4,), repetitions=0)
+        # Every cell must make a valid SolverConfig.
+        with pytest.raises(ParseError, match="sketch_percent"):
+            ExperimentPlan(problem="linear", sizes=(4,), sketch=150.0)
+        with pytest.raises(ParseError, match="alternation"):
+            ExperimentPlan(problem="linear", sizes=(4,), alternations=(1, 0))
 
 
 class TestRunExperiment:
@@ -179,6 +187,14 @@ class TestRunExperiment:
             )
             assert marked[0] is fastest
 
+    def test_code_built_plan_takes_aliases(self):
+        plan = ExperimentPlan(problem="saddle", sizes=(9,),
+                              masks=("pressure",), adaptivities=("sub-pow",))
+        assert plan.adaptivities == ("subselect-power",)
+        records = run_experiment(plan)
+        assert [r.adaptivity for r in records] == ["subselect-power"]
+        assert all(r.converged and r.iterations for r in records)
+
     def test_traces_written_per_run(self, tmp_path):
         out = tmp_path / "t.csv"
         plan = ExperimentPlan(
@@ -215,6 +231,8 @@ class TestTableRoundTrip:
         path = tmp_path / "table.csv"
         write_table(records, str(path))
         assert load_table(str(path)) == records
+        assert path.read_text().splitlines()[1].endswith(
+            ",true,0.012345678901234567,true")
         meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
         assert meta["rows"] == 2
 
@@ -348,8 +366,11 @@ class TestTraceFiles:
         assert_rejected(written)
 
     def test_unknown_format_rejected(self, written):
-        rewrite(written, lambda h, a: h.update(format="aap-trace-9"))
-        assert_rejected(written)
+        # Format 3 kept per-step lengths that format 4 derives from the
+        # records; it is not read.
+        for fmt in ("aap-trace-3", "aap-trace-9"):
+            rewrite(written, lambda h, a: h.update(format=fmt))
+            assert_rejected(written)
 
     def test_missing_field_rejected(self, written):
         rewrite(written, lambda h, a: h.pop("l1"))
@@ -362,16 +383,45 @@ class TestTraceFiles:
         assert_rejected(written)
 
     @pytest.mark.parametrize(
-        "name", ["increments", "f_restricted", "mask", "alpha_len"]
+        "name", ["increments", "f_restricted", "mask", "alpha"]
     )
     def test_missing_array_rejected(self, written, name):
         rewrite(written, lambda h, a: a.pop(name))
         assert_rejected(written)
 
-    @pytest.mark.parametrize("name", ["alpha_len", "r_factor_len", "mask_len"])
+    @pytest.mark.parametrize("name", ["alpha", "r_factor", "mask"])
     def test_step_lengths_past_array_rejected(self, written, name):
+        # The records fix every step's pieces, so a flat array one entry
+        # longer or shorter than they need does not add up.
+        original = written.read_bytes()
+        for resize in (lambda a: a[:-1], lambda a: np.append(a, a[-1:])):
+            written.write_bytes(original)
+            rewrite(written, lambda h, a: a.update({name: resize(a[name])}))
+            assert_rejected(written)
+
+    def test_unsketched_step_without_factor_rejected(self, written):
+        # Every step that mixed keeps its c x c factor; dropping the factor
+        # of an unsketched step leaves the file one piece short.
         def edit(header, arrays):
-            arrays[name][-1] += 1
+            start = 0
+            for reason, c in zip(arrays["reason"], arrays["columns"]):
+                if reason not in ("accepted", "no-factor"):
+                    break
+                start += 0 if reason == "no-factor" else c * c
+            arrays["r_factor"] = np.delete(arrays["r_factor"],
+                                           np.arange(start, start + c * c))
+        rewrite(written, edit)
+        assert_rejected(written)
+
+    def test_sketch_rows_on_unaccepted_step_rejected(self, written):
+        # Only an accepted step has sketch rows.
+        def edit(header, arrays):
+            i = next(i for i, reason in enumerate(arrays["reason"])
+                     if reason not in ("accepted", "no-factor"))
+            accepted_before = int(np.sum(arrays["reason"][:i] == "accepted"))
+            rows = sketch_size(header["sketch_percent"], header["l1"])
+            arrays["mask"] = np.insert(arrays["mask"], accepted_before * rows,
+                                       np.arange(rows))
         rewrite(written, edit)
         assert_rejected(written)
 
@@ -427,10 +477,10 @@ def synthetic_trace(path, lipschitz):
     rows = np.array([0, 1, 2])
     r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
     header = {
-        "format": "aap-trace-3",
+        "format": "aap-trace-4",
         "problem": "synthetic",
         "l1": l1,
-        "eta_exponent": 1.1,
+        "sketch_percent": 50.0,
         "adaptivity": "subselect-constant",
         "iterations": 3,
     }
@@ -446,11 +496,8 @@ def synthetic_trace(path, lipschitz):
         "eps_rhs": np.array([np.nan]),
         "reason": np.array(["accepted"]),
         "alpha": np.array([5.0, -4.0]),
-        "alpha_len": np.array([c]),
         "r_factor": r_factor.ravel(),
-        "r_factor_len": np.array([c]),
         "mask": rows,
-        "mask_len": np.array([len(rows)]),
     }
     _save_trace(str(path), header, arrays)
     return str(path)

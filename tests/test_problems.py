@@ -1,9 +1,13 @@
 """Built-in problems against independently assembled dense oracles."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from aap.fixed_point import evaluate_residual
 from aap.problems import (
+    PROBLEM_NAMES,
     GridSpec,
     ResourceLimit,
     build_problem,
@@ -308,3 +312,12 @@ class TestBuildProblem:
         assert build_problem("plaplace", 7, init="poisson").initial_state is not None
         with pytest.raises(ValueError):
             build_problem("linear", 7, init="poisson")
+
+
+def test_readme_lists_each_problems_fields():
+    # The README's problem table names the fields a --mask may select.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\|[^|]*\|([^|]*)\|", readme, re.MULTILINE)
+    listed = {name: tuple(re.findall(r"`(\w+)`", cell)) for name, cell in rows}
+    assert listed == {name: build_problem(name, 9).field_names()
+                      for name in PROBLEM_NAMES}

@@ -12,8 +12,9 @@ from aap.sketching import (
     MixingStep,
     adaptive_step,
     build_static_mask,
+    ETA_EXPONENT,
+    budget_weights,
     epsilon_rhs,
-    eta,
     identity_mask,
     perturbation_norm,
     select_randomized,
@@ -104,24 +105,20 @@ class TestLipschitz:
 
 class TestEta:
     def test_power_at_one(self):
-        assert eta(1, "power") == 1.0
+        assert budget_weights("power", 1) == [1.0]
 
     def test_constant_everywhere(self):
-        assert eta(4, "constant") == 1.0
+        assert budget_weights("constant", 4) == [1.0] * 4
 
     def test_power_exponent(self):
-        assert eta(2, "power", 1.1) == pytest.approx(2.0**1.1, rel=1e-15)
-
-    def test_negative_exponent_allowed(self):
-        assert eta(4, "power", -1.1) == pytest.approx(4.0**-1.1, rel=1e-15)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            eta(0, "power")
+        assert ETA_EXPONENT == 1.1
+        weights = budget_weights("power", 3)
+        assert weights[0] == 1.0
+        assert weights[1:] == pytest.approx([2.0**1.1, 3.0**1.1], rel=1e-15)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            eta(1, "geometric")
+            budget_weights("geometric", 1)
 
 
 class TestStabilityHypothesis:

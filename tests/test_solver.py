@@ -19,8 +19,8 @@ from aap.sketching import (
     Adaptivity,
     InvalidMask,
     build_static_mask,
+    budget_weights,
     epsilon_rhs,
-    eta,
     stability_hypothesis,
 )
 from aap.solver import (
@@ -419,8 +419,7 @@ def assert_accepted_steps_hold(report):
         if not rec.accepted:
             continue
         accepted += 1
-        etas = [eta(j, config.adaptivity.eta_kind, config.eta_exponent)
-                for j in range(1, rec.columns + 1)]
+        etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
         sigma = estimate_sigma_min(trace.r_factor[i])
         eps = epsilon_rhs(trace.f_restricted[i], trace.mask[i])
         assert sigma == rec.sigma_min
@@ -629,16 +628,7 @@ def test_random_noncontractive_problems(n, m, p, mask, adaptivity, seed):
     # x = B x + c with |B|_2 in [0.5, 1.5]: masked mixing can diverge even
     # below 1, and must then stop in NumericalBreakdown, never run on with
     # a non-finite residual or fail any other way.
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, n))
-    b *= rng.uniform(0.5, 1.5) / np.linalg.norm(b, 2)
-    c = rng.standard_normal(n)
-    half = n // 2
-    problem = from_fixed_point_form(
-        lambda x: b @ x + c,
-        n,
-        fields=(("head", (0, half)), ("tail", (half, n))),
-    )
+    problem = noncontractive_problem(n, seed)
     config = SolverConfig(window=m, alternation=p, rel_tolerance=1e-10,
                           max_iterations=1000, static_mask=mask,
                           adaptivity=adaptivity, rng_seed=seed)
@@ -647,3 +637,30 @@ def test_random_noncontractive_problems(n, m, p, mask, adaptivity, seed):
     except NumericalBreakdown as exc:
         report = exc.report
     assert np.isfinite(report.residual_history).all()
+
+
+def noncontractive_problem(n, seed):
+    """x = B x + c with |B|_2 drawn in [0.5, 1.5], fields head and tail."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    b *= rng.uniform(0.5, 1.5) / np.linalg.norm(b, 2)
+    c = rng.standard_normal(n)
+    half = n // 2
+    return from_fixed_point_form(
+        lambda x: b @ x + c,
+        n,
+        fields=(("head", (0, half)), ("tail", (half, n))),
+    )
+
+
+def test_overflowing_window_column_breaks_down_quietly():
+    # A draw whose appended window column overflows in the CGS2 norms while
+    # |f| is still finite. It must end in NumericalBreakdown with no numpy
+    # RuntimeWarning, which pyproject.toml turns into an error.
+    seed = 915436966
+    config = SolverConfig(window=5, alternation=3, rel_tolerance=1e-10,
+                          max_iterations=3000, static_mask="head",
+                          adaptivity=Adaptivity.SUBSELECT_POWER, rng_seed=seed)
+    with pytest.raises(NumericalBreakdown) as info:
+        solve(noncontractive_problem(5, seed), config)
+    assert info.value.report.iterations == 2854

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fixed_point import NumericalBreakdown
 from .lsq import estimate_sigma_min
-from .problems import ResourceLimit, build_problem
+from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .sketching import (
     REASONS,
     Adaptivity,
@@ -81,8 +81,9 @@ def canonical_adaptivity(name: str) -> str:
 class ExperimentPlan:
     """One experiment: a problem, a size grid, and a config matrix.
 
-    Adaptivities may be given by alias (sub-pow, ...) and are kept by their
-    full names. Every cell must make a valid `SolverConfig`.
+    The problem must be one `build_problem` knows. Adaptivities may be
+    given by alias (sub-pow, ...) and are kept by their full names. Every
+    cell must make a valid `SolverConfig`.
     """
 
     problem: str
@@ -101,6 +102,9 @@ class ExperimentPlan:
     traces: str | None = None
 
     def __post_init__(self):
+        if self.problem not in PROBLEM_NAMES:
+            raise ParseError(f"unknown problem {self.problem!r}, expected "
+                             f"one of {', '.join(PROBLEM_NAMES)}")
         if not self.sizes:
             raise ParseError("plan has no sizes")
         if not (self.masks and self.adaptivities and self.alternations):
@@ -235,7 +239,12 @@ def run_record(problem: str, size: int, config: SolverConfig,
 
 
 def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int):
-    """Execute one cell of the plan matrix; failures become failed rows."""
+    """Execute one cell of the plan matrix.
+
+    A size too large to build, a build that rejects the size, and a
+    breakdown become failed rows. A mask the problem has no field for
+    raises UnknownField: it is an error in the plan, not a failed run.
+    """
     config = _plan_config(plan, mask, adapt, p)
     want_trace = plan.traces is not None
     best_wall = math.inf
@@ -248,7 +257,7 @@ def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int):
     except NumericalBreakdown as exc:
         partial = getattr(exc, "report", None)
         return run_record(plan.problem, size, config, partial, None), None
-    except (ResourceLimit, KeyError, ValueError):
+    except (ResourceLimit, ValueError):
         return run_record(plan.problem, size, config, None, None), None
     record = run_record(plan.problem, size, config, report, best_wall)
     return record, report if want_trace else None
@@ -258,7 +267,8 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     """Run every (size, mask, adaptivity, alternation) cell of the plan.
 
     Rows come back in plan order, one per cell, with failures recorded as
-    non-converged rows. When the plan names a traces directory, each
+    non-converged rows; a mask the problem has no field for raises
+    UnknownField. When the plan names a traces directory, each
     successful run's trace is written there.
     """
     cells = [

@@ -32,7 +32,7 @@ from .bench import (
     write_table,
     write_trace,
 )
-from .fixed_point import NumericalBreakdown, field_indices
+from .fixed_point import NumericalBreakdown, UnknownField, field_indices
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .solver import SolverConfig, solve
 
@@ -147,7 +147,11 @@ def _cmd_sweep(args) -> int:
         print(f"error: {args.plan}: {exc}", file=sys.stderr)
         return 2
 
-    records = run_experiment(plan)
+    try:
+        records = run_experiment(plan)
+    except UnknownField as exc:
+        print(f"error: {args.plan}: {exc.args[0]}", file=sys.stderr)
+        return 2
     meta = build_meta({"plan": args.plan, "seed": plan.seed,
                        "repetitions": plan.repetitions})
     if plan.out is not None:

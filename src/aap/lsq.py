@@ -14,12 +14,18 @@ window or a row subset of it. Two factorizations serve it:
 
 Both return the triangular factor R, which has the singular values of M.
 `estimate_sigma_min` takes the smallest of them exactly, from an SVD of the
-small c x c factor; the stability guard tests its hypothesis with it.
+small c x c factor. `min_abs_diagonal` bounds it from above at no cost,
+since sigma_min(R) <= min |R_ii| for a triangular R. The stability guard
+takes the exact value only where that bound does not already settle its
+test: on the whole window's factor when the bound passes, and on a
+sketched factor when the bound passes there too. The offline trace
+verifier takes it on every accepted sketch.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr_delete, qr_multiply, solve_triangular, svdvals
+from scipy.linalg import qr_delete, qr_multiply, svdvals
+from scipy.linalg.lapack import dtrtrs
 
 # Relative floor on |diag(R)| below which the factor is treated as singular.
 RANK_RTOL = 1e-14
@@ -102,8 +108,15 @@ def qr_masked_solve(
 def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
     """alpha = R^{-1} Q^T r after the rank check on diag(R)."""
     _check_diag(r_factor)
-    alpha = solve_triangular(r_factor, qtr, lower=False, check_finite=False)
-    if not np.isfinite(alpha).all():
+    # LAPACK's trtrs, called as scipy's solve_triangular calls it but
+    # without its per-call wrapper: a factor that is not Fortran-contiguous
+    # (the window factor's view) is solved as the transposed lower system,
+    # so the result is bitwise solve_triangular's.
+    if r_factor.flags.f_contiguous:
+        alpha, info = dtrtrs(r_factor, qtr, lower=0, trans=0)
+    else:
+        alpha, info = dtrtrs(r_factor.T, qtr, lower=1, trans=1)
+    if info != 0 or not np.isfinite(alpha).all():
         raise RankDeficient("least squares produced non-finite coefficients")
     if float(np.abs(alpha).max()) > COEFF_LIMIT:
         raise RankDeficient("coefficients exceed COEFF_LIMIT")
@@ -230,6 +243,13 @@ class WindowFactor:
             qc /= rho
         self.cols = c + 1
         return not rho < REORTH_KEEP * first
+
+
+def min_abs_diagonal(r_factor: np.ndarray) -> float:
+    """min |R_ii|, an upper bound on the smallest singular value of a
+    triangular factor R: the diagonal entries are R's eigenvalues, and an
+    eigenvector v gives |R_ii| = |R v| / |v| >= sigma_min(R)."""
+    return float(np.abs(np.diagonal(r_factor)).min())
 
 
 def estimate_sigma_min(r_factor: np.ndarray) -> float:

@@ -150,27 +150,30 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
     # Divergence in stiffness scaling: h^2 times the per-cell face balance
     # (u_right - u_left + v_top - v_bottom)/h, so entries are +-h. Boundary
     # faces carry zero velocity. u index (iu, j) is the face at x = (iu+1) h,
-    # so the face between cells ci-1 and ci has iu = ci - 1.
-    rows, cols, vals = [], [], []
-    for ci in range(nc):
-        for cj in range(nc):
-            cell = ci * nc + cj
-            if ci <= nxu - 1:
-                rows.append(cell); cols.append(ci * nyu + cj); vals.append(h)
-            if ci >= 1:
-                rows.append(cell); cols.append((ci - 1) * nyu + cj); vals.append(-h)
-            if cj <= nyv - 1:
-                rows.append(cell); cols.append(n_u + ci * nyv + cj); vals.append(h)
-            if cj >= 1:
-                rows.append(cell); cols.append(n_u + ci * nyv + cj - 1); vals.append(-h)
-    b_div = sp.csr_matrix((vals, (rows, cols)), shape=(n_p, n_u + n_v))
-
-    system = sp.bmat(
-        [[k_block, b_div.T], [b_div, None]], format="lil"
+    # so the face between cells ci-1 and ci has iu = ci - 1. Cell
+    # ci * nc + cj lists its faces in that order, cells in index order.
+    cells = np.arange(n_p)
+    ci, cj = np.divmod(cells, nc)
+    faces = np.stack([ci * nyu + cj, (ci - 1) * nyu + cj,
+                      n_u + ci * nyv + cj, n_u + ci * nyv + cj - 1], axis=1)
+    present = np.stack([ci <= nxu - 1, ci >= 1, cj <= nyv - 1, cj >= 1], axis=1)
+    signs = np.broadcast_to(np.array([h, -h, h, -h]), faces.shape)
+    owners = np.broadcast_to(cells[:, None], faces.shape)
+    b_div = sp.csr_matrix(
+        (signs[present], (owners[present], faces[present])),
+        shape=(n_p, n_u + n_v),
     )
-    system[n - 1, :] = 0.0
-    system[n - 1, n - 1] = h * h
-    system = system.tocsr()
+
+    # Ground the pressure: the last continuity row becomes h^2 p_last = 0.
+    system = sp.bmat([[k_block, b_div.T], [b_div, None]], format="csr")
+    last = system.indptr[n - 1]
+    system = sp.csr_matrix(
+        (np.append(system.data[:last], h * h),
+         np.append(system.indices[:last], n - 1),
+         np.append(system.indptr[:n], last + 1)),
+        shape=(n, n),
+    )
+    system.sort_indices()
 
     xs_u = (np.arange(nxu) + 1.0) * h
     ys_u = (np.arange(nyu) + 0.5) * h

@@ -4,10 +4,12 @@ Level one is a static mask picked from the problem's field layout (for
 example, pressure rows only). Level two is a dynamic row sketch chosen per
 mixing step, admitted only when `stability_hypothesis` holds for it, so the
 perturbation it introduces into the mixing update stays within the eta-sum
-bound. The guard tests the hypothesis with the exact smallest singular value
-of the sketched window's own factor; the offline trace verifier tests the
-same function on the recorded step. `MixingStep` is the one record of a
-mixing step, written by the guard and read back from trace files.
+bound. The guard admits a sketch only on the exact smallest singular value
+of the sketched window's own factor, and reaches each rejection by the
+cheapest test that settles it exactly (`adaptive_step`); the offline trace
+verifier tests the same function on the recorded step. `MixingStep` is the
+one record of a mixing step, written by the guard and read back from trace
+files.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import lsq
 from .fixed_point import FixedPointProblem, field_indices
-from .lsq import estimate_sigma_min
+from .lsq import estimate_sigma_min, min_abs_diagonal
 
 
 class InvalidMask(ValueError):
@@ -173,12 +175,20 @@ def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray) -> float:
 def select_subselection(f_restricted: np.ndarray, l2: int) -> np.ndarray:
     """Rows of the l2 largest residual magnitudes, ascending index order.
 
-    Ties break toward the lower index (stable sort on magnitude).
+    Ties break toward the lower index, as a stable sort on magnitude would:
+    every row above the l2-th largest magnitude is kept, and the rows equal
+    to it fill the rest, lowest index first. A partition finds that
+    magnitude in linear time. ``f_restricted`` holds no NaN.
     """
-    if not (1 <= l2 <= f_restricted.size):
-        raise ValueError(f"l2={l2} outside [1, {f_restricted.size}]")
-    order = np.argsort(-np.abs(f_restricted), kind="stable")
-    return np.sort(order[:l2])
+    size = f_restricted.size
+    if not (1 <= l2 <= size):
+        raise ValueError(f"l2={l2} outside [1, {size}]")
+    mags = np.abs(f_restricted)
+    cut = np.partition(mags, size - l2)[size - l2]
+    keep = mags > cut
+    ties = np.flatnonzero(mags == cut)[: l2 - np.count_nonzero(keep)]
+    keep[ties] = True
+    return np.flatnonzero(keep)
 
 
 def select_randomized(l1: int, l2: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,10 +222,13 @@ class MixingStep:
     "no-factor" when the whole window was rank deficient and the step fell
     back to plain Picard, and otherwise why the whole window's solution
     was kept ("disabled" and "stalled" when the guard did not run).
-    ``sigma_min`` is the smallest singular value of the last factor the
-    guard tested (None when it tested none, or the sketched factor was
-    rank deficient), ``eps_rhs`` the share of |f| its proposed rows drop
-    (None when it proposed none).
+    ``sigma_min`` is the exact smallest singular value that settled the
+    guard's decision: the sketched factor's on an accepted step, and the
+    whole window's or the sketched factor's on a rejection. It is None when
+    the guard took no SVD, because it did not run or a bound on the
+    factor's diagonal already settled the step, and when the sketched
+    factor was rank deficient. ``eps_rhs`` is the share of |f| the
+    proposed rows drop (None when the guard proposed none).
     """
 
     iteration: int
@@ -247,12 +260,30 @@ def adaptive_step(
     from the least squares the step has already solved. The guard proposes
     rows by the configured strategy, factors the sketched window, and
     accepts when `stability_hypothesis` holds with that factor's exact
-    smallest singular value and the sketch's eps_rhs. Two cheaper checks
-    come first: a sketch with fewer rows than the window has columns is
-    "underdetermined", and when the hypothesis fails with the whole
-    window's sigma and eps = 0 ("lhs-negative") no sketch can pass, since
-    a row subset's sigma_min is at most the whole window's and eps >= 0.
-    A rank-deficient sketch is rejected.
+    smallest singular value and the sketch's eps_rhs. A sketch with fewer
+    rows than the window has columns is "underdetermined", and a
+    rank-deficient sketch is rejected.
+
+    Every other rejection is reached by the cheapest test that settles it,
+    and each test is exact: it fails only where the test it stands in for
+    fails too, because the hypothesis is monotone in sigma and in eps,
+    sigma_min(R) <= min |R_ii| for a triangular R, and sigma_min(S F) <=
+    sigma_min(F) for a row subset S. In order:
+
+    1. min |diag| of the whole window's factor at eps = 0. If it fails, no
+       row subset can pass: "lhs-negative", with sigma_min None.
+    2. The whole window's sigma (its SVD) at eps = 0: "lhs-negative".
+    3. Once the rows are drawn, the whole window's sigma at the sketch's
+       eps_rhs: "rejected", with that sigma, and no sketch is factored.
+    4. min |diag| of the sketched factor at eps_rhs: "rejected", with
+       sigma_min None.
+    5. The sketched factor's sigma (its SVD) at eps_rhs: "rejected" or
+       "accepted".
+
+    The inequalities hold for exact singular values; a property test holds
+    the decision, the rows, alpha, the factor and every draw from ``rng``
+    to those of a guard that takes every SVD. Only ``sigma_min`` shows
+    which test settled the step.
 
     Returns (sketch, record): sketch is None for the identity decision, else
     (rows, alpha, r_factor) of the sketched least squares; record is the
@@ -270,14 +301,19 @@ def adaptive_step(
         rec.reason = "underdetermined"
         return None, rec
 
-    etas = budget_weights(config.adaptivity.eta_kind, c)
+    etas = np.array(budget_weights(config.adaptivity.eta_kind, c))
     dx_norms = ws.dx_norms[:c]
     norm_f = float(np.linalg.norm(f_r))
+
+    def holds(sigma, eps):
+        return stability_hypothesis(sigma, ws.lipschitz, norm_f, dx_norms,
+                                    etas, eps)
+
+    rec.reason = "lhs-negative"
+    if not holds(min_abs_diagonal(r_window), 0.0):
+        return None, rec
     rec.sigma_min = estimate_sigma_min(r_window)
-    if not stability_hypothesis(
-        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, 0.0
-    ):
-        rec.reason = "lhs-negative"
+    if not holds(rec.sigma_min, 0.0):
         return None, rec
 
     if config.adaptivity.randomized:
@@ -286,15 +322,17 @@ def adaptive_step(
         rows = select_subselection(f_r, l2)
     rec.eps_rhs = epsilon_rhs(f_r, rows)
     rec.reason = "rejected"
+    if not holds(rec.sigma_min, rec.eps_rhs):
+        return None, rec
+    rec.sigma_min = None
     try:
         alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
     except lsq.RankDeficient:
-        rec.sigma_min = None
+        return None, rec
+    if not holds(min_abs_diagonal(r_factor), rec.eps_rhs):
         return None, rec
     rec.sigma_min = estimate_sigma_min(r_factor)
-    if not stability_hypothesis(
-        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, rec.eps_rhs
-    ):
+    if not holds(rec.sigma_min, rec.eps_rhs):
         return None, rec
     rec.reason = "accepted"
     return (rows, alpha, r_factor), rec

@@ -11,7 +11,12 @@ neither restriction, written as directly as possible, and it shares the
 package's arithmetic kernels (the Picard update, the window factor, the
 mixing matrix-vector product) on purpose: the two-level solver, configured
 transparently, must reproduce its iterates bitwise, and only the same
-kernels make a bitwise comparison meaningful.
+kernels make a bitwise comparison meaningful. `adaptive_step_reference` is
+the other exception, for the same reason: the stability guard without its
+early exits, taking the SVD of the whole window's factor and of every
+sketched factor, and picking rows by a stable sort. The package's guard
+skips every SVD and sketch that cannot change a decision, and must reach
+the same decisions.
 """
 import time
 
@@ -19,6 +24,14 @@ import numpy as np
 
 from aap import lsq
 from aap.fixed_point import evaluate_residual
+from aap.sketching import (
+    MixingStep,
+    budget_weights,
+    epsilon_rhs,
+    select_randomized,
+    sketch_size,
+    stability_hypothesis,
+)
 from aap.solver import (
     SolveReport,
     picard_update,
@@ -147,6 +160,62 @@ def dense_saddle_system(npts):
             y = (ju + 0.5) * h
             rhs[iu * nyu + ju] = h * h * np.sin(np.pi * x) * np.sin(np.pi * y)
     return system, rhs, n_u, n_v, n_p
+
+
+def subselection_stable_argsort(f_restricted, l2):
+    """Rows of the l2 largest magnitudes by a stable sort, ties toward the
+    lower index, in ascending order."""
+    order = np.argsort(-np.abs(f_restricted), kind="stable")
+    return np.sort(order[:l2])
+
+
+def adaptive_step_reference(workspace, config, iteration, rng, r_window):
+    """The stability guard that takes every SVD.
+
+    Same contract as `aap.sketching.adaptive_step`: the hypothesis is first
+    tested with the whole window's exact sigma at eps = 0, then a sketch is
+    drawn, factored and tested with its own exact sigma at its eps_rhs.
+    """
+    ws = workspace
+    f_r = ws.f_sub if ws.f_sub is not None else ws.f
+    l1 = f_r.shape[0]
+    c = ws.filled
+    rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
+    if ws.lipschitz <= 0.0:
+        return None, rec
+    l2 = sketch_size(config.sketch_percent, l1)
+    if l2 < c:
+        rec.reason = "underdetermined"
+        return None, rec
+
+    etas = budget_weights(config.adaptivity.eta_kind, c)
+    dx_norms = ws.dx_norms[:c]
+    norm_f = float(np.linalg.norm(f_r))
+    rec.sigma_min = lsq.estimate_sigma_min(r_window)
+    if not stability_hypothesis(
+        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, 0.0
+    ):
+        rec.reason = "lhs-negative"
+        return None, rec
+
+    if config.adaptivity.randomized:
+        rows = select_randomized(l1, l2, rng)
+    else:
+        rows = subselection_stable_argsort(f_r, l2)
+    rec.eps_rhs = epsilon_rhs(f_r, rows)
+    rec.reason = "rejected"
+    try:
+        alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+    except lsq.RankDeficient:
+        rec.sigma_min = None
+        return None, rec
+    rec.sigma_min = lsq.estimate_sigma_min(r_factor)
+    if not stability_hypothesis(
+        rec.sigma_min, ws.lipschitz, norm_f, dx_norms, etas, rec.eps_rhs
+    ):
+        return None, rec
+    rec.reason = "accepted"
+    return (rows, alpha, r_factor), rec
 
 
 def neumann_laplacian_loops(field, h):

@@ -333,24 +333,42 @@ def test_criterion_6_workspace_memory_shape():
 def test_criterion_7_guard_sigma_is_exact():
     # The guard tests its hypothesis with the smallest singular value of
     # the factor it guards. Where the trace stores that factor (accepted
-    # sketches, and early rejections on the whole window) the recorded
-    # sigma must be the SVD value of it.
+    # sketches, and early rejections on the whole window) a recorded sigma
+    # must be the SVD value of it. An early rejection recorded without a
+    # sigma was settled by the factor's diagonal: min |R_ii| of the stored
+    # factor must fail the hypothesis at eps = 0, and at least one step
+    # must take that shortcut, so it is checked, not trusted.
     t0 = time.perf_counter()
     compared = 0
     mismatched = 0
+    shortcuts = 0
+    unjustified = 0
     for _, report in _traced_strategy_runs():
-        for rec, r_factor in zip(report.mask_trace, report.trace.r_factor,
-                                 strict=True):
-            if rec.reason in ("accepted", "lhs-negative"):
+        trace = report.trace
+        eta_kind = report.config.adaptivity.eta_kind
+        for rec, r_factor, f_r in zip(report.mask_trace, trace.r_factor,
+                                      trace.f_restricted, strict=True):
+            if rec.reason not in ("accepted", "lhs-negative"):
+                continue
+            if rec.sigma_min is not None:
                 compared += 1
                 mismatched += rec.sigma_min != float(svdvals(r_factor)[-1])
+                continue
+            shortcuts += 1
+            unjustified += rec.reason != "lhs-negative" or stability_hypothesis(
+                float(np.abs(np.diagonal(r_factor)).min()), rec.lipschitz,
+                float(np.linalg.norm(f_r)), trace.window(rec)[1],
+                budget_weights(eta_kind, rec.columns), 0.0,
+            )
     elapsed = time.perf_counter() - t0
-    ok = compared > 0 and mismatched == 0 and elapsed < 30.0
+    ok = (compared > 0 and mismatched == 0 and shortcuts > 0
+          and unjustified == 0 and elapsed < 30.0)
     _verdict(
         7,
         ok,
         f"{compared - mismatched}/{compared} guard sigmas equal to the SVD "
-        f"value of the stored factor, {elapsed:.1f}s",
+        f"value of the stored factor, {shortcuts - unjustified}/{shortcuts} "
+        f"diagonal rejections confirmed, {elapsed:.1f}s",
     )
 
 

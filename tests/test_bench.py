@@ -115,6 +115,12 @@ class TestParsePlan:
             ExperimentPlan(problem="linear", sizes=(4,), sketch=150.0)
         with pytest.raises(ParseError, match="alternation"):
             ExperimentPlan(problem="linear", sizes=(4,), alternations=(1, 0))
+        # The problem name is checked when the plan is built, not left to
+        # fail each cell as a row.
+        with pytest.raises(ParseError, match="unknown problem 'sadle'"):
+            ExperimentPlan(problem="sadle", sizes=(9,))
+        with pytest.raises(ParseError, match="unknown problem"):
+            parse_plan("problem = sadle\nsizes = 9\n")
 
 
 class TestRunExperiment:
@@ -662,6 +668,21 @@ class TestCli:
         plan.write_text("problem = linear\nsizes = 10\ncolour = red\n")
         assert main(["sweep", "--plan", str(plan)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_sweep_unknown_names_exit_code(self, tmp_path, capsys):
+        # A misspelt problem or mask is an error in the plan: exit 2 with
+        # the message, and no table.
+        out = tmp_path / "sweep.csv"
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"problem = sadle\nsizes = 9\nout = {out}\n")
+        assert main(["sweep", "--plan", str(plan)]) == 2
+        assert "unknown problem 'sadle'" in capsys.readouterr().err
+        plan.write_text(f"problem = saddle\nsizes = 9\nmasks = presure\n"
+                        f"out = {out}\n")
+        assert main(["sweep", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown field 'presure'" in err and "'pressure'" in err
+        assert not out.exists()
 
     def test_verify_trace_ok(self, tmp_path):
         report = traced_report()

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from aap import lsq
 from aap.lsq import (
@@ -88,6 +89,36 @@ class TestQrMaskedSolve:
             qr_masked_solve(window, np.ones(5), None, 0)
         with pytest.raises(ValueError):
             qr_masked_solve(window, np.ones(5), None, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), cols=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_back_substitution_is_bitwise_solve_triangular(m, cols, seed):
+    # The direct LAPACK call must give solve_triangular's result bit for
+    # bit, for the window factor's strided view and for contiguous copies
+    # in either order.
+    cols = min(cols, m)
+    rng = np.random.default_rng(seed)
+    buf = np.asfortranarray(np.triu(rng.standard_normal((m, m)))
+                            + 4.0 * np.eye(m))
+    qtr = rng.standard_normal(m)[:cols]
+    view = buf[:cols, :cols]
+    for r in (view, np.asfortranarray(view), np.ascontiguousarray(view)):
+        expected = solve_triangular(r, qtr, check_finite=False)
+        alpha = lsq._back_substitute(r, qtr)
+        assert alpha.shape == expected.shape
+        np.testing.assert_array_equal(alpha, expected)
+
+
+def test_min_abs_diagonal_bounds_sigma():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        c = int(rng.integers(1, 9))
+        r = np.triu(rng.standard_normal((c, c)))
+        r *= 10.0 ** rng.uniform(-3.0, 3.0, c)
+        assert lsq.estimate_sigma_min(r) <= lsq.min_abs_diagonal(r)
+    assert lsq.min_abs_diagonal(np.array([[3.0, 7.0], [0.0, -2.0]])) == 2.0
 
 
 def drive_window(factor, window, columns, rhs_rng=None):

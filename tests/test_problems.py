@@ -85,6 +85,24 @@ class TestSaddle:
             )
             assert problem.dimension == n_u + n_v + n_p
 
+    def test_system_is_canonical_and_exact(self):
+        # The system is assembled from index arrays straight into CSR; it
+        # must come out with sorted, unduplicated indices, and its entries
+        # (4, -1, +-h and the grounding h^2) must equal the dense
+        # assembly's exactly. The forcing goes through a vectorised sine,
+        # which rounds differently from the scalar one at some sizes.
+        for npts in (3, 4, 5, 9, 17):
+            problem = make_saddle_point(GridSpec(2, npts))
+            system = problem.data["system"]
+            oracle, rhs, n_u, n_v, n_p = dense_saddle_system(npts)
+            assert system.format == "csr" and system.has_canonical_format
+            np.testing.assert_array_equal(system.toarray(), oracle)
+            # The grounded last cell keeps its divergence row in B.
+            np.testing.assert_array_equal(
+                problem.data["divergence"].toarray()[:-1],
+                oracle[n_u + n_v : -1, : n_u + n_v],
+            )
+
     def test_residual_applies_block_preconditioner(self):
         npts = 5
         problem = make_saddle_point(GridSpec(2, npts))

@@ -1,7 +1,11 @@
 """Masks, the stability guard's arithmetic, and the adaptive step."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import adaptive_step_reference, subselection_stable_argsort
 
+from aap import lsq, sketching
 from aap.fixed_point import UnknownField
 from aap.problems import GridSpec, make_bidomain_toy, make_saddle_point
 from aap.sketching import (
@@ -248,6 +252,25 @@ class TestSelectSubselection:
                 np.sort(perm[rows_permuted]), np.sort(rows)
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.integers(-3, 3).map(float),
+            st.sampled_from([0.0, -0.0]),
+            st.floats(allow_nan=False),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_stable_argsort_under_ties(self, values):
+        # Integer values, signed zeros and signed duplicates tie often; the
+        # partition must keep the rows a stable sort keeps, for every l2.
+        f = np.array(values)
+        for l2 in range(1, f.size + 1):
+            rows = select_subselection(f, l2)
+            expected = subselection_stable_argsort(f, l2)
+            assert rows.dtype == expected.dtype
+            np.testing.assert_array_equal(rows, expected)
+
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             select_subselection(np.ones(3), 0)
@@ -343,15 +366,29 @@ class TestAdaptiveStep:
         assert rec.reason == "no-lipschitz"
 
     def test_negative_budget_gives_identity(self):
-        # The whole window's sigma already fails the hypothesis at eps = 0,
-        # so no row subset can pass and no sketch is factored.
+        # min |diag R| of the whole window already fails the hypothesis at
+        # eps = 0; it bounds sigma from above, so no row subset can pass,
+        # and neither an SVD nor a sketch is taken.
         config, ws, r = make_workspace(
             spikes(10, [(7, 1e-6)]), self.F, [1.0], lipschitz=1.0
         )
         sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
         assert sketch is None
         assert rec.reason == "lhs-negative"
+        assert rec.sigma_min is None
+        assert rec.eps_rhs is None
+
+    def test_whole_window_sigma_settles_lhs_negative(self):
+        # R = [[1, 10], [0, 1]]: its diagonal passes at eps = 0, its sigma
+        # (about 0.099) does not, so the SVD decides and is recorded.
+        window = spikes(10, [(7, 1.0)], [(7, 10.0), (8, 1.0)])
+        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                                       lipschitz=0.1)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        assert sketch is None
+        assert rec.reason == "lhs-negative"
         assert rec.sigma_min == estimate_sigma_min(r)
+        assert rec.sigma_min < 0.1
         assert rec.eps_rhs is None
 
     def test_accepted_mask_obeys_guard(self):
@@ -372,16 +409,58 @@ class TestAdaptiveStep:
         expected = np.linalg.lstsq(window[rows], self.F[rows], rcond=None)[0]
         np.testing.assert_allclose(alpha, expected, rtol=1e-12)
 
-    def test_sketch_failing_hypothesis_rejected(self):
+    def test_proposal_rejected_without_a_sketch(self, monkeypatch):
+        # sigma = 6 of the whole window passes at eps = 0 but fails at the
+        # eps (about 0.74) of rows 7, 8 and 9. A sketch's sigma is at most
+        # the whole window's, so the step is rejected with that sigma and
+        # no sketch is factored.
+        def no_sketch(*args):
+            raise AssertionError("a sketch was factored")
+
+        monkeypatch.setattr(lsq, "qr_masked_solve", no_sketch)
+        config, ws, r = make_workspace(
+            spikes(10, [(7, 6.0)]), self.F, [1.0], lipschitz=1.0
+        )
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        assert sketch is None
+        assert rec.reason == "rejected"
+        assert rec.sigma_min == estimate_sigma_min(r) == 6.0
+        assert rec.eps_rhs == epsilon_rhs(self.F, np.array([7, 8, 9]))
+
+    def test_sketch_failing_hypothesis_rejected(self, monkeypatch):
         # The whole window is well conditioned through rows 0 and 1, which
-        # the sketch drops; on the kept rows sigma is 1, too small.
+        # the sketch drops; on the kept rows the factor's diagonal is 1,
+        # too small, so the sketched factor's SVD is never taken.
+        svds = []
+
+        def counted(r_factor):
+            svds.append(r_factor.shape)
+            return estimate_sigma_min(r_factor)
+
+        monkeypatch.setattr(sketching, "estimate_sigma_min", counted)
         window = spikes(10, [(0, 50.0), (7, 1.0)], [(1, 40.0), (8, 1.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=1.0)
         sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
         assert sketch is None
         assert rec.reason == "rejected" and not rec.accepted
-        assert rec.sigma_min == pytest.approx(1.0)
+        assert rec.sigma_min is None
+        assert len(svds) == 1
+
+    def test_sketch_sigma_settles_rejection(self):
+        # The sketched factor is R = [[1, 10], [0, 1]]: its diagonal passes,
+        # its sigma (about 0.099) fails, and is recorded.
+        window = spikes(10, [(0, 50.0), (7, 1.0)],
+                        [(1, 40.0), (7, 10.0), (8, 1.0)])
+        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                                       lipschitz=0.05)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        assert sketch is None
+        assert rec.reason == "rejected"
+        r_sketch = np.linalg.qr(window[[7, 8, 9]], mode="r")
+        assert rec.sigma_min == pytest.approx(estimate_sigma_min(r_sketch),
+                                              rel=1e-12)
+        assert rec.sigma_min < 0.1
 
     def test_rank_deficient_sketch_rejected(self):
         window = spikes(10, [(0, 50.0)], [(1, 40.0)])
@@ -476,3 +555,83 @@ class TestMixingStep:
             rec = MixingStep(4, 2, 1.0, reason)
             assert rec.accepted == (reason == "accepted")
             assert rec.fallback == (reason == "no-factor")
+
+
+def _compare_with_reference_guard(seed, l1, c, log_lipschitz, adaptivity,
+                                  percent, graded):
+    """Run the guard and the SVD-always reference on one random window.
+
+    Both see the same workspace, factor and rng seed. Returns which test
+    settled the guard's step: its reason, and for a recorded sigma whether
+    it is the whole window's.
+    """
+    c = min(c, l1)
+    rng = np.random.default_rng(seed)
+    columns = rng.standard_normal((l1, c))
+    if graded:
+        columns *= 10.0 ** rng.uniform(-3.0, 0.0, c)
+    f = rng.standard_normal(l1) * 10.0 ** rng.uniform(-2.0, 2.0)
+    dx_norms = rng.uniform(0.1, 2.0, c)
+    _, ws, r_window = make_workspace(columns, f, dx_norms,
+                                     10.0 ** log_lipschitz)
+    config = SolverConfig(window=8, adaptivity=adaptivity,
+                          sketch_percent=percent)
+    draws = [np.random.default_rng(seed + 1) for _ in range(2)]
+    sketch, rec = adaptive_step(ws, config, 5, draws[0], r_window)
+    ref_sketch, ref = adaptive_step_reference(ws, config, 5, draws[1],
+                                              r_window)
+    assert rec.reason == ref.reason
+    assert rec.eps_rhs == ref.eps_rhs
+    assert draws[0].bit_generator.state == draws[1].bit_generator.state
+    assert (sketch is None) == (ref_sketch is None)
+    if sketch is not None:
+        for got, want in zip(sketch, ref_sketch, strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    if rec.sigma_min is None:
+        return (rec.reason, "diagonal")
+    # A recorded sigma is the reference's, but where the whole window's
+    # sigma settled a rejection the reference went on to the sketch's.
+    whole = rec.sigma_min == estimate_sigma_min(r_window)
+    if not (whole and rec.reason == "rejected"):
+        assert rec.sigma_min == ref.sigma_min
+    return (rec.reason, "whole window" if whole else "sketch")
+
+
+_GUARD_CASES = dict(
+    seed=st.integers(0, 2**32 - 2),
+    l1=st.integers(4, 60),
+    c=st.integers(1, 8),
+    log_lipschitz=st.floats(-4.0, 2.0),
+    adaptivity=st.sampled_from([a for a in Adaptivity if a is not Adaptivity.NONE]),
+    percent=st.sampled_from([10.0, 30.0, 50.0, 80.0, 100.0]),
+    graded=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_GUARD_CASES)
+def test_guard_matches_svd_always_reference(seed, l1, c, log_lipschitz,
+                                            adaptivity, percent, graded):
+    _compare_with_reference_guard(seed, l1, c, log_lipschitz, adaptivity,
+                                  percent, graded)
+
+
+def test_reference_comparison_reaches_every_exit():
+    # The property test above is only as strong as the exits it reaches:
+    # each of the guard's tests must settle some step of a fixed sample.
+    rng = np.random.default_rng(11)
+    strategies = [a for a in Adaptivity if a is not Adaptivity.NONE]
+    exits = set()
+    for seed in range(400):
+        exits.add(_compare_with_reference_guard(
+            seed, int(rng.integers(4, 61)), int(rng.integers(1, 9)),
+            float(rng.uniform(-4.0, 2.0)), strategies[seed % 4],
+            float(rng.choice([10.0, 30.0, 50.0, 80.0, 100.0])),
+            bool(seed % 2),
+        ))
+    assert exits >= {
+        ("lhs-negative", "diagonal"), ("lhs-negative", "whole window"),
+        ("rejected", "whole window"), ("rejected", "diagonal"),
+        ("rejected", "sketch"), ("accepted", "sketch"),
+    }, exits

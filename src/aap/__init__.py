@@ -11,11 +11,11 @@ from .fixed_point import (
     NumericalBreakdown,
     UnknownField,
     evaluate_residual,
-    field_indices,
+    field_rows,
     from_fixed_point_form,
 )
 from .lsq import RankDeficient, estimate_sigma_min, qr_masked_solve
-from .sketching import Adaptivity, InvalidMask, MaskOperator, MixingStep
+from .sketching import Adaptivity, MixingStep
 from .solver import SolveReport, SolverConfig, Trace, solve
 
 __version__ = "0.1.0"
@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adaptivity",
     "FixedPointProblem",
-    "InvalidMask",
-    "MaskOperator",
     "MixingStep",
     "NumericalBreakdown",
     "RankDeficient",
@@ -34,7 +32,7 @@ __all__ = [
     "UnknownField",
     "estimate_sigma_min",
     "evaluate_residual",
-    "field_indices",
+    "field_rows",
     "from_fixed_point_form",
     "qr_masked_solve",
     "solve",

@@ -370,7 +370,7 @@ def write_trace(report: SolveReport, path: str):
         "l1": report.l1,
         "omega": report.omega,
         "window": report.window,
-        "alternation": report.alternation,
+        "alternation": config.alternation,
         "adaptivity": config.adaptivity.value,
         "static_mask": config.static_mask or "none",
         "sketch_percent": config.sketch_percent,

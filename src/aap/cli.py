@@ -32,7 +32,7 @@ from .bench import (
     write_table,
     write_trace,
 )
-from .fixed_point import NumericalBreakdown, UnknownField, field_indices
+from .fixed_point import NumericalBreakdown, UnknownField, field_rows
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .solver import SolverConfig, solve
 
@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
         problem = build_problem(args.problem, args.size, seed=args.seed,
                                 init=args.init)
         if args.mask != "none":
-            field_indices(problem, args.mask)
+            field_rows(problem, args.mask)
         config = SolverConfig(
             window=args.window,
             alternation=args.alternation,
@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
             rng_seed=args.seed,
         )
     except (KeyError, ValueError, ResourceLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
     want_trace = args.trace is not None
@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
     fallbacks = sum(1 for rec in report.mask_trace if rec.fallback)
     accepted = sum(1 for rec in report.mask_trace if rec.accepted)
     print(f"problem      {report.problem} (n={report.n}, l1={report.l1})")
-    print(f"window       m={report.window}  p={report.alternation}  "
+    print(f"window       m={report.window}  p={report.config.alternation}  "
           f"omega={report.omega:g}")
     print(f"iterations   {report.iterations}")
     print(f"converged    {'yes' if report.converged else 'no'}")

@@ -3,8 +3,8 @@
 A problem is the root-finding form T(x) = 0. The associated relaxed
 fixed-point map is x - omega * T(x), so a root of T is a fixed point of the
 map and vice versa. Problems carry a field layout, a tuple of named
-contiguous index ranges, so restriction masks can be built from the names of
-physical unknowns rather than raw indices.
+contiguous index ranges, so a restriction can name the rows of a physical
+unknown (`field_rows`) rather than list raw indices.
 """
 from __future__ import annotations
 
@@ -152,14 +152,16 @@ def from_fixed_point_form(
     )
 
 
-def field_indices(problem: FixedPointProblem, name: str) -> np.ndarray:
-    """Index array of the named field.
+def field_rows(problem: FixedPointProblem, name: str | None) -> slice:
+    """The rows of the named field, as a slice; None gives every row.
 
     Raises UnknownField listing the available names when ``name`` is absent.
     """
+    if name is None:
+        return slice(0, problem.dimension)
     for fname, (start, stop) in problem.fields:
         if fname == name:
-            return np.arange(start, stop)
+            return slice(start, stop)
     raise UnknownField(
         f"unknown field {name!r}; problem {problem.name!r} has fields "
         f"{list(problem.field_names())}"

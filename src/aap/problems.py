@@ -96,12 +96,16 @@ def _component_stiffness(nx: int, ny: int) -> sp.csr_matrix:
     Stiffness scaling: entries are h-free, so this equals h^2 times the
     finite-difference Laplacian. Neighbors beyond the lattice edge are
     dropped while the diagonal stays at 4, the zero-ghost-value Dirichlet
-    closure. Symmetric positive definite for any lattice shape.
+    closure. Symmetric positive definite for any lattice shape. No zero is
+    stored, though scipy's kron can keep the zeros of the dense blocks it
+    uses for small factors.
     """
     ix = sp.identity(nx, format="csr")
     iy = sp.identity(ny, format="csr")
     lap = sp.kron(_path_laplacian(nx), iy) + sp.kron(ix, _path_laplacian(ny))
-    return lap.tocsr()
+    lap = lap.tocsr()
+    lap.eliminate_zeros()
+    return lap
 
 
 def make_saddle_point(grid: GridSpec) -> FixedPointProblem:

@@ -1,7 +1,8 @@
 """Two-level residual restriction and the stability guard.
 
-Level one is a static mask picked from the problem's field layout (for
-example, pressure rows only). Level two is a dynamic row sketch chosen per
+Level one keeps the rows of one field of the problem's layout (for
+example, pressure rows only), which the solver reads in place as views of
+its full vectors. Level two is a dynamic row sketch chosen per
 mixing step, admitted only when `stability_hypothesis` holds for it, so the
 perturbation it introduces into the mixing update stays within the eta-sum
 bound. The guard admits a sketch only on the exact smallest singular value
@@ -19,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsq
-from .fixed_point import FixedPointProblem, field_indices
 from .lsq import estimate_sigma_min, min_abs_diagonal
-
-
-class InvalidMask(ValueError):
-    """Mask index set is empty, unsorted, duplicated, or out of range."""
 
 
 class Adaptivity(str, enum.Enum):
@@ -46,54 +42,6 @@ class Adaptivity(str, enum.Enum):
         if self in (Adaptivity.SUBSELECT_POWER, Adaptivity.RANDOMIZED_POWER):
             return "power"
         return "constant"
-
-
-@dataclass(frozen=True)
-class MaskOperator:
-    """Restriction to a sorted subset of coordinates.
-
-    ``kept`` holds strictly increasing indices into [0, dim). The associated
-    orthogonal projector P keeps the listed coordinates and zeroes the rest.
-    """
-
-    kept: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        kept = np.asarray(self.kept, dtype=np.intp)
-        object.__setattr__(self, "kept", kept)
-        if kept.size == 0:
-            raise InvalidMask("mask keeps nothing")
-        if kept[0] < 0 or kept[-1] >= self.dim:
-            raise InvalidMask(f"indices outside [0, {self.dim})")
-        if np.any(np.diff(kept) <= 0):
-            raise InvalidMask("indices must be strictly increasing")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kept.size == self.dim
-
-    @property
-    def size(self) -> int:
-        return int(self.kept.size)
-
-
-def identity_mask(dim: int) -> MaskOperator:
-    return MaskOperator(kept=np.arange(dim), dim=dim)
-
-
-def build_static_mask(problem: FixedPointProblem, spec) -> MaskOperator:
-    """Resolve the level-one mask.
-
-    ``spec`` may be None (identity), a field name from the problem layout,
-    or an explicit index array. Raises UnknownField for a bad name and
-    InvalidMask for a malformed index set.
-    """
-    if spec is None:
-        return identity_mask(problem.dimension)
-    if isinstance(spec, str):
-        return MaskOperator(kept=field_indices(problem, spec), dim=problem.dimension)
-    return MaskOperator(kept=np.asarray(spec, dtype=np.intp), dim=problem.dimension)
 
 
 def update_lipschitz(l_prev: float, df_norm: float, dx_norm: float) -> float:
@@ -290,7 +238,7 @@ def adaptive_step(
     step's MixingStep.
     """
     ws = workspace
-    f_r = ws.f_sub if ws.f_sub is not None else ws.f
+    f_r = ws.f_r
     l1 = f_r.shape[0]
     c = ws.filled
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")

@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsq
-from .fixed_point import FixedPointProblem, NumericalBreakdown, evaluate_residual
-from .sketching import (
-    Adaptivity,
-    MaskOperator,
-    MixingStep,
-    adaptive_step,
-    build_static_mask,
-    update_lipschitz,
+from .fixed_point import (
+    FixedPointProblem,
+    NumericalBreakdown,
+    evaluate_residual,
+    field_rows,
 )
+from .sketching import Adaptivity, MixingStep, adaptive_step, update_lipschitz
 
 DEFAULT_WINDOW = 10
 
@@ -57,7 +55,7 @@ class SolverConfig:
         Picard relaxation omega; None defers to the problem (falling back
         to 1).
     static_mask
-        Field name for the level-one restriction, or None for identity.
+        Field name for the level-one restriction, or None for every row.
     adaptivity
         Level-two sketch strategy, Adaptivity.NONE to disable.
     sketch_percent
@@ -97,6 +95,9 @@ class SolverConfig:
 class Workspace:
     """Preallocated solver state, and the per-run state `step` advances.
 
+    ``f_r`` and ``df_r``, the level-one restriction, are views of the
+    field's rows of ``f`` and ``df``; they are never copied, since ``f``
+    and ``df`` are only ever written in place.
     ``df_window`` (restricted rows), ``dg_window`` (full rows) and
     ``dx_norms`` share one chronological column order, oldest first. They
     are the width-m views at ``offset`` into column-major ``buffers`` s
@@ -109,15 +110,14 @@ class Workspace:
     """
 
     m: int
-    mask: MaskOperator
     x: np.ndarray
     f: np.ndarray
     g: np.ndarray
     df: np.ndarray
     dg: np.ndarray
     scratch: np.ndarray
-    f_sub: np.ndarray | None
-    df_sub: np.ndarray | None
+    f_r: np.ndarray
+    df_r: np.ndarray
     df_window: np.ndarray
     dg_window: np.ndarray
     dx_norms: np.ndarray
@@ -134,44 +134,37 @@ class Workspace:
     restarts: int = 0
 
 
-def allocate_workspace(
-    n: int,
-    config: SolverConfig,
-    mask: MaskOperator | None = None,
-    window: int | None = None,
-) -> Workspace:
+def allocate_workspace(problem: FixedPointProblem,
+                       config: SolverConfig) -> Workspace:
     """Allocate every buffer the iteration needs, once.
 
-    ``mask`` is the resolved level-one restriction (None means identity).
-    The restricted mirrors f_sub / df_sub exist only for a real restriction.
+    The level-one restriction is the rows of the field
+    ``config.static_mask`` names (every row for None), and the window is
+    the resolved one, clamped to the restricted row count: a wider window
+    would make the least squares underdetermined.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = window if window is not None else (config.window or DEFAULT_WINDOW)
+    n = problem.dimension
+    rows = field_rows(problem, config.static_mask)
+    l1 = rows.stop - rows.start
+    m = min(resolve_window(problem, config), l1)
     if m < 1:
         raise ValueError("window must be >= 1")
-    if mask is None:
-        mask = MaskOperator(kept=np.arange(n), dim=n)
-    if mask.dim != n:
-        raise ValueError(f"mask built for dimension {mask.dim}, problem has {n}")
-    l1 = mask.size
-    restricted = not mask.is_identity
     width = m + _window_slack(m)
     buffers = (np.zeros(l1 * width), np.zeros(n * width), np.zeros(width))
     df_buf, dg_buf = (b.reshape((-1, width), order="F") for b in buffers[:2])
     views = [(df_buf[:, o:o + m], dg_buf[:, o:o + m], buffers[2][o:o + m])
              for o in range(width - m + 1)]
+    f, df = np.zeros(n), np.zeros(n)
     return Workspace(
         m=m,
-        mask=mask,
         x=np.zeros(n),
-        f=np.zeros(n),
+        f=f,
         g=np.zeros(n),
-        df=np.zeros(n),
+        df=df,
         dg=np.zeros(n),
         scratch=np.zeros(n),
-        f_sub=np.zeros(l1) if restricted else None,
-        df_sub=np.zeros(l1) if restricted else None,
+        f_r=f[rows],
+        df_r=df[rows],
         df_window=views[0][0],
         dg_window=views[0][1],
         dx_norms=views[0][2],
@@ -223,16 +216,16 @@ def _window_slack(m: int) -> int:
 def push_window(ws: Workspace, dx_norm: float):
     """Append the newest increments to the windows, chronologically.
 
-    The restricted residual increment (df_sub, or df when the level-one mask
-    is identity), dg and dx_norm enter the same column of df_window,
-    dg_window and dx_norms. A window that is not full grows by one column;
-    an empty one (a fresh workspace, or one whose window restarted by
-    setting ``filled`` to 0) starts again at offset 0. A full window drops
-    its oldest column by sliding its view one column along the buffer, and
-    only when the view has reached the end of the buffer are its m - 1
-    newest columns moved to the front, one flat column-major move per
-    buffer, before the view goes back to offset 0. The window factor is
-    told of the push, and the trace, when there is one, logs a copy.
+    The restricted residual increment df_r, dg and dx_norm enter the same
+    column of df_window, dg_window and dx_norms. A window that is not full
+    grows by one column; an empty one (a fresh workspace, or one whose
+    window restarted by setting ``filled`` to 0) starts again at offset 0.
+    A full window drops its oldest column by sliding its view one column
+    along the buffer, and only when the view has reached the end of the
+    buffer are its m - 1 newest columns moved to the front, one flat
+    column-major move per buffer, before the view goes back to offset 0.
+    The window factor is told of the push, and the trace, when there is
+    one, logs a copy.
     """
     if ws.filled == ws.m:
         offset = ws.offset + 1
@@ -250,7 +243,7 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.offset = offset
     ws.df_window, ws.dg_window, ws.dx_norms = ws.views[offset]
     j = ws.filled - 1
-    ws.df_window[:, j] = ws.df_sub if ws.df_sub is not None else ws.df
+    ws.df_window[:, j] = ws.df_r
     ws.dg_window[:, j] = ws.dg
     ws.dx_norms[j] = dx_norm
     ws.factor.push()
@@ -309,9 +302,6 @@ def step(
         dx_norm = float(np.linalg.norm(ws.scratch))
         df_norm = float(np.linalg.norm(ws.df))
     ws.lipschitz = update_lipschitz(ws.lipschitz, df_norm, dx_norm)
-    if ws.f_sub is not None:
-        np.take(ws.f, ws.mask.kept, out=ws.f_sub)
-        np.take(ws.df, ws.mask.kept, out=ws.df_sub)
     push_window(ws, dx_norm)
 
     adaptive = config.adaptivity is not Adaptivity.NONE
@@ -330,7 +320,7 @@ def step(
         return relres, None
 
     c = ws.filled
-    f_r = ws.f_sub if ws.f_sub is not None else ws.f
+    f_r = ws.f_r
     try:
         alpha, r_step = ws.factor.solve(ws.df_window, f_r, c)
     except lsq.RankDeficient:
@@ -523,10 +513,8 @@ class SolveReport:
     final_state: np.ndarray
     omega: float
     window: int
-    alternation: int
     config: SolverConfig
     trace: Trace | None = None
-    iterates: list[np.ndarray] | None = None
     factor_updates: int = 0
     factor_refreshes: int = 0
     window_restarts: int = 0
@@ -570,7 +558,6 @@ def solve(
     x0: np.ndarray | None = None,
     *,
     capture_trace: bool = False,
-    keep_iterates: bool = False,
 ) -> SolveReport:
     """Run the two-level alternating Anderson-Picard iteration.
 
@@ -584,32 +571,26 @@ def solve(
 
     capture_trace keeps a `Trace` of every pushed restricted increment
     column and, per mixing step, the restricted residual, coefficients,
-    factor and sketch rows, for offline verification.
-    keep_iterates records a copy of x after every update. Both are
-    diagnostic modes and allocate.
+    factor and sketch rows, for offline verification; it is a diagnostic
+    mode and allocates.
     """
     t_start = time.perf_counter()
     omega = resolve_omega(problem, config)
-    mask = build_static_mask(problem, config.static_mask)
-    # A window wider than the restricted row count would make the least
-    # squares underdetermined; clamp it.
-    m = min(resolve_window(problem, config), len(mask.kept))
-    ws = allocate_workspace(problem.dimension, config, mask, window=m)
+    ws = allocate_workspace(problem, config)
     if capture_trace:
-        ws.trace = Trace(ws.mask.size)
+        ws.trace = Trace(ws.f_r.size)
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
     norm_f0 = float(np.linalg.norm(f0))
     history = [1.0]
     mask_trace: list[MixingStep] = []
-    iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
     def report(converged, iterations):
         return SolveReport(
             problem=problem.name,
             n=problem.dimension,
-            l1=ws.mask.size,
+            l1=ws.f_r.size,
             converged=converged,
             iterations=iterations,
             residual_history=history,
@@ -617,11 +598,9 @@ def solve(
             wall_time_seconds=time.perf_counter() - t_start,
             final_state=ws.x.copy(),
             omega=omega,
-            window=m,
-            alternation=config.alternation,
+            window=ws.m,
             config=config,
             trace=ws.trace,
-            iterates=iterates,
             factor_updates=ws.factor.updates,
             factor_refreshes=ws.factor.refreshes,
             window_restarts=ws.restarts,
@@ -636,8 +615,6 @@ def solve(
     # hold the iteration-0 pair the first increments difference against.
     picard_update(ws.x, ws.f, omega, ws.scratch)
     np.copyto(ws.g, ws.x)
-    if keep_iterates:
-        iterates.append(ws.x.copy())
 
     converged = False
     k = 0
@@ -650,8 +627,6 @@ def solve(
                 break
             if rec is not None:
                 mask_trace.append(rec)
-            if keep_iterates:
-                iterates.append(ws.x.copy())
     except NumericalBreakdown as exc:
         exc.report = report(False, k)
         raise

@@ -18,6 +18,7 @@ sketched factor, and picking rows by a stable sort. The package's guard
 skips every SVD and sketch that cannot change a decision, and must reach
 the same decisions.
 """
+import dataclasses
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from aap.solver import (
     picard_update,
     resolve_omega,
     resolve_window,
+    solve,
 )
 
 
@@ -177,7 +179,7 @@ def adaptive_step_reference(workspace, config, iteration, rng, r_window):
     drawn, factored and tested with its own exact sigma at its eps_rhs.
     """
     ws = workspace
-    f_r = ws.f_sub if ws.f_sub is not None else ws.f
+    f_r = ws.f_r
     l1 = f_r.shape[0]
     c = ws.filled
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
@@ -242,7 +244,38 @@ def shift_window_reference(increments, m):
     return [np.asarray(v) for v in kept]
 
 
-def solve_plain(problem, config, *, keep_iterates=False):
+def recording(problem):
+    """The problem with a residual that keeps a copy of each state it is
+    evaluated at, and the list it keeps them in.
+
+    Both solvers evaluate T once per iterate, at x_0, x_1, ..., so the list
+    is the iterate sequence up to the last evaluated iterate.
+    """
+    states = []
+
+    def residual(x):
+        states.append(x.copy())
+        return problem.residual(x)
+
+    return dataclasses.replace(problem, residual=residual), states
+
+
+def matches_plain_loop(problem, config):
+    """Whether `aap.solver.solve` visits the iterates of `solve_plain`, bit
+    for bit, and ends with the same state and residual history."""
+    traced, full_states = recording(problem)
+    full = solve(traced, config)
+    traced, plain_states = recording(problem)
+    plain = solve_plain(traced, config)
+    return (
+        len(full_states) == len(plain_states) == full.iterations + 1
+        and all(np.array_equal(a, b) for a, b in zip(full_states, plain_states))
+        and np.array_equal(full.final_state, plain.final_state)
+        and full.residual_history == plain.residual_history
+    )
+
+
+def solve_plain(problem, config):
     """Reference alternating Anderson-Picard loop, no masking machinery.
 
     Full-row windows in chronological order, shifted one column at a time,
@@ -263,7 +296,6 @@ def solve_plain(problem, config, *, keep_iterates=False):
     if norm_f0 == 0.0:
         raise ValueError("x0 is already a root; nothing to compare")
     history = [1.0]
-    iterates = [] if keep_iterates else None
     scratch = np.zeros(n)
     f_window = np.zeros((n, m), order="F")
     g_window = np.zeros((n, m), order="F")
@@ -273,8 +305,6 @@ def solve_plain(problem, config, *, keep_iterates=False):
     converged = False
     picard_update(x, f_prev, omega, scratch)
     g_prev = x.copy()
-    if keep_iterates:
-        iterates.append(x.copy())
     for k in range(1, config.max_iterations + 1):
         f = evaluate_residual(problem, x)
         np.multiply(f, omega, out=scratch)
@@ -310,8 +340,6 @@ def solve_plain(problem, config, *, keep_iterates=False):
                 cols = 0
                 factor.reset()
                 restarts += 1
-        if keep_iterates:
-            iterates.append(x.copy())
 
     return SolveReport(
         problem=problem.name,
@@ -325,9 +353,7 @@ def solve_plain(problem, config, *, keep_iterates=False):
         final_state=x.copy(),
         omega=omega,
         window=m,
-        alternation=p,
         config=config,
-        iterates=iterates,
         factor_updates=factor.updates,
         factor_refreshes=factor.refreshes,
         window_restarts=restarts,

@@ -641,10 +641,14 @@ class TestCli:
             "run", "--problem", "saddle", "--size", "9",
             "--init", "poisson",
         ]) == 2
+        capsys.readouterr()
         assert main([
             "run", "--problem", "saddle", "--size", "9",
             "--mask", "temperature",
         ]) == 2
+        # The field lookup's KeyError prints its message, not its repr.
+        assert capsys.readouterr().err.startswith(
+            "error: unknown field 'temperature'; problem 'saddle' has fields")
 
     def test_sweep_runs_plan(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -7,7 +7,7 @@ from aap.fixed_point import (
     NumericalBreakdown,
     UnknownField,
     evaluate_residual,
-    field_indices,
+    field_rows,
     from_fixed_point_form,
 )
 
@@ -115,9 +115,7 @@ class TestAdapter:
 
     def test_default_layout_covers_everything(self):
         problem = from_fixed_point_form(lambda x: x, 7)
-        np.testing.assert_array_equal(
-            field_indices(problem, "state"), np.arange(7)
-        )
+        assert field_rows(problem, "state") == slice(0, 7)
 
 
 class TestFieldIndices:
@@ -129,30 +127,29 @@ class TestFieldIndices:
         )
 
     def test_pressure_range(self):
-        np.testing.assert_array_equal(
-            field_indices(self.problem, "pressure"), [6, 7, 8]
-        )
+        rows = field_rows(self.problem, "pressure")
+        assert rows == slice(6, 9)
+        np.testing.assert_array_equal(np.arange(9)[rows], [6, 7, 8])
 
     def test_velocity_range(self):
-        np.testing.assert_array_equal(
-            field_indices(self.problem, "velocity"), np.arange(6)
-        )
+        assert field_rows(self.problem, "velocity") == slice(0, 6)
 
     def test_single_field_returns_all(self):
         problem = shift_problem(np.zeros(5))
-        np.testing.assert_array_equal(
-            field_indices(problem, "state"), np.arange(5)
-        )
+        assert field_rows(problem, "state") == slice(0, 5)
+
+    def test_none_gives_every_row(self):
+        assert field_rows(self.problem, None) == slice(0, 9)
 
     def test_unknown_field_lists_names(self):
         with pytest.raises(UnknownField) as info:
-            field_indices(self.problem, "temperature")
+            field_rows(self.problem, "temperature")
         message = str(info.value)
         assert "velocity" in message and "pressure" in message
 
     def test_sizes_match_ranges(self):
         for name, (start, stop) in self.problem.fields:
-            assert field_indices(self.problem, name).size == stop - start
+            assert field_rows(self.problem, name) == slice(start, stop)
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 """Built-in problems against independently assembled dense oracles."""
+import hashlib
 import re
 from pathlib import Path
 
@@ -102,6 +103,32 @@ class TestSaddle:
                 problem.data["divergence"].toarray()[:-1],
                 oracle[n_u + n_v : -1, : n_u + n_v],
             )
+
+    def test_system_stores_no_zero(self):
+        # A lattice side of 2 once made the velocity stiffness, and so the
+        # system, store explicit zeros (8 of 95 entries at size 4).
+        for npts in range(3, 18):
+            data = make_saddle_point(GridSpec(2, npts)).data
+            for name in ("system", "stiffness"):
+                assert np.count_nonzero(data[name].data == 0) == 0, (npts, name)
+
+    # SHA-256 prefixes of the system's indptr and indices (as int64) and
+    # data. The benchmark's saddle solves converge or not on the last bit
+    # of their arithmetic, so these systems must not change.
+    PINNED_SYSTEMS = {
+        9: ("4e5761753ab96528", "15cb903fcc97a099", "4c5d8186dc1af5e1"),
+        17: ("440fbd8108e900d4", "473185a29d72f437", "22c69604ac8ef24c"),
+        33: ("2e4602648c371ffa", "a10e41689dc3a1b1", "1055041284d897fb"),
+        65: ("1c988e1315e4893e", "caa6cab8ef3a5a48", "b62e7212b660e464"),
+    }
+
+    @pytest.mark.parametrize("npts", sorted(PINNED_SYSTEMS))
+    def test_system_bits_pinned(self, npts):
+        system = make_saddle_point(GridSpec(2, npts)).data["system"]
+        arrays = (system.indptr.astype(np.int64), system.indices.astype(np.int64),
+                  system.data)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+        assert digests == self.PINNED_SYSTEMS[npts]
 
     def test_residual_applies_block_preconditioner(self):
         npts = 5

@@ -6,20 +6,16 @@ from hypothesis import strategies as st
 from oracles import adaptive_step_reference, subselection_stable_argsort
 
 from aap import lsq, sketching
-from aap.fixed_point import UnknownField
+from aap.fixed_point import UnknownField, from_fixed_point_form
 from aap.problems import GridSpec, make_bidomain_toy, make_saddle_point
 from aap.sketching import (
     REASONS,
     Adaptivity,
-    InvalidMask,
-    MaskOperator,
     MixingStep,
     adaptive_step,
-    build_static_mask,
     ETA_EXPONENT,
     budget_weights,
     epsilon_rhs,
-    identity_mask,
     perturbation_norm,
     select_randomized,
     select_subselection,
@@ -31,53 +27,38 @@ from aap.lsq import estimate_sigma_min
 from aap.solver import SolverConfig, allocate_workspace
 
 
-class TestMaskOperator:
-    def test_identity_flag(self):
-        assert identity_mask(4).is_identity
-        assert not MaskOperator(kept=np.array([0, 2]), dim=4).is_identity
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidMask):
-            MaskOperator(kept=np.array([], dtype=int), dim=4)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(InvalidMask):
-            MaskOperator(kept=np.array([2, 1]), dim=4)
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(InvalidMask):
-            MaskOperator(kept=np.array([1, 1]), dim=4)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidMask):
-            MaskOperator(kept=np.array([0, 4]), dim=4)
-
-
 class TestBuildStaticMask:
+    """The level-one restriction a config's static_mask names: the views
+    f_r and df_r of the field's rows of the workspace's f and df."""
+
+    @staticmethod
+    def restricted_rows(problem, static_mask):
+        ws = allocate_workspace(problem, SolverConfig(static_mask=static_mask))
+        ws.f[:] = np.arange(problem.dimension)
+        ws.df[:] = -ws.f
+        np.testing.assert_array_equal(ws.df_r, -ws.f_r)
+        return ws.f_r
+
     def test_pressure_field(self):
         problem = make_saddle_point(GridSpec(2, 5))
-        mask = build_static_mask(problem, "pressure")
         start, stop = dict(problem.fields)["pressure"]
-        np.testing.assert_array_equal(mask.kept, np.arange(start, stop))
+        np.testing.assert_array_equal(
+            self.restricted_rows(problem, "pressure"), np.arange(start, stop))
 
     def test_none_is_identity(self):
         problem = make_saddle_point(GridSpec(2, 5))
-        assert build_static_mask(problem, None).is_identity
+        np.testing.assert_array_equal(
+            self.restricted_rows(problem, None), np.arange(problem.dimension))
 
     def test_bidomain_extracellular(self):
         problem = make_bidomain_toy(GridSpec(2, 5))
-        mask = build_static_mask(problem, "extracellular")
-        np.testing.assert_array_equal(mask.kept, np.arange(25))
+        np.testing.assert_array_equal(
+            self.restricted_rows(problem, "extracellular"), np.arange(25))
 
     def test_unknown_field(self):
         problem = make_saddle_point(GridSpec(2, 5))
         with pytest.raises(UnknownField):
-            build_static_mask(problem, "temperature")
-
-    def test_explicit_indices(self):
-        problem = make_saddle_point(GridSpec(2, 5))
-        mask = build_static_mask(problem, np.array([0, 5, 7]))
-        np.testing.assert_array_equal(mask.kept, [0, 5, 7])
+            allocate_workspace(problem, SolverConfig(static_mask="temperature"))
 
 
 class TestLipschitz:
@@ -334,7 +315,7 @@ def make_workspace(columns, f_values, dx_norms, lipschitz,
     columns = np.asarray(columns, dtype=float)
     l1, c = columns.shape
     config = SolverConfig(window=8, adaptivity=adaptivity)
-    ws = allocate_workspace(l1, config)
+    ws = allocate_workspace(from_fixed_point_form(lambda x: x, l1), config)
     ws.filled = c
     ws.df_window[:, :c] = columns
     ws.f[:] = f_values

@@ -13,12 +13,16 @@ from aap.fixed_point import (
     NumericalBreakdown,
     from_fixed_point_form,
 )
-from aap.problems import GridSpec, build_problem, make_linear, make_p_laplacian
+from aap.problems import (
+    PROBLEM_NAMES,
+    GridSpec,
+    build_problem,
+    make_linear,
+    make_p_laplacian,
+)
 from aap.lsq import estimate_sigma_min
 from aap.sketching import (
     Adaptivity,
-    InvalidMask,
-    build_static_mask,
     budget_weights,
     epsilon_rhs,
     stability_hypothesis,
@@ -29,11 +33,12 @@ from aap.solver import (
     anderson_update,
     picard_update,
     push_window,
+    resolve_window,
     solve,
     update_increments,
 )
 
-from oracles import shift_window_reference, solve_plain
+from oracles import matches_plain_loop, shift_window_reference, solve_plain
 
 
 def shift_problem(b, **kw):
@@ -44,6 +49,11 @@ def shift_problem(b, **kw):
         fields=(("state", (0, b.size)),),
         **kw,
     )
+
+
+def workspace(n, m):
+    """A fresh workspace for an n-row problem, window m, no restriction."""
+    return allocate_workspace(shift_problem(np.zeros(n)), SolverConfig(window=m))
 
 
 class TestPicardUpdate:
@@ -71,32 +81,39 @@ class TestPicardUpdate:
 
 
 class TestAllocateWorkspace:
+    cases = (("linear", 8), ("saddle", 9), ("plaplace", 9), ("bidomain", 9))
+
+    def check_shapes(self, field_ranges):
+        # f_r and df_r are views of the restricted rows of f and df, the
+        # residual window and its factor have those rows, and the window is
+        # clamped to them.
+        assert {name for name, _ in self.cases} == set(PROBLEM_NAMES)
+        for name, size in self.cases:
+            problem = build_problem(name, size)
+            n = problem.dimension
+            for field, (start, stop) in field_ranges(problem):
+                for window in (None, 100):
+                    config = SolverConfig(window=window, static_mask=field)
+                    ws = allocate_workspace(problem, config)
+                    assert ws.m == min(resolve_window(problem, config),
+                                       stop - start)
+                    ws.f[:] = np.arange(n)
+                    ws.df[:] = -ws.f
+                    assert np.shares_memory(ws.f_r, ws.f)
+                    assert np.shares_memory(ws.df_r, ws.df)
+                    np.testing.assert_array_equal(ws.f_r, np.arange(start, stop))
+                    np.testing.assert_array_equal(ws.df_r, -ws.f_r)
+                    assert ws.df_window.shape == (stop - start, ws.m)
+                    assert ws.factor.q.shape == (stop - start, ws.m)
+                    assert ws.dg_window.shape == (n, ws.m)
+
     def test_masked_shapes(self):
-        problem = build_problem("saddle", 5)
-        mask = build_static_mask(problem, "pressure")
-        config = SolverConfig(window=10)
-        ws = allocate_workspace(problem.dimension, config, mask)
-        assert ws.df_window.shape == (mask.size, 10)
-        assert ws.dg_window.shape == (problem.dimension, 10)
-        assert ws.f_sub.shape == (mask.size,)
+        # Every built-in problem, restricted to each of its fields.
+        self.check_shapes(lambda problem: problem.fields)
 
     def test_unmasked_shapes(self):
-        config = SolverConfig(window=10)
-        ws = allocate_workspace(9, config)
-        assert ws.df_window.shape == (9, 10)
-        assert ws.dg_window.shape == (9, 10)
-        assert ws.f_sub is None and ws.df_sub is None
-
-    def test_empty_mask_rejected(self):
-        problem = shift_problem(np.zeros(4))
-        with pytest.raises(InvalidMask):
-            build_static_mask(problem, np.array([], dtype=int))
-
-    def test_mask_dimension_mismatch(self):
-        problem = build_problem("saddle", 5)
-        mask = build_static_mask(problem, "pressure")
-        with pytest.raises(ValueError):
-            allocate_workspace(mask.size + 1, SolverConfig(), mask)
+        # Every built-in problem with no static mask: every row is kept.
+        self.check_shapes(lambda problem: ((None, (0, problem.dimension)),))
 
 
 class TestUpdateIncrements:
@@ -116,7 +133,7 @@ class TestUpdateIncrements:
         ws.g[:] = x - omega * ws.f
 
     def test_unchanged_state_gives_zero_increments(self):
-        ws = allocate_workspace(5, SolverConfig(window=3))
+        ws = workspace(5, 3)
         x0 = np.random.default_rng(2).standard_normal(5)
         self.prime(ws, x0, 1.0)
         update_increments(ws, self.problem, 1.0)
@@ -125,7 +142,7 @@ class TestUpdateIncrements:
 
     def test_df_matches_matvec_oracle(self):
         rng = np.random.default_rng(3)
-        ws = allocate_workspace(5, SolverConfig(window=3))
+        ws = workspace(5, 3)
         x0 = rng.standard_normal(5)
         self.prime(ws, x0, 1.0)
         x1 = rng.standard_normal(5)
@@ -145,7 +162,7 @@ class TestUpdateIncrements:
         problem = FixedPointProblem(
             residual=counted, dimension=5, fields=(("state", (0, 5)),)
         )
-        ws = allocate_workspace(5, SolverConfig(window=3))
+        ws = workspace(5, 3)
         ws.x[:] = np.zeros(5)
         ws.f[:] = -self.b
         ws.g[:] = -ws.f
@@ -175,7 +192,7 @@ class TestPushWindow:
     def drive(self, m, ks, n=4, seed=5):
         """Push synthetic increments, with dx_norm k for each listed k."""
         rng = np.random.default_rng(seed)
-        ws = allocate_workspace(n, SolverConfig(window=m))
+        ws = workspace(n, m)
         dfs, dgs = [], []
         for k in ks:
             ws.df[:] = rng.standard_normal(n)
@@ -193,7 +210,7 @@ class TestPushWindow:
         np.testing.assert_array_equal(ws.dx_norms[:3], [3.0, 4.0, 5.0])
 
     def test_wide_window_never_drops(self):
-        ws, dfs, dgs = self.drive(10, [1, 2, 3, 4])
+        ws, dfs, dgs = self.drive(10, [1, 2, 3, 4], n=12)
         assert ws.filled == 4
         for window, pushed in ((ws.df_window, dfs), (ws.dg_window, dgs)):
             for j, col in enumerate(shift_window_reference(pushed, 10)):
@@ -205,8 +222,8 @@ class TestPushWindow:
         # `step` does one) part way through; the views must always read
         # what shifting the windows left would, over the same buffers.
         rng = np.random.default_rng(m)
-        n = 5
-        ws = allocate_workspace(n, SolverConfig(window=m))
+        n = 11
+        ws = workspace(n, m)
         buffers = ws.buffers
         width = buffers[2].size
         assert width > m
@@ -394,14 +411,6 @@ class TestSolve:
         assert 0 < report.iterations < config.max_iterations
         assert np.isfinite(report.residual_history).all()
 
-    def test_keep_iterates_counts_updates(self):
-        problem = make_linear(12)
-        report = solve(
-            problem, SolverConfig(max_iterations=9), keep_iterates=True
-        )
-        # one init step plus one per iteration
-        assert len(report.iterates) == report.iterations + 1
-
 
 def assert_accepted_steps_hold(report):
     """Recompute the guard's decision on every accepted step of a traced
@@ -530,12 +539,7 @@ class TestTransparency:
                 config = SolverConfig(
                     alternation=p, rel_tolerance=1e-8, max_iterations=60
                 )
-                full = solve(problem, config, keep_iterates=True)
-                plain = solve_plain(problem, config, keep_iterates=True)
-                assert full.iterations == plain.iterations
-                assert len(full.iterates) == len(plain.iterates)
-                for xa, xb in zip(full.iterates, plain.iterates):
-                    np.testing.assert_array_equal(xa, xb)
+                assert matches_plain_loop(problem, config)
 
     def test_factor_counters_identical(self):
         problem = build_problem("saddle", 9)
@@ -599,14 +603,7 @@ def test_random_contractive_problems(n, m, p, mask, adaptivity, seed):
     assert doc["steps"] == report.mask_trace
     assert_same_trace(doc["trace"], report.trace)
 
-    transparent = SolverConfig(sketch_percent=100.0, **common)
-    full = solve(problem, transparent, keep_iterates=True)
-    plain = solve_plain(problem, transparent, keep_iterates=True)
-    assert full.iterations == plain.iterations
-    assert full.residual_history == plain.residual_history
-    assert len(full.iterates) == len(plain.iterates)
-    for xa, xb in zip(full.iterates, plain.iterates):
-        np.testing.assert_array_equal(xa, xb)
+    assert matches_plain_loop(problem, SolverConfig(sketch_percent=100.0, **common))
 
 
 @settings(max_examples=60, deadline=None)

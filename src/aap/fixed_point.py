@@ -53,7 +53,7 @@ class FixedPointProblem:
     initial_state : ndarray or None
         Default initial guess; solvers fall back to zeros when absent.
     data : dict
-        Problem-specific handles (assembled operators, factorizations)
+        Problem-specific handles (assembled operators, reference solutions)
         kept for diagnostics and tests. Not part of the solver contract.
     """
 

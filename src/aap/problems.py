@@ -8,8 +8,9 @@ a Laplace-stabilized quasi-Newton residual, and an implicit-Euler step of a
 two-field bidomain toy with a cubic ionic current.
 
 Grid operators are finite differences on the unit interval or square.
-Construction precomputes any direct factorizations; the resulting problem
-objects are immutable and cheap to evaluate repeatedly.
+The inner Laplacian solves of the saddle and p-Laplacian residuals are
+fast sine transforms, so construction stores no factorization; the
+resulting problem objects are immutable and cheap to evaluate repeatedly.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .fixed_point import FixedPointProblem
 
@@ -27,7 +27,7 @@ MAX_SADDLE_POINTS = 65
 
 
 class ResourceLimit(RuntimeError):
-    """Requested problem size exceeds what cached direct solves handle."""
+    """Requested problem size exceeds a built-in problem's desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,38 @@ def _component_stiffness(nx: int, ny: int) -> sp.csr_matrix:
     return lap
 
 
+def sine_solver(shape: tuple[int, ...], scale: float = 1.0):
+    """Solve with scale * (T_n1 (+) T_n2), or scale * T_n for a 1-D shape.
+
+    T_k is the tridiagonal (-1, 2, -1) matrix of order k and (+) the
+    Kronecker sum, so the 2-D operator is ``_component_stiffness(n1, n2)``
+    times ``scale``. The orthonormal type-I sine transform diagonalises
+    every T_k, with eigenvalues 2 - 2 cos(pi j / (k + 1)), j = 1..k, and is
+    its own inverse, so a solve is a transform, a division by the summed
+    eigenvalues and a transform back: the fast Poisson solver of Buzbee,
+    Golub & Nielson (SIAM J. Numer. Anal. 1970). Returns a callable on
+    C-order raveled vectors of ``prod(shape)`` entries.
+    """
+    # Imported here, not with the module: scipy.fft loads scipy.special,
+    # about 4 MB of resident memory that the other problems do not need.
+    from scipy.fft import dstn
+
+    def ev(k):
+        return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (k + 1))
+
+    if len(shape) == 1:
+        lam = ev(shape[0]) * scale
+    else:
+        n1, n2 = shape
+        lam = (ev(n1)[:, None] + ev(n2)[None, :]) * scale
+
+    def solve(b):
+        return dstn(dstn(b.reshape(shape), type=1, norm="ortho") / lam,
+                    type=1, norm="ortho").ravel()
+
+    return solve
+
+
 def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
     """Stokes-like block system on a staggered grid, preconditioned.
 
@@ -127,7 +159,8 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
 
         T([u; p]) = P^{-1} (M [u; p] - [F; 0])
 
-    applies P = blockdiag(K, h^2 I) through a cached factorization of K.
+    applies P = blockdiag(K, h^2 I), solving with each velocity component's
+    stiffness by `sine_solver`.
     The preconditioned operator is indefinite, so plain Richardson diverges
     here and the mixing steps carry the iteration.
     """
@@ -185,13 +218,15 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
     rhs = np.zeros(n)
     rhs[:n_u] = (h * h) * f_u.ravel()
 
-    lu = splu(k_block.tocsc())
+    solve_u = sine_solver((nxu, nyu))
+    solve_v = sine_solver((nxv, nyv))
     inv_h2 = 1.0 / (h * h)
 
     def residual(x):
         raw = system @ x - rhs
         out = np.empty_like(raw)
-        out[: n_u + n_v] = lu.solve(raw[: n_u + n_v])
+        out[:n_u] = solve_u(raw[:n_u])
+        out[n_u : n_u + n_v] = solve_v(raw[n_u : n_u + n_v])
         out[n_u + n_v :] = raw[n_u + n_v :] * inv_h2
         return out
 
@@ -210,15 +245,6 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
             "stiffness": k_block,
         },
     )
-
-
-def _dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
-    """Standard 5-point (or 3-point in 1D) -Laplacian on interior nodes."""
-    k = grid.points - 2
-    h2 = grid.h * grid.h
-    if grid.dimensions == 1:
-        return (_path_laplacian(k) / h2).tocsr()
-    return (_component_stiffness(k, k) / h2).tocsr()
 
 
 def q_laplacian_residual(grid: GridSpec, q: float, reg: float = 1e-10):
@@ -278,8 +304,9 @@ def make_p_laplacian(
     """Laplace-stabilized quasi-Newton residual for the q-Laplacian.
 
     T(u) = (1/beta) (-Lap)^{-1} F(u), where F is the raw face-flux
-    operator from `q_laplacian_residual` with unit forcing and the inverse
-    Laplacian is a cached direct factorization. The fixed point of
+    operator from `q_laplacian_residual` with unit forcing and -Lap is the
+    standard 5-point (3-point in 1D) Dirichlet Laplacian on interior nodes,
+    inverted by `sine_solver`. The fixed point of
     u <- u - omega T(u) is the discrete q-Laplacian solution; at q = 2 it
     is the plain Poisson solution and T is affine with Jacobian I/beta.
 
@@ -293,16 +320,17 @@ def make_p_laplacian(
         raise ValueError("beta must be positive")
     if init not in ("zero", "poisson"):
         raise ValueError("init must be 'zero' or 'poisson'")
-    lap = _dirichlet_laplacian(grid)
-    lu = splu(lap.tocsc())
+    k = grid.points - 2
+    shape = (k,) * grid.dimensions
+    solve_lap = sine_solver(shape, 1.0 / (grid.h * grid.h))
     raw = q_laplacian_residual(grid, q)
-    n = lap.shape[0]
+    n = k**grid.dimensions
     inv_beta = 1.0 / beta
 
     def residual(u):
-        return inv_beta * lu.solve(raw(u))
+        return inv_beta * solve_lap(raw(u))
 
-    poisson = lu.solve(np.ones(n))
+    poisson = solve_lap(np.ones(n))
     x0 = poisson.copy() if init == "poisson" else None
     return FixedPointProblem(
         residual=residual,

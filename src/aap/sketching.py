@@ -85,7 +85,8 @@ def stability_hypothesis(
     ``lipschitz`` the running estimate L, ``norm_f`` the norm of the
     restricted residual f, ``dx_norms`` and ``etas`` the per-column
     displacement norms and budget weights, and ``eps`` the share of |f| the
-    sketch drops (`epsilon_rhs`). A column with dx_j = 0 passes.
+    sketch drops (`epsilon_rhs`). A column with dx_j = 0 passes, and one
+    whose right side overflows fails, both without a floating-point warning.
 
     Under it the perturbation of the mixing update stays within the eta sum.
     The sketched coefficients alpha minimise |S F alpha - S f|, so
@@ -99,7 +100,10 @@ def stability_hypothesis(
     neither a dimension factor on the left nor a max over the columns is
     part of it; the (1 + eps) factor is a margin the bound does not use.
     """
-    need = lipschitz * norm_f * (1.0 + eps) * np.asarray(dx_norms)
+    dx_norms = np.asarray(dx_norms, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        need = lipschitz * norm_f * (1.0 + eps) * dx_norms
+    need[dx_norms == 0.0] = 0.0
     return bool(np.all(np.asarray(etas) * sigma >= need))
 
 

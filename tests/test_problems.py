@@ -11,6 +11,7 @@ from aap.problems import (
     PROBLEM_NAMES,
     GridSpec,
     ResourceLimit,
+    _component_stiffness,
     build_problem,
     make_bidomain_toy,
     make_linear,
@@ -18,6 +19,7 @@ from aap.problems import (
     make_saddle_point,
     neumann_laplacian_apply,
     q_laplacian_residual,
+    sine_solver,
 )
 from aap.solver import SolverConfig, solve
 
@@ -71,6 +73,36 @@ class TestLinear:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             make_linear(1)
+
+
+def _relres(a, x, b):
+    return np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+
+
+class TestSineSolver:
+    # Saddle-3's velocity lattices are 1x2 and 2x1, saddle-4's 2x3 and
+    # 3x2; 63x64 and 64x63 are saddle-65's.
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (2, 1), (2, 3), (3, 2), (63, 64), (64, 63)]
+    )
+    def test_inverts_component_stiffness(self, shape):
+        stiffness = _component_stiffness(*shape)
+        b = np.random.default_rng(8).standard_normal(stiffness.shape[0])
+        assert _relres(stiffness, sine_solver(shape)(b), b) <= 1e-13
+
+    def test_inverts_1d_p_laplacian(self):
+        grid = GridSpec(1, 9)
+        k = grid.points - 2
+        lap = np.diag(2.0 * np.ones(k)) - np.eye(k, k=1) - np.eye(k, k=-1)
+        lap /= grid.h * grid.h
+        problem = make_p_laplacian(grid)
+        ones = np.ones(k)
+        assert _relres(lap, problem.data["poisson_solution"], ones) <= 1e-13
+        # At q = 2, beta T(u) solves -Lap w = F(u).
+        problem = make_p_laplacian(grid, q=2.0, beta=4.0)
+        u = np.random.default_rng(9).standard_normal(k)
+        raw = problem.data["apply_q_laplacian"](u)
+        assert _relres(lap, 4.0 * evaluate_residual(problem, u), raw) <= 1e-13
 
 
 class TestSaddle:

@@ -1,4 +1,6 @@
 """Masks, the stability guard's arithmetic, and the adaptive step."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,21 @@ class TestStabilityHypothesis:
 
     def test_all_zero_displacements_pass(self):
         assert stability_hypothesis(0.0, 1.0, 1.0, np.zeros(2), np.ones(2), 0.0)
+
+    def test_overflowing_bound_fails_without_warning(self):
+        # L |f| |dx| overflows to inf, as on a diverging solve; no finite
+        # left side meets it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not stability_hypothesis(1.0, 1e150, 1e150, [1e100], [1.0], 0.0)
+
+    def test_zero_displacement_passes_under_infinite_scale(self):
+        # L |f| alone overflows; inf * 0 would be NaN and fail the column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stability_hypothesis(1.0, 1e200, 1e200, [0.0], [1.0], 0.0)
+            assert not stability_hypothesis(1.0, 1e200, 1e200, [0.0, 1.0],
+                                            [1.0, 1.0], 0.0)
 
     def test_hypothesis_implies_the_bound(self):
         # Random windows, sketches and increment norms, with the weights

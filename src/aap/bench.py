@@ -6,7 +6,7 @@ Two jobs live here because they share the same output conventions:
   strategies, and alternation values over a size grid) and collects one
   record per run. Tables are CSV with a JSON metadata sidecar.
 * `write_trace` / `load_trace` / `verify_theorem_trace` store a traced
-  solve as a numpy archive (format ``aap-trace-4``: a JSON header, the
+  solve as a numpy archive (format ``aap-trace-5``: a JSON header, the
   arrays of its `Trace` and one array per `MixingStep` field), read back
   the same records and `Trace`, and recheck the perturbation bound against
   them offline.
@@ -19,6 +19,7 @@ timing lives in clearly named columns that consumers are free to ignore.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,12 +39,11 @@ from .sketching import (
     budget_weights,
     epsilon_rhs,
     perturbation_norm,
-    sketch_size,
     stability_hypothesis,
 )
 from .solver import SolveReport, SolverConfig, Trace, solve
 
-TRACE_FORMAT = "aap-trace-4"
+TRACE_FORMAT = "aap-trace-5"
 
 # Relative mismatch between R^T R and the restricted Gram matrix beyond
 # which a trace is considered corrupted rather than merely inaccurate.
@@ -269,22 +269,17 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     Rows come back in plan order, one per cell, with failures recorded as
     non-converged rows; a mask the problem has no field for raises
     UnknownField. When the plan names a traces directory, each
-    successful run's trace is written there.
+    successful run's trace is written there as soon as the run ends, so
+    only one traced report is held at a time.
     """
-    cells = [
-        (size, mask, adapt, p)
-        for size in plan.sizes
-        for mask in plan.masks
-        for adapt in plan.adaptivities
-        for p in plan.alternations
-    ]
-    results = [_run_one(plan, *cell) for cell in cells]
-    records = [rec for rec, _ in results]
-    if plan.traces is not None:
-        os.makedirs(plan.traces, exist_ok=True)
-        for (size, mask, adapt, p), (rec, report) in zip(cells, results):
-            if report is None:
-                continue
+    records = []
+    for size, mask, adapt, p in itertools.product(
+        plan.sizes, plan.masks, plan.adaptivities, plan.alternations
+    ):
+        rec, report = _run_one(plan, size, mask, adapt, p)
+        records.append(rec)
+        if report is not None:
+            os.makedirs(plan.traces, exist_ok=True)
             name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz"
             write_trace(report, os.path.join(plan.traces, name))
 
@@ -355,10 +350,11 @@ def write_trace(report: SolveReport, path: str):
     Requires the solve to have run with capture_trace=True. The archive is
     an uncompressed numpy ``.npz`` written to exactly the given path,
     whatever its suffix. It holds a JSON header, the arrays of
-    `Trace.arrays` (each window column stored once, so the file grows with
-    l1 * (iterations + steps), not with l1 * m * steps) and one array per
-    MixingStep field, with NaN for None. No timing fields are written, and
-    identical solves give byte-identical files.
+    `Trace.arrays` (one restricted residual per iteration, from which every
+    window follows, so the file grows with l1 * iterations, not with
+    l1 * m * steps) and one array per MixingStep field, with NaN for None.
+    No timing fields are written, and identical solves give byte-identical
+    files.
     """
     if report.trace is None:
         raise ValueError("report has no trace; solve with capture_trace=True")
@@ -367,7 +363,6 @@ def write_trace(report: SolveReport, path: str):
         "format": TRACE_FORMAT,
         "problem": report.problem,
         "n": report.n,
-        "l1": report.l1,
         "omega": report.omega,
         "window": report.window,
         "alternation": config.alternation,
@@ -443,20 +438,20 @@ def _read_trace(path: str) -> tuple[dict, dict]:
     return header, arrays
 
 
-_TRACE_REQUIRED = ("problem", "l1", "sketch_percent", "adaptivity", "iterations")
+_TRACE_REQUIRED = ("problem", "sketch_percent", "adaptivity", "iterations")
 
 
 def load_trace(path: str) -> dict:
     """Read a trace archive back into the records and arrays of its solve.
 
-    The mapping holds the header fields, ``residual_history``, ``steps``
-    (one MixingStep per mixing step, equal to the report's mask_trace, NaN
-    read back as None) and ``trace`` (a `Trace` over the archive's arrays).
-    Each step's pieces follow from its record and the sketch size that
-    ``sketch_percent`` and ``l1`` give, as in the guard. Raises ParseError
-    on anything malformed: a missing array or header key, an unknown guard
-    reason, dtypes, shapes or lengths that disagree, and windows or sketch
-    rows that run past their arrays.
+    The mapping holds the header fields, ``l1`` (the residual log's row
+    count), ``residual_history``, ``steps`` (one MixingStep per mixing step,
+    equal to the report's mask_trace, NaN read back as None) and ``trace``
+    (a `Trace` over the archive's arrays). Each step's pieces follow from
+    its record and the sketch size that ``sketch_percent`` and ``l1`` give,
+    as in the guard. Raises ParseError on anything malformed: a missing
+    array or header key, an unknown guard reason, dtypes, shapes or lengths
+    that disagree, and windows or sketch rows that run past their arrays.
     """
     header, arrays = _read_trace(path)
     if header.get("format") != TRACE_FORMAT:
@@ -465,7 +460,6 @@ def load_trace(path: str) -> dict:
         if key not in header:
             raise ParseError(f"trace is missing {key!r}")
     try:
-        l1 = int(header["l1"])
         n = arrays["iteration"].size
         columns = [_read_field(f, arrays[f.name], n) for f in fields(MixingStep)]
         steps = [MixingStep(*values) for values in zip(*columns)]
@@ -473,17 +467,14 @@ def load_trace(path: str) -> dict:
             if rec.reason not in REASONS:
                 raise ValueError(f"step {rec.iteration}: unknown reason "
                                  f"{rec.reason!r}")
-        sketch_rows = sketch_size(float(header["sketch_percent"]), l1)
-        trace = Trace.from_arrays(arrays, steps, sketch_rows)
+        trace = Trace.from_arrays(arrays, steps, float(header["sketch_percent"]))
         history = arrays["residual_history"]
     except KeyError as exc:
         raise ParseError(f"trace is missing array {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    if trace.increments.shape[0] != l1:
-        raise ParseError(f"column log has {trace.increments.shape[0]} rows, "
-                         f"expected l1 = {l1}")
-    return dict(header, residual_history=history, steps=steps, trace=trace)
+    return dict(header, l1=trace.residuals.shape[0], residual_history=history,
+                steps=steps, trace=trace)
 
 
 def _read_field(f, column: np.ndarray, n: int) -> list:
@@ -551,8 +542,10 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
 
     ``path_or_doc`` is a trace path or what `load_trace` returns. For each
     step the stored triangular factor is checked against the restricted
-    increments (mismatch means a corrupted trace). For a step that mixed
-    with a sketch, `stability_hypothesis` is recomputed from the record:
+    increments (mismatch means a corrupted trace); both are scaled by one
+    power of two near the largest increment first, so the Gram matrices
+    compared cannot overflow. For a step that mixed with a sketch,
+    `stability_hypothesis` is recomputed from the record:
     the factor's smallest singular value, the recorded Lipschitz estimate
     and increment norms, the residual's norm and the share of it the sketch
     dropped (`epsilon_rhs`). Where it holds, the perturbation norm must stay
@@ -577,18 +570,22 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
 
 
 def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
-    increments, dx_norms = trace.window(rec)
     c = rec.columns
     if rec.fallback:
         return StepCheck(rec.iteration, c, masked=False, fallback=True)
+    increments, dx_norms = trace.window(rec)
     mask, alpha, r_factor = trace.mask[i], trace.alpha[i], trace.r_factor[i]
 
-    rows = np.arange(increments.shape[0]) if mask is None else mask
-    restricted = increments[rows]
-    gram = restricted.T @ restricted
-    gram_r = r_factor.T @ r_factor
-    scale = max(float(np.linalg.norm(gram)), 1e-300)
-    if float(np.linalg.norm(gram - gram_r)) > FACTOR_RTOL * scale:
+    restricted = increments if mask is None else increments[mask]
+    # Scaling by a power of two near 1 / max |F| is exact and keeps the Gram
+    # matrices from overflowing. frexp gives exponent 0 for a zero or
+    # non-finite maximum, and a non-finite mismatch fails below.
+    top = float(np.abs(restricted).max())
+    scale = math.ldexp(1.0, -max(math.frexp(top)[1], -1022))
+    scaled, scaled_r = restricted * scale, r_factor * scale
+    gram = scaled.T @ scaled
+    mismatch = float(np.linalg.norm(gram - scaled_r.T @ scaled_r))
+    if not mismatch <= FACTOR_RTOL * max(float(np.linalg.norm(gram)), 1e-300):
         raise ParseError(
             f"step {rec.iteration}: stored triangular factor disagrees "
             "with the recorded increments"
@@ -598,10 +595,10 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
         return StepCheck(rec.iteration, c, masked=False, fallback=False)
 
     masked_cols = np.zeros_like(increments)
-    masked_cols[rows] = increments[rows]
+    masked_cols[mask] = restricted
     delta = perturbation_norm(increments, masked_cols, alpha)
 
-    f_res = trace.f_restricted[i]
+    f_res = trace.residual(rec)
     etas = budget_weights(eta_kind, c)
     hyp_ok = stability_hypothesis(
         estimate_sigma_min(r_factor),
@@ -609,7 +606,7 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
         float(np.linalg.norm(f_res)),
         dx_norms,
         etas,
-        epsilon_rhs(f_res, rows),
+        epsilon_rhs(f_res, mask),
     )
     bound = float(sum(etas)) + BOUND_SLACK
     return StepCheck(

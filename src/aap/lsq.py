@@ -60,7 +60,7 @@ def _check_diag(r_factor: np.ndarray) -> None:
 def qr_masked_solve(
     window: np.ndarray,
     rhs: np.ndarray,
-    rows: np.ndarray | None,
+    rows: np.ndarray,
     cols: int,
 ):
     """Solve the row-restricted least-squares problem of the mixing step.
@@ -71,8 +71,8 @@ def qr_masked_solve(
         Increment window; only the leading ``cols`` columns participate.
     rhs : (l1,) ndarray
         Restricted residual vector.
-    rows : sorted int ndarray or None
-        Row subset defining the restriction; None keeps every row.
+    rows : sorted int ndarray
+        Row subset defining the restriction.
     cols : int
         Number of filled window columns, 1 <= cols <= m.
 
@@ -89,19 +89,13 @@ def qr_masked_solve(
     """
     if cols < 1 or cols > window.shape[1]:
         raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
-    if rows is None:
-        mat = window[:, :cols]
-        r = rhs
-    else:
-        rows = np.asarray(rows)
-        if rows.size < cols:
-            raise ValueError(
-                f"restricted system has {rows.size} rows for {cols} columns"
-            )
-        mat = window[rows, :cols]
-        r = rhs[rows]
+    rows = np.asarray(rows)
+    if rows.size < cols:
+        raise ValueError(
+            f"restricted system has {rows.size} rows for {cols} columns"
+        )
     # Q^T r from the Householder reflectors, without forming Q.
-    qtr, r_factor = qr_multiply(mat, r, mode="right")
+    qtr, r_factor = qr_multiply(window[rows, :cols], rhs[rows], mode="right")
     return _back_substitute(r_factor, qtr), r_factor
 
 
@@ -166,10 +160,10 @@ class WindowFactor:
     def solve(self, window: np.ndarray, rhs: np.ndarray, cols: int):
         """Least squares over ``window[:, :cols]`` from the updated factor.
 
-        Same contract as ``qr_masked_solve(window, rhs, None, cols)``:
-        returns (alpha, r_factor) and raises RankDeficient on a collapsed
-        diagonal or non-finite or oversized coefficients. ``r_factor`` is a
-        view of the factor, valid until the next call.
+        Same contract as ``qr_masked_solve`` over every row: returns
+        (alpha, r_factor) and raises RankDeficient on a collapsed diagonal
+        or non-finite or oversized coefficients. ``r_factor`` is a view of
+        the factor, valid until the next call.
         """
         if cols < 1 or cols > window.shape[1]:
             raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")

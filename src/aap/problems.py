@@ -7,7 +7,7 @@ preconditioner (Richardson alone diverges), a regularized p-Laplacian with
 a Laplace-stabilized quasi-Newton residual, and an implicit-Euler step of a
 two-field bidomain toy with a cubic ionic current.
 
-Grid operators are finite differences on the unit interval or square.
+Grid operators are finite differences on the unit square.
 The inner Laplacian solves of the saddle and p-Laplacian residuals are
 fast sine transforms, so construction stores no factorization; the
 resulting problem objects are immutable and cheap to evaluate repeatedly.
@@ -32,18 +32,15 @@ class ResourceLimit(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on the unit interval (1D) or unit square (2D).
+    """Uniform grid on the unit square.
 
     ``points`` counts nodes per side including both boundaries, so the
     spacing is h = 1/(points - 1).
     """
 
-    dimensions: int
     points: int
 
     def __post_init__(self):
-        if self.dimensions not in (1, 2):
-            raise ValueError("dimensions must be 1 or 2")
         if self.points < 3:
             raise ValueError("points per side must be >= 3")
 
@@ -108,11 +105,11 @@ def _component_stiffness(nx: int, ny: int) -> sp.csr_matrix:
     return lap
 
 
-def sine_solver(shape: tuple[int, ...], scale: float = 1.0):
-    """Solve with scale * (T_n1 (+) T_n2), or scale * T_n for a 1-D shape.
+def sine_solver(shape: tuple[int, int], scale: float = 1.0):
+    """Solve with scale * (T_n1 (+) T_n2) on an n1-by-n2 lattice.
 
     T_k is the tridiagonal (-1, 2, -1) matrix of order k and (+) the
-    Kronecker sum, so the 2-D operator is ``_component_stiffness(n1, n2)``
+    Kronecker sum, so the operator is ``_component_stiffness(n1, n2)``
     times ``scale``. The orthonormal type-I sine transform diagonalises
     every T_k, with eigenvalues 2 - 2 cos(pi j / (k + 1)), j = 1..k, and is
     its own inverse, so a solve is a transform, a division by the summed
@@ -127,11 +124,8 @@ def sine_solver(shape: tuple[int, ...], scale: float = 1.0):
     def ev(k):
         return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (k + 1))
 
-    if len(shape) == 1:
-        lam = ev(shape[0]) * scale
-    else:
-        n1, n2 = shape
-        lam = (ev(n1)[:, None] + ev(n2)[None, :]) * scale
+    n1, n2 = shape
+    lam = (ev(n1)[:, None] + ev(n2)[None, :]) * scale
 
     def solve(b):
         return dstn(dstn(b.reshape(shape), type=1, norm="ortho") / lam,
@@ -164,8 +158,6 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
     The preconditioned operator is indefinite, so plain Richardson diverges
     here and the mixing steps carry the iteration.
     """
-    if grid.dimensions != 2:
-        raise ValueError("saddle-point problem needs a 2D grid")
     npts = grid.points
     if npts > MAX_SADDLE_POINTS:
         raise ResourceLimit(
@@ -259,20 +251,6 @@ def q_laplacian_residual(grid: GridSpec, q: float, reg: float = 1e-10):
     npts = grid.points
     h = grid.h
     expo = 0.5 * (q - 2.0)
-
-    if grid.dimensions == 1:
-        k = npts - 2
-
-        def apply_1d(uvec):
-            full = np.zeros(npts)
-            full[1:-1] = uvec
-            du = np.diff(full) / h
-            gamma = (du * du + reg) ** expo
-            flux = gamma * du
-            return -np.diff(flux) / h - 1.0
-
-        return apply_1d
-
     k = npts - 2
 
     def apply_2d(uvec):
@@ -305,7 +283,7 @@ def make_p_laplacian(
 
     T(u) = (1/beta) (-Lap)^{-1} F(u), where F is the raw face-flux
     operator from `q_laplacian_residual` with unit forcing and -Lap is the
-    standard 5-point (3-point in 1D) Dirichlet Laplacian on interior nodes,
+    standard 5-point Dirichlet Laplacian on interior nodes,
     inverted by `sine_solver`. The fixed point of
     u <- u - omega T(u) is the discrete q-Laplacian solution; at q = 2 it
     is the plain Poisson solution and T is affine with Jacobian I/beta.
@@ -321,10 +299,9 @@ def make_p_laplacian(
     if init not in ("zero", "poisson"):
         raise ValueError("init must be 'zero' or 'poisson'")
     k = grid.points - 2
-    shape = (k,) * grid.dimensions
-    solve_lap = sine_solver(shape, 1.0 / (grid.h * grid.h))
+    solve_lap = sine_solver((k, k), 1.0 / (grid.h * grid.h))
     raw = q_laplacian_residual(grid, q)
-    n = k**grid.dimensions
+    n = k * k
     inv_beta = 1.0 / beta
 
     def residual(u):
@@ -400,8 +377,6 @@ def make_bidomain_toy(
     moderate at desk-scale grids. With amplitude = 0 the rest state is an
     exact fixed point.
     """
-    if grid.dimensions != 2:
-        raise ValueError("bidomain problem needs a 2D grid")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     npts = grid.points
@@ -460,15 +435,15 @@ def build_problem(
     meaningful for `plaplace` (it alone offers a non-default one).
     """
     if name == "plaplace":
-        return make_p_laplacian(GridSpec(2, size), init=init)
+        return make_p_laplacian(GridSpec(size), init=init)
     if init != "zero":
         raise ValueError(f"problem {name!r} has no {init!r} initial guess")
     if name == "linear":
         return make_linear(size, seed=seed)
     if name == "saddle":
-        return make_saddle_point(GridSpec(2, size))
+        return make_saddle_point(GridSpec(size))
     if name == "bidomain":
-        return make_bidomain_toy(GridSpec(2, size))
+        return make_bidomain_toy(GridSpec(size))
     raise KeyError(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
 
 

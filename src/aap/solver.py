@@ -12,8 +12,9 @@ reference loop written against the same kernels.
 relative residual per iteration and one `MixingStep` per mixing step. The
 buffers are allocated once and `step` works in place, so the workspace does
 not grow as the solve runs; a traced solve also keeps its arrays in one
-`Trace`, which grows by one column per iteration. The increment windows
-slide along buffers a few columns wider than them (`push_window`).
+`Trace`, which grows by one restricted residual per iteration. The
+increment windows slide along buffers a few columns wider than them
+(`push_window`).
 """
 from __future__ import annotations
 
@@ -30,7 +31,13 @@ from .fixed_point import (
     evaluate_residual,
     field_rows,
 )
-from .sketching import Adaptivity, MixingStep, adaptive_step, update_lipschitz
+from .sketching import (
+    Adaptivity,
+    MixingStep,
+    adaptive_step,
+    sketch_size,
+    update_lipschitz,
+)
 
 DEFAULT_WINDOW = 10
 
@@ -105,8 +112,8 @@ class Workspace:
     `push_window` moves them. ``factor``, the thin QR factor of
     ``df_window`` that every mixing step solves from first, is updated as
     columns enter and leave. The scalars and ``rng`` are the run's state;
-    ``trace``, set only by a traced solve, keeps every column pushed and the
-    arrays of every mixing step.
+    ``trace``, set only by a traced solve, keeps the restricted residual of
+    every iteration and the arrays of every mixing step.
     """
 
     m: int
@@ -225,7 +232,7 @@ def push_window(ws: Workspace, dx_norm: float):
     buffer are its m - 1 newest columns moved to the front, one flat
     column-major move per buffer, before the view goes back to offset 0.
     The window factor is told of the push, and the trace, when there is
-    one, logs a copy.
+    one, logs the restricted residual df_r was formed from.
     """
     if ws.filled == ws.m:
         offset = ws.offset + 1
@@ -248,7 +255,7 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.dx_norms[j] = dx_norm
     ws.factor.push()
     if ws.trace is not None:
-        ws.trace.push(ws.df_window[:, j], dx_norm)
+        ws.trace.push(ws.f_r, dx_norm)
 
 
 def anderson_update(ws: Workspace, alpha: np.ndarray, omega: float):
@@ -325,7 +332,7 @@ def step(
         alpha, r_step = ws.factor.solve(ws.df_window, f_r, c)
     except lsq.RankDeficient:
         if ws.trace is not None:
-            ws.trace.record(f_r, None, None, None)
+            ws.trace.record(None, None, None)
         picard_update(ws.x, ws.f, omega, ws.scratch)
         # Restart the window: a degenerate column would otherwise force this
         # fallback for m consecutive steps. Dropping the history lets mixing
@@ -345,7 +352,7 @@ def step(
         rec = MixingStep(k, c, ws.lipschitz,
                          reason="stalled" if ws.stalled else "disabled")
     if ws.trace is not None:
-        ws.trace.record(f_r, alpha, r_step, rows)
+        ws.trace.record(alpha, r_step, rows)
     anderson_update(ws, alpha, omega)
     return relres, rec
 
@@ -358,74 +365,75 @@ _RAGGED = {"alpha": float, "r_factor": float, "mask": np.int64}
 class Trace:
     """The arrays of a traced solve, each stored once.
 
-    The column log keeps every restricted increment column the solve pushed,
-    with its dx_norm. Each iteration k >= 1 that does not converge pushes
-    exactly one column, log column k - 1, and a window restart only empties
-    the window, so the window of the mixing step at iteration k with c
-    columns is log columns [k - c, k) (`window`). The log is column-major
-    and doubles when full; `increments` and `dx_norms` are valid until the
-    next push. Per mixing step, in the order of the report's mask_trace,
-    the trace keeps the restricted residual ``f_restricted`` and the
-    coefficients ``alpha``, triangular factor ``r_factor`` and sketch rows
-    ``mask`` of the least squares used: None after a fallback, and ``mask``
-    None for the identity. The step's scalars are its MixingStep.
+    The log keeps the restricted residual f_r of every iteration that pushed
+    a window column, and of iteration 0, with the dx_norm of each push: each
+    iteration k >= 1 that does not converge pushes exactly one column, so
+    log column k is f_r(k) and dx_norm k - 1 is that of iteration k. The
+    solver forms each pushed increment as f_r(k) - f_r(k - 1), and a window
+    restart only empties the window, so the window of the mixing step at
+    iteration k with c columns is the differences of log columns k - c .. k,
+    bitwise the columns pushed (`window`), and its residual is log column k
+    (`residual`). The log is column-major and doubles when full; views of it
+    are valid until the next push. Per mixing step, in the order of the
+    report's mask_trace, the trace keeps the coefficients ``alpha``,
+    triangular factor ``r_factor`` and sketch rows ``mask`` of the least
+    squares used: None after a fallback, and ``mask`` None for the identity.
+    The step's scalars are its MixingStep.
     """
 
-    def __init__(self, rows: int):
-        self._increments = np.zeros((rows, 64), order="F")
+    def __init__(self, f_r0: np.ndarray):
+        """A trace whose log starts with the initial restricted residual."""
+        self._residuals = np.zeros((f_r0.size, 64), order="F")
+        self._residuals[:, 0] = f_r0
         self._dx_norms = np.zeros(64)
-        self.size = 0
-        self.f_restricted: list[np.ndarray] = []
+        self.size = 1
         self.alpha: list[np.ndarray | None] = []
         self.r_factor: list[np.ndarray | None] = []
         self.mask: list[np.ndarray | None] = []
 
     def __len__(self) -> int:
-        return len(self.f_restricted)
+        return len(self.alpha)
 
     @property
-    def increments(self) -> np.ndarray:
-        return self._increments[:, :self.size]
+    def residuals(self) -> np.ndarray:
+        return self._residuals[:, :self.size]
 
     @property
     def dx_norms(self) -> np.ndarray:
-        return self._dx_norms[:self.size]
+        return self._dx_norms[:self.size - 1]
 
-    def push(self, column: np.ndarray, dx_norm: float):
-        """Log one pushed column and its dx_norm."""
+    def push(self, f_r: np.ndarray, dx_norm: float):
+        """Log one iteration's restricted residual and its push's dx_norm."""
         n = self.size
         if n == len(self._dx_norms):
-            grown = np.zeros((self._increments.shape[0], 2 * n), order="F")
-            grown[:, :n] = self._increments
-            self._increments = grown
+            grown = np.zeros((self._residuals.shape[0], 2 * n), order="F")
+            grown[:, :n] = self._residuals
+            self._residuals = grown
             self._dx_norms = np.concatenate((self._dx_norms, np.zeros(n)))
-        self._increments[:, n] = column
-        self._dx_norms[n] = dx_norm
+        self._residuals[:, n] = f_r
+        self._dx_norms[n - 1] = dx_norm
         self.size = n + 1
 
-    def record(self, f_restricted, alpha, r_factor, mask):
-        """Keep copies of one mixing step's arrays."""
-        self.f_restricted.append(f_restricted.copy())
+    def record(self, alpha, r_factor, mask):
+        """Keep copies of one mixing step's least-squares arrays."""
         for name, piece in zip(_RAGGED, (alpha, r_factor, mask)):
             getattr(self, name).append(None if piece is None else np.array(piece))
 
     def window(self, rec: MixingStep) -> tuple[np.ndarray, np.ndarray]:
-        """The step's window increments and dx_norms, as views of the log."""
+        """The step's window increments, a fresh array, and its dx_norms, a
+        view of the log."""
         lo, hi = rec.iteration - rec.columns, rec.iteration
-        return self._increments[:, lo:hi], self._dx_norms[lo:hi]
+        return np.diff(self._residuals[:, lo:hi + 1], axis=1), self._dx_norms[lo:hi]
+
+    def residual(self, rec: MixingStep) -> np.ndarray:
+        """The step's restricted residual, a view of the log."""
+        return self._residuals[:, rec.iteration]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The trace as plain arrays: the log, the residuals as one row per
-        step, and the pieces of each ragged list end to end in one flat
-        array. A step's record fixes which pieces it has and their shapes
-        (`from_arrays`)."""
-        rows = self._increments.shape[0]
-        out = {
-            "increments": self.increments,
-            "dx_norms": self.dx_norms,
-            "f_restricted": np.array(self.f_restricted, dtype=float)
-            .reshape(len(self), rows),
-        }
+        """The trace as plain arrays: the log, and the pieces of each ragged
+        list end to end in one flat array. A step's record fixes which
+        pieces it has and their shapes (`from_arrays`)."""
+        out = {"residuals": self.residuals, "dx_norms": self.dx_norms}
         for name, dtype in _RAGGED.items():
             pieces = getattr(self, name)
             out[name] = np.concatenate(
@@ -435,33 +443,29 @@ class Trace:
 
     @classmethod
     def from_arrays(cls, arrays: dict, records: list[MixingStep],
-                    sketch_rows: int) -> Trace:
+                    sketch_percent: float) -> Trace:
         """The trace that `arrays` gave, for the steps ``records`` of a solve
-        whose sketches keep ``sketch_rows`` rows.
+        whose sketches keep ``sketch_percent`` of the restricted rows.
 
         Each step's record fixes its pieces: none after a fallback,
         otherwise c coefficients and a c x c factor, and the sketch's rows
-        only when it was accepted. The log and the residuals are the given
-        arrays, and the pieces are views of them. Raises KeyError for
-        a missing array, and ValueError for shapes, dtypes or lengths that
-        disagree and for windows or sketch rows that run past the log or the
-        restricted rows.
+        only when it was accepted. The log is the given arrays, and the
+        pieces are views of them. Raises KeyError for a missing array, and
+        ValueError for shapes, dtypes or lengths that disagree and for
+        windows or sketch rows that run past the log or the restricted rows.
         """
-        log, dx_norms = arrays["increments"], arrays["dx_norms"]
-        if log.ndim != 2 or dx_norms.shape != log.shape[1:]:
-            raise ValueError(f"column log has shape {log.shape} and "
-                             f"{dx_norms.shape} norms, expected one per column")
-        trace = cls(0)
-        trace._increments, trace._dx_norms = log, dx_norms
+        log, dx_norms = arrays["residuals"], arrays["dx_norms"]
+        if log.ndim != 2 or log.shape[1] < 1 or dx_norms.shape != (log.shape[1] - 1,):
+            raise ValueError(f"residual log has shape {log.shape} and "
+                             f"{dx_norms.shape} norms, expected one per "
+                             "column after the first")
+        trace = cls(np.zeros(0))
+        trace._residuals, trace._dx_norms = log, dx_norms
         trace.size = log.shape[1]
-        rows, n = log.shape[0], len(records)
-        residuals = arrays["f_restricted"]
-        if residuals.shape != (n, rows):
-            raise ValueError(f"f_restricted has shape {residuals.shape}, "
-                             f"expected {(n, rows)}")
-        trace.f_restricted = list(residuals)
-        if any(not 1 <= r.columns <= r.iteration <= trace.size for r in records):
-            raise ValueError("step windows run past the column log")
+        if any(not 1 <= r.columns <= r.iteration < trace.size for r in records):
+            raise ValueError("step windows run past the residual log")
+        rows = log.shape[0]
+        sketch_rows = sketch_size(sketch_percent, rows)
         shapes = {
             "alpha": [None if r.fallback else (r.columns,) for r in records],
             "r_factor": [None if r.fallback else (r.columns,) * 2 for r in records],
@@ -489,6 +493,8 @@ class SolveReport:
 
     residual_history[k] is |T(x_k)| / |T(x_0)|; entry 0 is 1 by definition
     and one entry follows per iteration, so its length is iterations + 1.
+    The report of a `NumericalBreakdown` at iteration k has no entry for k,
+    whose norm overflowed, so its history has iterations entries.
     mask_trace carries one MixingStep per mixing step, and ``trace``, for a
     traced solve, the arrays of those steps. wall_time_seconds
     is measurement, not behavior: identical configurations and seeds give
@@ -569,16 +575,14 @@ def solve(
     and a run whose residual stops improving while sketches are being
     accepted turns adaptivity off for good (reason "stalled" in the trace).
 
-    capture_trace keeps a `Trace` of every pushed restricted increment
-    column and, per mixing step, the restricted residual, coefficients,
-    factor and sketch rows, for offline verification; it is a diagnostic
-    mode and allocates.
+    capture_trace keeps a `Trace` of the restricted residual of every
+    iteration, from which each step's window follows, and, per mixing step,
+    the coefficients, factor and sketch rows, for offline verification; it
+    is a diagnostic mode and allocates.
     """
     t_start = time.perf_counter()
     omega = resolve_omega(problem, config)
     ws = allocate_workspace(problem, config)
-    if capture_trace:
-        ws.trace = Trace(ws.f_r.size)
 
     x0 = _resolve_x0(problem, x0)
     f0 = evaluate_residual(problem, x0)
@@ -608,6 +612,8 @@ def solve(
 
     np.copyto(ws.x, x0)
     np.copyto(ws.f, f0)
+    if capture_trace:
+        ws.trace = Trace(ws.f_r)
     if norm_f0 == 0.0:
         return report(True, 0)
 

@@ -153,11 +153,11 @@ def test_criterion_3_guard_soundness(tmp_path):
     bound_bad = 0
     for label, report in _traced_strategy_runs():
         config = report.config
-        for rec, f_r in zip(report.mask_trace, report.trace.f_restricted,
-                            strict=True):
+        for rec in report.mask_trace:
             if not rec.accepted:
                 continue
             accepted_total += 1
+            f_r = report.trace.residual(rec)
             etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
             guard_bad += not stability_hypothesis(
                 rec.sigma_min, rec.lipschitz, float(np.linalg.norm(f_r)),
@@ -336,8 +336,7 @@ def test_criterion_7_guard_sigma_is_exact():
     for _, report in _traced_strategy_runs():
         trace = report.trace
         eta_kind = report.config.adaptivity.eta_kind
-        for rec, r_factor, f_r in zip(report.mask_trace, trace.r_factor,
-                                      trace.f_restricted, strict=True):
+        for rec, r_factor in zip(report.mask_trace, trace.r_factor, strict=True):
             if rec.reason not in ("accepted", "lhs-negative"):
                 continue
             if rec.sigma_min is not None:
@@ -347,7 +346,7 @@ def test_criterion_7_guard_sigma_is_exact():
             shortcuts += 1
             unjustified += rec.reason != "lhs-negative" or stability_hypothesis(
                 float(np.abs(np.diagonal(r_factor)).min()), rec.lipschitz,
-                float(np.linalg.norm(f_r)), trace.window(rec)[1],
+                float(np.linalg.norm(trace.residual(rec))), trace.window(rec)[1],
                 budget_weights(eta_kind, rec.columns), 0.0,
             )
     elapsed = time.perf_counter() - t0

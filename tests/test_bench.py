@@ -5,6 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from aap import bench
 from aap.bench import (
     ExperimentPlan,
     ParseError,
@@ -21,6 +22,7 @@ from aap.bench import (
     _save_trace,
 )
 from aap.cli import main
+from aap.fixed_point import NumericalBreakdown
 from aap.problems import build_problem
 from aap.sketching import sketch_size
 from aap.solver import SolverConfig, solve
@@ -217,6 +219,43 @@ class TestRunExperiment:
             "saddle-9-pressure-none-p1.npz",
         ]
 
+    def test_each_trace_written_before_next_cell_solves(self, tmp_path,
+                                                        monkeypatch):
+        # Only one traced report is held at a time: when cell i + 1 solves,
+        # the traces of cells 0..i are on disk. Each file is the one a
+        # direct solve of its cell writes. Saddle-9 pressure at p = 2 breaks
+        # down and writes none.
+        traces = tmp_path / "traces"
+        plan = ExperimentPlan(
+            problem="saddle", sizes=(9,), masks=("none", "pressure"),
+            adaptivities=("none", "sub-pow"), alternations=(1, 2),
+            traces=str(traces),
+        )
+        on_disk = []
+
+        def spy(problem, config, **kwargs):
+            on_disk.append(sorted(p.name for p in traces.glob("*.npz")))
+            return solve(problem, config, **kwargs)
+
+        monkeypatch.setattr(bench, "solve", spy)
+        records = run_experiment(plan)
+        names = [f"saddle-9-{r.mask}-{r.adaptivity}-p{r.alternation}.npz"
+                 for r in records]
+        written = [name for name in names if (traces / name).exists()]
+        assert len(on_disk) == len(records) == 8 > len(written)
+        for i, seen in enumerate(on_disk):
+            assert seen == sorted(set(names[:i]) & set(written))
+        for rec, name in zip(records, names):
+            if name not in written:
+                continue
+            config = bench._plan_config(plan, rec.mask, rec.adaptivity,
+                                        rec.alternation)
+            direct = solve(build_problem("saddle", 9), config,
+                           capture_trace=True)
+            write_trace(direct, str(tmp_path / "direct.npz"))
+            assert ((traces / name).read_bytes()
+                    == (tmp_path / "direct.npz").read_bytes())
+
 
 class TestTableRoundTrip:
     def test_records_survive_exactly(self, tmp_path):
@@ -300,14 +339,15 @@ class TestTraceFiles:
         assert np.isnan(arrays["sigma_min"]).any()
         assert "accepted" not in arrays and "fallback" not in arrays
 
-    def test_increments_are_views_of_the_log(self, tmp_path):
+    def test_residual_is_a_view_of_the_log(self, tmp_path):
         path = tmp_path / "trace.json"
         write_trace(traced_report(), str(path))
         doc = load_trace(str(path))
-        windows = [doc["trace"].window(rec)[0] for rec in doc["steps"]]
-        log = windows[-1].base
-        assert log is not None
-        assert all(w.base is log for w in windows)
+        trace = doc["trace"]
+        for rec in doc["steps"]:
+            residual = trace.residual(rec)
+            assert np.shares_memory(residual, trace.residuals)
+            assert residual.tobytes() == trace.residuals[:, rec.iteration].tobytes()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         write_trace(traced_report(), str(tmp_path / "x.json"))
@@ -319,16 +359,16 @@ class TestTraceFiles:
             write_trace(report, str(tmp_path / "t.json"))
 
     def test_size_grows_with_log_not_windows(self, tmp_path):
-        # Each window column is stored once: a file that stored the window
-        # per step would take about 8 * l1 * m bytes a step.
+        # One restricted residual is stored per iteration, and the windows
+        # follow from it: a file that stored the window per step would take
+        # about 8 * l1 * m bytes a step.
         problem = build_problem("saddle", 17)
         config = SolverConfig(static_mask="pressure",
                               adaptivity="subselect-power")
         report = solve(problem, config, capture_trace=True)
         path = tmp_path / "trace.npz"
         write_trace(report, str(path))
-        steps = len(report.trace)
-        bound = (8 * report.l1 * (report.iterations + steps)
+        bound = (8 * report.l1 * (report.iterations + 1)
                  + 8 * sum(rec.columns ** 2 for rec in report.mask_trace)
                  + 64 * 1024)
         assert path.stat().st_size <= bound
@@ -372,14 +412,25 @@ class TestTraceFiles:
         assert_rejected(written)
 
     def test_unknown_format_rejected(self, written):
-        # Format 3 kept per-step lengths that format 4 derives from the
+        # Format 3 kept per-step lengths that later formats derive from the
         # records; it is not read.
         for fmt in ("aap-trace-3", "aap-trace-9"):
             rewrite(written, lambda h, a: h.update(format=fmt))
             assert_rejected(written)
 
+    def test_v4_archive_rejected(self, written):
+        # Format 4 stored the window increments and, per step, a copy of the
+        # restricted residual, with l1 in the header; it is not read.
+        def to_v4(header, arrays):
+            residuals = arrays.pop("residuals")
+            header.update(format="aap-trace-4", l1=residuals.shape[0])
+            arrays["increments"] = np.diff(residuals, axis=1)
+            arrays["f_restricted"] = residuals[:, arrays["iteration"]].T
+        rewrite(written, to_v4)
+        assert_rejected(written)
+
     def test_missing_field_rejected(self, written):
-        rewrite(written, lambda h, a: h.pop("l1"))
+        rewrite(written, lambda h, a: h.pop("sketch_percent"))
         assert_rejected(written)
 
     def test_unknown_reason_rejected(self, written):
@@ -389,7 +440,7 @@ class TestTraceFiles:
         assert_rejected(written)
 
     @pytest.mark.parametrize(
-        "name", ["increments", "f_restricted", "mask", "alpha"]
+        "name", ["residuals", "dx_norms", "mask", "alpha"]
     )
     def test_missing_array_rejected(self, written, name):
         rewrite(written, lambda h, a: a.pop(name))
@@ -425,7 +476,8 @@ class TestTraceFiles:
             i = next(i for i, reason in enumerate(arrays["reason"])
                      if reason not in ("accepted", "no-factor"))
             accepted_before = int(np.sum(arrays["reason"][:i] == "accepted"))
-            rows = sketch_size(header["sketch_percent"], header["l1"])
+            rows = sketch_size(header["sketch_percent"],
+                               arrays["residuals"].shape[0])
             arrays["mask"] = np.insert(arrays["mask"], accepted_before * rows,
                                        np.arange(rows))
         rewrite(written, edit)
@@ -433,7 +485,7 @@ class TestTraceFiles:
 
     def test_window_past_log_rejected(self, written):
         def edit(header, arrays):
-            arrays["increments"] = arrays["increments"][:, :-2]
+            arrays["residuals"] = arrays["residuals"][:, :-2]
             arrays["dx_norms"] = arrays["dx_norms"][:-2]
         rewrite(written, edit)
         assert_rejected(written)
@@ -446,7 +498,7 @@ class TestTraceFiles:
 
     def test_sketch_rows_past_window_rejected(self, written):
         def edit(header, arrays):
-            arrays["mask"][-1] = header["l1"]
+            arrays["mask"][-1] = arrays["residuals"].shape[0]
         rewrite(written, edit)
         assert_rejected(written)
 
@@ -476,27 +528,29 @@ def synthetic_trace(path, lipschitz):
     """One accepted, sketched step with a consistent factor and a
     perturbation far above the eta-sum bound; ``lipschitz`` decides whether
     the stability hypothesis holds. The step at iteration 2 mixes over both
-    columns of the log."""
+    increments of the three-residual log, and its residual is all ones."""
     rng = np.random.default_rng(0)
     l1, c = 6, 2
-    increments = rng.standard_normal((l1, c)) * 10.0
+    steps = rng.standard_normal((l1, c)) * 10.0
+    residuals = np.ones((l1, c + 1))
+    residuals[:, 1] = 1.0 - steps[:, 1]
+    residuals[:, 0] = residuals[:, 1] - steps[:, 0]
     rows = np.array([0, 1, 2])
+    increments = np.diff(residuals, axis=1)
     r_factor = np.linalg.qr(increments[rows], mode="reduced")[1]
     header = {
-        "format": "aap-trace-4",
+        "format": "aap-trace-5",
         "problem": "synthetic",
-        "l1": l1,
         "sketch_percent": 50.0,
         "adaptivity": "subselect-constant",
         "iterations": 3,
     }
     arrays = {
         "residual_history": np.ones(4),
-        "increments": increments,
+        "residuals": residuals,
         "dx_norms": np.array([1e-6, 1e-6]),
         "iteration": np.array([2]),
         "columns": np.array([c]),
-        "f_restricted": np.ones((1, l1)),
         "lipschitz": np.array([lipschitz]),
         "sigma_min": np.array([np.nan]),
         "eps_rhs": np.array([np.nan]),
@@ -532,13 +586,15 @@ class TestVerifyTrace:
         assert any(s.masked for s in result.steps)
 
     def test_zeroed_increments_detected(self, tmp_path):
+        # Zeroing the residual a sketched step mixed at changes its newest
+        # window increment, so the stored factor no longer fits the window.
         report = traced_report()
         path = tmp_path / "t.json"
         write_trace(report, str(path))
         sketched = next(rec for rec in report.mask_trace if rec.accepted)
 
         def edit(header, arrays):
-            arrays["increments"][:, sketched.iteration - 1] = 0.0
+            arrays["residuals"][:, sketched.iteration] = 0.0
         rewrite(path, edit)
         with pytest.raises(ParseError):
             verify_theorem_trace(str(path))
@@ -562,6 +618,40 @@ class TestVerifyTrace:
         for check in result.steps:
             if check.fallback:
                 assert check.delta == 0.0 and check.bound_satisfied
+
+    def test_factor_check_survives_overflowing_windows(self, tmp_path):
+        # Saddle-17 pressure + sub-pow at p = 2 diverges until its residual
+        # norm overflows at iteration 281. On many of its windows the Gram
+        # matrix F^T F, or its norm, overflows, so the factor check must
+        # scale before it squares: the trace verifies with no RuntimeWarning
+        # (an error under pytest), and a doubled factor on such a step is
+        # still caught.
+        problem = build_problem("saddle", 17)
+        config = SolverConfig(static_mask="pressure", alternation=2,
+                              adaptivity="subselect-power", rng_seed=1)
+        with pytest.raises(NumericalBreakdown) as info:
+            solve(problem, config, capture_trace=True)
+        report = info.value.report
+        assert report.iterations == 281
+        path = tmp_path / "t.npz"
+        write_trace(report, str(path))
+        doc = load_trace(str(path))
+        assert verify_theorem_trace(doc).passed
+
+        trace = doc["trace"]
+
+        def overflows(i, rec):
+            window = trace.window(rec)[0]
+            if trace.mask[i] is not None:
+                window = window[trace.mask[i]]
+            with np.errstate(over="ignore"):
+                return not np.isfinite(np.linalg.norm(window.T @ window))
+
+        i = next(i for i, rec in enumerate(doc["steps"])
+                 if not rec.fallback and overflows(i, rec))
+        trace.r_factor[i] *= 2.0
+        with pytest.raises(ParseError):
+            verify_theorem_trace(doc)
 
 
 class TestCli:

@@ -24,7 +24,7 @@ class TestQrMaskedSolve:
             window = np.zeros((l1, 10), order="F")
             window[:, :cols] = rng.standard_normal((l1, cols))
             rhs = rng.standard_normal(l1)
-            alpha, r = qr_masked_solve(window, rhs, None, cols)
+            alpha, r = qr_masked_solve(window, rhs, np.arange(l1), cols)
             expected = lstsq_normal_equations(window[:, :cols], rhs)
             np.testing.assert_allclose(alpha, expected, rtol=1e-9, atol=1e-11)
             assert r.shape == (cols, cols)
@@ -47,13 +47,13 @@ class TestQrMaskedSolve:
         rng = np.random.default_rng(2)
         window = rng.standard_normal((12, 4))
         copy = window.copy()
-        qr_masked_solve(window, rng.standard_normal(12), None, 3)
+        qr_masked_solve(window, rng.standard_normal(12), np.arange(12), 3)
         np.testing.assert_array_equal(window, copy)
 
     def test_r_factor_is_upper_triangular(self):
         rng = np.random.default_rng(3)
         window = rng.standard_normal((15, 5))
-        _, r = qr_masked_solve(window, rng.standard_normal(15), None, 5)
+        _, r = qr_masked_solve(window, rng.standard_normal(15), np.arange(15), 5)
         np.testing.assert_array_equal(r, np.triu(r))
 
     def test_exact_solution_when_rhs_in_range(self):
@@ -61,7 +61,7 @@ class TestQrMaskedSolve:
         window = rng.standard_normal((10, 3))
         coeff = np.array([1.5, -2.0, 0.25])
         rhs = window @ coeff
-        alpha, _ = qr_masked_solve(window, rhs, None, 3)
+        alpha, _ = qr_masked_solve(window, rhs, np.arange(10), 3)
         np.testing.assert_allclose(alpha, coeff, rtol=1e-12, atol=1e-12)
 
     def test_duplicate_column_raises(self):
@@ -69,14 +69,14 @@ class TestQrMaskedSolve:
         col = rng.standard_normal(10)
         window = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
-            qr_masked_solve(window, rng.standard_normal(10), None, 2)
+            qr_masked_solve(window, rng.standard_normal(10), np.arange(10), 2)
 
     def test_near_duplicate_column_raises(self):
         rng = np.random.default_rng(6)
         col = rng.standard_normal(10)
         window = np.column_stack([col, col * (1.0 + 1e-16)])
         with pytest.raises(RankDeficient):
-            qr_masked_solve(window, rng.standard_normal(10), None, 2)
+            qr_masked_solve(window, rng.standard_normal(10), np.arange(10), 2)
 
     def test_fewer_rows_than_columns_rejected(self):
         window = np.ones((5, 3))
@@ -86,9 +86,9 @@ class TestQrMaskedSolve:
     def test_cols_out_of_range(self):
         window = np.ones((5, 3))
         with pytest.raises(ValueError):
-            qr_masked_solve(window, np.ones(5), None, 0)
+            qr_masked_solve(window, np.ones(5), np.arange(5), 0)
         with pytest.raises(ValueError):
-            qr_masked_solve(window, np.ones(5), None, 4)
+            qr_masked_solve(window, np.ones(5), np.arange(5), 4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,13 +32,11 @@ from oracles import (
 
 class TestGridSpec:
     def test_spacing(self):
-        assert GridSpec(1, 5).h == pytest.approx(0.25)
+        assert GridSpec(5).h == pytest.approx(0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(3, 5)
-        with pytest.raises(ValueError):
-            GridSpec(2, 2)
+            GridSpec(2)
 
 
 class TestLinear:
@@ -90,17 +88,15 @@ class TestSineSolver:
         b = np.random.default_rng(8).standard_normal(stiffness.shape[0])
         assert _relres(stiffness, sine_solver(shape)(b), b) <= 1e-13
 
-    def test_inverts_1d_p_laplacian(self):
-        grid = GridSpec(1, 9)
-        k = grid.points - 2
-        lap = np.diag(2.0 * np.ones(k)) - np.eye(k, k=1) - np.eye(k, k=-1)
-        lap /= grid.h * grid.h
+    def test_inverts_p_laplacian(self):
+        grid = GridSpec(9)
+        lap = dense_laplacian_2d(grid.points - 2, grid.h)
         problem = make_p_laplacian(grid)
-        ones = np.ones(k)
+        ones = np.ones(lap.shape[0])
         assert _relres(lap, problem.data["poisson_solution"], ones) <= 1e-13
         # At q = 2, beta T(u) solves -Lap w = F(u).
         problem = make_p_laplacian(grid, q=2.0, beta=4.0)
-        u = np.random.default_rng(9).standard_normal(k)
+        u = np.random.default_rng(9).standard_normal(lap.shape[0])
         raw = problem.data["apply_q_laplacian"](u)
         assert _relres(lap, 4.0 * evaluate_residual(problem, u), raw) <= 1e-13
 
@@ -108,7 +104,7 @@ class TestSineSolver:
 class TestSaddle:
     def test_system_matches_dense_assembly(self):
         for npts in (5, 9):
-            problem = make_saddle_point(GridSpec(2, npts))
+            problem = make_saddle_point(GridSpec(npts))
             oracle, rhs, n_u, n_v, n_p = dense_saddle_system(npts)
             np.testing.assert_allclose(
                 problem.data["system"].toarray(), oracle, rtol=0, atol=1e-14
@@ -125,7 +121,7 @@ class TestSaddle:
         # assembly's exactly. The forcing goes through a vectorised sine,
         # which rounds differently from the scalar one at some sizes.
         for npts in (3, 4, 5, 9, 17):
-            problem = make_saddle_point(GridSpec(2, npts))
+            problem = make_saddle_point(GridSpec(npts))
             system = problem.data["system"]
             oracle, rhs, n_u, n_v, n_p = dense_saddle_system(npts)
             assert system.format == "csr" and system.has_canonical_format
@@ -140,7 +136,7 @@ class TestSaddle:
         # A lattice side of 2 once made the velocity stiffness, and so the
         # system, store explicit zeros (8 of 95 entries at size 4).
         for npts in range(3, 18):
-            data = make_saddle_point(GridSpec(2, npts)).data
+            data = make_saddle_point(GridSpec(npts)).data
             for name in ("system", "stiffness"):
                 assert np.count_nonzero(data[name].data == 0) == 0, (npts, name)
 
@@ -156,7 +152,7 @@ class TestSaddle:
 
     @pytest.mark.parametrize("npts", sorted(PINNED_SYSTEMS))
     def test_system_bits_pinned(self, npts):
-        system = make_saddle_point(GridSpec(2, npts)).data["system"]
+        system = make_saddle_point(GridSpec(npts)).data["system"]
         arrays = (system.indptr.astype(np.int64), system.indices.astype(np.int64),
                   system.data)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
@@ -164,9 +160,9 @@ class TestSaddle:
 
     def test_residual_applies_block_preconditioner(self):
         npts = 5
-        problem = make_saddle_point(GridSpec(2, npts))
+        problem = make_saddle_point(GridSpec(npts))
         oracle, rhs, n_u, n_v, _ = dense_saddle_system(npts)
-        h = GridSpec(2, npts).h
+        h = GridSpec(npts).h
         k_dense = oracle[: n_u + n_v, : n_u + n_v]
         rng = np.random.default_rng(2)
         x = rng.standard_normal(problem.dimension)
@@ -182,13 +178,13 @@ class TestSaddle:
         )
 
     def test_velocity_block_symmetric_positive_definite(self):
-        problem = make_saddle_point(GridSpec(2, 9))
+        problem = make_saddle_point(GridSpec(9))
         k = problem.data["stiffness"].toarray()
         np.testing.assert_allclose(k, k.T, rtol=0, atol=0)
         assert np.linalg.eigvalsh(k).min() > 0
 
     def test_converged_velocity_is_discretely_divergence_free(self):
-        problem = make_saddle_point(GridSpec(2, 9))
+        problem = make_saddle_point(GridSpec(9))
         report = solve(problem, SolverConfig(rel_tolerance=1e-10))
         assert report.converged
         n_vel = dict(problem.fields)["velocity"][1]
@@ -198,18 +194,14 @@ class TestSaddle:
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimit):
-            make_saddle_point(GridSpec(2, 66))
-
-    def test_needs_2d(self):
-        with pytest.raises(ValueError):
-            make_saddle_point(GridSpec(1, 9))
+            make_saddle_point(GridSpec(66))
 
 
 class TestPLaplacian:
     def test_quadratic_case_is_poisson(self):
         # q = 2 makes gamma identically one: the raw operator must equal
         # the dense 5-point Laplacian applied to u, minus the unit forcing.
-        grid = GridSpec(2, 7)
+        grid = GridSpec(7)
         raw = q_laplacian_residual(grid, q=2.0)
         lap = dense_laplacian_2d(grid.points - 2, grid.h)
         rng = np.random.default_rng(3)
@@ -220,7 +212,7 @@ class TestPLaplacian:
             )
 
     def test_residual_at_zero_is_preconditioned_forcing(self):
-        grid = GridSpec(2, 9)
+        grid = GridSpec(9)
         problem = make_p_laplacian(grid, q=2.0, beta=10.0)
         lap = dense_laplacian_2d(grid.points - 2, grid.h)
         expected = np.linalg.solve(lap, -np.ones(lap.shape[0])) / 10.0
@@ -228,7 +220,7 @@ class TestPLaplacian:
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
 
     def test_fixed_point_solves_the_nonlinear_problem(self):
-        grid = GridSpec(2, 9)
+        grid = GridSpec(9)
         problem = make_p_laplacian(grid, q=1.5)
         report = solve(problem, SolverConfig(rel_tolerance=1e-12))
         assert report.converged
@@ -236,29 +228,20 @@ class TestPLaplacian:
         assert np.abs(raw(report.final_state)).max() < 1e-9
 
     def test_poisson_init(self):
-        grid = GridSpec(2, 9)
+        grid = GridSpec(9)
         problem = make_p_laplacian(grid, init="poisson")
         np.testing.assert_array_equal(
             problem.initial_state, problem.data["poisson_solution"]
         )
         assert make_p_laplacian(grid).initial_state is None
 
-    def test_1d_quadratic_case(self):
-        grid = GridSpec(1, 9)
-        raw = q_laplacian_residual(grid, q=2.0)
-        k = grid.points - 2
-        h2 = grid.h * grid.h
-        lap = (np.diag(2.0 * np.ones(k)) - np.eye(k, k=1) - np.eye(k, k=-1)) / h2
-        u = np.random.default_rng(4).standard_normal(k)
-        np.testing.assert_allclose(raw(u), lap @ u - 1.0, rtol=1e-12, atol=1e-12)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            make_p_laplacian(GridSpec(2, 9), q=0.5)
+            make_p_laplacian(GridSpec(9), q=0.5)
         with pytest.raises(ValueError):
-            make_p_laplacian(GridSpec(2, 9), beta=0.0)
+            make_p_laplacian(GridSpec(9), beta=0.0)
         with pytest.raises(ValueError):
-            make_p_laplacian(GridSpec(2, 9), init="random")
+            make_p_laplacian(GridSpec(9), init="random")
 
 
 class TestBidomain:
@@ -294,7 +277,7 @@ class TestBidomain:
         # Rate, ionic, and stimulus terms cancel pairwise between the two
         # equations and each zero-flux Laplacian telescopes to zero, so the
         # residual has zero total mass whatever the state.
-        problem = make_bidomain_toy(GridSpec(2, 7))
+        problem = make_bidomain_toy(GridSpec(7))
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.standard_normal(problem.dimension)
@@ -304,7 +287,7 @@ class TestBidomain:
     def test_common_shift_invariance(self):
         # Shifting both potentials by the same constant changes neither v
         # nor any Laplacian, so the residual is unchanged.
-        problem = make_bidomain_toy(GridSpec(2, 7))
+        problem = make_bidomain_toy(GridSpec(7))
         rng = np.random.default_rng(16)
         x = rng.standard_normal(problem.dimension)
         shifted = x + 3.7
@@ -316,12 +299,12 @@ class TestBidomain:
         )
 
     def test_rest_state_without_stimulus_is_fixed_point(self):
-        problem = make_bidomain_toy(GridSpec(2, 7), amplitude=0.0)
+        problem = make_bidomain_toy(GridSpec(7), amplitude=0.0)
         out = evaluate_residual(problem, np.zeros(problem.dimension))
         np.testing.assert_array_equal(out, np.zeros(problem.dimension))
 
     def test_residual_matches_componentwise_oracle(self):
-        grid = GridSpec(2, 6)
+        grid = GridSpec(6)
         problem = make_bidomain_toy(grid)
         npts = grid.points
         h = grid.h
@@ -352,9 +335,7 @@ class TestBidomain:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            make_bidomain_toy(GridSpec(1, 9))
-        with pytest.raises(ValueError):
-            make_bidomain_toy(GridSpec(2, 9), dt=0.0)
+            make_bidomain_toy(GridSpec(9), dt=0.0)
 
 
 class TestBuildProblem:

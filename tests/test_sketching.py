@@ -42,23 +42,23 @@ class TestBuildStaticMask:
         return ws.f_r
 
     def test_pressure_field(self):
-        problem = make_saddle_point(GridSpec(2, 5))
+        problem = make_saddle_point(GridSpec(5))
         start, stop = dict(problem.fields)["pressure"]
         np.testing.assert_array_equal(
             self.restricted_rows(problem, "pressure"), np.arange(start, stop))
 
     def test_none_is_identity(self):
-        problem = make_saddle_point(GridSpec(2, 5))
+        problem = make_saddle_point(GridSpec(5))
         np.testing.assert_array_equal(
             self.restricted_rows(problem, None), np.arange(problem.dimension))
 
     def test_bidomain_extracellular(self):
-        problem = make_bidomain_toy(GridSpec(2, 5))
+        problem = make_bidomain_toy(GridSpec(5))
         np.testing.assert_array_equal(
             self.restricted_rows(problem, "extracellular"), np.arange(25))
 
     def test_unknown_field(self):
-        problem = make_saddle_point(GridSpec(2, 5))
+        problem = make_saddle_point(GridSpec(5))
         with pytest.raises(UnknownField):
             allocate_workspace(problem, SolverConfig(static_mask="temperature"))
 

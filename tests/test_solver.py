@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aap import lsq
 from aap.bench import load_trace, verify_theorem_trace, write_trace
 from aap.fixed_point import (
     FixedPointProblem,
@@ -313,7 +314,7 @@ class TestSolve:
     def test_poisson_limit_converges_in_three_mixing_steps(self):
         # At q = 2 the residual is affine with Jacobian I / beta, so the
         # window needs a single increment to solve it; allow three.
-        problem = make_p_laplacian(GridSpec(2, 9), q=2.0)
+        problem = make_p_laplacian(GridSpec(9), q=2.0)
         report = solve(problem, SolverConfig(window=10, rel_tolerance=1e-10))
         assert report.converged
         assert len(report.mask_trace) <= 3
@@ -395,7 +396,7 @@ class TestSolve:
         increments, dx_norms = report.trace.window(rec)
         assert increments.shape == (report.l1, rec.columns)
         assert dx_norms.shape == (rec.columns,)
-        assert report.trace.f_restricted[-1].shape == (report.l1,)
+        assert report.trace.residual(rec).shape == (report.l1,)
 
     @pytest.mark.parametrize("adaptivity", ["none", "subselect-power"])
     def test_overflowing_residual_raises_breakdown(self, adaptivity):
@@ -409,6 +410,8 @@ class TestSolve:
         report = info.value.report
         assert report is not None and not report.converged
         assert 0 < report.iterations < config.max_iterations
+        # The overflowing iteration has no entry.
+        assert len(report.residual_history) == report.iterations
         assert np.isfinite(report.residual_history).all()
 
 
@@ -430,11 +433,11 @@ def assert_accepted_steps_hold(report):
         accepted += 1
         etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
         sigma = estimate_sigma_min(trace.r_factor[i])
-        eps = epsilon_rhs(trace.f_restricted[i], trace.mask[i])
+        eps = epsilon_rhs(trace.residual(rec), trace.mask[i])
         assert sigma == rec.sigma_min
         assert eps == rec.eps_rhs
         assert stability_hypothesis(
-            sigma, rec.lipschitz, float(np.linalg.norm(trace.f_restricted[i])),
+            sigma, rec.lipschitz, float(np.linalg.norm(trace.residual(rec))),
             trace.window(rec)[1], etas, eps,
         )
     return accepted
@@ -443,9 +446,9 @@ def assert_accepted_steps_hold(report):
 def assert_same_trace(loaded, recorded):
     """Every array of a Trace read back from a file equals the recorded one,
     dtype, shape and bytes."""
-    pairs = [(loaded.increments, recorded.increments),
+    pairs = [(loaded.residuals, recorded.residuals),
              (loaded.dx_norms, recorded.dx_norms)]
-    for name in ("f_restricted", "alpha", "r_factor", "mask"):
+    for name in ("alpha", "r_factor", "mask"):
         pairs += zip(getattr(loaded, name), getattr(recorded, name), strict=True)
     for got, want in pairs:
         if want is None:
@@ -453,6 +456,50 @@ def assert_same_trace(loaded, recorded):
         else:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestTraceLog:
+    """A trace's windows and residuals are bitwise what the solver used."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("case", ["saddle", "bidomain", "constant"])
+    def test_windows_and_residuals_are_the_solvers(self, monkeypatch, case, p):
+        # saddle-9 pressure + sub-pow restarts its window after fallbacks;
+        # T(x) = c falls back and restarts at every mixing step.
+        if case == "constant":
+            c = np.array([1.0, 2.0])
+            problem = FixedPointProblem(residual=lambda x: c.copy(),
+                                        dimension=2,
+                                        fields=(("state", (0, 2)),))
+            config = SolverConfig(window=3, alternation=p, max_iterations=9)
+        else:
+            problem = build_problem(case, 9)
+            config = SolverConfig(
+                alternation=p, rng_seed=3,
+                static_mask={"saddle": "pressure",
+                             "bidomain": "extracellular"}[case],
+                adaptivity="subselect-power" if case == "saddle" else "none",
+            )
+        seen = []
+        original = lsq.WindowFactor.solve
+
+        def spy(self, window, rhs, cols):
+            seen.append((window[:, :cols].copy(), rhs.copy()))
+            return original(self, window, rhs, cols)
+
+        monkeypatch.setattr(lsq.WindowFactor, "solve", spy)
+        try:
+            report = solve(problem, config, capture_trace=True)
+        except NumericalBreakdown as exc:
+            report = exc.report
+        assert len(seen) == len(report.mask_trace) > 0
+        if case != "bidomain":
+            assert report.window_restarts > 0
+        for rec, (window, f_r) in zip(report.mask_trace, seen, strict=True):
+            got = report.trace.window(rec)[0]
+            assert got.shape == window.shape
+            assert got.tobytes() == window.tobytes()
+            assert report.trace.residual(rec).tobytes() == f_r.tobytes()
 
 
 class TestBreakdownRecovery:

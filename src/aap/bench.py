@@ -238,29 +238,53 @@ def run_record(problem: str, size: int, config: SolverConfig,
     )
 
 
-def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str, p: int):
+def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str,
+             p: int) -> RunRecord:
     """Execute one cell of the plan matrix.
+
+    When the plan keeps traces, the cell first solves once with the trace
+    captured and writes it, the partial trace of a breakdown included.
+    The ``repetitions`` solves it then times run untraced, so the row's
+    wall time is that of a plain solve. Tracing moves no iterate, so a cell
+    whose traced solve breaks down skips the timed solves.
 
     A size too large to build, a build that rejects the size, and a
     breakdown become failed rows. A mask the problem has no field for
     raises UnknownField: it is an error in the plan, not a failed run.
     """
     config = _plan_config(plan, mask, adapt, p)
-    want_trace = plan.traces is not None
     best_wall = math.inf
     try:
         problem = build_problem(plan.problem, size, seed=plan.seed)
+        if plan.traces is not None:
+            name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz"
+            _solve_traced(problem, config, plan.traces, name)
         for _ in range(plan.repetitions):
             t0 = time.perf_counter()
-            report = solve(problem, config, capture_trace=want_trace)
+            report = solve(problem, config, capture_trace=False)
             best_wall = min(best_wall, time.perf_counter() - t0)
     except NumericalBreakdown as exc:
-        partial = getattr(exc, "report", None)
-        return run_record(plan.problem, size, config, partial, None), None
+        return run_record(plan.problem, size, config, exc.report, None)
     except (ResourceLimit, ValueError):
-        return run_record(plan.problem, size, config, None, None), None
-    record = run_record(plan.problem, size, config, report, best_wall)
-    return record, report if want_trace else None
+        return run_record(plan.problem, size, config, None, None)
+    return run_record(plan.problem, size, config, report, best_wall)
+
+
+def _solve_traced(problem, config: SolverConfig, directory: str, name: str):
+    """Solve with the trace captured and write it to ``directory``/``name``,
+    making the directory if need be. A breakdown's partial trace is written
+    before the breakdown propagates; a breakdown at the initial guess has no
+    report and leaves no file."""
+    report = None
+    try:
+        report = solve(problem, config, capture_trace=True)
+    except NumericalBreakdown as exc:
+        report = exc.report
+        raise
+    finally:
+        if report is not None:
+            os.makedirs(directory, exist_ok=True)
+            write_trace(report, os.path.join(directory, name))
 
 
 def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
@@ -268,21 +292,13 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
 
     Rows come back in plan order, one per cell, with failures recorded as
     non-converged rows; a mask the problem has no field for raises
-    UnknownField. When the plan names a traces directory, each
-    successful run's trace is written there as soon as the run ends, so
-    only one traced report is held at a time.
+    UnknownField. When the plan names a traces directory, each cell's
+    trace, a breakdown's included, is written there as soon as its traced
+    solve ends, so only one traced report is held at a time.
     """
-    records = []
-    for size, mask, adapt, p in itertools.product(
-        plan.sizes, plan.masks, plan.adaptivities, plan.alternations
-    ):
-        rec, report = _run_one(plan, size, mask, adapt, p)
-        records.append(rec)
-        if report is not None:
-            os.makedirs(plan.traces, exist_ok=True)
-            name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz"
-            write_trace(report, os.path.join(plan.traces, name))
-
+    records = [_run_one(plan, size, mask, adapt, p)
+               for size, mask, adapt, p in itertools.product(
+                   plan.sizes, plan.masks, plan.adaptivities, plan.alternations)]
     if plan.best:
         by_size: dict[int, RunRecord] = {}
         for rec in records:
@@ -345,7 +361,7 @@ def load_table(path: str) -> list[RunRecord]:
 
 
 def write_trace(report: SolveReport, path: str):
-    """Write a traced solve to ``path`` as an ``aap-trace-4`` archive.
+    """Write a traced solve to ``path`` as an ``aap-trace-5`` archive.
 
     Requires the solve to have run with capture_trace=True. The archive is
     an uncompressed numpy ``.npz`` written to exactly the given path,
@@ -438,7 +454,8 @@ def _read_trace(path: str) -> tuple[dict, dict]:
     return header, arrays
 
 
-_TRACE_REQUIRED = ("problem", "sketch_percent", "adaptivity", "iterations")
+_TRACE_REQUIRED = ("problem", "sketch_percent", "adaptivity", "iterations",
+                   "converged")
 
 
 def load_trace(path: str) -> dict:
@@ -469,6 +486,11 @@ def load_trace(path: str) -> dict:
                                  f"{rec.reason!r}")
         trace = Trace.from_arrays(arrays, steps, float(header["sketch_percent"]))
         history = arrays["residual_history"]
+        # One entry per iteration after the first, but none for the one a
+        # breakdown ended at.
+        if len(history) - header["iterations"] not in (0, 1):
+            raise ValueError(f"residual_history has {len(history)} entries "
+                             f"for {header['iterations']} iterations")
     except KeyError as exc:
         raise ParseError(f"trace is missing array {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -594,9 +616,7 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
     if mask is None:
         return StepCheck(rec.iteration, c, masked=False, fallback=False)
 
-    masked_cols = np.zeros_like(increments)
-    masked_cols[mask] = restricted
-    delta = perturbation_norm(increments, masked_cols, alpha)
+    delta = perturbation_norm(increments, mask, alpha)
 
     f_res = trace.residual(rec)
     etas = budget_weights(eta_kind, c)

@@ -105,10 +105,24 @@ def _cmd_run(args) -> int:
     want_trace = args.trace is not None
     try:
         report = solve(problem, config, capture_trace=want_trace)
+        wall_time = report.wall_time_seconds
     except NumericalBreakdown as exc:
+        # The partial report of a breakdown still makes a (failed) row and
+        # a trace; a breakdown at the initial guess has no report.
         print(f"breakdown: {exc}", file=sys.stderr)
-        return 1
+        report, wall_time = exc.report, None
+    else:
+        _print_summary(report)
 
+    if args.out is not None:
+        record = run_record(args.problem, args.size, config, report, wall_time)
+        write_table([record], args.out, meta=build_meta({"seed": args.seed}))
+    if want_trace and report is not None:
+        write_trace(report, args.trace)
+    return 0 if report is not None and report.converged else 1
+
+
+def _print_summary(report) -> None:
     fallbacks = sum(1 for rec in report.mask_trace if rec.fallback)
     accepted = sum(1 for rec in report.mask_trace if rec.accepted)
     print(f"problem      {report.problem} (n={report.n}, l1={report.l1})")
@@ -126,14 +140,6 @@ def _cmd_run(args) -> int:
           f"{report.factor_refreshes} refactored, "
           f"{report.window_restarts} window restarts")
     print(f"wall time    {report.wall_time_seconds:.3f} s")
-
-    if args.out is not None:
-        record = run_record(args.problem, args.size, config, report,
-                            report.wall_time_seconds)
-        write_table([record], args.out, meta=build_meta({"seed": args.seed}))
-    if want_trace:
-        write_trace(report, args.trace)
-    return 0 if report.converged else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -174,6 +180,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
 
+    print(f"ended        {_ending(doc)}")
     print(f"steps        {len(result.steps)}")
     print(f"checked      {len(result.checked)} of {len(result.accepted)} "
           "accepted")
@@ -189,6 +196,17 @@ def _cmd_verify(args) -> int:
         return 3
     print("verdict      ok")
     return 0
+
+
+def _ending(doc: dict) -> str:
+    """How a traced solve ended, from its header and residual history: a
+    breakdown at iteration k leaves k entries, any other end k + 1."""
+    k = doc["iterations"]
+    if len(doc["residual_history"]) == k:
+        return f"broke down at iteration {k}"
+    if doc["converged"]:
+        return f"converged at iteration {k}"
+    return f"stopped unconverged after {k} iterations"
 
 
 def main(argv=None) -> int:

@@ -53,8 +53,8 @@ class FixedPointProblem:
     initial_state : ndarray or None
         Default initial guess; solvers fall back to zeros when absent.
     data : dict
-        Problem-specific handles (assembled operators, reference solutions)
-        kept for diagnostics and tests. Not part of the solver contract.
+        Handles that reference checks read (assembled operators, reference
+        solutions); empty when none needs one. Not part of the solver contract.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]

@@ -7,14 +7,13 @@ preconditioner (Richardson alone diverges), a regularized p-Laplacian with
 a Laplace-stabilized quasi-Newton residual, and an implicit-Euler step of a
 two-field bidomain toy with a cubic ionic current.
 
-Grid operators are finite differences on the unit square.
-The inner Laplacian solves of the saddle and p-Laplacian residuals are
-fast sine transforms, so construction stores no factorization; the
-resulting problem objects are immutable and cheap to evaluate repeatedly.
+Grid operators are finite differences on the unit square, and each grid
+problem is built from its number of points per side. The inner Laplacian
+solves of the saddle and p-Laplacian residuals are fast sine transforms,
+so construction stores no factorization; the resulting problem objects
+are immutable and cheap to evaluate repeatedly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,28 +24,25 @@ SPECTRUM_LO = 0.1
 SPECTRUM_HI = 2.0
 MAX_SADDLE_POINTS = 65
 
+Q_LAPLACIAN_REG = 1e-10
+# The bidomain toy's physical values; `make_bidomain_toy` says which is which.
+BIDOMAIN_DT = 0.5
+BIDOMAIN_CONDUCTIVITY = 0.1
+BIDOMAIN_CUBIC_C = 1.0
+BIDOMAIN_CUBIC_A = 0.1
+BIDOMAIN_STIMULUS = 1.0
+
 
 class ResourceLimit(RuntimeError):
     """Requested problem size exceeds a built-in problem's desk-scale cap."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on the unit square.
-
-    ``points`` counts nodes per side including both boundaries, so the
-    spacing is h = 1/(points - 1).
-    """
-
-    points: int
-
-    def __post_init__(self):
-        if self.points < 3:
-            raise ValueError("points per side must be >= 3")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.points - 1)
+def _grid_spacing(points: int) -> float:
+    """Spacing h = 1/(points - 1) of a unit-square grid with ``points``
+    nodes per side, both boundaries included; at least 3 are needed."""
+    if points < 3:
+        raise ValueError("points per side must be >= 3")
+    return 1.0 / (points - 1)
 
 
 def make_linear(n: int, seed: int = 0) -> FixedPointProblem:
@@ -134,7 +130,7 @@ def sine_solver(shape: tuple[int, int], scale: float = 1.0):
     return solve
 
 
-def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
+def make_saddle_point(npts: int) -> FixedPointProblem:
     """Stokes-like block system on a staggered grid, preconditioned.
 
     Unknowns are face velocities (u on vertical faces, v on horizontal
@@ -158,12 +154,11 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
     The preconditioned operator is indefinite, so plain Richardson diverges
     here and the mixing steps carry the iteration.
     """
-    npts = grid.points
     if npts > MAX_SADDLE_POINTS:
         raise ResourceLimit(
             f"saddle grid limited to {MAX_SADDLE_POINTS} points per side, got {npts}"
         )
-    h = grid.h
+    h = _grid_spacing(npts)
     nc = npts - 1            # cells per side
     nxu, nyu = npts - 2, nc  # u faces: interior x lines, all cell rows
     nxv, nyv = nc, npts - 2  # v faces: all cell columns, interior y lines
@@ -229,27 +224,22 @@ def make_saddle_point(grid: GridSpec) -> FixedPointProblem:
         recommended_omega=1.0,
         recommended_window=10,
         name="saddle",
-        data={
-            "grid": grid,
-            "system": system,
-            "rhs": rhs,
-            "divergence": b_div,
-            "stiffness": k_block,
-        },
+        data={"system": system, "rhs": rhs, "divergence": b_div,
+              "stiffness": k_block},
     )
 
 
-def q_laplacian_residual(grid: GridSpec, q: float, reg: float = 1e-10):
+def q_laplacian_residual(npts: int, q: float):
     """Raw face-flux q-Laplacian operator F(u) = -div(gamma grad u) - 1.
 
-    gamma = (|grad u|^2 + reg)^((q-2)/2) is evaluated on faces, with the
-    tangential derivative at a face averaged from the four surrounding
-    faces. Interior unknowns only, zero Dirichlet boundary. Returns a
-    callable on raveled interior vectors. At q = 2 the power is exactly
-    zero so gamma is identically one and F reduces to the 5-point stencil.
+    gamma = (|grad u|^2 + Q_LAPLACIAN_REG)^((q-2)/2) is evaluated on faces,
+    with the tangential derivative at a face averaged from the four
+    surrounding faces. Interior unknowns only, zero Dirichlet boundary.
+    Returns a callable on raveled interior vectors. At q = 2 the power is
+    exactly zero so gamma is identically one and F reduces to the 5-point
+    stencil.
     """
-    npts = grid.points
-    h = grid.h
+    h = _grid_spacing(npts)
     expo = 0.5 * (q - 2.0)
     k = npts - 2
 
@@ -263,8 +253,8 @@ def q_laplacian_residual(grid: GridSpec, q: float, reg: float = 1e-10):
         tx = 0.25 * (dux[:-1, :-1] + dux[1:, :-1] + dux[:-1, 1:] + dux[1:, 1:])
         gx = dux[:, 1:-1]
         gy = duy[1:-1, :]
-        gamma_x = (gx * gx + ty * ty + reg) ** expo
-        gamma_y = (gy * gy + tx * tx + reg) ** expo
+        gamma_x = (gx * gx + ty * ty + Q_LAPLACIAN_REG) ** expo
+        gamma_y = (gy * gy + tx * tx + Q_LAPLACIAN_REG) ** expo
         flux_x = gamma_x * gx
         flux_y = gamma_y * gy
         div = np.diff(flux_x, axis=0) / h + np.diff(flux_y, axis=1) / h
@@ -274,7 +264,7 @@ def q_laplacian_residual(grid: GridSpec, q: float, reg: float = 1e-10):
 
 
 def make_p_laplacian(
-    grid: GridSpec,
+    npts: int,
     q: float = 1.5,
     beta: float = 10.0,
     init: str = "zero",
@@ -298,9 +288,10 @@ def make_p_laplacian(
         raise ValueError("beta must be positive")
     if init not in ("zero", "poisson"):
         raise ValueError("init must be 'zero' or 'poisson'")
-    k = grid.points - 2
-    solve_lap = sine_solver((k, k), 1.0 / (grid.h * grid.h))
-    raw = q_laplacian_residual(grid, q)
+    h = _grid_spacing(npts)
+    k = npts - 2
+    solve_lap = sine_solver((k, k), 1.0 / (h * h))
+    raw = q_laplacian_residual(npts, q)
     n = k * k
     inv_beta = 1.0 / beta
 
@@ -317,13 +308,7 @@ def make_p_laplacian(
         recommended_window=10,
         name="plaplace",
         initial_state=x0,
-        data={
-            "grid": grid,
-            "q": q,
-            "beta": beta,
-            "apply_q_laplacian": raw,
-            "poisson_solution": poisson,
-        },
+        data={"apply_q_laplacian": raw, "poisson_solution": poisson},
     )
 
 
@@ -349,56 +334,43 @@ def neumann_laplacian_apply(field: np.ndarray, h: float) -> np.ndarray:
     ) / (h * h)
 
 
-def make_bidomain_toy(
-    grid: GridSpec,
-    dt: float = 0.5,
-    conductivity_e: float = 0.1,
-    conductivity_i: float = 0.1,
-    cubic_c: float = 1.0,
-    cubic_a: float = 0.1,
-    amplitude: float = 1.0,
-) -> FixedPointProblem:
+def make_bidomain_toy(npts: int) -> FixedPointProblem:
     """One implicit-Euler step of a two-field bidomain toy.
 
     State is [u_e; u_i] on a collocated grid with zero-flux walls, with the
     transmembrane potential v = u_e - u_i starting from rest (v0 = 0). The
     residual stacks
 
-        F_e = (v - v0)/dt - D_e Lap u_e + I_ion(v) - I_app
-        F_i = -(v - v0)/dt - D_i Lap u_i - I_ion(v) + I_app
+        F_e = v/dt - D Lap u_e + I_ion(v) - I_app
+        F_i = -v/dt - D Lap u_i - I_ion(v) + I_app
 
     with the gating-free cubic current I_ion(v) = c v (v - a)(v - 1) and a
-    box stimulus I_app = amplitude on [0, 0.25]^2. Both equations are
-    invariant under a common constant shift of (u_e, u_i) and the stacked
-    residual sums to zero, so the iteration stays on the slice where the
-    shift component of the initial guess is preserved.
-
-    Defaults (dt = 0.5, D = 0.1, c = 1, a = 0.1) keep the step stiffness
-    moderate at desk-scale grids. With amplitude = 0 the rest state is an
-    exact fixed point.
+    box stimulus I_app on [0, 0.25]^2. The constants are the module's:
+    dt = BIDOMAIN_DT = 0.5, D = BIDOMAIN_CONDUCTIVITY = 0.1 for both
+    fields, c = BIDOMAIN_CUBIC_C = 1, a = BIDOMAIN_CUBIC_A = 0.1 and
+    I_app = BIDOMAIN_STIMULUS = 1 in the box. Both equations are invariant
+    under a common constant shift of (u_e, u_i) and the stacked residual
+    sums to zero, so the iteration stays on the slice where the shift
+    component of the initial guess is preserved. At rest the rate, ionic
+    and Laplacian terms vanish, so T(0) = [-I_app; I_app].
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    npts = grid.points
-    h = grid.h
+    h = _grid_spacing(npts)
     n_field = npts * npts
     coords = np.arange(npts) * h
     in_box = (coords[:, None] <= 0.25) & (coords[None, :] <= 0.25)
-    i_app = amplitude * in_box.astype(float)
-    v0 = np.zeros((npts, npts))
-    inv_dt = 1.0 / dt
-
-    def ionic(v):
-        return cubic_c * v * (v - cubic_a) * (v - 1.0)
+    i_app = BIDOMAIN_STIMULUS * in_box.astype(float)
+    inv_dt = 1.0 / BIDOMAIN_DT
 
     def residual(x):
         ue = x[:n_field].reshape(npts, npts)
         ui = x[n_field:].reshape(npts, npts)
         v = ue - ui
-        rate = (v - v0) * inv_dt
-        ion = ionic(v)
-        fe = rate - conductivity_e * neumann_laplacian_apply(ue, h) + ion - i_app
-        fi = -rate - conductivity_i * neumann_laplacian_apply(ui, h) - ion + i_app
+        rate = v * inv_dt
+        ion = BIDOMAIN_CUBIC_C * v * (v - BIDOMAIN_CUBIC_A) * (v - 1.0)
+        fe = (rate - BIDOMAIN_CONDUCTIVITY * neumann_laplacian_apply(ue, h)
+              + ion - i_app)
+        fi = (-rate - BIDOMAIN_CONDUCTIVITY * neumann_laplacian_apply(ui, h)
+              - ion + i_app)
         return np.concatenate([fe.ravel(), fi.ravel()])
 
     return FixedPointProblem(
@@ -411,17 +383,6 @@ def make_bidomain_toy(
         recommended_omega=0.01,
         recommended_window=50,
         name="bidomain",
-        data={
-            "grid": grid,
-            "dt": dt,
-            "conductivity_e": conductivity_e,
-            "conductivity_i": conductivity_i,
-            "cubic_c": cubic_c,
-            "cubic_a": cubic_a,
-            "applied_current": i_app,
-            "ionic": ionic,
-            "v0": v0,
-        },
     )
 
 
@@ -435,15 +396,15 @@ def build_problem(
     meaningful for `plaplace` (it alone offers a non-default one).
     """
     if name == "plaplace":
-        return make_p_laplacian(GridSpec(size), init=init)
+        return make_p_laplacian(size, init=init)
     if init != "zero":
         raise ValueError(f"problem {name!r} has no {init!r} initial guess")
     if name == "linear":
         return make_linear(size, seed=seed)
     if name == "saddle":
-        return make_saddle_point(GridSpec(size))
+        return make_saddle_point(size)
     if name == "bidomain":
-        return make_bidomain_toy(GridSpec(size))
+        return make_bidomain_toy(size)
     raise KeyError(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
 
 

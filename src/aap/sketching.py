@@ -291,15 +291,14 @@ def adaptive_step(
 
 
 def perturbation_norm(
-    full_columns: np.ndarray,
-    masked_columns: np.ndarray,
-    alpha: np.ndarray,
+    increments: np.ndarray, rows: np.ndarray, alpha: np.ndarray
 ) -> float:
-    """Exact perturbation size |(F - F_masked) alpha|_2.
+    """Exact perturbation size |(F - SF) alpha|_2 of a sketched step.
 
-    ``full_columns`` holds the unrestricted window columns and
-    ``masked_columns`` the same columns with their discarded rows zeroed, so
-    the difference is exactly the perturbation the sketch introduced.
+    ``increments`` is the window F and ``rows`` the rows the sketch S kept.
+    S zeroes every other row, so (F - SF) alpha is F alpha with the kept
+    rows set to zero: one product, not a masked copy of the window.
     """
-    delta = np.asarray(full_columns) - np.asarray(masked_columns)
-    return float(np.linalg.norm(delta @ np.asarray(alpha)))
+    delta = increments @ alpha
+    delta[rows] = 0.0
+    return float(np.linalg.norm(delta))

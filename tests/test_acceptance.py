@@ -377,11 +377,11 @@ def test_criterion_8_sweep_surface(tmp_path, capsys):
     # `aap sweep` is the package's one timing surface. At the smallest
     # sizes its table must round-trip and match its sidecar, hold one row
     # per cell in plan order, and agree with direct solves, breakdowns
-    # included; every converged run's trace must verify. No timing is
-    # asserted.
+    # included; every cell's trace, a breakdown's partial one included,
+    # must verify. No timing is asserted.
     t0 = time.perf_counter()
     bad = []
-    cells_total = matched = converged = verified = 0
+    cells_total = matched = verified = 0
     breakdowns = []
     for name, size in SMALLEST:
         masks = ("none", "pressure") if name == "saddle" else ("none",)
@@ -414,25 +414,23 @@ def test_criterion_8_sweep_surface(tmp_path, capsys):
                            f"{row.iterations}, direct {iterations}")
             if broke:
                 breakdowns.append(f"{name}-{mask}-{adapt}-p{p} at {iterations}")
-            if row.converged:
-                converged += 1
-                trace = f"{out}.traces/{name}-{size}-{mask}-{adapt}-p{p}.npz"
-                verified += main(["verify-trace", trace]) == 0
+            trace = f"{out}.traces/{name}-{size}-{mask}-{adapt}-p{p}.npz"
+            verified += main(["verify-trace", trace]) == 0
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
     ok = (
         not bad
         and matched == cells_total
         and any(b.startswith("saddle-pressure-none-p2") for b in breakdowns)
-        and verified == converged > 0
+        and verified == cells_total
         and elapsed < 5.0
     )
     _verdict(
         8,
         ok,
         f"{matched} of {cells_total} sweep rows equal to direct solves, "
-        f"breakdowns {breakdowns}, {verified} of {converged} converged "
-        f"traces verified, {elapsed:.2f}s" + (f"; {bad}" if bad else ""),
+        f"breakdowns {breakdowns}, {verified} of {cells_total} traces "
+        f"verified, {elapsed:.2f}s" + (f"; {bad}" if bad else ""),
     )
 
 

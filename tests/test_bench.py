@@ -221,10 +221,10 @@ class TestRunExperiment:
 
     def test_each_trace_written_before_next_cell_solves(self, tmp_path,
                                                         monkeypatch):
-        # Only one traced report is held at a time: when cell i + 1 solves,
-        # the traces of cells 0..i are on disk. Each file is the one a
-        # direct solve of its cell writes. Saddle-9 pressure at p = 2 breaks
-        # down and writes none.
+        # Only one traced report is held at a time: when cell i + 1 makes
+        # its traced solve, the traces of cells 0..i are on disk. Each file
+        # is the one a direct solve of its cell writes; saddle-9 pressure at
+        # p = 2 breaks down and writes its partial trace.
         traces = tmp_path / "traces"
         plan = ExperimentPlan(
             problem="saddle", sizes=(9,), masks=("none", "pressure"),
@@ -233,28 +233,60 @@ class TestRunExperiment:
         )
         on_disk = []
 
-        def spy(problem, config, **kwargs):
-            on_disk.append(sorted(p.name for p in traces.glob("*.npz")))
-            return solve(problem, config, **kwargs)
+        def spy(problem, config, capture_trace=False):
+            if capture_trace:
+                on_disk.append(sorted(p.name for p in traces.glob("*.npz")))
+            return solve(problem, config, capture_trace=capture_trace)
 
         monkeypatch.setattr(bench, "solve", spy)
         records = run_experiment(plan)
         names = [f"saddle-9-{r.mask}-{r.adaptivity}-p{r.alternation}.npz"
                  for r in records]
-        written = [name for name in names if (traces / name).exists()]
-        assert len(on_disk) == len(records) == 8 > len(written)
+        assert len(on_disk) == len(records) == 8
+        assert sorted(p.name for p in traces.iterdir()) == sorted(names)
         for i, seen in enumerate(on_disk):
-            assert seen == sorted(set(names[:i]) & set(written))
+            assert seen == sorted(names[:i])
+        broke = 0
         for rec, name in zip(records, names):
-            if name not in written:
-                continue
             config = bench._plan_config(plan, rec.mask, rec.adaptivity,
                                         rec.alternation)
-            direct = solve(build_problem("saddle", 9), config,
-                           capture_trace=True)
+            try:
+                direct = solve(build_problem("saddle", 9), config,
+                               capture_trace=True)
+            except NumericalBreakdown as exc:
+                direct = exc.report
+                broke += 1
+                assert not rec.converged and rec.wall_time_seconds is None
+            assert rec.iterations == direct.iterations
             write_trace(direct, str(tmp_path / "direct.npz"))
             assert ((traces / name).read_bytes()
                     == (tmp_path / "direct.npz").read_bytes())
+        assert broke == 2
+
+    @pytest.mark.parametrize("traces", [True, False])
+    def test_timed_solves_run_untraced(self, tmp_path, monkeypatch, traces):
+        # A plan that keeps traces solves each cell once traced, then times
+        # its repetitions untraced. Saddle-9 pressure at p = 1 converges
+        # and at p = 2 breaks down; a breakdown skips the timed solves, or,
+        # without traces, ends them at the first.
+        flags = []
+
+        def spy(problem, config, capture_trace=False):
+            flags.append((config.alternation, capture_trace))
+            return solve(problem, config, capture_trace=capture_trace)
+
+        monkeypatch.setattr(bench, "solve", spy)
+        plan = ExperimentPlan(
+            problem="saddle", sizes=(9,), masks=("pressure",),
+            alternations=(1, 2), repetitions=2,
+            traces=str(tmp_path / "traces") if traces else None,
+        )
+        records = run_experiment(plan)
+        assert [r.converged for r in records] == [True, False]
+        if traces:
+            assert flags == [(1, True), (1, False), (1, False), (2, True)]
+        else:
+            assert flags == [(1, False), (1, False), (2, False)]
 
 
 class TestTableRoundTrip:
@@ -433,6 +465,17 @@ class TestTraceFiles:
         rewrite(written, lambda h, a: h.pop("sketch_percent"))
         assert_rejected(written)
 
+    @pytest.mark.parametrize("change", [lambda h: h[:-2],
+                                        lambda h: np.append(h, 1.0)],
+                             ids=["short", "long"])
+    def test_history_must_fit_iterations(self, written, change):
+        # A history holds iterations + 1 entries, or iterations after a
+        # breakdown; two fewer or one more is malformed.
+        def edit(header, arrays):
+            arrays["residual_history"] = change(arrays["residual_history"])
+        rewrite(written, edit)
+        assert_rejected(written)
+
     def test_unknown_reason_rejected(self, written):
         def edit(header, arrays):
             arrays["reason"][0] = "approved"
@@ -544,6 +587,7 @@ def synthetic_trace(path, lipschitz):
         "sketch_percent": 50.0,
         "adaptivity": "subselect-constant",
         "iterations": 3,
+        "converged": False,
     }
     arrays = {
         "residual_history": np.ones(4),
@@ -701,18 +745,26 @@ class TestCli:
         assert set(counts) == {"disabled", "no-factor"}
 
     @pytest.mark.parametrize("adapt", ["none", "sub-pow"])
-    def test_run_breakdown_exit_code(self, adapt, capsys, recwarn):
+    def test_run_breakdown_exit_code(self, adapt, tmp_path, capsys, recwarn):
         # pytest records warnings instead of printing them, so the stderr
-        # check alone would pass vacuously; recwarn sees every warning.
+        # check alone would pass vacuously; recwarn sees every warning. The
+        # breakdown still writes the failed row and the partial trace.
+        out, trace = tmp_path / "run.csv", tmp_path / "run.npz"
         code = main([
             "run", "--problem", "saddle", "--size", "17",
             "--mask", "pressure", "-p", "2", "--adapt", adapt,
+            "--out", str(out), "--trace", str(trace),
         ])
         assert code == 1
         err = capsys.readouterr().err
         assert "breakdown:" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        [row] = load_table(str(out))
+        doc = load_trace(str(trace))
+        assert not row.converged and row.wall_time_seconds is None
+        assert row.iterations == doc["iterations"] == len(doc["residual_history"])
+        assert verify_theorem_trace(doc).passed
 
     def test_run_nonconvergence_exit_code(self, tmp_path):
         code = main([
@@ -783,6 +835,22 @@ class TestCli:
         path = tmp_path / "t.json"
         write_trace(report, str(path))
         assert main(["verify-trace", str(path)]) == 0
+
+    @pytest.mark.parametrize("flags, ended", [
+        (["--problem", "linear", "--size", "20"], "converged at iteration {}"),
+        (["--problem", "linear", "--size", "20", "--max-iterations", "3"],
+         "stopped unconverged after {} iterations"),
+        (["--problem", "saddle", "--size", "9", "--mask", "pressure",
+          "-p", "2"], "broke down at iteration {}"),
+    ], ids=["converged", "unconverged", "breakdown"])
+    def test_verify_trace_says_how_the_solve_ended(self, tmp_path, capsys,
+                                                   flags, ended):
+        path = tmp_path / "t.npz"
+        main(["run", *flags, "--trace", str(path)])
+        capsys.readouterr()
+        assert main(["verify-trace", str(path)]) == 0
+        k = load_trace(str(path))["iterations"]
+        assert f"ended        {ended.format(k)}\n" in capsys.readouterr().out
 
     def test_verify_trace_malformed(self, tmp_path):
         path = tmp_path / "junk.json"

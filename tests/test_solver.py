@@ -16,7 +16,6 @@ from aap.fixed_point import (
 )
 from aap.problems import (
     PROBLEM_NAMES,
-    GridSpec,
     build_problem,
     make_linear,
     make_p_laplacian,
@@ -314,7 +313,7 @@ class TestSolve:
     def test_poisson_limit_converges_in_three_mixing_steps(self):
         # At q = 2 the residual is affine with Jacobian I / beta, so the
         # window needs a single increment to solve it; allow three.
-        problem = make_p_laplacian(GridSpec(9), q=2.0)
+        problem = make_p_laplacian(9, q=2.0)
         report = solve(problem, SolverConfig(window=10, rel_tolerance=1e-10))
         assert report.converged
         assert len(report.mask_trace) <= 3

@@ -107,11 +107,12 @@ def _cmd_run(args) -> int:
         report = solve(problem, config, capture_trace=want_trace)
         wall_time = report.wall_time_seconds
     except NumericalBreakdown as exc:
-        # The partial report of a breakdown still makes a (failed) row and
-        # a trace; a breakdown at the initial guess has no report.
+        # The partial report of a breakdown still makes a summary, a
+        # (failed) row and a trace; a breakdown at the initial guess has no
+        # report.
         print(f"breakdown: {exc}", file=sys.stderr)
         report, wall_time = exc.report, None
-    else:
+    if report is not None:
         _print_summary(report)
 
     if args.out is not None:

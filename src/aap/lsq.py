@@ -5,10 +5,13 @@ window or a row subset of it. Two factorizations serve it:
 
 * `WindowFactor` keeps a thin QR factor of the whole (statically restricted)
   window and updates it as the window moves: the oldest column leaves by
-  Givens rotations and a new one enters by classical Gram-Schmidt with one
-  reorthogonalisation pass. A step costs O(l1 m) instead of the O(l1 m^2) of
-  a fresh factorization. The factor is recomputed by Householder QR only
-  when the second Gram-Schmidt pass shows loss of orthogonality.
+  Givens rotations and a new one enters by classical Gram-Schmidt in two
+  passes. On the common step, one new column, the second pass rides on
+  two-column products the step makes anyway, and the correction it brings
+  waits for the next step's, so a step reads the basis three times, not
+  five. A step costs O(l1 m) instead of the O(l1 m^2) of a fresh
+  factorization. The factor is recomputed by Householder QR only when a
+  second pass shows loss of orthogonality.
 * `qr_masked_solve` factors a row subset afresh (Householder QR without
   pivoting, LAPACK), for the row sketch the stability guard proposes.
 
@@ -22,6 +25,8 @@ sketched factor when the bound passes there too. The offline trace
 verifier takes it on every accepted sketch.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import qr_delete, qr_multiply, svdvals
@@ -124,28 +129,67 @@ class WindowFactor:
     leading ``cols`` columns of q and the leading cols x cols block of r
     factor the window columns pushed so far. The factor trails the window:
     `push` records that a column entered it, and `solve` first brings the
-    factor up to date, dropping the columns that left the window by Givens
-    rotations and appending the new ones by classical Gram-Schmidt with one
-    reorthogonalisation pass (CGS2). If nothing of the factor is still in
-    the window it is rebuilt by appends alone. Every mixing step solves from
-    it first, sketched or not, so it is brought up to date once per mixing
-    step. `reset` empties the factor when the window restarts.
+    factor up to date. Every mixing step solves from it first, sketched or
+    not, so it is brought up to date once per mixing step. `reset` empties
+    the factor when the window restarts.
+
+    Columns enter by classical Gram-Schmidt in two passes. On the common
+    step, one push since the last solve, the passes ride on products the
+    step makes anyway, each at most two columns wide, after DCGS2
+    (Swirydowicz et al. 2021). With Q1 the columns held but the newest, q~
+    the newest after its first pass (``delayed``), v the new column and f
+    the right-hand side:
+
+    1. ``q^T v`` gives v's coordinates in the basis with q~ corrected;
+    2. one product ``[Q1 q~] C`` gives both that correction,
+       (q~ - Q1 a) / |q~ - Q1 a|, and the projection of v, which enters as
+       the next column after its first pass. When the window was full the
+       Givens sweep of ``qr_delete`` then drops the oldest column; only its
+       last rotation touches the new column, so only the newest column
+       kept has had one pass;
+    3. the solve's ``q^T [q~ f]`` gives that column's second-pass
+       coefficients a = Q1^T q~ along with q^T f. The solve folds a into r
+       and into q^T f, so it solves as after both passes, and checks the
+       pass there. The correction of q~ itself waits for step 2 of the
+       next step; until then q r reproduces the window to rounding, as
+       the pass changes r by about eps |v|.
+
+    That is three reads of q and one sweep per step; both passes at once
+    (CGS2) and a separate ``q^T f`` read q five times. Any other update
+    (several pushes, or none of the factor left in the window) first makes
+    a pending correction, drops by Givens rotations and appends by CGS2;
+    with nothing of the factor left it is rebuilt by appends alone.
 
     ``updates`` counts solves served by an updated factor and ``refreshes``
-    those that needed a fresh Householder QR of the window after an append
-    lost orthogonality.
+    those that needed a fresh Householder QR of the window because a second
+    pass lost orthogonality.
     """
 
     def __init__(self, rows: int, m: int):
-        self.q = np.zeros((rows, m), order="F")
+        # A spare column past the window, where a one-push step appends
+        # before its drop and the solve puts f next to q~.
+        self._q = np.zeros((rows, m + 1), order="F")
+        self.q = self._q[:, :m]
         self.r = np.zeros((m, m), order="F")
+        # r one larger for the append before a drop. r itself stays m x m:
+        # its layout sets the back substitution's rounding.
+        self._r_grown = np.zeros((m + 1, m + 1), order="F")
         self.cols = 0
         self.pending = 0
         self.updates = 0
         self.refreshes = 0
+        # The newest column of q waits for its correction by the second
+        # pass's coefficients a and kept norm rho (in an array, so that a
+        # solve leaves no new object behind).
+        self.delayed = False
+        self._a = np.zeros(m)
+        self._rho = np.ones(1)
         self._h = np.zeros(m)
         self._h2 = np.zeros(m)
-        self._w = np.zeros(rows)
+        # Two-column products are taken transposed, with (2, n) row-major
+        # operands, so that each is one gemm writing a contiguous output.
+        self._work = np.zeros((2, rows))
+        self._pair = np.zeros(2 * m)
 
     def push(self):
         """Record that one column entered the window (dropping its oldest
@@ -156,6 +200,7 @@ class WindowFactor:
         """Forget every column; the window restarts empty."""
         self.cols = 0
         self.pending = 0
+        self.delayed = False
 
     def solve(self, window: np.ndarray, rhs: np.ndarray, cols: int):
         """Least squares over ``window[:, :cols]`` from the updated factor.
@@ -173,21 +218,23 @@ class WindowFactor:
                 f"window has {cols} columns, {self.pending} of them new, but "
                 f"the factor holds only {self.cols}"
             )
-        if keep <= 0:
-            self.cols = 0
-            keep = 0
-        while self.cols > keep:
-            self._drop_oldest()
+        one_push = self.pending == 1 and keep >= 1 and self.cols <= cols
         self.pending = 0
-        for j in range(keep, cols):
-            if not self._append(window[:, j]):
-                self._refactor(window, cols)
-                break
+        # Overflowing columns leave non-finite entries, which the rank
+        # check below rejects and the solver's next finite check reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if one_push:
+                self._push_one(window[:, cols - 1], cols)
+                updated = True
+            else:
+                updated = self._update(window, keep, cols)
+            solved = self._project(rhs, cols) if updated else None
+        if solved is None:
+            self._refactor(window, cols)
+            solved = self._project(rhs, cols)
         else:
             self.updates += 1
-        qtr = self._h[:cols]
-        np.dot(self.q[:, :cols].T, rhs, out=qtr)
-        r_factor = self.r[:cols, :cols]
+        r_factor, qtr = solved
         return _back_substitute(r_factor, qtr), r_factor
 
     def _refactor(self, window: np.ndarray, cols: int):
@@ -196,7 +243,101 @@ class WindowFactor:
         self.q[:, :cols] = q
         self.r[:cols, :cols] = r
         self.cols = cols
+        self.delayed = False
         self.refreshes += 1
+
+    def _project(self, rhs: np.ndarray, cols: int):
+        """(R, Q^T rhs) as after every second pass, or None when the
+        newest column's pass lost orthogonality."""
+        qtr = self._h[:cols]
+        if not self.delayed:
+            np.dot(self.q[:, :cols].T, rhs, out=qtr)
+            return self.r[:cols, :cols], qtr
+        q, k = self._q, cols - 1
+        q[:, cols] = rhs
+        prod = self._pair[:2 * cols].reshape(2, cols)
+        np.dot(q[:, k:cols + 1].T, q[:, :cols], out=prod)
+        a = self._a[:k]
+        a[:] = prod[0, :k]
+        # The pass keeps |q~|^2 - |a|^2 of |q~|^2 (Pythagoras).
+        norm2 = float(prod[0, k])
+        kept2 = norm2 - float(np.dot(a, a))
+        if not (kept2 > 0.0 and kept2 >= REORTH_KEEP ** 2 * norm2):
+            return None
+        self._rho[0] = rho = math.sqrt(kept2)
+        qtr[:] = prod[1]
+        qtr[k] = (qtr[k] - np.dot(a, qtr[:k])) / rho
+        r = self.r
+        r[:k, k] += r[k, k] * a
+        r[k, k] *= rho
+        return r[:cols, :cols], qtr
+
+    def _correct(self):
+        """Make the newest column's pending correction on its own."""
+        k = self.cols - 1
+        q, w = self.q, self._work[0]
+        np.dot(q[:, :k], self._a[:k], out=w)
+        np.subtract(q[:, k], w, out=q[:, k])
+        q[:, k] /= self._rho[0]
+        self.delayed = False
+
+    def _update(self, window: np.ndarray, keep: int, cols: int) -> bool:
+        """Drop to ``keep`` columns and append the rest by CGS2; False when
+        an append lost orthogonality."""
+        if keep <= 0:
+            self.cols = keep = 0
+            self.delayed = False
+        elif self.delayed:
+            self._correct()
+        while self.cols > keep:
+            self._drop_oldest()
+        for j in range(self.cols, cols):
+            if not self._append(window[:, j]):
+                return False
+        return True
+
+    def _push_one(self, v: np.ndarray, cols: int):
+        """Enter ``v`` after its first pass, then drop the oldest column
+        when the factor held ``cols`` already; a pending correction is made
+        on the way."""
+        c = self.cols
+        q, r, work = self._q, self.r, self._work
+        new = q[:, c]
+        b = self._h[:c]
+        np.dot(q[:, :c].T, v, out=b)
+        if self.delayed:
+            k = c - 1
+            a, rho = self._a[:k], self._rho[0]
+            b[k] = (b[k] - np.dot(a, b[:k])) / rho
+            # Over [Q1 q~], row 0 of C gives the corrected column and row 1
+            # Q1 b[:k] + b[k] times it.
+            coef = self._pair[:2 * c].reshape(2, c)
+            np.multiply(a, -1.0 / rho, out=coef[0, :k])
+            coef[0, k] = 1.0 / rho
+            coef[1, k] = b[k] / rho
+            np.multiply(a, -coef[1, k], out=coef[1, :k])
+            coef[1, :k] += b[:k]
+            np.dot(coef, q[:, :c].T, out=work)
+            q[:, k] = work[0]
+        else:
+            np.dot(q[:, :c], b, out=work[1])
+        np.subtract(v, work[1], out=new)
+        rho = float(np.linalg.norm(new))
+        if rho > 0.0:
+            new /= rho
+        drop = c == cols
+        if drop:
+            r = self._r_grown
+            r[:c, :c] = self.r[:c, :c]
+        r[:c, c] = b
+        r[c, :c] = 0.0
+        r[c, c] = rho
+        if drop:
+            qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
+                      overwrite_qr=True, check_finite=False)
+            self.r[:c, :c] = r[:c, :c]
+        self.cols = cols
+        self.delayed = True
 
     def _drop_oldest(self):
         # Deleting column 0 leaves R upper Hessenberg; qr_delete restores it
@@ -216,20 +357,17 @@ class WindowFactor:
         """
         c = self.cols
         basis = self.q[:, :c]
-        h, h2, w = self._h[:c], self._h2[:c], self._w
+        h, h2, w = self._h[:c], self._h2[:c], self._work[0]
         qc = self.q[:, c]
         np.dot(basis.T, v, out=h)
         np.dot(basis, h, out=w)
         np.subtract(v, w, out=qc)
-        # These norms can overflow while |f| is still finite, as in `step`;
-        # the solver's next finite check then raises NumericalBreakdown.
-        with np.errstate(over="ignore"):
-            first = float(np.linalg.norm(qc))
-            np.dot(basis.T, qc, out=h2)
-            np.dot(basis, h2, out=w)
-            np.subtract(qc, w, out=qc)
-            np.add(h, h2, out=h)
-            rho = float(np.linalg.norm(qc))
+        first = float(np.linalg.norm(qc))
+        np.dot(basis.T, qc, out=h2)
+        np.dot(basis, h2, out=w)
+        np.subtract(qc, w, out=qc)
+        np.add(h, h2, out=h)
+        rho = float(np.linalg.norm(qc))
         self.r[:c, c] = h
         self.r[c, :c] = 0.0
         self.r[c, c] = rho

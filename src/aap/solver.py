@@ -503,9 +503,12 @@ class SolveReport:
     Every mixing step solves the whole window from its kept factor first, so
     the counters split the mixing steps by how that factor was brought up
     to date: ``factor_updates`` by dropping and appending columns,
-    ``factor_refreshes`` by a fresh QR of the window after an append lost
-    orthogonality. ``window_restarts`` counts the rank-deficient steps that
-    emptied the window.
+    ``factor_refreshes`` by a fresh QR of the window after a Gram-Schmidt
+    pass lost orthogonality. A column entering at a step with one push
+    gets its second pass from that step's least-squares product (only the
+    correction of the stored column is delayed), so the refresh is counted
+    at the step it entered. ``window_restarts`` counts the rank-deficient
+    steps that emptied the window.
     """
 
     problem: str

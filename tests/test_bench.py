@@ -748,7 +748,8 @@ class TestCli:
     def test_run_breakdown_exit_code(self, adapt, tmp_path, capsys, recwarn):
         # pytest records warnings instead of printing them, so the stderr
         # check alone would pass vacuously; recwarn sees every warning. The
-        # breakdown still writes the failed row and the partial trace.
+        # breakdown still prints the partial report's summary and writes
+        # the failed row and the partial trace.
         out, trace = tmp_path / "run.csv", tmp_path / "run.npz"
         code = main([
             "run", "--problem", "saddle", "--size", "17",
@@ -756,7 +757,7 @@ class TestCli:
             "--out", str(out), "--trace", str(trace),
         ])
         assert code == 1
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         assert "breakdown:" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -764,6 +765,11 @@ class TestCli:
         doc = load_trace(str(trace))
         assert not row.converged and row.wall_time_seconds is None
         assert row.iterations == doc["iterations"] == len(doc["residual_history"])
+        assert f"iterations   {row.iterations}\n" in printed
+        assert "converged    no\n" in printed
+        mixing = int(printed.split("mixing")[1].split()[0])
+        guard = printed.split("guard")[1].splitlines()[0].split(",")
+        assert sum(int(item.split()[1]) for item in guard) == mixing > 0
         assert verify_theorem_trace(doc).passed
 
     def test_run_nonconvergence_exit_code(self, tmp_path):

@@ -252,6 +252,58 @@ class TestWindowFactor:
             recon, orth = factor_errors(factor, window, filled)
             assert recon < 1e-14 and orth < 1e-14
 
+    @pytest.mark.parametrize("before", [2, 4])
+    def test_overflowing_column_on_one_push_path(self, before):
+        # A column near 1e300 entering by the one-push path, with the
+        # previous column's correction pending, after 2 columns (no drop)
+        # or on a full window (one drop). Its first-pass norm overflows, so
+        # the solve finds its second pass lost and refactors, and the
+        # factor must refuse the window as rank deficient with no numpy
+        # RuntimeWarning, which pyproject.toml turns into an error.
+        rng = np.random.default_rng(17)
+        l1, m = 30, 4
+        cols = rng.standard_normal((before + 1, l1))
+        cols[-1] *= 1e300
+        window = np.zeros((l1, m), order="F")
+        factor = WindowFactor(l1, m)
+        with pytest.raises(RankDeficient):
+            drive_window(factor, window, cols)
+        assert factor.cols == min(before + 1, m)
+        assert factor.updates == before and factor.refreshes == 1
+
+    def test_near_parallel_columns_keep_the_fit_accurate(self):
+        # Columns u + 1e-7 w are nearly parallel (cond about 3e7), so a
+        # first pass leaves the new column about 1e-9 off orthogonal to
+        # the basis. One-push and multi-push solves alternate: whichever
+        # makes a pending correction, every column but the newest must
+        # come out orthonormal, the factor must reproduce the window, and
+        # alpha must be as accurate as both passes at once would make it.
+        rng = np.random.default_rng(18)
+        l1, m = 200, 6
+        u = rng.standard_normal(l1)
+        window = np.zeros((l1, m), order="F")
+        factor = WindowFactor(l1, m)
+        filled = 0
+        for pushes in (2, 1, 1, 2, 1, 1, 1, 3, 1, 1, 2, 1, 1):
+            for _ in range(pushes):
+                col = u + 1e-7 * rng.standard_normal(l1)
+                if filled == m:
+                    window[:, :-1] = window[:, 1:].copy()
+                    window[:, -1] = col
+                else:
+                    window[:, filled] = col
+                    filled += 1
+                factor.push()
+            w = window[:, :filled]
+            expected = rng.standard_normal(filled)
+            alpha, _ = factor.solve(window, w @ expected, filled)
+            recon, _ = factor_errors(factor, window, filled)
+            assert recon < 1e-14
+            assert factor_errors(factor, window, filled - 1)[1] < 1e-13
+            err = np.linalg.norm(alpha - expected) / np.linalg.norm(expected)
+            assert err <= 100.0 * np.linalg.cond(w) * np.finfo(float).eps
+        assert factor.refreshes == 0
+
     def test_more_columns_than_factor_rejected(self):
         window = np.ones((10, 3), order="F")
         factor = WindowFactor(10, 3)
@@ -259,9 +311,11 @@ class TestWindowFactor:
             factor.solve(window, np.ones(10), 2)
 
     def test_loss_of_orthogonality_refactors(self, monkeypatch):
-        # With the keep ratio above 1 every append counts as lost, so every
-        # solve goes through the fresh Householder refactorization, which
-        # must give the same answer.
+        # With the keep ratio above 1 every second pass counts as lost. The
+        # first solve appends by CGS2 and refactors. Every later solve
+        # enters its column by the one-push path and makes that column's
+        # second pass from its own q^T [q~ f] product, which loses too. So
+        # all nine solves refactor, and the answer must not change.
         monkeypatch.setattr(lsq, "REORTH_KEEP", 1.5)
         rng = np.random.default_rng(16)
         window = np.zeros((40, 4), order="F")
@@ -270,6 +324,7 @@ class TestWindowFactor:
             factor, window, rng.standard_normal((9, 40)), rhs_rng=rng
         )
         assert factor.refreshes == 9 and factor.updates == 0
+        assert not factor.delayed
         expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
         np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
         recon, orth = factor_errors(factor, window, filled)
@@ -331,6 +386,9 @@ def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
         recon, orth = factor_errors(factor, window, filled)
         assert recon < 1e-12
         assert orth < 1e-12
+        # Every column but the newest has had both Gram-Schmidt passes.
+        if filled > 1:
+            assert factor_errors(factor, window, filled - 1)[1] < 1e-13
         expected = np.linalg.lstsq(w, rhs, rcond=None)[0]
         err = np.linalg.norm(alpha - expected)
         assert err <= 100.0 * cond * np.finfo(float).eps * max(

@@ -23,14 +23,26 @@ takes the exact value only where that bound does not already settle its
 test: on the whole window's factor when the bound passes, and on a
 sketched factor when the bound passes there too. The offline trace
 verifier takes it on every accepted sketch.
+
+The Givens sweep, the sketch's QR and the SVD call the compiled routines
+under scipy's `qr_delete`, `qr_multiply` and `svdvals` directly, with the
+arguments those functions pass: on a window of ten columns the wrappers
+cost more than the routines. Results are bitwise the public functions',
+which tests/test_lsq.py checks call by call.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import qr_delete, qr_multiply, svdvals
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import get_lapack_funcs, qr_delete
+from scipy.linalg.lapack import _compute_lwork, dgeqrf, dormqr, dtrtrs
+
+# The Cython routine under qr_delete's array-API wrapper, and the LAPACK
+# SVD svdvals looks up.
+_qr_delete = qr_delete.__wrapped__
+_gesdd, _gesdd_lwork = get_lapack_funcs(
+    ("gesdd", "gesdd_lwork"), (np.zeros((1, 1)),), ilp64="preferred")
 
 # Relative floor on |diag(R)| below which the factor is treated as singular.
 RANK_RTOL = 1e-14
@@ -90,7 +102,7 @@ def qr_masked_solve(
 
     The input window is never modified. Raises RankDeficient when the factor
     diagonal collapses below a relative threshold of 1e-14 or a coefficient
-    exceeds COEFF_LIMIT.
+    is not finite (as after a non-finite entry) or exceeds COEFF_LIMIT.
     """
     if cols < 1 or cols > window.shape[1]:
         raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
@@ -99,9 +111,24 @@ def qr_masked_solve(
         raise ValueError(
             f"restricted system has {rows.size} rows for {cols} columns"
         )
-    # Q^T r from the Householder reflectors, without forming Q.
-    qtr, r_factor = qr_multiply(window[rows, :cols], rhs[rows], mode="right")
-    return _back_substitute(r_factor, qtr), r_factor
+    # Q^T r from the Householder reflectors, without forming Q: geqrf and
+    # ormqr, called as scipy's qr_multiply(mode="right") calls them.
+    qr, tau = _lapack(dgeqrf, window[rows, :cols])
+    qtr, = _lapack(dormqr, "L", "T", qr, tau, rhs[rows][:, None])
+    r_factor = np.triu(qr[:cols])
+    return _back_substitute(r_factor, qtr[:cols, 0]), r_factor
+
+
+def _lapack(routine, *args):
+    """Call a LAPACK routine with the workspace its query returns, as
+    scipy's own calls do; returns the outputs before (work, info)."""
+    # int(), not scipy's astype(np.int_): that cast leaves numpy-cached
+    # blocks behind, which criterion 6 reads as growth.
+    lwork = int(routine(*args, lwork=-1)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"{routine.__name__}: illegal argument {-info}")
+    return out
 
 
 def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
@@ -322,7 +349,7 @@ class WindowFactor:
         else:
             np.dot(q[:, :c], b, out=work[1])
         np.subtract(v, work[1], out=new)
-        rho = float(np.linalg.norm(new))
+        rho = math.sqrt(np.dot(new, new))
         if rho > 0.0:
             new /= rho
         drop = c == cols
@@ -333,8 +360,8 @@ class WindowFactor:
         r[c, :c] = 0.0
         r[c, c] = rho
         if drop:
-            qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
-                      overwrite_qr=True, check_finite=False)
+            _qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
+                       overwrite_qr=True, check_finite=False)
             self.r[:c, :c] = r[:c, :c]
         self.cols = cols
         self.delayed = True
@@ -343,8 +370,8 @@ class WindowFactor:
         # Deleting column 0 leaves R upper Hessenberg; qr_delete restores it
         # with Givens rotations and applies them to Q, in place.
         c = self.cols
-        qr_delete(self.q[:, :c], self.r[:c, :c], 0, 1, which="col",
-                  overwrite_qr=True, check_finite=False)
+        _qr_delete(self.q[:, :c], self.r[:c, :c], 0, 1, which="col",
+                   overwrite_qr=True, check_finite=False)
         self.cols = c - 1
 
     def _append(self, v: np.ndarray) -> bool:
@@ -362,12 +389,12 @@ class WindowFactor:
         np.dot(basis.T, v, out=h)
         np.dot(basis, h, out=w)
         np.subtract(v, w, out=qc)
-        first = float(np.linalg.norm(qc))
+        first = math.sqrt(np.dot(qc, qc))
         np.dot(basis.T, qc, out=h2)
         np.dot(basis, h2, out=w)
         np.subtract(qc, w, out=qc)
         np.add(h, h2, out=h)
-        rho = float(np.linalg.norm(qc))
+        rho = math.sqrt(np.dot(qc, qc))
         self.r[:c, c] = h
         self.r[c, :c] = 0.0
         self.r[c, c] = rho
@@ -388,6 +415,15 @@ def estimate_sigma_min(r_factor: np.ndarray) -> float:
     """Smallest singular value of a triangular factor, from its SVD.
 
     Exact to rounding. The factor is c x c with c at most the window size,
-    so the SVD is cheap next to the factorization that produced it.
+    so the SVD is cheap next to the factorization that produced it. It is
+    gesdd as ``scipy.linalg.svdvals`` calls it, so the value is bitwise
+    svdvals'. A non-finite factor raises LinAlgError, a ValueError.
     """
-    return float(svdvals(r_factor)[-1])
+    lwork = _compute_lwork(_gesdd_lwork, *r_factor.shape, compute_uv=0,
+                           full_matrices=1)
+    _, s, _, info = _gesdd(r_factor, compute_uv=0, lwork=lwork,
+                           full_matrices=1, overwrite_a=0)
+    sigma = float(s[-1])
+    if info != 0 or not math.isfinite(sigma):
+        raise np.linalg.LinAlgError(f"SVD of the factor failed (info {info})")
+    return sigma

@@ -112,20 +112,29 @@ def sine_solver(shape: tuple[int, int], scale: float = 1.0):
     eigenvalues and a transform back: the fast Poisson solver of Buzbee,
     Golub & Nielson (SIAM J. Numer. Anal. 1970). Returns a callable on
     C-order raveled vectors of ``prod(shape)`` entries.
+
+    Each transform is the pocketfft call that ``scipy.fft.dstn(type=1,
+    norm="ortho")`` makes (inorm 1, one thread), without its dispatch,
+    which costs more than the transform on these grids. The division and
+    the second transform work in place on the first one's fresh output, so
+    calls share no buffer. ``tests/test_problems.py`` holds the result
+    bitwise equal to the two-``dstn`` composition.
     """
     # Imported here, not with the module: scipy.fft loads scipy.special,
     # about 4 MB of resident memory that the other problems do not need.
-    from scipy.fft import dstn
+    from scipy.fft._pocketfft.pypocketfft import dst
 
     def ev(k):
         return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (k + 1))
 
     n1, n2 = shape
     lam = (ev(n1)[:, None] + ev(n2)[None, :]) * scale
+    axes = (0, 1)
 
     def solve(b):
-        return dstn(dstn(b.reshape(shape), type=1, norm="ortho") / lam,
-                    type=1, norm="ortho").ravel()
+        out = dst(b.reshape(shape), 1, axes, 1)
+        out /= lam
+        return dst(out, 1, axes, 1, out).ravel()
 
     return solve
 

@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,7 @@ REASONS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class MixingStep:
     """The record of one mixing step: its window and the guard's decision.
 
@@ -214,7 +215,8 @@ def adaptive_step(
     accepts when `stability_hypothesis` holds with that factor's exact
     smallest singular value and the sketch's eps_rhs. A sketch with fewer
     rows than the window has columns is "underdetermined", and a
-    rank-deficient sketch is rejected.
+    rank-deficient sketch is rejected. The budget weights are the first c
+    of ``workspace.etas``, set once for the config's adaptivity.
 
     Every other rejection is reached by the cheapest test that settles it,
     and each test is exact: it fails only where the test it stands in for
@@ -253,9 +255,9 @@ def adaptive_step(
         rec.reason = "underdetermined"
         return None, rec
 
-    etas = np.array(budget_weights(config.adaptivity.eta_kind, c))
+    etas = ws.etas[:c]
     dx_norms = ws.dx_norms[:c]
-    norm_f = float(np.linalg.norm(f_r))
+    norm_f = math.sqrt(np.dot(f_r, f_r))
 
     def holds(sigma, eps):
         return stability_hypothesis(sigma, ws.lipschitz, norm_f, dx_norms,

@@ -35,6 +35,7 @@ from .sketching import (
     Adaptivity,
     MixingStep,
     adaptive_step,
+    budget_weights,
     sketch_size,
     update_lipschitz,
 )
@@ -111,7 +112,9 @@ class Workspace:
     columns wider; ``views`` holds the triple for each offset 0..s, and only
     `push_window` moves them. ``factor``, the thin QR factor of
     ``df_window`` that every mixing step solves from first, is updated as
-    columns enter and leave. The scalars and ``rng`` are the run's state;
+    columns enter and leave. ``etas`` holds the guard's budget weights of
+    a full window; a window of c columns takes the first c, since weight j
+    does not depend on c. The scalars and ``rng`` are the run's state;
     ``trace``, set only by a traced solve, keeps the restricted residual of
     every iteration and the arrays of every mixing step.
     """
@@ -131,6 +134,7 @@ class Workspace:
     views: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray]
     factor: lsq.WindowFactor
+    etas: np.ndarray
     rng: np.random.Generator
     trace: Trace | None = None
     filled: int = 0
@@ -178,6 +182,7 @@ def allocate_workspace(problem: FixedPointProblem,
         views=views,
         buffers=buffers,
         factor=lsq.WindowFactor(l1, m),
+        etas=np.array(budget_weights(config.adaptivity.eta_kind, m)),
         rng=np.random.default_rng(config.rng_seed),
     )
 
@@ -293,9 +298,11 @@ def step(
     When ``ws.trace`` is set, the step's arrays go there.
     """
     update_increments(ws, problem, omega)
+    # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
+    # contiguous real vector, without its per-call checks.
     # An overflowing norm is reported as NumericalBreakdown just below.
     with np.errstate(over="ignore"):
-        relres = float(np.linalg.norm(ws.f)) / norm_f0
+        relres = math.sqrt(np.dot(ws.f, ws.f)) / norm_f0
     if not math.isfinite(relres):
         raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
     if relres < config.rel_tolerance:
@@ -306,8 +313,8 @@ def step(
     # These norms can overflow while ‖f‖ is still finite; the next
     # iteration's check then raises NumericalBreakdown.
     with np.errstate(over="ignore"):
-        dx_norm = float(np.linalg.norm(ws.scratch))
-        df_norm = float(np.linalg.norm(ws.df))
+        dx_norm = math.sqrt(np.dot(ws.scratch, ws.scratch))
+        df_norm = math.sqrt(np.dot(ws.df, ws.df))
     ws.lipschitz = update_lipschitz(ws.lipschitz, df_norm, dx_norm)
     push_window(ws, dx_norm)
 

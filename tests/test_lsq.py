@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, qr_multiply, solve_triangular, svdvals
 
 from aap import lsq
 from aap.lsq import (
@@ -78,6 +78,20 @@ class TestQrMaskedSolve:
         with pytest.raises(RankDeficient):
             qr_masked_solve(window, rng.standard_normal(10), np.arange(10), 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["window", "rhs"])
+    def test_non_finite_rows_raise_rank_deficient(self, bad, where):
+        # LAPACK is called without scipy's finite check; a non-finite
+        # entry must still end in RankDeficient, which the guard catches.
+        rng = np.random.default_rng(7)
+        window, rhs = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        if where == "window":
+            window[4, 1] = bad
+        else:
+            rhs[4] = bad
+        with pytest.raises(RankDeficient):
+            qr_masked_solve(window, rhs, np.arange(10), 3)
+
     def test_fewer_rows_than_columns_rejected(self):
         window = np.ones((5, 3))
         with pytest.raises(ValueError):
@@ -109,6 +123,81 @@ def test_back_substitution_is_bitwise_solve_triangular(m, cols, seed):
         alpha = lsq._back_substitute(r, qtr)
         assert alpha.shape == expected.shape
         np.testing.assert_array_equal(alpha, expected)
+
+
+def same_bits(got, want) -> bool:
+    """Same shape, dtype and bytes: bitwise equality, signed zeros too."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+# lsq calls the compiled routines under scipy's qr_delete, svdvals and
+# qr_multiply. A scipy whose public functions come to compute something
+# else must fail these, not move the solver's iterates unseen.
+
+
+@pytest.mark.parametrize("layout", ["push", "drop"])
+@pytest.mark.parametrize("l1, c", [(6, 1), (40, 3), (1024, 11), (961, 10)])
+def test_qr_delete_kernel_is_bitwise_qr_delete(layout, l1, c):
+    # "push": the one-push step's (l1, c + 1) view of the (l1, m + 1) basis
+    # and (c + 1)-square view of the grown R; "drop": the (l1, c) view and
+    # the c-square view of the m x m R.
+    m = c + 2
+    rng = np.random.default_rng(l1 + c)
+    k = c + 1 if layout == "push" else c
+    q = np.zeros((l1, m + 1), order="F")
+    r = np.zeros((m + 1, m + 1) if layout == "push" else (m, m), order="F")
+    q[:, :k], r[:k, :k] = np.linalg.qr(rng.standard_normal((l1, k)))
+    q2, r2 = q.copy(order="F"), r.copy(order="F")
+    got = lsq._qr_delete(q[:, :k], r[:k, :k], 0, 1, which="col",
+                         overwrite_qr=True, check_finite=False)
+    want = qr_delete(q2[:, :k], r2[:k, :k], 0, 1, which="col",
+                     overwrite_qr=True, check_finite=False)
+    assert same_bits(q, q2) and same_bits(r, r2)
+    for g, w in zip(got, want, strict=True):
+        assert same_bits(g, w)
+
+
+@pytest.mark.parametrize("c", range(1, 51))
+def test_sigma_min_is_bitwise_svdvals(c):
+    rng = np.random.default_rng(c)
+    buf = np.zeros((c + 3, c + 3), order="F")
+    buf[:c, :c] = np.triu(rng.standard_normal((c, c)))
+    buf[:c, :c] *= 10.0 ** rng.uniform(-6.0, 6.0, c)
+    view = buf[:c, :c]
+    for r in (np.asfortranarray(view), view, np.ascontiguousarray(view)):
+        got = lsq.estimate_sigma_min(r)
+        assert type(got) is float
+        assert same_bits(np.float64(got), svdvals(r)[-1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sigma_min_rejects_non_finite_factor(bad):
+    r = np.triu(np.random.default_rng(0).standard_normal((4, 4)))
+    r[1, 3] = bad
+    with pytest.raises(ValueError):
+        lsq.estimate_sigma_min(r)
+
+
+def test_masked_solve_is_bitwise_qr_multiply():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        l1 = int(rng.integers(2, 200))
+        m = int(rng.integers(1, min(l1, 12) + 1))
+        cols = int(rng.integers(1, m + 1))
+        # The window is a view into a wider column-major buffer, as the
+        # solver's is.
+        window = np.asfortranarray(rng.standard_normal((l1, m + 3)))[:, 2:2 + m]
+        rhs = rng.standard_normal(l1)
+        rows = np.sort(rng.choice(l1, size=int(rng.integers(cols, l1 + 1)),
+                                  replace=False))
+        qtr, r_want = qr_multiply(window[rows, :cols], rhs[rows], mode="right")
+        alpha, r_got = qr_masked_solve(window, rhs, rows, cols)
+        assert same_bits(r_got, r_want)
+        assert r_got.flags.f_contiguous == r_want.flags.f_contiguous
+        assert same_bits(alpha, solve_triangular(r_want, qtr,
+                                                 check_finite=False))
 
 
 def test_min_abs_diagonal_bounds_sigma():

@@ -568,7 +568,7 @@ def _compare_with_reference_guard(seed, l1, c, log_lipschitz, adaptivity,
     f = rng.standard_normal(l1) * 10.0 ** rng.uniform(-2.0, 2.0)
     dx_norms = rng.uniform(0.1, 2.0, c)
     _, ws, r_window = make_workspace(columns, f, dx_norms,
-                                     10.0 ** log_lipschitz)
+                                     10.0 ** log_lipschitz, adaptivity)
     config = SolverConfig(window=8, adaptivity=adaptivity,
                           sketch_percent=percent)
     draws = [np.random.default_rng(seed + 1) for _ in range(2)]

@@ -620,13 +620,14 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
 
     f_res = trace.residual(rec)
     etas = budget_weights(eta_kind, c)
+    norm_f = float(np.linalg.norm(f_res))
     hyp_ok = stability_hypothesis(
         estimate_sigma_min(r_factor),
         rec.lipschitz,
-        float(np.linalg.norm(f_res)),
+        norm_f,
         dx_norms,
         etas,
-        epsilon_rhs(f_res, mask),
+        epsilon_rhs(f_res, mask, norm_f),
     )
     bound = float(sum(etas)) + BOUND_SLACK
     return StepCheck(

@@ -5,11 +5,11 @@ window or a row subset of it. Two factorizations serve it:
 
 * `WindowFactor` keeps a thin QR factor of the whole (statically restricted)
   window and updates it as the window moves: the oldest column leaves by
-  Givens rotations and a new one enters by classical Gram-Schmidt in two
-  passes. On the common step, one new column, the second pass rides on
-  two-column products the step makes anyway, and the correction it brings
-  waits for the next step's, so a step reads the basis three times, not
-  five. A step costs O(l1 m) instead of the O(l1 m^2) of a fresh
+  Givens rotations and each new one enters by classical Gram-Schmidt in
+  two passes, one column at a time. The second pass rides on two-column
+  products made anyway, and the correction it brings waits for the next
+  column's, so a column costs three reads of the basis, not five. A step
+  costs O(l1 m) per new column instead of the O(l1 m^2) of a fresh
   factorization. The factor is recomputed by Householder QR only when a
   second pass shows loss of orthogonality.
 * `qr_masked_solve` factors a row subset afresh (Householder QR without
@@ -160,32 +160,32 @@ class WindowFactor:
     not, so it is brought up to date once per mixing step. `reset` empties
     the factor when the window restarts.
 
-    Columns enter by classical Gram-Schmidt in two passes. On the common
-    step, one push since the last solve, the passes ride on products the
-    step makes anyway, each at most two columns wide, after DCGS2
-    (Swirydowicz et al. 2021). With Q1 the columns held but the newest, q~
-    the newest after its first pass (``delayed``), v the new column and f
-    the right-hand side:
+    Each column enters by classical Gram-Schmidt in two passes, riding on
+    products each step makes anyway, each at most two columns wide, after
+    DCGS2 (Swirydowicz et al. 2021). With Q1 the columns held but the
+    newest, q~ the newest after its first pass (``delayed``), v the new
+    column and f the right-hand side:
 
     1. ``q^T v`` gives v's coordinates in the basis with q~ corrected;
     2. one product ``[Q1 q~] C`` gives both that correction,
        (q~ - Q1 a) / |q~ - Q1 a|, and the projection of v, which enters as
-       the next column after its first pass. When the window was full the
+       the next column after its first pass. When the factor was full the
        Givens sweep of ``qr_delete`` then drops the oldest column; only its
        last rotation touches the new column, so only the newest column
        kept has had one pass;
-    3. the solve's ``q^T [q~ f]`` gives that column's second-pass
-       coefficients a = Q1^T q~ along with q^T f. The solve folds a into r
-       and into q^T f, so it solves as after both passes, and checks the
-       pass there. The correction of q~ itself waits for step 2 of the
-       next step; until then q r reproduces the window to rounding, as
+    3. ``q^T [q~ f]`` gives that column's second-pass coefficients
+       a = Q1^T q~ along with q^T f. They are folded into r and into
+       q^T f, so the solve is as after both passes, and the pass is
+       checked there. The correction of q~ itself waits for step 2 of the
+       next column; until then q r reproduces the window to rounding, as
        the pass changes r by about eps |v|.
 
-    That is three reads of q and one sweep per step; both passes at once
-    (CGS2) and a separate ``q^T f`` read q five times. Any other update
-    (several pushes, or none of the factor left in the window) first makes
-    a pending correction, drops by Givens rotations and appends by CGS2;
-    with nothing of the factor left it is rebuilt by appends alone.
+    That is three reads of q and one sweep per column; both passes at once
+    (CGS2) and a separate ``q^T f`` read q five times. A solve after
+    several pushes enters them one at a time, each followed by step 3, so
+    it is bitwise the same pushes each followed by a solve. A column
+    entering an empty factor (the first, or all of them when none of the
+    factor is left in the window) is only normalised.
 
     ``updates`` counts solves served by an updated factor and ``refreshes``
     those that needed a fresh Householder QR of the window because a second
@@ -193,8 +193,8 @@ class WindowFactor:
     """
 
     def __init__(self, rows: int, m: int):
-        # A spare column past the window, where a one-push step appends
-        # before its drop and the solve puts f next to q~.
+        # A spare column past the window, where a column is appended before
+        # a drop and f is put next to q~.
         self._q = np.zeros((rows, m + 1), order="F")
         self.q = self._q[:, :m]
         self.r = np.zeros((m, m), order="F")
@@ -212,7 +212,6 @@ class WindowFactor:
         self._a = np.zeros(m)
         self._rho = np.ones(1)
         self._h = np.zeros(m)
-        self._h2 = np.zeros(m)
         # Two-column products are taken transposed, with (2, n) row-major
         # operands, so that each is one gemm writing a contiguous output.
         self._work = np.zeros((2, rows))
@@ -235,27 +234,33 @@ class WindowFactor:
         Same contract as ``qr_masked_solve`` over every row: returns
         (alpha, r_factor) and raises RankDeficient on a collapsed diagonal
         or non-finite or oversized coefficients. ``r_factor`` is a view of
-        the factor, valid until the next call.
+        the factor, valid until the next call. Raises ValueError when no
+        column was pushed since the last solve, or when ``cols`` is not the
+        factor's columns plus the pushes since, capped at the window size.
         """
         if cols < 1 or cols > window.shape[1]:
             raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
-        keep = cols - self.pending
-        if keep > self.cols:
+        if self.pending == 0:
+            raise ValueError("no column was pushed since the last solve")
+        m = self.r.shape[0]
+        if cols != min(self.cols + self.pending, m):
             raise ValueError(
-                f"window has {cols} columns, {self.pending} of them new, but "
-                f"the factor holds only {self.cols}"
+                f"window has {cols} columns, but the factor's {self.cols} and "
+                f"the {self.pending} pushed since make "
+                f"{min(self.cols + self.pending, m)}"
             )
-        one_push = self.pending == 1 and keep >= 1 and self.cols <= cols
+        keep = cols - self.pending
         self.pending = 0
+        if keep <= 0:
+            self.reset()
         # Overflowing columns leave non-finite entries, which the rank
         # check below rejects and the solver's next finite check reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            if one_push:
-                self._push_one(window[:, cols - 1], cols)
-                updated = True
-            else:
-                updated = self._update(window, keep, cols)
-            solved = self._project(rhs, cols) if updated else None
+            for j in range(max(keep, 0), cols):
+                self._push_one(window[:, j], self.cols == m)
+                solved = self._project(rhs, self.cols)
+                if solved is None:
+                    break
         if solved is None:
             self._refactor(window, cols)
             solved = self._project(rhs, cols)
@@ -299,34 +304,14 @@ class WindowFactor:
         r[k, k] *= rho
         return r[:cols, :cols], qtr
 
-    def _correct(self):
-        """Make the newest column's pending correction on its own."""
-        k = self.cols - 1
-        q, w = self.q, self._work[0]
-        np.dot(q[:, :k], self._a[:k], out=w)
-        np.subtract(q[:, k], w, out=q[:, k])
-        q[:, k] /= self._rho[0]
-        self.delayed = False
+    def _push_one(self, v: np.ndarray, drop: bool):
+        """Enter ``v`` after its first pass, making a pending correction on
+        the way, then drop the oldest column when ``drop``.
 
-    def _update(self, window: np.ndarray, keep: int, cols: int) -> bool:
-        """Drop to ``keep`` columns and append the rest by CGS2; False when
-        an append lost orthogonality."""
-        if keep <= 0:
-            self.cols = keep = 0
-            self.delayed = False
-        elif self.delayed:
-            self._correct()
-        while self.cols > keep:
-            self._drop_oldest()
-        for j in range(self.cols, cols):
-            if not self._append(window[:, j]):
-                return False
-        return True
-
-    def _push_one(self, v: np.ndarray, cols: int):
-        """Enter ``v`` after its first pass, then drop the oldest column
-        when the factor held ``cols`` already; a pending correction is made
-        on the way."""
+        A column in the numerical span of the basis leaves a diagonal entry
+        at roundoff level (zero for an exact copy), which the rank check of
+        `solve` then rejects.
+        """
         c = self.cols
         q, r, work = self._q, self.r, self._work
         new = q[:, c]
@@ -352,7 +337,6 @@ class WindowFactor:
         rho = math.sqrt(np.dot(new, new))
         if rho > 0.0:
             new /= rho
-        drop = c == cols
         if drop:
             r = self._r_grown
             r[:c, :c] = self.r[:c, :c]
@@ -360,48 +344,14 @@ class WindowFactor:
         r[c, :c] = 0.0
         r[c, c] = rho
         if drop:
+            # Deleting column 0 leaves r upper Hessenberg; qr_delete
+            # restores it by Givens rotations applied to q, in place.
             _qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
                        overwrite_qr=True, check_finite=False)
             self.r[:c, :c] = r[:c, :c]
-        self.cols = cols
-        self.delayed = True
-
-    def _drop_oldest(self):
-        # Deleting column 0 leaves R upper Hessenberg; qr_delete restores it
-        # with Givens rotations and applies them to Q, in place.
-        c = self.cols
-        _qr_delete(self.q[:, :c], self.r[:c, :c], 0, 1, which="col",
-                   overwrite_qr=True, check_finite=False)
-        self.cols = c - 1
-
-    def _append(self, v: np.ndarray) -> bool:
-        """CGS2 append of column ``v``; False when it lost orthogonality.
-
-        The new basis vector is built in place in column ``cols`` of q. A
-        column in the numerical span of the basis leaves a diagonal entry at
-        roundoff level (zero for an exact copy), which the rank check of
-        `solve` then rejects.
-        """
-        c = self.cols
-        basis = self.q[:, :c]
-        h, h2, w = self._h[:c], self._h2[:c], self._work[0]
-        qc = self.q[:, c]
-        np.dot(basis.T, v, out=h)
-        np.dot(basis, h, out=w)
-        np.subtract(v, w, out=qc)
-        first = math.sqrt(np.dot(qc, qc))
-        np.dot(basis.T, qc, out=h2)
-        np.dot(basis, h2, out=w)
-        np.subtract(qc, w, out=qc)
-        np.add(h, h2, out=h)
-        rho = math.sqrt(np.dot(qc, qc))
-        self.r[:c, c] = h
-        self.r[c, :c] = 0.0
-        self.r[c, c] = rho
-        if rho > 0.0:
-            qc /= rho
-        self.cols = c + 1
-        return not rho < REORTH_KEEP * first
+        else:
+            self.cols = c + 1
+        self.delayed = c > 0
 
 
 def min_abs_diagonal(r_factor: np.ndarray) -> float:

@@ -108,21 +108,22 @@ def stability_hypothesis(
     return bool(np.all(np.asarray(etas) * sigma >= need))
 
 
-def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray) -> float:
+def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray,
+                norm_f: float) -> float:
     """Relative residual mass the sketch would discard, |(I-P) f| / |f|.
 
-    ``kept`` lists the retained rows. An empty selection (rejected upstream)
-    returns 1; a zero residual returns 0. The discarded mass is accumulated
-    directly over the dropped entries (not by subtracting squared norms), so
-    the result is exactly zero whenever every dropped entry is zero.
+    ``kept`` lists the retained rows and ``norm_f`` is |f|, which every
+    caller already holds. An empty selection (rejected upstream) returns 1;
+    a zero residual returns 0. The discarded mass is accumulated directly
+    over the dropped entries (not by subtracting squared norms), so the
+    result is exactly zero whenever every dropped entry is zero.
     """
-    total = float(np.linalg.norm(f_restricted))
-    if total == 0.0:
+    if norm_f == 0.0:
         return 0.0
     if len(kept) == 0:
         return 1.0
     removed = np.delete(f_restricted, kept)
-    return min(1.0, float(np.linalg.norm(removed)) / total)
+    return min(1.0, float(np.linalg.norm(removed)) / norm_f)
 
 
 def select_subselection(f_restricted: np.ndarray, l2: int) -> np.ndarray:
@@ -274,7 +275,7 @@ def adaptive_step(
         rows = select_randomized(l1, l2, rng)
     else:
         rows = select_subselection(f_r, l2)
-    rec.eps_rhs = epsilon_rhs(f_r, rows)
+    rec.eps_rhs = epsilon_rhs(f_r, rows, norm_f)
     rec.reason = "rejected"
     if not holds(rec.sigma_min, rec.eps_rhs):
         return None, rec

@@ -511,11 +511,12 @@ class SolveReport:
     the counters split the mixing steps by how that factor was brought up
     to date: ``factor_updates`` by dropping and appending columns,
     ``factor_refreshes`` by a fresh QR of the window after a Gram-Schmidt
-    pass lost orthogonality. A column entering at a step with one push
-    gets its second pass from that step's least-squares product (only the
-    correction of the stored column is delayed), so the refresh is counted
-    at the step it entered. ``window_restarts`` counts the rank-deficient
-    steps that emptied the window.
+    pass lost orthogonality. Each column enters on its own and gets its
+    second pass from a least-squares product of the step it entered (only
+    the correction of the stored column is delayed), so the refresh is
+    counted at that step. A column entering an empty factor is only
+    normalised and cannot cause one. ``window_restarts`` counts the
+    rank-deficient steps that emptied the window.
     """
 
     problem: str

@@ -204,7 +204,7 @@ def adaptive_step_reference(workspace, config, iteration, rng, r_window):
         rows = select_randomized(l1, l2, rng)
     else:
         rows = subselection_stable_argsort(f_r, l2)
-    rec.eps_rhs = epsilon_rhs(f_r, rows)
+    rec.eps_rhs = epsilon_rhs(f_r, rows, norm_f)
     rec.reason = "rejected"
     try:
         alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)

@@ -665,7 +665,7 @@ class TestVerifyTrace:
 
     def test_factor_check_survives_overflowing_windows(self, tmp_path):
         # Saddle-17 pressure + sub-pow at p = 2 diverges until its residual
-        # norm overflows at iteration 281. On many of its windows the Gram
+        # norm overflows at iteration 241. On many of its windows the Gram
         # matrix F^T F, or its norm, overflows, so the factor check must
         # scale before it squares: the trace verifies with no RuntimeWarning
         # (an error under pytest), and a doubled factor on such a step is
@@ -676,7 +676,7 @@ class TestVerifyTrace:
         with pytest.raises(NumericalBreakdown) as info:
             solve(problem, config, capture_trace=True)
         report = info.value.report
-        assert report.iterations == 281
+        assert report.iterations == 241
         path = tmp_path / "t.npz"
         write_trace(report, str(path))
         doc = load_trace(str(path))

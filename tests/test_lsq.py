@@ -140,9 +140,9 @@ def same_bits(got, want) -> bool:
 @pytest.mark.parametrize("layout", ["push", "drop"])
 @pytest.mark.parametrize("l1, c", [(6, 1), (40, 3), (1024, 11), (961, 10)])
 def test_qr_delete_kernel_is_bitwise_qr_delete(layout, l1, c):
-    # "push": the one-push step's (l1, c + 1) view of the (l1, m + 1) basis
-    # and (c + 1)-square view of the grown R; "drop": the (l1, c) view and
-    # the c-square view of the m x m R.
+    # "push": the (l1, c + 1) view of the (l1, m + 1) basis and the
+    # (c + 1)-square view of the grown R that a drop in `_push_one` passes;
+    # "drop": the (l1, c) view and the c-square view of an m x m R.
     m = c + 2
     rng = np.random.default_rng(l1 + c)
     k = c + 1 if layout == "push" else c
@@ -342,13 +342,13 @@ class TestWindowFactor:
             assert recon < 1e-14 and orth < 1e-14
 
     @pytest.mark.parametrize("before", [2, 4])
-    def test_overflowing_column_on_one_push_path(self, before):
-        # A column near 1e300 entering by the one-push path, with the
-        # previous column's correction pending, after 2 columns (no drop)
-        # or on a full window (one drop). Its first-pass norm overflows, so
-        # the solve finds its second pass lost and refactors, and the
-        # factor must refuse the window as rank deficient with no numpy
-        # RuntimeWarning, which pyproject.toml turns into an error.
+    def test_overflowing_column_refactors_then_refuses(self, before):
+        # A column near 1e300 entering with the previous column's
+        # correction pending, after 2 columns (no drop) or on a full window
+        # (one drop). Its first-pass norm overflows, so the solve finds its
+        # second pass lost and refactors, and the factor must refuse the
+        # window as rank deficient with no numpy RuntimeWarning, which
+        # pyproject.toml turns into an error.
         rng = np.random.default_rng(17)
         l1, m = 30, 4
         cols = rng.standard_normal((before + 1, l1))
@@ -393,18 +393,70 @@ class TestWindowFactor:
             assert err <= 100.0 * np.linalg.cond(w) * np.finfo(float).eps
         assert factor.refreshes == 0
 
+    def test_lost_pass_on_an_earlier_column_refactors(self, monkeypatch):
+        # Three pushes into a factor of two columns: when the second pass of
+        # the first entering column is lost, the solve refactors the window
+        # even though the later columns' passes hold.
+        rng = np.random.default_rng(21)
+        l1, m = 40, 6
+        window = rng.standard_normal((l1, m))
+        factor = WindowFactor(l1, m)
+        factor.push()
+        factor.push()
+        factor.solve(window, rng.standard_normal(l1), 2)
+        project = WindowFactor._project
+        calls = []
+
+        def lose_first(self, rhs, cols):
+            calls.append(cols)
+            return None if len(calls) == 1 else project(self, rhs, cols)
+
+        monkeypatch.setattr(WindowFactor, "_project", lose_first)
+        for _ in range(3):
+            factor.push()
+        rhs = rng.standard_normal(l1)
+        alpha, _ = factor.solve(window, rhs, 5)
+        assert calls == [3, 5]
+        assert factor.refreshes == 1 and factor.updates == 1
+        expected = np.linalg.lstsq(window[:, :5], rhs, rcond=None)[0]
+        np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
+
     def test_more_columns_than_factor_rejected(self):
         window = np.ones((10, 3), order="F")
         factor = WindowFactor(10, 3)
+        factor.push()
         with pytest.raises(ValueError):
+            factor.solve(window, np.ones(10), 2)
+
+    def test_solve_without_a_push_rejected(self):
+        rng = np.random.default_rng(19)
+        window = rng.standard_normal((10, 3))
+        factor = WindowFactor(10, 3)
+        factor.push()
+        factor.solve(window, np.ones(10), 1)
+        with pytest.raises(ValueError, match="no column was pushed"):
+            factor.solve(window, np.ones(10), 1)
+
+    def test_factor_wider_than_window_rejected(self):
+        # Three columns held and one pushed: a window that is not full must
+        # then have four, not two.
+        rng = np.random.default_rng(20)
+        window = rng.standard_normal((10, 4))
+        factor = WindowFactor(10, 4)
+        for _ in range(3):
+            factor.push()
+        factor.solve(window, np.ones(10), 3)
+        factor.push()
+        with pytest.raises(ValueError, match="make 4"):
             factor.solve(window, np.ones(10), 2)
 
     def test_loss_of_orthogonality_refactors(self, monkeypatch):
         # With the keep ratio above 1 every second pass counts as lost. The
-        # first solve appends by CGS2 and refactors. Every later solve
-        # enters its column by the one-push path and makes that column's
-        # second pass from its own q^T [q~ f] product, which loses too. So
-        # all nine solves refactor, and the answer must not change.
+        # first column enters an empty factor and is only normalised, so it
+        # has no second pass to lose and the first solve is an update.
+        # Every later solve makes its column's second pass from its own
+        # q^T [q~ f] product, which loses. So eight of the nine solves
+        # refactor, and the answer must not change.
         monkeypatch.setattr(lsq, "REORTH_KEEP", 1.5)
         rng = np.random.default_rng(16)
         window = np.zeros((40, 4), order="F")
@@ -412,7 +464,7 @@ class TestWindowFactor:
         filled, (alpha, _, rhs) = drive_window(
             factor, window, rng.standard_normal((9, 40)), rhs_rng=rng
         )
-        assert factor.refreshes == 9 and factor.updates == 0
+        assert factor.refreshes == 8 and factor.updates == 1
         assert not factor.delayed
         expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
         np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
@@ -433,10 +485,13 @@ _op = st.tuples(
     l1=st.integers(3, 40),
     m=st.integers(1, 6),
     ops=st.lists(_op, min_size=1, max_size=40),
-    solve_every=st.integers(1, 3),
+    solve_every=st.integers(1, 7),
 )
 def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
     m = min(m, l1)
+    # Up to m + 1 pushes between solves, so that at every window size some
+    # solves find none of the factor left in the window and rebuild it.
+    solve_every = min(solve_every, m + 1)
     window = np.zeros((l1, m), order="F")
     factor = WindowFactor(l1, m)
     filled = 0
@@ -483,3 +538,52 @@ def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
         assert err <= 100.0 * cond * np.finfo(float).eps * max(
             np.linalg.norm(expected), 1.0
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l1=st.integers(6, 40),
+    m=st.integers(2, 6),
+    groups=st.lists(st.tuples(st.integers(1, 8), st.booleans()),
+                    min_size=1, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_push_solve_is_one_push_solves(l1, m, groups, seed):
+    # A solve after k pushes must enter them exactly as k solves after one
+    # push each would: Q, R and alpha bitwise equal. When none of the
+    # factor is left in the window, it must rebuild the factor exactly as a
+    # new one would. Some groups restart the window first.
+    rng = np.random.default_rng(seed)
+    window = np.zeros((l1, m), order="F")
+    grouped, single = WindowFactor(l1, m), WindowFactor(l1, m)
+    filled = 0
+    for pushes, restart in groups:
+        if restart:
+            filled = 0
+            grouped.reset()
+            single.reset()
+        pushes = min(pushes, m + 2)
+        for _ in range(pushes):
+            col = rng.standard_normal(l1)
+            if filled == m:
+                window[:, :-1] = window[:, 1:].copy()
+                window[:, -1] = col
+            else:
+                window[:, filled] = col
+                filled += 1
+            grouped.push()
+            single.push()
+            rhs = rng.standard_normal(l1)
+            alpha_single, _ = single.solve(window, rhs, filled)
+        alpha, _ = grouped.solve(window, rhs, filled)
+        if pushes >= filled:
+            single = WindowFactor(l1, m)
+            for _ in range(filled):
+                single.push()
+            alpha_single, _ = single.solve(window, rhs, filled)
+        c = grouped.cols
+        assert c == single.cols == filled
+        assert grouped.delayed == single.delayed
+        np.testing.assert_array_equal(grouped.q[:, :c], single.q[:, :c])
+        np.testing.assert_array_equal(grouped.r[:c, :c], single.r[:c, :c])
+        np.testing.assert_array_equal(alpha, alpha_single)

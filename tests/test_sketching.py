@@ -171,8 +171,8 @@ class TestStabilityHypothesis:
             lipschitz = float(np.max(np.linalg.norm(window, axis=0) / dx_norms))
             alpha = np.linalg.lstsq(window[rows], f[rows], rcond=None)[0]
             sigma = float(np.linalg.svd(window[rows], compute_uv=False)[-1])
-            eps = epsilon_rhs(f, rows)
             norm_f = float(np.linalg.norm(f))
+            eps = epsilon_rhs(f, rows, norm_f)
             etas = lipschitz * norm_f * dx_norms * (1.0 + eps) / sigma
             etas *= 1.0 + 1e-12
             assert stability_hypothesis(sigma, lipschitz, norm_f, dx_norms,
@@ -183,17 +183,19 @@ class TestStabilityHypothesis:
 class TestEpsilonRhs:
     def test_identity_keeps_everything(self):
         f = np.array([3.0, 4.0])
-        assert epsilon_rhs(f, np.array([0, 1])) == 0.0
+        assert epsilon_rhs(f, np.array([0, 1]), 5.0) == 0.0
 
     def test_empty_selection(self):
-        assert epsilon_rhs(np.array([3.0, 4.0]), np.array([], dtype=int)) == 1.0
+        assert epsilon_rhs(np.array([3.0, 4.0]), np.array([], dtype=int),
+                           5.0) == 1.0
 
     def test_pythagorean_case(self):
         f = np.array([3.0, 4.0])
-        assert epsilon_rhs(f, np.array([1])) == pytest.approx(0.6, abs=1e-15)
+        assert epsilon_rhs(f, np.array([1]), 5.0) == pytest.approx(0.6,
+                                                           abs=1e-15)
 
     def test_zero_residual(self):
-        assert epsilon_rhs(np.zeros(3), np.array([0])) == 0.0
+        assert epsilon_rhs(np.zeros(3), np.array([0]), 0.0) == 0.0
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -202,13 +204,13 @@ class TestEpsilonRhs:
             f = rng.standard_normal(l1)
             size = int(rng.integers(1, l1 + 1))
             kept = np.sort(rng.choice(l1, size=size, replace=False))
-            val = epsilon_rhs(f, kept)
+            val = epsilon_rhs(f, kept, np.linalg.norm(f))
             assert 0.0 <= val <= 1.0
 
     def test_zero_iff_mask_keeps_all_nonzero_entries(self):
         f = np.array([0.0, 2.0, 0.0, -1.0])
-        assert epsilon_rhs(f, np.array([1, 3])) == 0.0
-        assert epsilon_rhs(f, np.array([1])) > 0.0
+        assert epsilon_rhs(f, np.array([1, 3]), np.sqrt(5.0)) == 0.0
+        assert epsilon_rhs(f, np.array([1]), np.sqrt(5.0)) > 0.0
 
 
 class TestSelectSubselection:
@@ -398,7 +400,8 @@ class TestAdaptiveStep:
         rows, alpha, r_sketch = sketch
         np.testing.assert_array_equal(rows, [7, 8, 9])
         assert rec.sigma_min == estimate_sigma_min(r_sketch)
-        assert rec.eps_rhs == epsilon_rhs(self.F, rows)
+        assert rec.eps_rhs == epsilon_rhs(self.F, rows,
+                                          np.linalg.norm(self.F))
         assert stability_hypothesis(rec.sigma_min, 1.0,
                                     float(np.linalg.norm(self.F)), [1.0, 1.0],
                                     [1.0, 1.0], rec.eps_rhs)
@@ -421,7 +424,8 @@ class TestAdaptiveStep:
         assert sketch is None
         assert rec.reason == "rejected"
         assert rec.sigma_min == estimate_sigma_min(r) == 6.0
-        assert rec.eps_rhs == epsilon_rhs(self.F, np.array([7, 8, 9]))
+        assert rec.eps_rhs == epsilon_rhs(self.F, np.array([7, 8, 9]),
+                                          np.linalg.norm(self.F))
 
     def test_sketch_failing_hypothesis_rejected(self, monkeypatch):
         # The whole window is well conditioned through rows 0 and 1, which

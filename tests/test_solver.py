@@ -432,11 +432,13 @@ def assert_accepted_steps_hold(report):
         accepted += 1
         etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
         sigma = estimate_sigma_min(trace.r_factor[i])
-        eps = epsilon_rhs(trace.residual(rec), trace.mask[i])
+        f_res = trace.residual(rec)
+        norm_f = float(np.linalg.norm(f_res))
+        eps = epsilon_rhs(f_res, trace.mask[i], norm_f)
         assert sigma == rec.sigma_min
         assert eps == rec.eps_rhs
         assert stability_hypothesis(
-            sigma, rec.lipschitz, float(np.linalg.norm(trace.residual(rec))),
+            sigma, rec.lipschitz, norm_f,
             trace.window(rec)[1], etas, eps,
         )
     return accepted
@@ -697,8 +699,8 @@ def noncontractive_problem(n, seed):
 
 
 def test_overflowing_window_column_breaks_down_quietly():
-    # A draw whose appended window column overflows in the CGS2 norms while
-    # |f| is still finite. It must end in NumericalBreakdown with no numpy
+    # A draw whose entering window column overflows in its first-pass norm
+    # while |f| is still finite. It must end in NumericalBreakdown with no numpy
     # RuntimeWarning, which pyproject.toml turns into an error.
     seed = 915436966
     config = SolverConfig(window=5, alternation=3, rel_tolerance=1e-10,

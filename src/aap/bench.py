@@ -23,13 +23,12 @@ import itertools
 import json
 import math
 import os
-import time
 import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .fixed_point import NumericalBreakdown
+from .fixed_point import NumericalBreakdown, field_rows
 from .lsq import estimate_sigma_min
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
 from .sketching import (
@@ -62,28 +61,13 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-ADAPT_ALIASES = {
-    "none": "none",
-    "sub-pow": "subselect-power",
-    "sub-const": "subselect-constant",
-    "rand-pow": "randomized-power",
-    "rand-const": "randomized-constant",
-}
-
-
-def canonical_adaptivity(name: str) -> str:
-    """Map a CLI alias (sub-pow, rand-const, ...) to the full strategy name."""
-    name = name.strip()
-    return Adaptivity(ADAPT_ALIASES.get(name, name)).value
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment: a problem, a size grid, and a config matrix.
 
     The problem must be one `build_problem` knows. Adaptivities may be
-    given by alias (sub-pow, ...) and are kept by their full names. Every
-    cell must make a valid `SolverConfig`.
+    given by their short names (sub-pow, ...) and are kept by their full
+    names. Every cell must make a valid `SolverConfig`.
     """
 
     problem: str
@@ -112,7 +96,7 @@ class ExperimentPlan:
         if self.repetitions < 1:
             raise ParseError("repetitions must be at least 1")
         try:
-            adaptivities = tuple(canonical_adaptivity(a) for a in self.adaptivities)
+            adaptivities = tuple(Adaptivity(a).value for a in self.adaptivities)
             object.__setattr__(self, "adaptivities", adaptivities)
             for p in self.alternations:
                 _plan_config(self, "none", adaptivities[0], p)
@@ -238,77 +222,84 @@ def run_record(problem: str, size: int, config: SolverConfig,
     )
 
 
-def _run_one(plan: ExperimentPlan, size: int, mask: str, adapt: str,
-             p: int) -> RunRecord:
-    """Execute one cell of the plan matrix.
+def run_solve(problem, config: SolverConfig, trace: str | None = None,
+              repetitions: int = 1) -> tuple[SolveReport, float]:
+    """Solve ``problem`` under ``config``: (report, wall time).
 
-    When the plan keeps traces, the cell first solves once with the trace
-    captured and writes it, the partial trace of a breakdown included.
-    The ``repetitions`` solves it then times run untraced, so the row's
-    wall time is that of a plain solve. Tracing moves no iterate, so a cell
-    whose traced solve breaks down skips the timed solves.
-
-    A size too large to build, a build that rejects the size, and a
-    breakdown become failed rows. A mask the problem has no field for
-    raises UnknownField: it is an error in the plan, not a failed run.
+    With a ``trace`` path it first solves once with the trace captured and
+    writes it there, making the directory if need be, a breakdown's partial
+    trace included. It then makes ``repetitions`` untraced solves and
+    returns the last report with the least of their wall times. A
+    `NumericalBreakdown` propagates with its partial report attached;
+    tracing moves no iterate, so a traced solve's breakdown skips the rest.
     """
+    if trace is not None:
+        report = None
+        try:
+            report = solve(problem, config, capture_trace=True)
+        except NumericalBreakdown as exc:
+            report = exc.report
+            raise
+        finally:
+            if report is not None:
+                os.makedirs(os.path.dirname(trace) or ".", exist_ok=True)
+                write_trace(report, trace)
+    wall = math.inf
+    for _ in range(repetitions):
+        report = solve(problem, config, capture_trace=False)
+        wall = min(wall, report.wall_time_seconds)
+    return report, wall
+
+
+def _run_one(plan: ExperimentPlan, problem, size: int, mask: str, adapt: str,
+             p: int) -> RunRecord:
+    """One cell of the plan matrix, solved by `run_solve` with its trace in
+    the plan's traces directory. ``problem`` is None when the size failed
+    to build; such a cell, a solve that rejects its input and a breakdown
+    become failed rows."""
     config = _plan_config(plan, mask, adapt, p)
-    best_wall = math.inf
+    report = wall = trace = None
+    if plan.traces is not None:
+        trace = os.path.join(plan.traces,
+                             f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz")
     try:
-        problem = build_problem(plan.problem, size, seed=plan.seed)
-        if plan.traces is not None:
-            name = f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz"
-            _solve_traced(problem, config, plan.traces, name)
-        for _ in range(plan.repetitions):
-            t0 = time.perf_counter()
-            report = solve(problem, config, capture_trace=False)
-            best_wall = min(best_wall, time.perf_counter() - t0)
-    except NumericalBreakdown as exc:
-        return run_record(plan.problem, size, config, exc.report, None)
-    except (ResourceLimit, ValueError):
-        return run_record(plan.problem, size, config, None, None)
-    return run_record(plan.problem, size, config, report, best_wall)
-
-
-def _solve_traced(problem, config: SolverConfig, directory: str, name: str):
-    """Solve with the trace captured and write it to ``directory``/``name``,
-    making the directory if need be. A breakdown's partial trace is written
-    before the breakdown propagates; a breakdown at the initial guess has no
-    report and leaves no file."""
-    report = None
-    try:
-        report = solve(problem, config, capture_trace=True)
+        if problem is not None:
+            report, wall = run_solve(problem, config, trace, plan.repetitions)
     except NumericalBreakdown as exc:
         report = exc.report
-        raise
-    finally:
-        if report is not None:
-            os.makedirs(directory, exist_ok=True)
-            write_trace(report, os.path.join(directory, name))
+    except ValueError:
+        pass
+    return run_record(plan.problem, size, config, report, wall)
 
 
 def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     """Run every (size, mask, adaptivity, alternation) cell of the plan.
 
     Rows come back in plan order, one per cell, with failures recorded as
-    non-converged rows; a mask the problem has no field for raises
-    UnknownField. When the plan names a traces directory, each cell's
-    trace, a breakdown's included, is written there as soon as its traced
-    solve ends, so only one traced report is held at a time.
+    non-converged rows. Each size's problem is built once, and every mask
+    is looked up in it before any of its cells solves, so a mask the
+    problem has no field for raises UnknownField before the first solve.
+    When the plan names a traces directory, each cell's trace, a
+    breakdown's included, is written there as soon as its traced solve
+    ends, so only one traced report is held at a time.
     """
-    records = [_run_one(plan, size, mask, adapt, p)
-               for size, mask, adapt, p in itertools.product(
-                   plan.sizes, plan.masks, plan.adaptivities, plan.alternations)]
+    records = []
+    for size in plan.sizes:
+        try:
+            problem = build_problem(plan.problem, size, seed=plan.seed)
+        except (ResourceLimit, ValueError):
+            problem = None
+        else:
+            for mask in plan.masks:
+                field_rows(problem, None if mask == "none" else mask)
+        records += [_run_one(plan, problem, size, mask, adapt, p)
+                    for mask, adapt, p in itertools.product(
+                        plan.masks, plan.adaptivities, plan.alternations)]
     if plan.best:
-        by_size: dict[int, RunRecord] = {}
-        for rec in records:
-            if not rec.converged:
-                continue
-            cur = by_size.get(rec.size)
-            if cur is None or rec.wall_time_seconds < cur.wall_time_seconds:
-                by_size[rec.size] = rec
-        for rec in by_size.values():
-            rec.best = True
+        for size in plan.sizes:
+            done = [r for r in records if r.size == size and r.converged]
+            if done:
+                min(done, key=lambda r: r.wall_time_seconds).best = True
     return records
 
 

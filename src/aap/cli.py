@@ -5,8 +5,12 @@ Subcommands:
 * `aap run` solves one problem instance and optionally writes a one-row
   result table and a step trace.
 * `aap sweep` executes a plan file (a cross product of configurations),
-  one timed solve at a time, and writes or prints the result table.
+  one cell at a time, and writes or prints the result table.
 * `aap verify-trace` rechecks the stability bound recorded in a trace.
+
+`aap run` and every sweep cell solve through `bench.run_solve`, so a row's
+wall time means the same in both: that of an untraced solve, any trace
+coming from a solve of its own.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
 invalid input of any kind, 3 when trace verification finds a violation of
@@ -19,24 +23,23 @@ import sys
 from collections import Counter
 
 from .bench import (
-    ADAPT_ALIASES,
     ParseError,
     build_meta,
-    canonical_adaptivity,
     format_table,
     load_trace,
     parse_plan,
     run_experiment,
     run_record,
+    run_solve,
     verify_theorem_trace,
     write_table,
-    write_trace,
 )
 from .fixed_point import NumericalBreakdown, UnknownField, field_rows
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
-from .solver import SolverConfig, solve
+from .sketching import SHORT_NAMES, Adaptivity
+from .solver import SolverConfig
 
-ADAPT_CHOICES = tuple(ADAPT_ALIASES)
+ADAPT_CHOICES = (*(a.value for a in Adaptivity), *SHORT_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +97,7 @@ def _cmd_run(args) -> int:
             rel_tolerance=args.tol,
             max_iterations=args.max_iterations,
             static_mask=None if args.mask == "none" else args.mask,
-            adaptivity=canonical_adaptivity(args.adapt),
+            adaptivity=args.adapt,
             sketch_percent=args.sketch,
             rng_seed=args.seed,
         )
@@ -102,14 +105,11 @@ def _cmd_run(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    want_trace = args.trace is not None
     try:
-        report = solve(problem, config, capture_trace=want_trace)
-        wall_time = report.wall_time_seconds
+        report, wall_time = run_solve(problem, config, args.trace)
     except NumericalBreakdown as exc:
-        # The partial report of a breakdown still makes a summary, a
-        # (failed) row and a trace; a breakdown at the initial guess has no
-        # report.
+        # The partial report of a breakdown still makes a summary and a
+        # (failed) row; a breakdown at the initial guess has no report.
         print(f"breakdown: {exc}", file=sys.stderr)
         report, wall_time = exc.report, None
     if report is not None:
@@ -118,8 +118,6 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         record = run_record(args.problem, args.size, config, report, wall_time)
         write_table([record], args.out, meta=build_meta({"seed": args.seed}))
-    if want_trace and report is not None:
-        write_trace(report, args.trace)
     return 0 if report is not None and report.converged else 1
 
 
@@ -138,8 +136,7 @@ def _print_summary(report) -> None:
     print("guard        " + (", ".join(f"{r} {n}" for r, n in reasons)
                              or "no mixing steps"))
     print(f"factor       {report.factor_updates} updated, "
-          f"{report.factor_refreshes} refactored, "
-          f"{report.window_restarts} window restarts")
+          f"{report.factor_refreshes} refactored")
     print(f"wall time    {report.wall_time_seconds:.3f} s")
 
 

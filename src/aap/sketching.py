@@ -26,13 +26,18 @@ from .lsq import estimate_sigma_min, min_abs_diagonal
 
 class Adaptivity(str, enum.Enum):
     """Dynamic sketch strategy: how rows are picked and how the per-column
-    budget weights grow with column age."""
+    budget weights grow with column age. ``Adaptivity(name)`` also takes
+    the `SHORT_NAMES` (sub-pow, ...); the value is always the full name."""
 
     NONE = "none"
     SUBSELECT_POWER = "subselect-power"
     SUBSELECT_CONSTANT = "subselect-constant"
     RANDOMIZED_POWER = "randomized-power"
     RANDOMIZED_CONSTANT = "randomized-constant"
+
+    @classmethod
+    def _missing_(cls, value):
+        return SHORT_NAMES.get(value)
 
     @property
     def randomized(self) -> bool:
@@ -43,6 +48,14 @@ class Adaptivity(str, enum.Enum):
         if self in (Adaptivity.SUBSELECT_POWER, Adaptivity.RANDOMIZED_POWER):
             return "power"
         return "constant"
+
+
+SHORT_NAMES = {
+    "sub-pow": Adaptivity.SUBSELECT_POWER,
+    "sub-const": Adaptivity.SUBSELECT_CONSTANT,
+    "rand-pow": Adaptivity.RANDOMIZED_POWER,
+    "rand-const": Adaptivity.RANDOMIZED_CONSTANT,
+}
 
 
 def update_lipschitz(l_prev: float, df_norm: float, dx_norm: float) -> float:

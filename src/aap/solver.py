@@ -142,7 +142,6 @@ class Workspace:
     lipschitz: float = 0.0
     stalled: bool = False
     last_accept: int = -1
-    restarts: int = 0
 
 
 def allocate_workspace(problem: FixedPointProblem,
@@ -346,7 +345,6 @@ def step(
         # resume on the next step.
         ws.filled = 0
         ws.factor.reset()
-        ws.restarts += 1
         return relres, MixingStep(k, c, ws.lipschitz, reason="no-factor")
 
     rows = None
@@ -515,8 +513,8 @@ class SolveReport:
     second pass from a least-squares product of the step it entered (only
     the correction of the stored column is delayed), so the refresh is
     counted at that step. A column entering an empty factor is only
-    normalised and cannot cause one. ``window_restarts`` counts the
-    rank-deficient steps that emptied the window.
+    normalised and cannot cause one. A fallback (reason "no-factor")
+    empties the window, so the fallback records count the restarts.
     """
 
     problem: str
@@ -534,7 +532,6 @@ class SolveReport:
     trace: Trace | None = None
     factor_updates: int = 0
     factor_refreshes: int = 0
-    window_restarts: int = 0
 
 
 def resolve_omega(problem: FixedPointProblem, config: SolverConfig) -> float:
@@ -618,7 +615,6 @@ def solve(
             trace=ws.trace,
             factor_updates=ws.factor.updates,
             factor_refreshes=ws.factor.refreshes,
-            window_restarts=ws.restarts,
         )
 
     np.copyto(ws.x, x0)

@@ -19,6 +19,7 @@ skips every SVD and sketch that cannot change a decision, and must reach
 the same decisions.
 """
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -282,7 +283,8 @@ def solve_plain(problem, config):
     and no restriction, sketch or stall paths. With the two-level solver
     configured transparently (identity level-one mask, adaptivity off) the
     two produce bitwise identical iterate sequences. Starts from the
-    problem's initial state, or zero, which must not be a root.
+    problem's initial state, or zero, which must not be a root. Its mixing
+    records carry no Lipschitz estimate (NaN), since the loop keeps none.
     """
     t_start = time.perf_counter()
     omega = resolve_omega(problem, config)
@@ -301,7 +303,7 @@ def solve_plain(problem, config):
     g_window = np.zeros((n, m), order="F")
     factor = lsq.WindowFactor(n, m)
     cols = 0
-    restarts = 0
+    steps = []
     converged = False
     picard_update(x, f_prev, omega, scratch)
     g_prev = x.copy()
@@ -336,10 +338,11 @@ def solve_plain(problem, config):
                 alpha, _ = factor.solve(f_window, f, cols)
                 np.dot(g_window[:, :cols], alpha, out=scratch)
                 np.subtract(x, scratch, out=x)
+                steps.append(MixingStep(k, cols, math.nan, reason="disabled"))
             except lsq.RankDeficient:
+                steps.append(MixingStep(k, cols, math.nan, reason="no-factor"))
                 cols = 0
                 factor.reset()
-                restarts += 1
 
     return SolveReport(
         problem=problem.name,
@@ -348,7 +351,7 @@ def solve_plain(problem, config):
         converged=converged,
         iterations=k,
         residual_history=history,
-        mask_trace=[],
+        mask_trace=steps,
         wall_time_seconds=time.perf_counter() - t_start,
         final_state=x.copy(),
         omega=omega,
@@ -356,5 +359,4 @@ def solve_plain(problem, config):
         config=config,
         factor_updates=factor.updates,
         factor_refreshes=factor.refreshes,
-        window_restarts=restarts,
     )

@@ -13,13 +13,20 @@ import gc
 import json
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 from oracles import gmres_iterates, matches_plain_loop, recording
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import spsolve
 
-from aap.bench import format_table, load_table, verify_theorem_trace, write_trace
+from aap.bench import (
+    RunRecord,
+    format_table,
+    load_table,
+    verify_theorem_trace,
+    write_trace,
+)
 from aap.cli import main
 from aap.fixed_point import NumericalBreakdown, evaluate_residual
 from aap.problems import build_problem, make_linear
@@ -449,7 +456,8 @@ def test_criterion_9_cli_determinism(tmp_path):
         tables.append(table.read_bytes())
         traces.append(trace.read_bytes())
 
-    wall_col = 11
+    wall_col = [f.name for f in fields(RunRecord)].index("wall_time_seconds")
+
     def strip_timing(raw):
         lines = raw.decode().splitlines()
         rows = [line.split(",") for line in lines[1:]]

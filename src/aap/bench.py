@@ -504,17 +504,24 @@ def _read_field(f, column: np.ndarray, n: int) -> list:
 
 @dataclass
 class StepCheck:
-    """Verification outcome for one mixing step; a step the verifier does
-    not test (a fallback or an unsketched step) passes vacuously."""
+    """Verification outcome for one mixing step: its ``record`` and what
+    the verifier found. A step the verifier does not test (a fallback or an
+    unsketched step) passes vacuously."""
 
-    iteration: int
-    columns: int
-    masked: bool
-    fallback: bool
+    record: MixingStep
     hypotheses_satisfied: bool = False
     delta: float = 0.0
     bound: float = 0.0
-    bound_satisfied: bool = True
+
+    @property
+    def masked(self) -> bool:
+        """Whether the step mixed with a sketch, whose rows the trace
+        keeps only for an accepted step."""
+        return self.record.accepted
+
+    @property
+    def bound_satisfied(self) -> bool:
+        return self.delta <= self.bound
 
 
 @dataclass
@@ -532,7 +539,7 @@ class TraceVerification:
 
     @property
     def accepted(self) -> list[StepCheck]:
-        return [s for s in self.steps if s.masked and not s.fallback]
+        return [s for s in self.steps if s.masked]
 
     @property
     def checked(self) -> list[StepCheck]:
@@ -566,14 +573,14 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     """
     doc = path_or_doc if isinstance(path_or_doc, dict) else load_trace(path_or_doc)
     try:
-        eta_kind = Adaptivity(doc["adaptivity"]).eta_kind
+        adaptivity = Adaptivity(doc["adaptivity"])
     except ValueError as exc:
         raise ParseError(f"unknown adaptivity {doc['adaptivity']!r}") from exc
 
     result = TraceVerification()
     for idx, rec in enumerate(doc["steps"]):
         try:
-            check = _verify_step(rec, doc["trace"], idx, eta_kind)
+            check = _verify_step(rec, doc["trace"], idx, adaptivity)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -582,10 +589,9 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     return result
 
 
-def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
-    c = rec.columns
+def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
     if rec.fallback:
-        return StepCheck(rec.iteration, c, masked=False, fallback=True)
+        return StepCheck(rec)
     increments, dx_norms = trace.window(rec)
     mask, alpha, r_factor = trace.mask[i], trace.alpha[i], trace.r_factor[i]
 
@@ -605,12 +611,12 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
         )
 
     if mask is None:
-        return StepCheck(rec.iteration, c, masked=False, fallback=False)
+        return StepCheck(rec)
 
     delta = perturbation_norm(increments, mask, alpha)
 
     f_res = trace.residual(rec)
-    etas = budget_weights(eta_kind, c)
+    etas = budget_weights(adaptivity, rec.columns)
     norm_f = float(np.linalg.norm(f_res))
     hyp_ok = stability_hypothesis(
         estimate_sigma_min(r_factor),
@@ -620,17 +626,8 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, eta_kind: str):
         etas,
         epsilon_rhs(f_res, mask, norm_f),
     )
-    bound = float(sum(etas)) + BOUND_SLACK
-    return StepCheck(
-        iteration=rec.iteration,
-        columns=c,
-        masked=True,
-        fallback=False,
-        hypotheses_satisfied=hyp_ok,
-        delta=delta,
-        bound=bound,
-        bound_satisfied=delta <= bound,
-    )
+    return StepCheck(rec, hypotheses_satisfied=hyp_ok, delta=delta,
+                     bound=float(sum(etas)) + BOUND_SLACK)
 
 
 def build_meta(extra: dict | None = None) -> dict:

@@ -184,10 +184,10 @@ def _cmd_verify(args) -> int:
           "accepted")
     for step in result.accepted:
         if not step.hypotheses_satisfied:
-            print(f"unchecked    iteration {step.iteration}: accepted sketch "
-                  "fails the stability hypothesis")
+            print(f"unchecked    iteration {step.record.iteration}: "
+                  "accepted sketch fails the stability hypothesis")
     for step in result.violations:
-        print(f"violation    iteration {step.iteration}: "
+        print(f"violation    iteration {step.record.iteration}: "
               f"delta {step.delta:.6e} > bound {step.bound:.6e}")
     if not result.passed:
         print("verdict      FAIL")

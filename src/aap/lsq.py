@@ -156,9 +156,11 @@ class WindowFactor:
     leading ``cols`` columns of q and the leading cols x cols block of r
     factor the window columns pushed so far. The factor trails the window:
     `push` records that a column entered it, and `solve` first brings the
-    factor up to date. Every mixing step solves from it first, sketched or
-    not, so it is brought up to date once per mixing step. `reset` empties
-    the factor when the window restarts.
+    factor up to date. ``columns``, the factor's columns and the pushes
+    since capped at m, is the window's width: the solver keeps no count of
+    its own. Every mixing step solves from it first, sketched or not, so it
+    is brought up to date once per mixing step. `reset` empties the factor
+    and so the window when it restarts.
 
     Each column enters by classical Gram-Schmidt in two passes, riding on
     products each step makes anyway, each at most two columns wide, after
@@ -217,6 +219,12 @@ class WindowFactor:
         self._work = np.zeros((2, rows))
         self._pair = np.zeros(2 * m)
 
+    @property
+    def columns(self) -> int:
+        """The window's width: the columns pushed since the last `reset`,
+        capped at m."""
+        return min(self.cols + self.pending, self.r.shape[0])
+
     def push(self):
         """Record that one column entered the window (dropping its oldest
         column when full)."""
@@ -228,27 +236,21 @@ class WindowFactor:
         self.pending = 0
         self.delayed = False
 
-    def solve(self, window: np.ndarray, rhs: np.ndarray, cols: int):
-        """Least squares over ``window[:, :cols]`` from the updated factor.
+    def solve(self, window: np.ndarray, rhs: np.ndarray):
+        """Least squares over the window's ``columns`` leading columns, from
+        the updated factor.
 
         Same contract as ``qr_masked_solve`` over every row: returns
         (alpha, r_factor) and raises RankDeficient on a collapsed diagonal
         or non-finite or oversized coefficients. ``r_factor`` is a view of
         the factor, valid until the next call. Raises ValueError when no
-        column was pushed since the last solve, or when ``cols`` is not the
-        factor's columns plus the pushes since, capped at the window size.
+        column was pushed since the last solve: the pending second pass
+        would otherwise be folded into r twice.
         """
-        if cols < 1 or cols > window.shape[1]:
-            raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
         if self.pending == 0:
             raise ValueError("no column was pushed since the last solve")
         m = self.r.shape[0]
-        if cols != min(self.cols + self.pending, m):
-            raise ValueError(
-                f"window has {cols} columns, but the factor's {self.cols} and "
-                f"the {self.pending} pushed since make "
-                f"{min(self.cols + self.pending, m)}"
-            )
+        cols = self.columns
         keep = cols - self.pending
         self.pending = 0
         if keep <= 0:

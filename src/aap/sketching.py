@@ -37,17 +37,12 @@ class Adaptivity(str, enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        return SHORT_NAMES.get(value)
+        # None (a ValueError) for any other value, an unhashable one included.
+        return SHORT_NAMES.get(value) if isinstance(value, str) else None
 
     @property
     def randomized(self) -> bool:
         return self in (Adaptivity.RANDOMIZED_POWER, Adaptivity.RANDOMIZED_CONSTANT)
-
-    @property
-    def eta_kind(self) -> str:
-        if self in (Adaptivity.SUBSELECT_POWER, Adaptivity.RANDOMIZED_POWER):
-            return "power"
-        return "constant"
 
 
 SHORT_NAMES = {
@@ -69,18 +64,16 @@ def update_lipschitz(l_prev: float, df_norm: float, dx_norm: float) -> float:
     return l_prev
 
 
-# Growth exponent of the "power" budget weights.
+# Growth exponent of the power strategies' budget weights.
 ETA_EXPONENT = 1.1
 
 
-def budget_weights(kind: str, c: int) -> list[float]:
+def budget_weights(adaptivity: Adaptivity, c: int) -> list[float]:
     """Budget weights eta_1..eta_c of a c-column window, oldest column
-    first: j**ETA_EXPONENT for "power", 1 for "constant"."""
-    if kind == "power":
+    first: j**ETA_EXPONENT under a power strategy, 1 under any other."""
+    if adaptivity in (Adaptivity.SUBSELECT_POWER, Adaptivity.RANDOMIZED_POWER):
         return [float(j) ** ETA_EXPONENT for j in range(1, c + 1)]
-    if kind == "constant":
-        return [1.0] * c
-    raise ValueError(f"unknown eta kind {kind!r}")
+    return [1.0] * c
 
 
 def stability_hypothesis(
@@ -260,7 +253,7 @@ def adaptive_step(
     ws = workspace
     f_r = ws.f_r
     l1 = f_r.shape[0]
-    c = ws.filled
+    c = ws.factor.columns
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
     if ws.lipschitz <= 0.0:
         return None, rec

@@ -87,10 +87,10 @@ class SolverConfig:
             raise ValueError("window must be >= 1")
         if self.alternation < 1:
             raise ValueError("alternation period must be >= 1")
-        if self.relaxation is not None and not (self.relaxation > 0.0):
-            raise ValueError("relaxation must be positive")
-        if not (self.rel_tolerance > 0.0):
-            raise ValueError("rel_tolerance must be positive")
+        if self.relaxation is not None and not 0.0 < self.relaxation < math.inf:
+            raise ValueError("relaxation must be positive and finite")
+        if not 0.0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 < self.sketch_percent <= 100.0):
@@ -112,7 +112,8 @@ class Workspace:
     columns wider; ``views`` holds the triple for each offset 0..s, and only
     `push_window` moves them. ``factor``, the thin QR factor of
     ``df_window`` that every mixing step solves from first, is updated as
-    columns enter and leave. ``etas`` holds the guard's budget weights of
+    columns enter and leave, and its ``columns`` is the windows' width; a
+    restart resets it. ``etas`` holds the guard's budget weights of
     a full window; a window of c columns takes the first c, since weight j
     does not depend on c. The scalars and ``rng`` are the run's state;
     ``trace``, set only by a traced solve, keeps the restricted residual of
@@ -137,7 +138,6 @@ class Workspace:
     etas: np.ndarray
     rng: np.random.Generator
     trace: Trace | None = None
-    filled: int = 0
     offset: int = 0
     lipschitz: float = 0.0
     stalled: bool = False
@@ -181,7 +181,7 @@ def allocate_workspace(problem: FixedPointProblem,
         views=views,
         buffers=buffers,
         factor=lsq.WindowFactor(l1, m),
-        etas=np.array(budget_weights(config.adaptivity.eta_kind, m)),
+        etas=np.array(budget_weights(config.adaptivity, m)),
         rng=np.random.default_rng(config.rng_seed),
     )
 
@@ -230,15 +230,17 @@ def push_window(ws: Workspace, dx_norm: float):
     The restricted residual increment df_r, dg and dx_norm enter the same
     column of df_window, dg_window and dx_norms. A window that is not full
     grows by one column; an empty one (a fresh workspace, or one whose
-    window restarted by setting ``filled`` to 0) starts again at offset 0.
+    window restarted by resetting the factor) starts again at offset 0.
     A full window drops its oldest column by sliding its view one column
     along the buffer, and only when the view has reached the end of the
     buffer are its m - 1 newest columns moved to the front, one flat
     column-major move per buffer, before the view goes back to offset 0.
-    The window factor is told of the push, and the trace, when there is
-    one, logs the restricted residual df_r was formed from.
+    The window factor is told of the push, which widens the windows, and
+    the trace, when there is one, logs the restricted residual df_r was
+    formed from.
     """
-    if ws.filled == ws.m:
+    filled = ws.factor.columns
+    if filled == ws.m:
         offset = ws.offset + 1
         if offset == len(ws.views):
             # Buffer columns s + 1 .. s + m - 1 become columns 0 .. m - 2.
@@ -249,15 +251,14 @@ def push_window(ws: Workspace, dx_norm: float):
                 rows = flat.size // (ws.m + len(ws.views) - 1)
                 flat[: (ws.m - 1) * rows] = flat[len(ws.views) * rows:]
     else:
-        offset = ws.offset if ws.filled else 0
-        ws.filled += 1
+        offset = ws.offset if filled else 0
     ws.offset = offset
     ws.df_window, ws.dg_window, ws.dx_norms = ws.views[offset]
-    j = ws.filled - 1
+    ws.factor.push()
+    j = ws.factor.columns - 1
     ws.df_window[:, j] = ws.df_r
     ws.dg_window[:, j] = ws.dg
     ws.dx_norms[j] = dx_norm
-    ws.factor.push()
     if ws.trace is not None:
         ws.trace.push(ws.f_r, dx_norm)
 
@@ -332,10 +333,9 @@ def step(
         picard_update(ws.x, ws.f, omega, ws.scratch)
         return relres, None
 
-    c = ws.filled
-    f_r = ws.f_r
+    c = ws.factor.columns
     try:
-        alpha, r_step = ws.factor.solve(ws.df_window, f_r, c)
+        alpha, r_step = ws.factor.solve(ws.df_window, ws.f_r)
     except lsq.RankDeficient:
         if ws.trace is not None:
             ws.trace.record(None, None, None)
@@ -343,7 +343,6 @@ def step(
         # Restart the window: a degenerate column would otherwise force this
         # fallback for m consecutive steps. Dropping the history lets mixing
         # resume on the next step.
-        ws.filled = 0
         ws.factor.reset()
         return relres, MixingStep(k, c, ws.lipschitz, reason="no-factor")
 

@@ -182,7 +182,7 @@ def adaptive_step_reference(workspace, config, iteration, rng, r_window):
     ws = workspace
     f_r = ws.f_r
     l1 = f_r.shape[0]
-    c = ws.filled
+    c = ws.factor.columns
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
     if ws.lipschitz <= 0.0:
         return None, rec
@@ -191,7 +191,7 @@ def adaptive_step_reference(workspace, config, iteration, rng, r_window):
         rec.reason = "underdetermined"
         return None, rec
 
-    etas = budget_weights(config.adaptivity.eta_kind, c)
+    etas = budget_weights(config.adaptivity, c)
     dx_norms = ws.dx_norms[:c]
     norm_f = float(np.linalg.norm(f_r))
     rec.sigma_min = lsq.estimate_sigma_min(r_window)
@@ -302,7 +302,6 @@ def solve_plain(problem, config):
     f_window = np.zeros((n, m), order="F")
     g_window = np.zeros((n, m), order="F")
     factor = lsq.WindowFactor(n, m)
-    cols = 0
     steps = []
     converged = False
     picard_update(x, f_prev, omega, scratch)
@@ -322,26 +321,24 @@ def solve_plain(problem, config):
             converged = True
             break
 
-        if cols == m:
+        if factor.columns == m:
             for j in range(m - 1):
                 f_window[:, j] = f_window[:, j + 1]
                 g_window[:, j] = g_window[:, j + 1]
-        else:
-            cols += 1
+        factor.push()
+        cols = factor.columns
         f_window[:, cols - 1] = df
         g_window[:, cols - 1] = dg
-        factor.push()
 
         picard_update(x, f, omega, scratch)
         if k % p == 0:
             try:
-                alpha, _ = factor.solve(f_window, f, cols)
+                alpha, _ = factor.solve(f_window, f)
                 np.dot(g_window[:, :cols], alpha, out=scratch)
                 np.subtract(x, scratch, out=x)
                 steps.append(MixingStep(k, cols, math.nan, reason="disabled"))
             except lsq.RankDeficient:
                 steps.append(MixingStep(k, cols, math.nan, reason="no-factor"))
-                cols = 0
                 factor.reset()
 
     return SolveReport(

@@ -117,6 +117,9 @@ class TestParsePlan:
             ExperimentPlan(problem="linear", sizes=(4,), sketch=150.0)
         with pytest.raises(ParseError, match="alternation"):
             ExperimentPlan(problem="linear", sizes=(4,), alternations=(1, 0))
+        for tol in ("inf", "nan"):
+            with pytest.raises(ParseError, match="rel_tolerance"):
+                parse_plan(f"problem = linear\nsizes = 4\ntol = {tol}\n")
         # The problem name is checked when the plan is built, not left to
         # fail each cell as a row.
         with pytest.raises(ParseError, match="unknown problem 'sadle'"):
@@ -461,6 +464,16 @@ class TestTraceFiles:
         rewrite(written, to_v4)
         assert_rejected(written)
 
+    @pytest.mark.parametrize("value", [[], {}, None, 3],
+                             ids=["list", "dict", "null", "number"])
+    def test_adaptivity_that_is_no_name_rejected(self, written, capsys, value):
+        # An unhashable adaptivity once escaped as a TypeError traceback.
+        rewrite(written, lambda h, a: h.update(adaptivity=value))
+        with pytest.raises(ParseError, match="unknown adaptivity"):
+            verify_theorem_trace(str(written))
+        assert main(["verify-trace", str(written)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_field_rejected(self, written):
         rewrite(written, lambda h, a: h.pop("sketch_percent"))
         assert_rejected(written)
@@ -653,6 +666,20 @@ class TestVerifyTrace:
         assert step.hypotheses_satisfied
         assert step.delta > step.bound
 
+    def test_each_check_holds_its_loaded_record(self, tmp_path):
+        # A check keeps the step's record itself, not copies of its fields;
+        # it is masked exactly when the record says the sketch was accepted.
+        report = traced_report()
+        path = tmp_path / "t.npz"
+        write_trace(report, str(path))
+        doc = load_trace(str(path))
+        result = verify_theorem_trace(doc)
+        assert [check.record for check in result.steps] == doc["steps"]
+        assert doc["steps"] == report.mask_trace
+        assert [c.masked for c in result.steps] == [
+            rec.accepted for rec in report.mask_trace]
+        assert any(c.masked for c in result.steps)
+
     def test_fallback_steps_pass_vacuously(self, tmp_path):
         report = traced_report()
         assert any(rec.fallback for rec in report.mask_trace)
@@ -660,7 +687,7 @@ class TestVerifyTrace:
         write_trace(report, str(path))
         result = verify_theorem_trace(str(path))
         for check in result.steps:
-            if check.fallback:
+            if check.record.fallback:
                 assert check.delta == 0.0 and check.bound_satisfied
 
     def test_factor_check_survives_overflowing_windows(self, tmp_path):
@@ -883,6 +910,15 @@ class TestCli:
         # The field lookup's KeyError prints its message, not its repr.
         assert capsys.readouterr().err.startswith(
             "error: unknown field 'temperature'; problem 'saddle' has fields")
+
+    @pytest.mark.parametrize("flag", ["--omega", "--tol"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_run_rejects_non_finite_knobs(self, capsys, flag, value):
+        # --omega inf once broke down on a non-finite state, and --tol inf
+        # reported convergence after one iteration.
+        assert main(["run", "--problem", "linear", "--size", "4",
+                     flag, value]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_sweep_runs_plan(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -228,7 +228,7 @@ def drive_window(factor, window, columns, rhs_rng=None):
             filled += 1
         factor.push()
         rhs = col if rhs_rng is None else rhs_rng.standard_normal(l1)
-        alpha, r = factor.solve(window, rhs, filled)
+        alpha, r = factor.solve(window, rhs)
         last = (alpha, r, rhs)
     return filled, last
 
@@ -335,7 +335,7 @@ class TestWindowFactor:
                     filled += 1
                 factor.push()
             rhs = rng.standard_normal(l1)
-            alpha, _ = factor.solve(window, rhs, filled)
+            alpha, _ = factor.solve(window, rhs)
             expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
             np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
             recon, orth = factor_errors(factor, window, filled)
@@ -385,7 +385,7 @@ class TestWindowFactor:
                 factor.push()
             w = window[:, :filled]
             expected = rng.standard_normal(filled)
-            alpha, _ = factor.solve(window, w @ expected, filled)
+            alpha, _ = factor.solve(window, w @ expected)
             recon, _ = factor_errors(factor, window, filled)
             assert recon < 1e-14
             assert factor_errors(factor, window, filled - 1)[1] < 1e-13
@@ -403,7 +403,7 @@ class TestWindowFactor:
         factor = WindowFactor(l1, m)
         factor.push()
         factor.push()
-        factor.solve(window, rng.standard_normal(l1), 2)
+        factor.solve(window, rng.standard_normal(l1))
         project = WindowFactor._project
         calls = []
 
@@ -415,40 +415,20 @@ class TestWindowFactor:
         for _ in range(3):
             factor.push()
         rhs = rng.standard_normal(l1)
-        alpha, _ = factor.solve(window, rhs, 5)
+        alpha, _ = factor.solve(window, rhs)
         assert calls == [3, 5]
         assert factor.refreshes == 1 and factor.updates == 1
         expected = np.linalg.lstsq(window[:, :5], rhs, rcond=None)[0]
         np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
-
-    def test_more_columns_than_factor_rejected(self):
-        window = np.ones((10, 3), order="F")
-        factor = WindowFactor(10, 3)
-        factor.push()
-        with pytest.raises(ValueError):
-            factor.solve(window, np.ones(10), 2)
 
     def test_solve_without_a_push_rejected(self):
         rng = np.random.default_rng(19)
         window = rng.standard_normal((10, 3))
         factor = WindowFactor(10, 3)
         factor.push()
-        factor.solve(window, np.ones(10), 1)
+        factor.solve(window, np.ones(10))
         with pytest.raises(ValueError, match="no column was pushed"):
-            factor.solve(window, np.ones(10), 1)
-
-    def test_factor_wider_than_window_rejected(self):
-        # Three columns held and one pushed: a window that is not full must
-        # then have four, not two.
-        rng = np.random.default_rng(20)
-        window = rng.standard_normal((10, 4))
-        factor = WindowFactor(10, 4)
-        for _ in range(3):
-            factor.push()
-        factor.solve(window, np.ones(10), 3)
-        factor.push()
-        with pytest.raises(ValueError, match="make 4"):
-            factor.solve(window, np.ones(10), 2)
+            factor.solve(window, np.ones(10))
 
     def test_loss_of_orthogonality_refactors(self, monkeypatch):
         # With the keep ratio above 1 every second pass counts as lost. The
@@ -518,7 +498,7 @@ def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
         w = window[:, :filled]
         svals = np.linalg.svd(w, compute_uv=False)
         try:
-            alpha, r = factor.solve(window, rhs, filled)
+            alpha, r = factor.solve(window, rhs)
         except RankDeficient:
             # Only a numerically rank-deficient window may be refused; the
             # solver then restarts it.
@@ -574,16 +554,48 @@ def test_multi_push_solve_is_one_push_solves(l1, m, groups, seed):
             grouped.push()
             single.push()
             rhs = rng.standard_normal(l1)
-            alpha_single, _ = single.solve(window, rhs, filled)
-        alpha, _ = grouped.solve(window, rhs, filled)
+            alpha_single, _ = single.solve(window, rhs)
+        alpha, _ = grouped.solve(window, rhs)
         if pushes >= filled:
             single = WindowFactor(l1, m)
             for _ in range(filled):
                 single.push()
-            alpha_single, _ = single.solve(window, rhs, filled)
+            alpha_single, _ = single.solve(window, rhs)
         c = grouped.cols
         assert c == single.cols == filled
         assert grouped.delayed == single.delayed
         np.testing.assert_array_equal(grouped.q[:, :c], single.q[:, :c])
         np.testing.assert_array_equal(grouped.r[:c, :c], single.r[:c, :c])
         np.testing.assert_array_equal(alpha, alpha_single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    l1=st.integers(1, 12),
+    m=st.integers(1, 6),
+    ops=st.lists(st.sampled_from(("push", "push", "solve", "reset")),
+                 max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_columns_count_the_window(l1, m, ops, seed):
+    # The factor's columns are the solver's only count of the window's
+    # width: the pushes since the last reset, capped at m, whatever solves
+    # came between them, a refused one included.
+    m = min(m, l1)
+    window = np.random.default_rng(seed).standard_normal((l1, m))
+    factor = WindowFactor(l1, m)
+    count, pushed = 0, False
+    for op in ops:
+        if op == "push":
+            factor.push()
+            count, pushed = min(count + 1, m), True
+        elif op == "reset":
+            factor.reset()
+            count, pushed = 0, False
+        elif pushed:
+            try:
+                factor.solve(window, window[:, 0])
+            except RankDeficient:
+                pass
+            pushed = False
+        assert factor.columns == count

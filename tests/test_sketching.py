@@ -26,7 +26,7 @@ from aap.sketching import (
     update_lipschitz,
 )
 from aap.lsq import estimate_sigma_min
-from aap.solver import SolverConfig, allocate_workspace
+from aap.solver import SolverConfig, allocate_workspace, push_window
 
 
 class TestBuildStaticMask:
@@ -92,20 +92,21 @@ class TestLipschitz:
 
 class TestEta:
     def test_power_at_one(self):
-        assert budget_weights("power", 1) == [1.0]
+        assert budget_weights(Adaptivity.SUBSELECT_POWER, 1) == [1.0]
 
     def test_constant_everywhere(self):
-        assert budget_weights("constant", 4) == [1.0] * 4
+        for adaptivity in (Adaptivity.NONE, Adaptivity.SUBSELECT_CONSTANT,
+                           Adaptivity.RANDOMIZED_CONSTANT):
+            assert budget_weights(adaptivity, 4) == [1.0] * 4
 
     def test_power_exponent(self):
         assert ETA_EXPONENT == 1.1
-        weights = budget_weights("power", 3)
-        assert weights[0] == 1.0
-        assert weights[1:] == pytest.approx([2.0**1.1, 3.0**1.1], rel=1e-15)
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            budget_weights("geometric", 1)
+        for adaptivity in (Adaptivity.SUBSELECT_POWER,
+                           Adaptivity.RANDOMIZED_POWER):
+            weights = budget_weights(adaptivity, 3)
+            assert weights[0] == 1.0
+            assert weights[1:] == pytest.approx([2.0**1.1, 3.0**1.1],
+                                                rel=1e-15)
 
 
 class TestStabilityHypothesis:
@@ -326,17 +327,18 @@ def make_workspace(columns, f_values, dx_norms, lipschitz,
                    adaptivity=Adaptivity.SUBSELECT_CONSTANT):
     """Workspace in a handcrafted post-push state for adaptive_step.
 
-    ``columns`` (l1 x c) fill the window. Returns the config, the workspace
-    and the whole window's triangular factor.
+    ``columns`` (l1 x c) are pushed into the window with ``dx_norms``.
+    Returns the config, the workspace and the whole window's triangular
+    factor.
     """
     columns = np.asarray(columns, dtype=float)
     l1, c = columns.shape
     config = SolverConfig(window=8, adaptivity=adaptivity)
     ws = allocate_workspace(from_fixed_point_form(lambda x: x, l1), config)
-    ws.filled = c
-    ws.df_window[:, :c] = columns
+    for col, dx_norm in zip(columns.T, dx_norms, strict=True):
+        ws.df[:] = col
+        push_window(ws, dx_norm)
     ws.f[:] = f_values
-    ws.dx_norms[:c] = dx_norms
     ws.lipschitz = lipschitz
     return config, ws, np.linalg.qr(columns, mode="reduced")[1]
 

@@ -56,6 +56,20 @@ def workspace(n, m):
     return allocate_workspace(shift_problem(np.zeros(n)), SolverConfig(window=m))
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["relaxation", "rel_tolerance"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_knobs_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [[], {}, None, 1.5, "sub-geo"])
+    def test_adaptivity_that_is_no_name_rejected(self, value):
+        # Adaptivity's short-name lookup raised TypeError for a list.
+        with pytest.raises(ValueError, match="not a valid Adaptivity"):
+            SolverConfig(adaptivity=value)
+
+
 class TestPicardUpdate:
     def test_basic(self):
         x = np.array([1.0, 2.0])
@@ -211,7 +225,7 @@ class TestPushWindow:
 
     def test_wide_window_never_drops(self):
         ws, dfs, dgs = self.drive(10, [1, 2, 3, 4], n=12)
-        assert ws.filled == 4
+        assert ws.factor.columns == 4
         for window, pushed in ((ws.df_window, dfs), (ws.dg_window, dgs)):
             for j, col in enumerate(shift_window_reference(pushed, 10)):
                 np.testing.assert_array_equal(window[:, j], col)
@@ -232,7 +246,7 @@ class TestPushWindow:
         dfs, dgs, norms = [], [], []
         for k in range(pushes):
             if k == restart:
-                ws.filled = 0
+                ws.factor.reset()
                 dfs, dgs, norms = [], [], []
             ws.df[:] = rng.standard_normal(n)
             ws.dg[:] = rng.standard_normal(n)
@@ -240,7 +254,7 @@ class TestPushWindow:
             dgs.append(ws.dg.copy())
             norms.append(float(rng.uniform()))
             push_window(ws, norms[-1])
-            c = ws.filled
+            c = ws.factor.columns
             assert c == min(len(dfs), m)
             for window, pushed in ((ws.df_window, dfs), (ws.dg_window, dgs)):
                 assert window.shape == (n, m)
@@ -279,7 +293,7 @@ class TestAndersonUpdate:
         for k_last in (2, 5, 9, 12):
             helper = TestPushWindow()
             ws, _, dgs = helper.drive(4, range(1, k_last + 1), seed=k_last)
-            c = ws.filled
+            c = ws.factor.columns
             alpha = rng.standard_normal(c)
             ws.x[:] = rng.standard_normal(4)
             ws.f[:] = rng.standard_normal(4)
@@ -430,7 +444,7 @@ def assert_accepted_steps_hold(report):
         if not rec.accepted:
             continue
         accepted += 1
-        etas = budget_weights(config.adaptivity.eta_kind, rec.columns)
+        etas = budget_weights(config.adaptivity, rec.columns)
         sigma = estimate_sigma_min(trace.r_factor[i])
         f_res = trace.residual(rec)
         norm_f = float(np.linalg.norm(f_res))
@@ -484,9 +498,9 @@ class TestTraceLog:
         seen = []
         original = lsq.WindowFactor.solve
 
-        def spy(self, window, rhs, cols):
-            seen.append((window[:, :cols].copy(), rhs.copy()))
-            return original(self, window, rhs, cols)
+        def spy(self, window, rhs):
+            seen.append((window[:, :self.columns].copy(), rhs.copy()))
+            return original(self, window, rhs)
 
         monkeypatch.setattr(lsq.WindowFactor, "solve", spy)
         try:

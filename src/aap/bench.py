@@ -38,6 +38,7 @@ from .sketching import (
     budget_weights,
     epsilon_rhs,
     perturbation_norm,
+    sketch_size,
     stability_hypothesis,
 )
 from .solver import SolveReport, SolverConfig, Trace, solve
@@ -227,9 +228,9 @@ def run_solve(problem, config: SolverConfig, trace: str | None = None,
     """Solve ``problem`` under ``config``: (report, wall time).
 
     With a ``trace`` path it first solves once with the trace captured and
-    writes it there, making the directory if need be, a breakdown's partial
-    trace included. It then makes ``repetitions`` untraced solves and
-    returns the last report with the least of their wall times. A
+    writes it there, a breakdown's partial trace included. It then makes
+    ``repetitions`` untraced solves and returns the last report with the
+    least of their wall times. A
     `NumericalBreakdown` propagates with its partial report attached;
     tracing moves no iterate, so a traced solve's breakdown skips the rest.
     """
@@ -242,7 +243,6 @@ def run_solve(problem, config: SolverConfig, trace: str | None = None,
             raise
         finally:
             if report is not None:
-                os.makedirs(os.path.dirname(trace) or ".", exist_ok=True)
                 write_trace(report, trace)
     wall = math.inf
     for _ in range(repetitions):
@@ -317,7 +317,9 @@ def format_table(records: list[RunRecord]) -> str:
 
 
 def write_table(records: list[RunRecord], path: str, meta: dict | None = None):
-    """Write records as CSV plus a `.meta.json` sidecar."""
+    """Write records as CSV plus a `.meta.json` sidecar, making the
+    directory if need be."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(format_table(records))
     sidecar = dict(meta or {})
@@ -352,16 +354,17 @@ def load_table(path: str) -> list[RunRecord]:
 
 
 def write_trace(report: SolveReport, path: str):
-    """Write a traced solve to ``path`` as an ``aap-trace-5`` archive.
+    """Write a traced solve to ``path`` as an ``aap-trace-5`` archive,
+    making its directory if need be.
 
     Requires the solve to have run with capture_trace=True. The archive is
     an uncompressed numpy ``.npz`` written to exactly the given path,
-    whatever its suffix. It holds a JSON header, the arrays of
-    `Trace.arrays` (one restricted residual per iteration, from which every
-    window follows, so the file grows with l1 * iterations, not with
-    l1 * m * steps) and one array per MixingStep field, with NaN for None.
-    No timing fields are written, and identical solves give byte-identical
-    files.
+    whatever its suffix. It holds a JSON header and the arrays of
+    `_ARRAYS`: the residual history, the trace's log (one restricted
+    residual per iteration, from which every window follows, so the file
+    grows with l1 * iterations, not with l1 * m * steps), its per-step
+    arrays and one array per MixingStep field, with NaN for None. No timing
+    fields are written, and identical solves give byte-identical files.
     """
     if report.trace is None:
         raise ValueError("report has no trace; solve with capture_trace=True")
@@ -381,22 +384,31 @@ def write_trace(report: SolveReport, path: str):
         "converged": report.converged,
         "iterations": report.iterations,
     }
-    arrays = {
-        "residual_history": np.asarray(report.residual_history, dtype=float),
-        **report.trace.arrays(),
-    }
+    trace = report.trace
+    arrays = {"residual_history": report.residual_history,
+              "residuals": trace.residuals, "dx_norms": trace.dx_norms}
+    for name in _PIECES:
+        pieces = [np.ravel(p) for p in getattr(trace, name) if p is not None]
+        arrays[name] = np.concatenate([np.zeros(0, _ARRAYS[name]), *pieces])
     for f in fields(MixingStep):
         values = [getattr(rec, f.name) for rec in report.mask_trace]
-        arrays[f.name] = np.array(
-            [np.nan if v is None else v for v in values], dtype=_archive_dtype(f)
-        )
-    _save_trace(path, header, arrays)
+        arrays[f.name] = [np.nan if v is None else v for v in values]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    _save_trace(path, header, {name: np.asarray(arrays[name], dtype)
+                               for name, dtype in _ARRAYS.items()})
 
 
-def _archive_dtype(f) -> np.dtype:
-    """The archive dtype of a MixingStep field, from its annotation: int64,
-    text, or float (with NaN for None)."""
-    return np.dtype({"int": np.int64, "str": np.str_}.get(f.type, float))
+# Every array of an aap-trace-5 archive, in the order it is written, and its
+# dtype. A per-step array of the trace (`_PIECES`) holds the steps' pieces
+# end to end; a MixingStep field is int64, text, or float with NaN for None.
+_PIECES = ("alpha", "r_factor", "mask")
+_ARRAYS = {
+    **dict.fromkeys(("residual_history", "residuals", "dx_norms", "alpha",
+                     "r_factor"), np.dtype(float)),
+    "mask": np.dtype(np.int64),
+    **{f.name: np.dtype({"int": np.int64, "str": np.str_}.get(f.type, float))
+       for f in fields(MixingStep)},
+}
 
 
 def _save_trace(path: str, header: dict, arrays: dict):
@@ -445,61 +457,105 @@ def _read_trace(path: str) -> tuple[dict, dict]:
     return header, arrays
 
 
-_TRACE_REQUIRED = ("problem", "sketch_percent", "adaptivity", "iterations",
-                   "converged")
-
-
 def load_trace(path: str) -> dict:
     """Read a trace archive back into the records and arrays of its solve.
 
     The mapping holds the header fields, ``l1`` (the residual log's row
     count), ``residual_history``, ``steps`` (one MixingStep per mixing step,
     equal to the report's mask_trace, NaN read back as None) and ``trace``
-    (a `Trace` over the archive's arrays). Each step's pieces follow from
-    its record and the sketch size that ``sketch_percent`` and ``l1`` give,
-    as in the guard. Raises ParseError on anything malformed: a missing
-    array or header key, an unknown guard reason, dtypes, shapes or lengths
-    that disagree, and windows or sketch rows that run past their arrays.
+    (a `Trace` over the archive's arrays). Each step's record fixes its
+    pieces: none after a fallback, otherwise c coefficients and a c x c
+    factor, and the sketch's rows only when it was accepted, as many as the
+    guard keeps of l1. Raises ParseError on anything malformed: a missing
+    array or header key, a header field of the wrong type, an array of the
+    wrong dtype kind, rank or length (`_read_array`), an unknown guard
+    reason, and windows or sketch rows that run past their arrays.
     """
     header, arrays = _read_trace(path)
     if header.get("format") != TRACE_FORMAT:
         raise ParseError(f"unknown trace format {header.get('format')!r}")
-    for key in _TRACE_REQUIRED:
-        if key not in header:
-            raise ParseError(f"trace is missing {key!r}")
+    _check_header(header)
     try:
+        k = header["iterations"]
+        # One entry per iteration after the first, but none for the one a
+        # breakdown ended at.
+        history = _read_array(arrays, "residual_history", (k, k + 1))
+        dx_norms = _read_array(arrays, "dx_norms", None)
+        log = _read_array(arrays, "residuals", None, dx_norms.size + 1)
         n = arrays["iteration"].size
-        columns = [_read_field(f, arrays[f.name], n) for f in fields(MixingStep)]
+        columns = []
+        for f in fields(MixingStep):
+            values = _read_array(arrays, f.name, n).tolist()
+            columns.append([None if f.default is None and math.isnan(v) else v
+                            for v in values])
         steps = [MixingStep(*values) for values in zip(*columns)]
         for rec in steps:
             if rec.reason not in REASONS:
                 raise ValueError(f"step {rec.iteration}: unknown reason "
                                  f"{rec.reason!r}")
-        trace = Trace.from_arrays(arrays, steps, float(header["sketch_percent"]))
-        history = arrays["residual_history"]
-        # One entry per iteration after the first, but none for the one a
-        # breakdown ended at.
-        if len(history) - header["iterations"] not in (0, 1):
-            raise ValueError(f"residual_history has {len(history)} entries "
-                             f"for {header['iterations']} iterations")
+        if any(not 1 <= r.columns <= r.iteration < log.shape[1] for r in steps):
+            raise ValueError("step windows run past the residual log")
+        rows = log.shape[0]
+        sketch_rows = sketch_size(header["sketch_percent"], rows)
+        shapes = {
+            "alpha": [None if r.fallback else (r.columns,) for r in steps],
+            "r_factor": [None if r.fallback else (r.columns,) * 2 for r in steps],
+            "mask": [(sketch_rows,) if r.accepted else None for r in steps],
+        }
+        pieces = {}
+        for name in _PIECES:
+            sizes = [0 if s is None else math.prod(s) for s in shapes[name]]
+            flat = _read_array(arrays, name, sum(sizes))
+            split = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+            pieces[name] = [None if s is None else p.reshape(s)
+                            for s, p in zip(shapes[name], split)]
+        mask = arrays["mask"]
+        if mask.size and (mask.min() < 0 or mask.max() >= rows):
+            raise ValueError(f"sketch rows run past the {rows} restricted rows")
     except KeyError as exc:
         raise ParseError(f"trace is missing array {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return dict(header, l1=trace.residuals.shape[0], residual_history=history,
-                steps=steps, trace=trace)
+    return dict(header, l1=rows, residual_history=history, steps=steps,
+                trace=Trace(log, dx_norms, **pieces))
 
 
-def _read_field(f, column: np.ndarray, n: int) -> list:
-    """The values of one MixingStep field, one per step, from its array."""
-    dtype = _archive_dtype(f)
-    if column.shape != (n,) or column.dtype.kind != dtype.kind:
-        raise ValueError(f"trace array {f.name!r} has shape {column.shape} and "
-                         f"dtype {column.dtype}, expected ({n},) {dtype}")
-    values = column.tolist()
-    if f.default is None:
-        values = [None if math.isnan(v) else v for v in values]
-    return values
+# The header fields `load_trace` and `verify_theorem_trace` read, and the
+# types their JSON values may have (a bool is not an int here).
+_HEADER = {"problem": (str,), "sketch_percent": (int, float),
+           "adaptivity": (str,), "iterations": (int,), "converged": (bool,)}
+
+
+def _check_header(header: dict):
+    """Raise ParseError unless the header has every field of `_HEADER`, of
+    one of its types, and a count of iterations that is not negative."""
+    for key, types in _HEADER.items():
+        if key not in header:
+            raise ParseError(f"trace is missing {key!r}")
+        value = header[key]
+        if type(value) not in types or key == "iterations" and value < 0:
+            names = " or ".join(t.__name__ for t in types)
+            raise ParseError(f"trace header {key!r} is {value!r}, expected "
+                             f"{'a count' if key == 'iterations' else names}")
+
+
+def _read_array(arrays: dict, name: str, *lengths) -> np.ndarray:
+    """The archive array ``name``, checked against its dtype in `_ARRAYS`.
+
+    Raises ValueError unless its dtype is of the same kind and it has one
+    axis per entry of ``lengths``, of the length that entry gives: a
+    number, a tuple of the lengths allowed, or None for any length.
+    """
+    array, dtype = arrays[name], _ARRAYS[name]
+    allowed = [(w,) if isinstance(w, int) else w for w in lengths]
+    if (array.dtype.kind != dtype.kind or array.ndim != len(lengths)
+            or any(w is not None and d not in w
+                   for d, w in zip(array.shape, allowed))):
+        shape = ", ".join("any" if w is None else " or ".join(map(str, w))
+                          for w in allowed)
+        raise ValueError(f"trace array {name!r} has shape {array.shape} and "
+                         f"dtype {array.dtype}, expected ({shape}) {dtype}")
+    return array
 
 
 @dataclass

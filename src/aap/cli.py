@@ -13,8 +13,9 @@ wall time means the same in both: that of an untraced solve, any trace
 coming from a solve of its own.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
-invalid input of any kind, 3 when trace verification finds a violation of
-the bound or an accepted sketch that fails the stability hypothesis.
+invalid input of any kind, a path that cannot be read or written included,
+3 when trace verification finds a violation of the bound or an accepted
+sketch that fails the stability hypothesis.
 """
 from __future__ import annotations
 
@@ -144,9 +145,6 @@ def _cmd_sweep(args) -> int:
     try:
         with open(args.plan) as fh:
             plan = parse_plan(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"error: {args.plan}: {exc}", file=sys.stderr)
         return 2
@@ -171,9 +169,6 @@ def _cmd_verify(args) -> int:
     try:
         doc = load_trace(args.path)
         result = verify_theorem_trace(doc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -215,7 +210,12 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "verify-trace": _cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:
+        # Unreadable input, or an output path no writer could create.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

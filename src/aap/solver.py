@@ -36,7 +36,6 @@ from .sketching import (
     MixingStep,
     adaptive_step,
     budget_weights,
-    sketch_size,
     update_lipschitz,
 )
 
@@ -69,7 +68,8 @@ class SolverConfig:
     sketch_percent
         Percentage of restricted rows the sketch keeps.
     rng_seed
-        Seed for the randomized sketch; fixed seed gives identical runs.
+        Seed for the randomized sketch, >= 0; fixed seed gives identical
+        runs.
     """
 
     window: int | None = None
@@ -95,6 +95,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 < self.sketch_percent <= 100.0):
             raise ValueError("sketch_percent must lie in (0, 100]")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if not isinstance(self.adaptivity, Adaptivity):
             object.__setattr__(self, "adaptivity", Adaptivity(self.adaptivity))
 
@@ -361,11 +363,6 @@ def step(
     return relres, rec
 
 
-# The per-step arrays of a Trace whose length varies from step to step, and
-# their dtypes.
-_RAGGED = {"alpha": float, "r_factor": float, "mask": np.int64}
-
-
 class Trace:
     """The arrays of a traced solve, each stored once.
 
@@ -382,18 +379,20 @@ class Trace:
     report's mask_trace, the trace keeps the coefficients ``alpha``,
     triangular factor ``r_factor`` and sketch rows ``mask`` of the least
     squares used: None after a fallback, and ``mask`` None for the identity.
-    The step's scalars are its MixingStep.
+    The step's scalars are its MixingStep. `bench.write_trace` stores a
+    trace in a file and `bench.load_trace` reads it back.
     """
 
-    def __init__(self, f_r0: np.ndarray):
-        """A trace whose log starts with the initial restricted residual."""
-        self._residuals = np.zeros((f_r0.size, 64), order="F")
-        self._residuals[:, 0] = f_r0
-        self._dx_norms = np.zeros(64)
-        self.size = 1
-        self.alpha: list[np.ndarray | None] = []
-        self.r_factor: list[np.ndarray | None] = []
-        self.mask: list[np.ndarray | None] = []
+    def __init__(self, residuals: np.ndarray, dx_norms: np.ndarray,
+                 alpha=None, r_factor=None, mask=None):
+        """A trace over the column-major log ``residuals`` and the
+        ``dx_norms`` of its pushes, with the given per-step arrays (none by
+        default), each kept without a copy."""
+        self._residuals, self._dx_norms = residuals, dx_norms
+        self.size = residuals.shape[1]
+        self.alpha: list[np.ndarray | None] = alpha or []
+        self.r_factor: list[np.ndarray | None] = r_factor or []
+        self.mask: list[np.ndarray | None] = mask or []
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -409,7 +408,7 @@ class Trace:
     def push(self, f_r: np.ndarray, dx_norm: float):
         """Log one iteration's restricted residual and its push's dx_norm."""
         n = self.size
-        if n == len(self._dx_norms):
+        if n == self._residuals.shape[1]:
             grown = np.zeros((self._residuals.shape[0], 2 * n), order="F")
             grown[:, :n] = self._residuals
             self._residuals = grown
@@ -420,8 +419,9 @@ class Trace:
 
     def record(self, alpha, r_factor, mask):
         """Keep copies of one mixing step's least-squares arrays."""
-        for name, piece in zip(_RAGGED, (alpha, r_factor, mask)):
-            getattr(self, name).append(None if piece is None else np.array(piece))
+        for pieces, piece in ((self.alpha, alpha), (self.r_factor, r_factor),
+                              (self.mask, mask)):
+            pieces.append(None if piece is None else np.array(piece))
 
     def window(self, rec: MixingStep) -> tuple[np.ndarray, np.ndarray]:
         """The step's window increments, a fresh array, and its dx_norms, a
@@ -432,63 +432,6 @@ class Trace:
     def residual(self, rec: MixingStep) -> np.ndarray:
         """The step's restricted residual, a view of the log."""
         return self._residuals[:, rec.iteration]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The trace as plain arrays: the log, and the pieces of each ragged
-        list end to end in one flat array. A step's record fixes which
-        pieces it has and their shapes (`from_arrays`)."""
-        out = {"residuals": self.residuals, "dx_norms": self.dx_norms}
-        for name, dtype in _RAGGED.items():
-            pieces = getattr(self, name)
-            out[name] = np.concatenate(
-                [np.zeros(0, dtype)] + [np.ravel(p) for p in pieces if p is not None]
-            )
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, records: list[MixingStep],
-                    sketch_percent: float) -> Trace:
-        """The trace that `arrays` gave, for the steps ``records`` of a solve
-        whose sketches keep ``sketch_percent`` of the restricted rows.
-
-        Each step's record fixes its pieces: none after a fallback,
-        otherwise c coefficients and a c x c factor, and the sketch's rows
-        only when it was accepted. The log is the given arrays, and the
-        pieces are views of them. Raises KeyError for a missing array, and
-        ValueError for shapes, dtypes or lengths that disagree and for
-        windows or sketch rows that run past the log or the restricted rows.
-        """
-        log, dx_norms = arrays["residuals"], arrays["dx_norms"]
-        if log.ndim != 2 or log.shape[1] < 1 or dx_norms.shape != (log.shape[1] - 1,):
-            raise ValueError(f"residual log has shape {log.shape} and "
-                             f"{dx_norms.shape} norms, expected one per "
-                             "column after the first")
-        trace = cls(np.zeros(0))
-        trace._residuals, trace._dx_norms = log, dx_norms
-        trace.size = log.shape[1]
-        if any(not 1 <= r.columns <= r.iteration < trace.size for r in records):
-            raise ValueError("step windows run past the residual log")
-        rows = log.shape[0]
-        sketch_rows = sketch_size(sketch_percent, rows)
-        shapes = {
-            "alpha": [None if r.fallback else (r.columns,) for r in records],
-            "r_factor": [None if r.fallback else (r.columns,) * 2 for r in records],
-            "mask": [(sketch_rows,) if r.accepted else None for r in records],
-        }
-        for name, dtype in _RAGGED.items():
-            flat = arrays[name]
-            sizes = [0 if s is None else math.prod(s) for s in shapes[name]]
-            if (flat.ndim != 1 or flat.dtype.kind != np.dtype(dtype).kind
-                    or sum(sizes) != flat.size):
-                raise ValueError(f"{name!r} is not a flat {np.dtype(dtype)} "
-                                 f"array of the {sum(sizes)} entries its steps need")
-            pieces = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
-            setattr(trace, name, [None if s is None else p.reshape(s)
-                                  for s, p in zip(shapes[name], pieces)])
-        mask = arrays["mask"]
-        if mask.size and (mask.min() < 0 or mask.max() >= rows):
-            raise ValueError(f"sketch rows run past the {rows} restricted rows")
-        return trace
 
 
 @dataclass
@@ -619,7 +562,7 @@ def solve(
     np.copyto(ws.x, x0)
     np.copyto(ws.f, f0)
     if capture_trace:
-        ws.trace = Trace(ws.f_r)
+        ws.trace = Trace(ws.f_r[:, None].copy(order="F"), np.zeros(0))
     if norm_f0 == 0.0:
         return report(True, 0)
 

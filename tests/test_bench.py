@@ -1,9 +1,15 @@
 """Plan parsing, the experiment driver, traces, the verifier and the CLI."""
+import contextlib
+import io
 import json
+import os
+import warnings
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aap import bench
 from aap.bench import (
@@ -120,6 +126,9 @@ class TestParsePlan:
         for tol in ("inf", "nan"):
             with pytest.raises(ParseError, match="rel_tolerance"):
                 parse_plan(f"problem = linear\nsizes = 4\ntol = {tol}\n")
+        # A negative seed once made a failed row of every cell.
+        with pytest.raises(ParseError, match="rng_seed"):
+            parse_plan("problem = saddle\nsizes = 9\nseed = -1\n")
         # The problem name is checked when the plan is built, not left to
         # fail each cell as a row.
         with pytest.raises(ParseError, match="unknown problem 'sadle'"):
@@ -467,9 +476,10 @@ class TestTraceFiles:
     @pytest.mark.parametrize("value", [[], {}, None, 3],
                              ids=["list", "dict", "null", "number"])
     def test_adaptivity_that_is_no_name_rejected(self, written, capsys, value):
-        # An unhashable adaptivity once escaped as a TypeError traceback.
+        # An unhashable adaptivity once escaped as a TypeError traceback; a
+        # value that is no string is now refused with the header's types.
         rewrite(written, lambda h, a: h.update(adaptivity=value))
-        with pytest.raises(ParseError, match="unknown adaptivity"):
+        with pytest.raises(ParseError, match="'adaptivity' is"):
             verify_theorem_trace(str(written))
         assert main(["verify-trace", str(written)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -477,6 +487,31 @@ class TestTraceFiles:
     def test_missing_field_rejected(self, written):
         rewrite(written, lambda h, a: h.pop("sketch_percent"))
         assert_rejected(written)
+
+    @pytest.mark.parametrize("key, value", [
+        ("converged", "no"), ("converged", 1), ("converged", None),
+        ("problem", None), ("problem", 3),
+        ("sketch_percent", "30"), ("sketch_percent", True),
+        ("sketch_percent", None),
+        ("iterations", -1), ("iterations", True), ("iterations", 24.0),
+        ("iterations", "24"),
+    ])
+    def test_header_field_of_wrong_type_rejected(self, written, capsys, key,
+                                                 value):
+        # "converged": "no" once verified as "converged at iteration ...",
+        # and a null problem loaded.
+        rewrite(written, lambda h, a: h.update({key: value}))
+        with pytest.raises(ParseError, match=f"'{key}' is"):
+            load_trace(str(written))
+        assert main(["verify-trace", str(written)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integral_sketch_percent_loads(self, written):
+        # JSON writes 30.0 as 30.0, but a header that says 30 means the same.
+        before = verify_theorem_trace(str(written))
+        rewrite(written, lambda h, a: h.update(sketch_percent=30))
+        after = verify_theorem_trace(str(written))
+        assert len(after.checked) == len(before.checked) > 0
 
     @pytest.mark.parametrize("change", [lambda h: h[:-2],
                                         lambda h: np.append(h, 1.0)],
@@ -580,6 +615,78 @@ def assert_rejected(path):
     assert main(["verify-trace", str(path)]) == 2
 
 
+# Every array of an aap-trace-5 archive.
+ARCHIVE_ARRAYS = ("residual_history", "residuals", "dx_norms", "alpha",
+                  "r_factor", "mask", "iteration", "columns", "lipschitz",
+                  "reason", "sigma_min", "eps_rhs")
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    """(path, header, arrays) of a trace of a sketched saddle solve, with a
+    path to write edited copies to."""
+    path = tmp_path_factory.mktemp("archive") / "trace.npz"
+    write_trace(traced_report(), str(path))
+    return (path, *_read_trace(str(path)))
+
+
+class TestArchiveArrays:
+    """Every archive array is checked for its dtype kind, its rank and its
+    length: a file with any one of them wrong raises ParseError, and
+    verify-trace exits 2 with an error line, no traceback and no warning."""
+
+    def test_every_array_is_covered(self, archive):
+        _, _, arrays = archive
+        assert sorted(arrays) == sorted(ARCHIVE_ARRAYS)
+        assert all(a.size for a in arrays.values())
+
+    @pytest.mark.parametrize("name", ARCHIVE_ARRAYS)
+    def test_wrong_kind_rejected(self, archive, name):
+        # Complex dx_norms and residuals, and a history of strings, once
+        # verified ok, the first with numpy's ComplexWarning.
+        array = archive[2][name]
+        for dtype in (float, np.int64, np.uint8, complex, bool, "U3", "S3"):
+            if np.dtype(dtype).kind != array.dtype.kind:
+                assert_refused(archive, name, np.full(array.shape, 1, dtype))
+
+    @pytest.mark.parametrize("name", ARCHIVE_ARRAYS)
+    def test_wrong_rank_rejected(self, archive, name):
+        array = archive[2][name]
+        for bad in (array[None], array[..., None], array[0]):
+            assert_refused(archive, name, bad)
+
+    @pytest.mark.parametrize("name", ARCHIVE_ARRAYS)
+    @settings(max_examples=10, deadline=None)
+    @given(length=st.integers(0, 60))
+    def test_wrong_length_rejected(self, archive, name, length):
+        # The last axis is a residual log's columns; a history may hold
+        # iterations + 1 entries, or iterations after a breakdown.
+        _, header, arrays = archive
+        array = arrays[name]
+        allowed = {array.shape[-1]}
+        if name == "residual_history":
+            allowed = {header["iterations"], header["iterations"] + 1}
+        assume(length not in allowed)
+        index = np.arange(length) % array.shape[-1]
+        assert_refused(archive, name, np.take(array, index, axis=-1))
+
+
+def assert_refused(archive, name, bad):
+    """Write the archive with array ``name`` replaced by ``bad`` and check
+    that it is refused without a warning."""
+    path, header, arrays = archive
+    _save_trace(str(path), header, dict(arrays, **{name: bad}))
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            load_trace(str(path))
+        with contextlib.redirect_stderr(err):
+            assert main(["verify-trace", str(path)]) == 2
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+
+
 def synthetic_trace(path, lipschitz):
     """One accepted, sketched step with a consistent factor and a
     perturbation far above the eta-sum bound; ``lipschitz`` decides whether
@@ -655,6 +762,21 @@ class TestVerifyTrace:
         rewrite(path, edit)
         with pytest.raises(ParseError):
             verify_theorem_trace(str(path))
+
+    def test_archive_of_an_earlier_build_loads(self, capsys):
+        # Written by an earlier build with `aap run --problem plaplace
+        # --size 9 --adapt rand-pow --seed 1 --trace ...`: 24 iterations
+        # and two accepted sketches. The format must keep reading it.
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "plaplace-9-rand-pow-s1.npz")
+        doc = load_trace(path)
+        assert doc["iterations"] == 24 and doc["converged"]
+        result = verify_theorem_trace(doc)
+        assert result.passed and len(result.checked) == 2
+        assert main(["verify-trace", path]) == 0
+        out = capsys.readouterr().out
+        assert "checked      2 of 2 accepted\n" in out
+        assert "verdict      ok\n" in out
 
     def test_constructed_violation_fails(self, tmp_path):
         # Hypotheses forced true by a tiny Lipschitz estimate, but a
@@ -910,6 +1032,10 @@ class TestCli:
         # The field lookup's KeyError prints its message, not its repr.
         assert capsys.readouterr().err.startswith(
             "error: unknown field 'temperature'; problem 'saddle' has fields")
+        # numpy's default_rng once refused a negative seed in a traceback.
+        assert main(["run", "--problem", "saddle", "--size", "9",
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: rng_seed must be >= 0\n"
 
     @pytest.mark.parametrize("flag", ["--omega", "--tol"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -919,6 +1045,37 @@ class TestCli:
         assert main(["run", "--problem", "linear", "--size", "4",
                      flag, value]) == 2
         assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_writers_make_their_directories(self, tmp_path, capsys):
+        # A table in a missing directory once crashed after every solve had
+        # run; each writer makes its own directory.
+        out, trace = tmp_path / "a" / "run.csv", tmp_path / "b" / "run.npz"
+        assert main(["run", "--problem", "linear", "--size", "5",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        assert load_table(str(out))[0].converged
+        assert load_trace(str(trace))["problem"] == "linear"
+        sweep_out = tmp_path / "c" / "sweep.csv"
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"problem = linear\nsizes = 5\nout = {sweep_out}\n"
+                        "traces = none\n")
+        assert main(["sweep", "--plan", str(plan)]) == 0
+        assert len(load_table(str(sweep_out))) == 1
+
+    def test_unwritable_path_exit_code(self, tmp_path, capsys):
+        # A path under a file cannot be written: an error line and exit 2,
+        # not a traceback.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for flag in ("--out", "--trace"):
+            assert main(["run", "--problem", "linear", "--size", "5",
+                         flag, str(blocker / "x")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        plan = tmp_path / "plan.txt"
+        for traces in ("none", blocker / "traces"):
+            plan.write_text(f"problem = linear\nsizes = 5\n"
+                            f"out = {blocker / 's.csv'}\ntraces = {traces}\n")
+            assert main(["sweep", "--plan", str(plan)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_runs_plan(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -63,6 +63,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(**{field: value})
 
+    def test_rng_seed_must_not_be_negative(self):
+        # numpy's default_rng once refused it when the workspace was made.
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            SolverConfig(rng_seed=-1)
+        assert SolverConfig(rng_seed=0).rng_seed == 0
+
     @pytest.mark.parametrize("value", [[], {}, None, 1.5, "sub-geo"])
     def test_adaptivity_that_is_no_name_rejected(self, value):
         # Adaptivity's short-name lookup raised TypeError for a list.

@@ -278,7 +278,8 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     Rows come back in plan order, one per cell, with failures recorded as
     non-converged rows. Each size's problem is built once, and every mask
     is looked up in it before any of its cells solves, so a mask the
-    problem has no field for raises UnknownField before the first solve.
+    problem has no field for raises UnknownField before the first solve,
+    as an unwritable table or traces path raises OSError (`prepare_output`).
     When the plan names a traces directory, each cell's trace, a
     breakdown's included, is written there as soon as its traced solve
     ends, so only one traced report is held at a time.
@@ -292,6 +293,8 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
         else:
             for mask in plan.masks:
                 field_rows(problem, None if mask == "none" else mask)
+            prepare_output(plan.out)
+            prepare_output(plan.traces, directory=True)
         records += [_run_one(plan, problem, size, mask, adapt, p)
                     for mask, adapt, p in itertools.product(
                         plan.masks, plan.adaptivities, plan.alternations)]
@@ -316,10 +319,21 @@ def format_table(records: list[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def prepare_output(path: str | None, directory: bool = False):
+    """Make the directory an output goes to (``path`` itself when
+    ``directory``); raise OSError unless it is writable. None is no output."""
+    if path is not None:
+        folder = path if directory else os.path.dirname(path) or "."
+        os.makedirs(folder, exist_ok=True)
+        if (not os.access(folder, os.W_OK)
+                or not directory and os.path.isdir(path)):
+            raise OSError(f"cannot write {path!r}")
+
+
 def write_table(records: list[RunRecord], path: str, meta: dict | None = None):
     """Write records as CSV plus a `.meta.json` sidecar, making the
     directory if need be."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    prepare_output(path)
     with open(path, "w") as fh:
         fh.write(format_table(records))
     sidecar = dict(meta or {})
@@ -393,7 +407,7 @@ def write_trace(report: SolveReport, path: str):
     for f in fields(MixingStep):
         values = [getattr(rec, f.name) for rec in report.mask_trace]
         arrays[f.name] = [np.nan if v is None else v for v in values]
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    prepare_output(path)
     _save_trace(path, header, {name: np.asarray(arrays[name], dtype)
                                for name, dtype in _ARRAYS.items()})
 
@@ -528,7 +542,7 @@ _HEADER = {"problem": (str,), "sketch_percent": (int, float),
 
 def _check_header(header: dict):
     """Raise ParseError unless the header has every field of `_HEADER`, of
-    one of its types, and a count of iterations that is not negative."""
+    one of its types, iterations >= 0 and an adaptivity that names one."""
     for key, types in _HEADER.items():
         if key not in header:
             raise ParseError(f"trace is missing {key!r}")
@@ -537,6 +551,10 @@ def _check_header(header: dict):
             names = " or ".join(t.__name__ for t in types)
             raise ParseError(f"trace header {key!r} is {value!r}, expected "
                              f"{'a count' if key == 'iterations' else names}")
+    try:
+        Adaptivity(header["adaptivity"])
+    except ValueError:
+        raise ParseError(f"unknown adaptivity {header['adaptivity']!r}") from None
 
 
 def _read_array(arrays: dict, name: str, *lengths) -> np.ndarray:
@@ -628,11 +646,7 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     within the eta-sum bound.
     """
     doc = path_or_doc if isinstance(path_or_doc, dict) else load_trace(path_or_doc)
-    try:
-        adaptivity = Adaptivity(doc["adaptivity"])
-    except ValueError as exc:
-        raise ParseError(f"unknown adaptivity {doc['adaptivity']!r}") from exc
-
+    adaptivity = Adaptivity(doc["adaptivity"])
     result = TraceVerification()
     for idx, rec in enumerate(doc["steps"]):
         try:
@@ -690,11 +704,5 @@ def build_meta(extra: dict | None = None) -> dict:
     """Common sidecar metadata: versions and the package name."""
     from . import __version__
 
-    meta = {
-        "package": "aap",
-        "version": __version__,
-        "numpy": np.__version__,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"package": "aap", "version": __version__, "numpy": np.__version__,
+            **(extra or {})}

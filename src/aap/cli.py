@@ -29,6 +29,7 @@ from .bench import (
     format_table,
     load_trace,
     parse_plan,
+    prepare_output,
     run_experiment,
     run_record,
     run_solve,
@@ -106,6 +107,8 @@ def _cmd_run(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
+    prepare_output(args.out)
+    prepare_output(args.trace)
     try:
         report, wall_time = run_solve(problem, config, args.trace)
     except NumericalBreakdown as exc:
@@ -145,13 +148,8 @@ def _cmd_sweep(args) -> int:
     try:
         with open(args.plan) as fh:
             plan = parse_plan(fh.read())
-    except ParseError as exc:
-        print(f"error: {args.plan}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         records = run_experiment(plan)
-    except UnknownField as exc:
+    except (ParseError, UnknownField) as exc:
         print(f"error: {args.plan}: {exc.args[0]}", file=sys.stderr)
         return 2
     meta = build_meta({"plan": args.plan, "seed": plan.seed,

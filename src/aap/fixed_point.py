@@ -139,8 +139,7 @@ def from_fixed_point_form(
         fields = (("state", (0, dimension)),)
 
     def residual(x):
-        g = fixed_point_map(x)
-        return x - g
+        return x - fixed_point_map(x)
 
     return FixedPointProblem(
         residual=residual,

@@ -62,18 +62,6 @@ class RankDeficient(RuntimeError):
     """Triangular factor is numerically rank deficient."""
 
 
-def _check_diag(r_factor: np.ndarray) -> None:
-    d = np.abs(np.diagonal(r_factor))
-    if d.size == 0:
-        raise RankDeficient("empty factor")
-    dmax = d.max()
-    if dmax == 0.0 or d.min() < RANK_RTOL * dmax:
-        raise RankDeficient(
-            f"diagonal range [{d.min():.3e}, {dmax:.3e}] below relative "
-            f"threshold {RANK_RTOL:g}"
-        )
-
-
 def qr_masked_solve(
     window: np.ndarray,
     rhs: np.ndarray,
@@ -116,7 +104,7 @@ def qr_masked_solve(
     qr, tau = _lapack(dgeqrf, window[rows, :cols])
     qtr, = _lapack(dormqr, "L", "T", qr, tau, rhs[rows][:, None])
     r_factor = np.triu(qr[:cols])
-    return _back_substitute(r_factor, qtr[:cols, 0]), r_factor
+    return _back_substitute(r_factor, qtr[:cols, 0])[0], r_factor
 
 
 def _lapack(routine, *args):
@@ -131,9 +119,18 @@ def _lapack(routine, *args):
     return out
 
 
-def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
-    """alpha = R^{-1} Q^T r after the rank check on diag(R)."""
-    _check_diag(r_factor)
+def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
+    """(alpha, min |diag R|): alpha = R^{-1} Q^T r after the rank check on
+    diag(R). One max |alpha| checks finiteness and COEFF_LIMIT at once."""
+    d = np.abs(np.diagonal(r_factor))
+    if d.size == 0:
+        raise RankDeficient("empty factor")
+    dmin, dmax = float(d.min()), float(d.max())
+    if dmax == 0.0 or dmin < RANK_RTOL * dmax:
+        raise RankDeficient(
+            f"diagonal range [{dmin:.3e}, {dmax:.3e}] below relative "
+            f"threshold {RANK_RTOL:g}"
+        )
     # LAPACK's trtrs, called as scipy's solve_triangular calls it but
     # without its per-call wrapper: a factor that is not Fortran-contiguous
     # (the window factor's view) is solved as the transposed lower system,
@@ -142,11 +139,9 @@ def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray) -> np.ndarray:
         alpha, info = dtrtrs(r_factor, qtr, lower=0, trans=0)
     else:
         alpha, info = dtrtrs(r_factor.T, qtr, lower=1, trans=1)
-    if info != 0 or not np.isfinite(alpha).all():
-        raise RankDeficient("least squares produced non-finite coefficients")
-    if float(np.abs(alpha).max()) > COEFF_LIMIT:
-        raise RankDeficient("coefficients exceed COEFF_LIMIT")
-    return alpha
+    if info != 0 or not float(np.abs(alpha).max()) <= COEFF_LIMIT:
+        raise RankDeficient("coefficients non-finite or past COEFF_LIMIT")
+    return alpha, dmin
 
 
 class WindowFactor:
@@ -197,8 +192,8 @@ class WindowFactor:
     def __init__(self, rows: int, m: int):
         # A spare column past the window, where a column is appended before
         # a drop and f is put next to q~.
-        self._q = np.zeros((rows, m + 1), order="F")
-        self.q = self._q[:, :m]
+        self._q = q = np.zeros((rows, m + 1), order="F")
+        self.q = q[:, :m]
         self.r = np.zeros((m, m), order="F")
         # r one larger for the append before a drop. r itself stays m x m:
         # its layout sets the back substitution's rounding.
@@ -218,6 +213,12 @@ class WindowFactor:
         # operands, so that each is one gemm writing a contiguous output.
         self._work = np.zeros((2, rows))
         self._pair = np.zeros(2 * m)
+        # Per width c, built once: q[:, :c], q[:, :c].T, h[:c], pair, r[:c, :c].
+        self._views = [(q[:, :c], q[:, :c].T, self._h[:c],
+                        self._pair[:2 * c].reshape(2, c), self.r[:c, :c])
+                       for c in range(m + 1)]
+        # min |diag| of the last solve's factor, in an array as rho is.
+        self.min_diagonal = np.full(1, math.nan)
 
     @property
     def columns(self) -> int:
@@ -269,7 +270,8 @@ class WindowFactor:
         else:
             self.updates += 1
         r_factor, qtr = solved
-        return _back_substitute(r_factor, qtr), r_factor
+        alpha, self.min_diagonal[0] = _back_substitute(r_factor, qtr)
+        return alpha, r_factor
 
     def _refactor(self, window: np.ndarray, cols: int):
         """Fresh Householder QR of ``window[:, :cols]`` into the buffers."""
@@ -283,13 +285,12 @@ class WindowFactor:
     def _project(self, rhs: np.ndarray, cols: int):
         """(R, Q^T rhs) as after every second pass, or None when the
         newest column's pass lost orthogonality."""
-        qtr = self._h[:cols]
+        _, qt, qtr, prod, r_cols = self._views[cols]
         if not self.delayed:
-            np.dot(self.q[:, :cols].T, rhs, out=qtr)
-            return self.r[:cols, :cols], qtr
+            np.dot(qt, rhs, out=qtr)
+            return r_cols, qtr
         q, k = self._q, cols - 1
         q[:, cols] = rhs
-        prod = self._pair[:2 * cols].reshape(2, cols)
         np.dot(q[:, k:cols + 1].T, q[:, :cols], out=prod)
         a = self._a[:k]
         a[:] = prod[0, :k]
@@ -304,7 +305,7 @@ class WindowFactor:
         r = self.r
         r[:k, k] += r[k, k] * a
         r[k, k] *= rho
-        return r[:cols, :cols], qtr
+        return r_cols, qtr
 
     def _push_one(self, v: np.ndarray, drop: bool):
         """Enter ``v`` after its first pass, making a pending correction on
@@ -317,31 +318,30 @@ class WindowFactor:
         c = self.cols
         q, r, work = self._q, self.r, self._work
         new = q[:, c]
-        b = self._h[:c]
-        np.dot(q[:, :c].T, v, out=b)
+        q_cols, qt, b, coef, r_cols = self._views[c]
+        np.dot(qt, v, out=b)
         if self.delayed:
             k = c - 1
             a, rho = self._a[:k], self._rho[0]
             b[k] = (b[k] - np.dot(a, b[:k])) / rho
             # Over [Q1 q~], row 0 of C gives the corrected column and row 1
             # Q1 b[:k] + b[k] times it.
-            coef = self._pair[:2 * c].reshape(2, c)
             np.multiply(a, -1.0 / rho, out=coef[0, :k])
             coef[0, k] = 1.0 / rho
             coef[1, k] = b[k] / rho
             np.multiply(a, -coef[1, k], out=coef[1, :k])
             coef[1, :k] += b[:k]
-            np.dot(coef, q[:, :c].T, out=work)
+            np.dot(coef, qt, out=work)
             q[:, k] = work[0]
         else:
-            np.dot(q[:, :c], b, out=work[1])
+            np.dot(q_cols, b, out=work[1])
         np.subtract(v, work[1], out=new)
         rho = math.sqrt(np.dot(new, new))
         if rho > 0.0:
             new /= rho
         if drop:
             r = self._r_grown
-            r[:c, :c] = self.r[:c, :c]
+            r[:c, :c] = r_cols
         r[:c, c] = b
         r[c, :c] = 0.0
         r[c, c] = rho
@@ -350,7 +350,7 @@ class WindowFactor:
             # restores it by Givens rotations applied to q, in place.
             _qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
                        overwrite_qr=True, check_finite=False)
-            self.r[:c, :c] = r[:c, :c]
+            r_cols[:] = r[:c, :c]
         else:
             self.cols = c + 1
         self.delayed = c > 0

@@ -76,14 +76,15 @@ def budget_weights(adaptivity: Adaptivity, c: int) -> list[float]:
     return [1.0] * c
 
 
-def stability_hypothesis(
-    sigma: float,
-    lipschitz: float,
-    norm_f: float,
-    dx_norms,
-    etas,
-    eps: float,
-) -> bool:
+def stability_threshold(lipschitz, norm_f, dx_norms, etas) -> float:
+    """tau = L * (|f| * mu), mu = max_j |dx_j| / eta_j (etas > 0), the least
+    sigma the hypothesis admits at eps = 0: 0 for mu = 0, inf on overflow."""
+    mu = float(np.divide(dx_norms, etas).max(initial=0.0))
+    return float(lipschitz) * (float(norm_f) * mu) if mu != 0.0 else 0.0
+
+
+def stability_hypothesis(sigma: float, lipschitz: float, norm_f: float,
+                         dx_norms, etas, eps: float) -> bool:
     """The condition under which a row sketch is admitted.
 
     True when eta_j * sigma >= L * |f| * |dx_j| * (1 + eps) for every window
@@ -92,8 +93,11 @@ def stability_hypothesis(
     ``lipschitz`` the running estimate L, ``norm_f`` the norm of the
     restricted residual f, ``dx_norms`` and ``etas`` the per-column
     displacement norms and budget weights, and ``eps`` the share of |f| the
-    sketch drops (`epsilon_rhs`). A column with dx_j = 0 passes, and one
-    whose right side overflows fails, both without a floating-point warning.
+    sketch drops (`epsilon_rhs`). As every eta_j > 0, that is sigma >=
+    tau * (1 + eps) with tau from `stability_threshold`, the form computed,
+    which rounds apart from the per-column one only near a tie. A column
+    with dx_j = 0 passes, and one whose right side overflows fails, both
+    without a floating-point warning.
 
     Under it the perturbation of the mixing update stays within the eta sum.
     The sketched coefficients alpha minimise |S F alpha - S f|, so
@@ -103,15 +107,12 @@ def stability_hypothesis(
         |(F - S F) alpha| <= sum_j |alpha_j| |(I - S) F_j|
                           <= sum_j L |f| |dx_j| / sigma <= sum_j eta_j.
 
-    The bound needs the inequality at every column and in plain norms, so
-    neither a dimension factor on the left nor a max over the columns is
-    part of it; the (1 + eps) factor is a margin the bound does not use.
+    The bound needs the inequality at every column and in plain norms: tau
+    takes its max over |dx_j| / eta_j column by column, and no dimension
+    factor enters. The (1 + eps) factor is a margin the bound does not use.
     """
-    dx_norms = np.asarray(dx_norms, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        need = lipschitz * norm_f * (1.0 + eps) * dx_norms
-    need[dx_norms == 0.0] = 0.0
-    return bool(np.all(np.asarray(etas) * sigma >= need))
+    tau = stability_threshold(lipschitz, norm_f, dx_norms, etas)
+    return bool(sigma >= tau * (1.0 + float(eps)))
 
 
 def epsilon_rhs(f_restricted: np.ndarray, kept: np.ndarray,
@@ -207,23 +208,20 @@ class MixingStep:
         return self.reason == "no-factor"
 
 
-def adaptive_step(
-    workspace,
-    config,
-    iteration: int,
-    rng: np.random.Generator,
-    r_window: np.ndarray,
-):
+def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
+                  r_window: np.ndarray, r_min: float | None = None):
     """Decide the level-two sketch for one mixing step.
 
     ``r_window`` is the triangular factor of the whole restricted window,
-    from the least squares the step has already solved. The guard proposes
-    rows by the configured strategy, factors the sketched window, and
-    accepts when `stability_hypothesis` holds with that factor's exact
-    smallest singular value and the sketch's eps_rhs. A sketch with fewer
-    rows than the window has columns is "underdetermined", and a
-    rank-deficient sketch is rejected. The budget weights are the first c
-    of ``workspace.etas``, set once for the config's adaptivity.
+    from the least squares the step has already solved, and ``r_min`` its
+    min |diag| when the caller has it. The guard proposes rows by the
+    configured strategy, factors the sketched window, and accepts when
+    `stability_hypothesis` holds with that factor's exact smallest singular
+    value and the sketch's eps_rhs. A sketch with fewer rows than the
+    window has columns is "underdetermined", and a rank-deficient sketch is
+    rejected. The budget weights are the first c of ``workspace.etas``, set
+    once for the config's adaptivity. Each test below compares a sigma, or
+    a bound on one, with tau * (1 + eps), tau the step's one threshold.
 
     Every other rejection is reached by the cheapest test that settles it,
     and each test is exact: it fails only where the test it stands in for
@@ -262,19 +260,15 @@ def adaptive_step(
         rec.reason = "underdetermined"
         return None, rec
 
-    etas = ws.etas[:c]
-    dx_norms = ws.dx_norms[:c]
     norm_f = math.sqrt(np.dot(f_r, f_r))
-
-    def holds(sigma, eps):
-        return stability_hypothesis(sigma, ws.lipschitz, norm_f, dx_norms,
-                                    etas, eps)
+    tau = stability_threshold(ws.lipschitz, norm_f, ws.dx_norms[:c],
+                              ws.etas[:c])
 
     rec.reason = "lhs-negative"
-    if not holds(min_abs_diagonal(r_window), 0.0):
+    if not (min_abs_diagonal(r_window) if r_min is None else r_min) >= tau:
         return None, rec
     rec.sigma_min = estimate_sigma_min(r_window)
-    if not holds(rec.sigma_min, 0.0):
+    if not rec.sigma_min >= tau:
         return None, rec
 
     if config.adaptivity.randomized:
@@ -282,18 +276,19 @@ def adaptive_step(
     else:
         rows = select_subselection(f_r, l2)
     rec.eps_rhs = epsilon_rhs(f_r, rows, norm_f)
+    need = tau * (1.0 + rec.eps_rhs)
     rec.reason = "rejected"
-    if not holds(rec.sigma_min, rec.eps_rhs):
+    if not rec.sigma_min >= need:
         return None, rec
     rec.sigma_min = None
     try:
         alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
     except lsq.RankDeficient:
         return None, rec
-    if not holds(min_abs_diagonal(r_factor), rec.eps_rhs):
+    if not min_abs_diagonal(r_factor) >= need:
         return None, rec
     rec.sigma_min = estimate_sigma_min(r_factor)
-    if not holds(rec.sigma_min, rec.eps_rhs):
+    if not rec.sigma_min >= need:
         return None, rec
     rec.reason = "accepted"
     return (rows, alpha, r_factor), rec

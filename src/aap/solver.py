@@ -302,19 +302,17 @@ def step(
     update_increments(ws, problem, omega)
     # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
     # contiguous real vector, without its per-call checks.
-    # An overflowing norm is reported as NumericalBreakdown just below.
     with np.errstate(over="ignore"):
+        # An overflowing norm is reported as NumericalBreakdown here.
         relres = math.sqrt(np.dot(ws.f, ws.f)) / norm_f0
-    if not math.isfinite(relres):
-        raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
-    if relres < config.rel_tolerance:
-        return relres, None
-
-    np.multiply(ws.df, omega, out=ws.scratch)
-    np.add(ws.scratch, ws.dg, out=ws.scratch)
-    # These norms can overflow while ‖f‖ is still finite; the next
-    # iteration's check then raises NumericalBreakdown.
-    with np.errstate(over="ignore"):
+        if not math.isfinite(relres):
+            raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
+        if relres < config.rel_tolerance:
+            return relres, None
+        np.multiply(ws.df, omega, out=ws.scratch)
+        np.add(ws.scratch, ws.dg, out=ws.scratch)
+        # These norms can overflow while ‖f‖ is still finite; the next
+        # iteration's check then raises NumericalBreakdown.
         dx_norm = math.sqrt(np.dot(ws.scratch, ws.scratch))
         df_norm = math.sqrt(np.dot(ws.df, ws.df))
     ws.lipschitz = update_lipschitz(ws.lipschitz, df_norm, dx_norm)
@@ -350,7 +348,8 @@ def step(
 
     rows = None
     if adaptive and not ws.stalled:
-        sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step)
+        sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step,
+                                    ws.factor.min_diagonal[0])
         if sketch is not None:
             rows, alpha, r_step = sketch
             ws.last_accept = k
@@ -494,11 +493,8 @@ def resolve_window(problem: FixedPointProblem, config: SolverConfig) -> int:
 
 def _resolve_x0(problem, x0):
     if x0 is None:
-        if problem.initial_state is not None:
-            x0 = problem.initial_state
-        else:
-            x0 = np.zeros(problem.dimension)
-    x0 = np.asarray(x0, dtype=float)
+        x0 = problem.initial_state
+    x0 = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, float)
     if x0.shape != (problem.dimension,):
         raise ValueError(
             f"x0 has shape {x0.shape}, expected ({problem.dimension},)"

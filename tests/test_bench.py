@@ -484,6 +484,15 @@ class TestTraceFiles:
         assert main(["verify-trace", str(written)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_adaptivity_that_names_no_strategy_rejected(self, written, capsys):
+        # A string that names no strategy once loaded, and only the
+        # verifier refused it.
+        rewrite(written, lambda h, a: h.update(adaptivity="foo"))
+        with pytest.raises(ParseError, match="unknown adaptivity 'foo'"):
+            load_trace(str(written))
+        assert main(["verify-trace", str(written)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_field_rejected(self, written):
         rewrite(written, lambda h, a: h.pop("sketch_percent"))
         assert_rejected(written)
@@ -1061,9 +1070,13 @@ class TestCli:
         assert main(["sweep", "--plan", str(plan)]) == 0
         assert len(load_table(str(sweep_out))) == 1
 
-    def test_unwritable_path_exit_code(self, tmp_path, capsys):
+    def test_unwritable_path_exit_code(self, tmp_path, capsys, monkeypatch):
         # A path under a file cannot be written: an error line and exit 2,
-        # not a traceback.
+        # not a traceback, and before anything is solved.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the output paths")
+
+        monkeypatch.setattr(bench, "solve", no_solve)
         blocker = tmp_path / "file"
         blocker.write_text("")
         for flag in ("--out", "--trace"):
@@ -1071,11 +1084,15 @@ class TestCli:
                          flag, str(blocker / "x")]) == 2
             assert capsys.readouterr().err.startswith("error: ")
         plan = tmp_path / "plan.txt"
-        for traces in ("none", blocker / "traces"):
+        for out, traces in ((blocker / "s.csv", "none"),
+                            (blocker / "s.csv", blocker / "traces"),
+                            (tmp_path / "s.csv", blocker / "traces"),
+                            (tmp_path / "s.csv", blocker)):
             plan.write_text(f"problem = linear\nsizes = 5\n"
-                            f"out = {blocker / 's.csv'}\ntraces = {traces}\n")
+                            f"out = {out}\ntraces = {traces}\n")
             assert main(["sweep", "--plan", str(plan)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_sweep_runs_plan(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

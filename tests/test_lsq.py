@@ -120,9 +120,10 @@ def test_back_substitution_is_bitwise_solve_triangular(m, cols, seed):
     view = buf[:cols, :cols]
     for r in (view, np.asfortranarray(view), np.ascontiguousarray(view)):
         expected = solve_triangular(r, qtr, check_finite=False)
-        alpha = lsq._back_substitute(r, qtr)
+        alpha, r_min = lsq._back_substitute(r, qtr)
         assert alpha.shape == expected.shape
         np.testing.assert_array_equal(alpha, expected)
+        assert r_min == lsq.min_abs_diagonal(r)
 
 
 def same_bits(got, want) -> bool:

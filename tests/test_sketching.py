@@ -1,9 +1,10 @@
 """Masks, the stability guard's arithmetic, and the adaptive step."""
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import adaptive_step_reference, subselection_stable_argsort
 
@@ -23,6 +24,7 @@ from aap.sketching import (
     select_subselection,
     sketch_size,
     stability_hypothesis,
+    stability_threshold,
     update_lipschitz,
 )
 from aap.lsq import estimate_sigma_min
@@ -155,6 +157,50 @@ class TestStabilityHypothesis:
             assert stability_hypothesis(1.0, 1e200, 1e200, [0.0], [1.0], 0.0)
             assert not stability_hypothesis(1.0, 1e200, 1e200, [0.0, 1.0],
                                             [1.0, 1.0], 0.0)
+
+    def test_zero_displacements_pass_under_infinite_lipschitz(self):
+        # mu = 0 gives tau = 0 even where L or |f| is itself infinite, as
+        # the per-column form passes every zero column: inf * 0 is NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lipschitz, norm_f in ((np.inf, 1.0), (1.0, np.inf)):
+                assert stability_threshold(lipschitz, norm_f, [0.0, 0.0],
+                                           [1.0, 2.0]) == 0.0
+                assert stability_hypothesis(0.0, lipschitz, norm_f, [0.0],
+                                            [1.0], 0.5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lipschitz=st.floats(-30.0, 30.0),
+        norm_f=st.floats(-30.0, 30.0),
+        columns=st.lists(st.tuples(st.one_of(st.none(), st.floats(-30.0, 30.0)),
+                                   st.floats(0.0, 3.0)), min_size=1, max_size=8),
+        eps=st.floats(0.0, 1.0),
+        offset=st.floats(-16.0, 0.0),
+        above=st.booleans(),
+    )
+    def test_threshold_decides_as_every_column(self, lipschitz, norm_f, columns,
+                                               eps, offset, above):
+        # Magnitudes are powers of ten; a column's dx is zero for None.
+        # sigma lies 10**offset (relative) above or below the threshold, and
+        # draws within 8 ulps of a tie at any column are set aside: there
+        # the two forms may round to different sides.
+        lipschitz, norm_f = 10.0 ** lipschitz, 10.0 ** norm_f
+        dx_norms = np.array([0.0 if d is None else 10.0 ** d for d, _ in columns])
+        etas = np.array([10.0 ** e for _, e in columns])
+        tau = stability_threshold(lipschitz, norm_f, dx_norms, etas)
+        sigma = (tau or 1.0) * (1.0 + (1.0 if above else -1.0) * 10.0 ** offset)
+        ulps = Fraction(8 * np.finfo(float).eps)
+        for dx, eta in zip(dx_norms, etas):
+            need = (Fraction(lipschitz) * Fraction(norm_f) * Fraction(dx)
+                    * (1 + Fraction(eps)))
+            assume(abs(Fraction(eta) * Fraction(sigma) - need) > ulps * need)
+        per_column = bool(np.all(
+            etas * sigma >= lipschitz * norm_f * (1.0 + eps) * dx_norms))
+        assert stability_hypothesis(sigma, lipschitz, norm_f, dx_norms, etas,
+                                    eps) == per_column
+        assert stability_hypothesis(sigma, lipschitz, norm_f, list(dx_norms),
+                                    list(etas), eps) == per_column
 
     def test_hypothesis_implies_the_bound(self):
         # Random windows, sketches and increment norms, with the weights

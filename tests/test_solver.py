@@ -1,4 +1,5 @@
 """Solver loop: kernels, window management, and full solves."""
+import json
 import os
 import tempfile
 
@@ -625,6 +626,51 @@ class TestTransparency:
         full = solve(problem, config)
         plain = solve_plain(problem, config)
         assert full.residual_history == plain.residual_history
+
+
+# Three sketched solves whose guards reach, between them, every decision
+# but "disabled", "no-lipschitz" and "underdetermined": (problem, size,
+# mask, adaptivity), each at rng seed 1.
+PINNED_CASES = (
+    ("saddle", 17, "pressure", "sub-pow"),
+    ("plaplace", 15, None, "rand-pow"),
+    ("bidomain", 17, None, "sub-pow"),
+)
+PIN_PATH = os.path.join(os.path.dirname(__file__), "data", "guard-pin.json")
+
+
+def pin_key(case):
+    problem, size, mask, adaptivity = case
+    return f"{problem}-{size}-{mask or 'none'}-{adaptivity}"
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def pinned_solve(problem, size, mask, adaptivity):
+    """The pinned facts of one solve: its residual history and every field
+    of every MixingStep, floats as exact hex strings."""
+    report = solve(build_problem(problem, size),
+                   SolverConfig(static_mask=mask, adaptivity=adaptivity,
+                                rng_seed=1))
+    return {
+        "iterations": report.iterations,
+        "residual_history": [_hex(v) for v in report.residual_history],
+        "steps": [[rec.iteration, rec.columns, _hex(rec.lipschitz), rec.reason,
+                   _hex(rec.sigma_min), _hex(rec.eps_rhs)]
+                  for rec in report.mask_trace],
+    }
+
+
+@pytest.mark.parametrize("case", PINNED_CASES, ids=pin_key)
+def test_pinned_solves_are_bitwise(case):
+    # guard-pin.json was written by `pinned_solve` on an earlier build,
+    # before the guard's threshold and the factor's fixed costs were cut.
+    # Work on the per-step cost must not move an iterate or a decision.
+    with open(PIN_PATH) as fh:
+        pin = json.load(fh)[pin_key(case)]
+    assert pinned_solve(*case) == pin
 
 
 @settings(max_examples=60, deadline=None)

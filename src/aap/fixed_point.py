@@ -45,9 +45,9 @@ class FixedPointProblem:
     fields : tuple of (name, (start, stop))
         Named contiguous index ranges covering the physical unknowns.
     recommended_omega : float
-        Relaxation parameter suggested for the Picard map.
+        Relaxation suggested for the Picard map, positive and finite.
     recommended_window : int or None
-        Window size the problem suggests, if it has an opinion.
+        Window size the problem suggests (>= 1), if it has an opinion.
     name : str
         Short identifier used in tables and traces.
     initial_state : ndarray or None
@@ -69,6 +69,10 @@ class FixedPointProblem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if not 0.0 < self.recommended_omega < np.inf:
+            raise ValueError("recommended_omega must be positive and finite")
+        if self.recommended_window is not None and self.recommended_window < 1:
+            raise ValueError("recommended_window must be >= 1")
         seen = set()
         for fname, (start, stop) in self.fields:
             if fname in seen:

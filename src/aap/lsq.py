@@ -15,14 +15,17 @@ window or a row subset of it. Two factorizations serve it:
 * `qr_masked_solve` factors a row subset afresh (Householder QR without
   pivoting, LAPACK), for the row sketch the stability guard proposes.
 
-Both return the triangular factor R, which has the singular values of M.
-`estimate_sigma_min` takes the smallest of them exactly, from an SVD of the
-small c x c factor. `min_abs_diagonal` bounds it from above at no cost,
-since sigma_min(R) <= min |R_ii| for a triangular R. The stability guard
-takes the exact value only where that bound does not already settle its
-test: on the whole window's factor when the bound passes, and on a
-sketched factor when the bound passes there too. The offline trace
-verifier takes it on every accepted sketch.
+Both return one triple, (alpha, R, min |R_ii|): the coefficients, the
+triangular factor R, which has the singular values of M, and the least
+magnitude on its diagonal, which the back substitution's rank check takes
+anyway. `estimate_sigma_min` takes the smallest singular value exactly,
+from an SVD of the small c x c factor. min |R_ii| bounds it from above at
+no cost: the diagonal entries are R's eigenvalues, and an eigenvector v
+gives |R_ii| = |R v| / |v| >= sigma_min(R). The stability guard takes the
+exact value only where that bound does not already settle its test: on
+the whole window's factor when the bound passes, and on a sketched factor
+when the bound passes there too. The offline trace verifier takes it on
+every accepted sketch.
 
 The Givens sweep, the sketch's QR and the SVD call the compiled routines
 under scipy's `qr_delete`, `qr_multiply` and `svdvals` directly, with the
@@ -87,6 +90,8 @@ def qr_masked_solve(
         argmin_alpha |M alpha - r|_2 over the restricted system.
     r_factor : (cols, cols) ndarray
         R factor of the restricted matrix.
+    r_min : float
+        min |diag(r_factor)|, an upper bound on its smallest singular value.
 
     The input window is never modified. Raises RankDeficient when the factor
     diagonal collapses below a relative threshold of 1e-14 or a coefficient
@@ -104,7 +109,8 @@ def qr_masked_solve(
     qr, tau = _lapack(dgeqrf, window[rows, :cols])
     qtr, = _lapack(dormqr, "L", "T", qr, tau, rhs[rows][:, None])
     r_factor = np.triu(qr[:cols])
-    return _back_substitute(r_factor, qtr[:cols, 0])[0], r_factor
+    alpha, r_min = _back_substitute(r_factor, qtr[:cols, 0])
+    return alpha, r_factor, r_min
 
 
 def _lapack(routine, *args):
@@ -217,8 +223,6 @@ class WindowFactor:
         self._views = [(q[:, :c], q[:, :c].T, self._h[:c],
                         self._pair[:2 * c].reshape(2, c), self.r[:c, :c])
                        for c in range(m + 1)]
-        # min |diag| of the last solve's factor, in an array as rho is.
-        self.min_diagonal = np.full(1, math.nan)
 
     @property
     def columns(self) -> int:
@@ -242,11 +246,11 @@ class WindowFactor:
         the updated factor.
 
         Same contract as ``qr_masked_solve`` over every row: returns
-        (alpha, r_factor) and raises RankDeficient on a collapsed diagonal
-        or non-finite or oversized coefficients. ``r_factor`` is a view of
-        the factor, valid until the next call. Raises ValueError when no
-        column was pushed since the last solve: the pending second pass
-        would otherwise be folded into r twice.
+        (alpha, r_factor, r_min) and raises RankDeficient on a collapsed
+        diagonal or non-finite or oversized coefficients. ``r_factor`` is a
+        view of the factor, valid until the next call. Raises ValueError
+        when no column was pushed since the last solve: the pending second
+        pass would otherwise be folded into r twice.
         """
         if self.pending == 0:
             raise ValueError("no column was pushed since the last solve")
@@ -270,8 +274,8 @@ class WindowFactor:
         else:
             self.updates += 1
         r_factor, qtr = solved
-        alpha, self.min_diagonal[0] = _back_substitute(r_factor, qtr)
-        return alpha, r_factor
+        alpha, r_min = _back_substitute(r_factor, qtr)
+        return alpha, r_factor, r_min
 
     def _refactor(self, window: np.ndarray, cols: int):
         """Fresh Householder QR of ``window[:, :cols]`` into the buffers."""
@@ -354,13 +358,6 @@ class WindowFactor:
         else:
             self.cols = c + 1
         self.delayed = c > 0
-
-
-def min_abs_diagonal(r_factor: np.ndarray) -> float:
-    """min |R_ii|, an upper bound on the smallest singular value of a
-    triangular factor R: the diagonal entries are R's eigenvalues, and an
-    eigenvector v gives |R_ii| = |R v| / |v| >= sigma_min(R)."""
-    return float(np.abs(np.diagonal(r_factor)).min())
 
 
 def estimate_sigma_min(r_factor: np.ndarray) -> float:

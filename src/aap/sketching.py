@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsq
-from .lsq import estimate_sigma_min, min_abs_diagonal
+from .lsq import estimate_sigma_min
 
 
 class Adaptivity(str, enum.Enum):
@@ -209,12 +209,12 @@ class MixingStep:
 
 
 def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
-                  r_window: np.ndarray, r_min: float | None = None):
+                  r_window: np.ndarray, r_min: float):
     """Decide the level-two sketch for one mixing step.
 
-    ``r_window`` is the triangular factor of the whole restricted window,
-    from the least squares the step has already solved, and ``r_min`` its
-    min |diag| when the caller has it. The guard proposes rows by the
+    ``r_window`` is the triangular factor of the whole restricted window
+    and ``r_min`` its min |diag|, both as the step's least squares
+    (`lsq.WindowFactor.solve`) returned them. The guard proposes rows by the
     configured strategy, factors the sketched window, and accepts when
     `stability_hypothesis` holds with that factor's exact smallest singular
     value and the sketch's eps_rhs. A sketch with fewer rows than the
@@ -234,8 +234,8 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
     2. The whole window's sigma (its SVD) at eps = 0: "lhs-negative".
     3. Once the rows are drawn, the whole window's sigma at the sketch's
        eps_rhs: "rejected", with that sigma, and no sketch is factored.
-    4. min |diag| of the sketched factor at eps_rhs: "rejected", with
-       sigma_min None.
+    4. min |diag| of the sketched factor, as `lsq.qr_masked_solve`
+       returns it, at eps_rhs: "rejected", with sigma_min None.
     5. The sketched factor's sigma (its SVD) at eps_rhs: "rejected" or
        "accepted".
 
@@ -265,7 +265,7 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
                               ws.etas[:c])
 
     rec.reason = "lhs-negative"
-    if not (min_abs_diagonal(r_window) if r_min is None else r_min) >= tau:
+    if not r_min >= tau:
         return None, rec
     rec.sigma_min = estimate_sigma_min(r_window)
     if not rec.sigma_min >= tau:
@@ -282,10 +282,10 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
         return None, rec
     rec.sigma_min = None
     try:
-        alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+        alpha, r_factor, r_min = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
     except lsq.RankDeficient:
         return None, rec
-    if not min_abs_diagonal(r_factor) >= need:
+    if not r_min >= need:
         return None, rec
     rec.sigma_min = estimate_sigma_min(r_factor)
     if not rec.sigma_min >= need:

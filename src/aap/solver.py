@@ -46,6 +46,9 @@ DEFAULT_WINDOW = 10
 # factor over a trailing stretch of iterations in which sketches were
 # accepted, adaptivity is switched off for the rest of the run.
 STALL_FACTOR = 0.5
+# That stretch is this many iterations, or m for a wider window m, so the
+# stall rule always looks back over at least one full window.
+STALL_SPAN = 10
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class SolverConfig:
         Mixing period p: the least squares runs on iterations k with
         k = 0 mod p. p = 1 mixes every iteration.
     relaxation
-        Picard relaxation omega; None defers to the problem (falling back
-        to 1).
+        Picard relaxation omega; None defers to the problem's
+        recommendation.
     static_mask
         Field name for the level-one restriction, or None for every row.
     adaptivity
@@ -159,8 +162,6 @@ def allocate_workspace(problem: FixedPointProblem,
     rows = field_rows(problem, config.static_mask)
     l1 = rows.stop - rows.start
     m = min(resolve_window(problem, config), l1)
-    if m < 1:
-        raise ValueError("window must be >= 1")
     width = m + _window_slack(m)
     buffers = (np.zeros(l1 * width), np.zeros(n * width), np.zeros(width))
     df_buf, dg_buf = (b.reshape((-1, width), order="F") for b in buffers[:2])
@@ -237,9 +238,7 @@ def push_window(ws: Workspace, dx_norm: float):
     along the buffer, and only when the view has reached the end of the
     buffer are its m - 1 newest columns moved to the front, one flat
     column-major move per buffer, before the view goes back to offset 0.
-    The window factor is told of the push, which widens the windows, and
-    the trace, when there is one, logs the restricted residual df_r was
-    formed from.
+    The window factor is told of the push, which widens the windows.
     """
     filled = ws.factor.columns
     if filled == ws.m:
@@ -261,8 +260,6 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.df_window[:, j] = ws.df_r
     ws.dg_window[:, j] = ws.dg
     ws.dx_norms[j] = dx_norm
-    if ws.trace is not None:
-        ws.trace.push(ws.f_r, dx_norm)
 
 
 def anderson_update(ws: Workspace, alpha: np.ndarray, omega: float):
@@ -290,14 +287,17 @@ def step(
 
     Returns at once, x untouched, when relres = |T(x)| / norm_f0 is below
     the tolerance, and raises NumericalBreakdown when it is not finite.
-    Otherwise x moves by a Picard step or, when k = 0 mod p, by mixing over
-    the filled window. A mixing step first solves the whole window from the
-    kept factor; with adaptivity on, the guard may replace that solution by
-    the one of a row sketch it accepts. A rank-deficient window degrades
-    the step to Picard (reason "no-factor") and restarts the window.
-    ``history`` (relres of iterations 0..k-1) is only read, by the stall
-    detector. ``record`` is the step's MixingStep, None unless it mixed.
-    When ``ws.trace`` is set, the step's arrays go there.
+    Otherwise the increments enter the window and, when k = 0 mod p, a
+    mixing step solves the whole window from the kept factor; with
+    adaptivity on, the guard may replace that solution by the one of a row
+    sketch it accepts. A rank-deficient window leaves the step without
+    coefficients (reason "no-factor") and restarts the window. Every
+    iteration ends in one update of x: `anderson_update` with the step's
+    coefficients, `picard_update` when it has none. ``history`` (relres of
+    iterations 0..k-1) is only read, by the stall detector. ``record`` is
+    the step's MixingStep, None unless it mixed. When ``ws.trace`` is set,
+    the step logs the restricted residual there and, when it mixed, its
+    arrays.
     """
     update_increments(ws, problem, omega)
     # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
@@ -317,9 +317,11 @@ def step(
         df_norm = math.sqrt(np.dot(ws.df, ws.df))
     ws.lipschitz = update_lipschitz(ws.lipschitz, df_norm, dx_norm)
     push_window(ws, dx_norm)
+    if ws.trace is not None:
+        ws.trace.push(ws.f_r, dx_norm)
 
     adaptive = config.adaptivity is not Adaptivity.NONE
-    stall_span = max(ws.m, DEFAULT_WINDOW)
+    stall_span = max(ws.m, STALL_SPAN)
     if (
         adaptive
         and not ws.stalled
@@ -329,36 +331,31 @@ def step(
     ):
         ws.stalled = True
 
-    if k % config.alternation != 0:
-        picard_update(ws.x, ws.f, omega, ws.scratch)
-        return relres, None
-
-    c = ws.factor.columns
-    try:
-        alpha, r_step = ws.factor.solve(ws.df_window, ws.f_r)
-    except lsq.RankDeficient:
+    rec = alpha = r_step = rows = None
+    if k % config.alternation == 0:
+        c = ws.factor.columns
+        try:
+            alpha, r_step, r_min = ws.factor.solve(ws.df_window, ws.f_r)
+        except lsq.RankDeficient:
+            # Restart the window: a degenerate column would otherwise force
+            # this fallback for m consecutive steps. Dropping the history
+            # lets mixing resume on the next step.
+            ws.factor.reset()
+        if alpha is not None and adaptive and not ws.stalled:
+            sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step, r_min)
+            if sketch is not None:
+                rows, alpha, r_step = sketch
+                ws.last_accept = k
+        else:
+            reason = ("no-factor" if alpha is None
+                      else "stalled" if ws.stalled else "disabled")
+            rec = MixingStep(k, c, ws.lipschitz, reason=reason)
         if ws.trace is not None:
-            ws.trace.record(None, None, None)
+            ws.trace.record(alpha, r_step, rows)
+    if alpha is None:
         picard_update(ws.x, ws.f, omega, ws.scratch)
-        # Restart the window: a degenerate column would otherwise force this
-        # fallback for m consecutive steps. Dropping the history lets mixing
-        # resume on the next step.
-        ws.factor.reset()
-        return relres, MixingStep(k, c, ws.lipschitz, reason="no-factor")
-
-    rows = None
-    if adaptive and not ws.stalled:
-        sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step,
-                                    ws.factor.min_diagonal[0])
-        if sketch is not None:
-            rows, alpha, r_step = sketch
-            ws.last_accept = k
     else:
-        rec = MixingStep(k, c, ws.lipschitz,
-                         reason="stalled" if ws.stalled else "disabled")
-    if ws.trace is not None:
-        ws.trace.record(alpha, r_step, rows)
-    anderson_update(ws, alpha, omega)
+        anderson_update(ws, alpha, omega)
     return relres, rec
 
 
@@ -478,9 +475,7 @@ class SolveReport:
 def resolve_omega(problem: FixedPointProblem, config: SolverConfig) -> float:
     if config.relaxation is not None:
         return config.relaxation
-    if problem.recommended_omega is not None:
-        return float(problem.recommended_omega)
-    return 1.0
+    return float(problem.recommended_omega)
 
 
 def resolve_window(problem: FixedPointProblem, config: SolverConfig) -> int:

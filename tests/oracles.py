@@ -208,7 +208,7 @@ def adaptive_step_reference(workspace, config, iteration, rng, r_window):
     rec.eps_rhs = epsilon_rhs(f_r, rows, norm_f)
     rec.reason = "rejected"
     try:
-        alpha, r_factor = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+        alpha, r_factor, _ = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
     except lsq.RankDeficient:
         rec.sigma_min = None
         return None, rec
@@ -333,7 +333,7 @@ def solve_plain(problem, config):
         picard_update(x, f, omega, scratch)
         if k % p == 0:
             try:
-                alpha, _ = factor.solve(f_window, f)
+                alpha, _, _ = factor.solve(f_window, f)
                 np.dot(g_window[:, :cols], alpha, out=scratch)
                 np.subtract(x, scratch, out=x)
                 steps.append(MixingStep(k, cols, math.nan, reason="disabled"))

@@ -173,6 +173,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             FixedPointProblem(residual=lambda x: x, dimension=0, fields=())
 
+    @pytest.mark.parametrize("omega", [np.nan, 0.0, -1.0, np.inf])
+    def test_recommended_omega_not_positive_and_finite_rejected(self, omega):
+        # As SolverConfig refuses the relaxation: NaN would end in a
+        # breakdown, 0 would never move x and -1 would step uphill.
+        with pytest.raises(ValueError, match="recommended_omega"):
+            from_fixed_point_form(lambda x: 0.5 * x + 1.0, 3,
+                                  recommended_omega=omega)
+
+    def test_recommended_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="recommended_window"):
+            from_fixed_point_form(lambda x: 0.5 * x + 1.0, 3,
+                                  recommended_window=0)
+
     def test_field_names(self):
         problem = FixedPointProblem(
             residual=lambda x: x,

@@ -24,7 +24,7 @@ class TestQrMaskedSolve:
             window = np.zeros((l1, 10), order="F")
             window[:, :cols] = rng.standard_normal((l1, cols))
             rhs = rng.standard_normal(l1)
-            alpha, r = qr_masked_solve(window, rhs, np.arange(l1), cols)
+            alpha, r, _ = qr_masked_solve(window, rhs, np.arange(l1), cols)
             expected = lstsq_normal_equations(window[:, :cols], rhs)
             np.testing.assert_allclose(alpha, expected, rtol=1e-9, atol=1e-11)
             assert r.shape == (cols, cols)
@@ -39,7 +39,7 @@ class TestQrMaskedSolve:
             )
             window = rng.standard_normal((l1, cols))
             rhs = rng.standard_normal(l1)
-            alpha, _ = qr_masked_solve(window, rhs, rows, cols)
+            alpha, _, _ = qr_masked_solve(window, rhs, rows, cols)
             expected = lstsq_normal_equations(window[rows][:, :cols], rhs[rows])
             np.testing.assert_allclose(alpha, expected, rtol=1e-9, atol=1e-11)
 
@@ -53,7 +53,7 @@ class TestQrMaskedSolve:
     def test_r_factor_is_upper_triangular(self):
         rng = np.random.default_rng(3)
         window = rng.standard_normal((15, 5))
-        _, r = qr_masked_solve(window, rng.standard_normal(15), np.arange(15), 5)
+        _, r, _ = qr_masked_solve(window, rng.standard_normal(15), np.arange(15), 5)
         np.testing.assert_array_equal(r, np.triu(r))
 
     def test_exact_solution_when_rhs_in_range(self):
@@ -61,7 +61,7 @@ class TestQrMaskedSolve:
         window = rng.standard_normal((10, 3))
         coeff = np.array([1.5, -2.0, 0.25])
         rhs = window @ coeff
-        alpha, _ = qr_masked_solve(window, rhs, np.arange(10), 3)
+        alpha, _, _ = qr_masked_solve(window, rhs, np.arange(10), 3)
         np.testing.assert_allclose(alpha, coeff, rtol=1e-12, atol=1e-12)
 
     def test_duplicate_column_raises(self):
@@ -123,7 +123,7 @@ def test_back_substitution_is_bitwise_solve_triangular(m, cols, seed):
         alpha, r_min = lsq._back_substitute(r, qtr)
         assert alpha.shape == expected.shape
         np.testing.assert_array_equal(alpha, expected)
-        assert r_min == lsq.min_abs_diagonal(r)
+        assert r_min == float(np.abs(np.diagonal(r)).min())
 
 
 def same_bits(got, want) -> bool:
@@ -194,21 +194,42 @@ def test_masked_solve_is_bitwise_qr_multiply():
         rows = np.sort(rng.choice(l1, size=int(rng.integers(cols, l1 + 1)),
                                   replace=False))
         qtr, r_want = qr_multiply(window[rows, :cols], rhs[rows], mode="right")
-        alpha, r_got = qr_masked_solve(window, rhs, rows, cols)
+        alpha, r_got, _ = qr_masked_solve(window, rhs, rows, cols)
         assert same_bits(r_got, r_want)
         assert r_got.flags.f_contiguous == r_want.flags.f_contiguous
         assert same_bits(alpha, solve_triangular(r_want, qtr,
                                                  check_finite=False))
 
 
-def test_min_abs_diagonal_bounds_sigma():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        c = int(rng.integers(1, 9))
-        r = np.triu(rng.standard_normal((c, c)))
-        r *= 10.0 ** rng.uniform(-3.0, 3.0, c)
-        assert lsq.estimate_sigma_min(r) <= lsq.min_abs_diagonal(r)
-    assert lsq.min_abs_diagonal(np.array([[3.0, 7.0], [0.0, -2.0]])) == 2.0
+@settings(max_examples=60, deadline=None)
+@given(l1=st.integers(1, 40), m=st.integers(1, 8),
+       groups=st.lists(st.integers(1, 3), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_solves_return_the_factors_min_diagonal(l1, m, groups, seed):
+    # Both solves return min |diag R| of the factor they return, bitwise,
+    # and it bounds that factor's smallest singular value from above: the
+    # guard's diagonal tests read it in place of an SVD.
+    m = min(m, l1)
+    rng = np.random.default_rng(seed)
+    window = np.zeros((l1, m), order="F")
+    factor = WindowFactor(l1, m)
+    filled = 0
+    for group in groups:
+        for _ in range(group):
+            col = rng.standard_normal(l1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if filled == m:
+                window[:, :-1] = window[:, 1:].copy()
+            else:
+                filled += 1
+            window[:, filled - 1] = col
+            factor.push()
+        rhs = rng.standard_normal(l1)
+        rows = np.sort(rng.choice(l1, size=int(rng.integers(filled, l1 + 1)),
+                                  replace=False))
+        for _, r, r_min in (factor.solve(window, rhs),
+                            qr_masked_solve(window, rhs, rows, filled)):
+            assert r_min == float(np.abs(np.diagonal(r)).min())
+            assert r_min >= lsq.estimate_sigma_min(r)
 
 
 def drive_window(factor, window, columns, rhs_rng=None):
@@ -229,7 +250,7 @@ def drive_window(factor, window, columns, rhs_rng=None):
             filled += 1
         factor.push()
         rhs = col if rhs_rng is None else rhs_rng.standard_normal(l1)
-        alpha, r = factor.solve(window, rhs)
+        alpha, r, _ = factor.solve(window, rhs)
         last = (alpha, r, rhs)
     return filled, last
 
@@ -336,7 +357,7 @@ class TestWindowFactor:
                     filled += 1
                 factor.push()
             rhs = rng.standard_normal(l1)
-            alpha, _ = factor.solve(window, rhs)
+            alpha, _, _ = factor.solve(window, rhs)
             expected = np.linalg.lstsq(window[:, :filled], rhs, rcond=None)[0]
             np.testing.assert_allclose(alpha, expected, rtol=1e-10, atol=1e-12)
             recon, orth = factor_errors(factor, window, filled)
@@ -386,7 +407,7 @@ class TestWindowFactor:
                 factor.push()
             w = window[:, :filled]
             expected = rng.standard_normal(filled)
-            alpha, _ = factor.solve(window, w @ expected)
+            alpha, _, _ = factor.solve(window, w @ expected)
             recon, _ = factor_errors(factor, window, filled)
             assert recon < 1e-14
             assert factor_errors(factor, window, filled - 1)[1] < 1e-13
@@ -416,7 +437,7 @@ class TestWindowFactor:
         for _ in range(3):
             factor.push()
         rhs = rng.standard_normal(l1)
-        alpha, _ = factor.solve(window, rhs)
+        alpha, _, _ = factor.solve(window, rhs)
         assert calls == [3, 5]
         assert factor.refreshes == 1 and factor.updates == 1
         expected = np.linalg.lstsq(window[:, :5], rhs, rcond=None)[0]
@@ -499,7 +520,7 @@ def test_factor_tracks_random_window_histories(l1, m, ops, solve_every):
         w = window[:, :filled]
         svals = np.linalg.svd(w, compute_uv=False)
         try:
-            alpha, r = factor.solve(window, rhs)
+            alpha, r, _ = factor.solve(window, rhs)
         except RankDeficient:
             # Only a numerically rank-deficient window may be refused; the
             # solver then restarts it.
@@ -555,13 +576,13 @@ def test_multi_push_solve_is_one_push_solves(l1, m, groups, seed):
             grouped.push()
             single.push()
             rhs = rng.standard_normal(l1)
-            alpha_single, _ = single.solve(window, rhs)
-        alpha, _ = grouped.solve(window, rhs)
+            alpha_single, _, _ = single.solve(window, rhs)
+        alpha, _, _ = grouped.solve(window, rhs)
         if pushes >= filled:
             single = WindowFactor(l1, m)
             for _ in range(filled):
                 single.push()
-            alpha_single, _ = single.solve(window, rhs)
+            alpha_single, _, _ = single.solve(window, rhs)
         c = grouped.cols
         assert c == single.cols == filled
         assert grouped.delayed == single.delayed

@@ -389,6 +389,11 @@ def make_workspace(columns, f_values, dx_norms, lipschitz,
     return config, ws, np.linalg.qr(columns, mode="reduced")[1]
 
 
+def min_diag(r):
+    """min |diag R|, which the solver hands to adaptive_step with R."""
+    return float(np.abs(np.diagonal(r)).min())
+
+
 def spikes(l1, *entries):
     """l1 x len(entries) window; column j holds the (row, value) pairs of
     entries[j]."""
@@ -407,7 +412,8 @@ class TestAdaptiveStep:
         config, ws, r = make_workspace(
             spikes(10, [(7, 1.0)]), self.F, [1.0], lipschitz=0.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "no-lipschitz"
 
@@ -418,7 +424,8 @@ class TestAdaptiveStep:
         config, ws, r = make_workspace(
             spikes(10, [(7, 1e-6)]), self.F, [1.0], lipschitz=1.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "lhs-negative"
         assert rec.sigma_min is None
@@ -430,7 +437,8 @@ class TestAdaptiveStep:
         window = spikes(10, [(7, 1.0)], [(7, 10.0), (8, 1.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=0.1)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "lhs-negative"
         assert rec.sigma_min == estimate_sigma_min(r)
@@ -443,7 +451,8 @@ class TestAdaptiveStep:
         window = spikes(10, [(7, 50.0)], [(8, 40.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert rec.accepted and rec.reason == "accepted"
         rows, alpha, r_sketch = sketch
         np.testing.assert_array_equal(rows, [7, 8, 9])
@@ -468,7 +477,8 @@ class TestAdaptiveStep:
         config, ws, r = make_workspace(
             spikes(10, [(7, 6.0)]), self.F, [1.0], lipschitz=1.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected"
         assert rec.sigma_min == estimate_sigma_min(r) == 6.0
@@ -489,11 +499,37 @@ class TestAdaptiveStep:
         window = spikes(10, [(0, 50.0), (7, 1.0)], [(1, 40.0), (8, 1.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected" and not rec.accepted
         assert rec.sigma_min is None
         assert len(svds) == 1
+
+    def test_sketch_diagonal_is_the_solves(self, monkeypatch):
+        # The sketch's diagonal test reads min |diag| as qr_masked_solve
+        # returns it. Reported as 0, it rejects a sketch whose factor's
+        # diagonal (50 and 40) would pass, and no SVD of that factor is taken.
+        svds = []
+        solve = lsq.qr_masked_solve
+
+        def zero_min(*args):
+            alpha, r_factor, _ = solve(*args)
+            return alpha, r_factor, 0.0
+
+        def counted(r_factor):
+            svds.append(r_factor.shape)
+            return estimate_sigma_min(r_factor)
+
+        monkeypatch.setattr(lsq, "qr_masked_solve", zero_min)
+        monkeypatch.setattr(sketching, "estimate_sigma_min", counted)
+        config, ws, r = make_workspace(spikes(10, [(7, 50.0)], [(8, 40.0)]),
+                                       self.F, [1.0, 1.0], lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
+        assert sketch is None
+        assert rec.reason == "rejected" and rec.sigma_min is None
+        assert svds == [(2, 2)]
 
     def test_sketch_sigma_settles_rejection(self):
         # The sketched factor is R = [[1, 10], [0, 1]]: its diagonal passes,
@@ -502,7 +538,8 @@ class TestAdaptiveStep:
                         [(1, 40.0), (7, 10.0), (8, 1.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=0.05)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected"
         r_sketch = np.linalg.qr(window[[7, 8, 9]], mode="r")
@@ -514,7 +551,8 @@ class TestAdaptiveStep:
         window = spikes(10, [(0, 50.0)], [(1, 40.0)])
         config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                        lipschitz=1e-3)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected" and rec.sigma_min is None
 
@@ -523,7 +561,8 @@ class TestAdaptiveStep:
         window = spikes(10, *[[(6 + j, 50.0)] for j in range(4)])
         config, ws, r = make_workspace(window, self.F, np.ones(4),
                                        lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 5, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 5, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert sketch is None
         assert rec.reason == "underdetermined"
 
@@ -534,7 +573,8 @@ class TestAdaptiveStep:
             spikes(10, [(0, 50.0), (7, 1.0)]), np.zeros(10), [1.0],
             lipschitz=1.0,
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0), r)
+        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
+                                    r, min_diag(r))
         assert rec.accepted and rec.eps_rhs == 0.0
         np.testing.assert_array_equal(sketch[1], [0.0])
 
@@ -544,9 +584,12 @@ class TestAdaptiveStep:
             np.full((20, 1), 100.0), f, [1.0], lipschitz=1.0,
             adaptivity=Adaptivity.RANDOMIZED_CONSTANT,
         )
-        sketch_a, _ = adaptive_step(ws, config, 2, np.random.default_rng(1), r)
-        sketch_b, _ = adaptive_step(ws, config, 2, np.random.default_rng(1), r)
-        sketch_c, _ = adaptive_step(ws, config, 2, np.random.default_rng(7), r)
+        sketch_a, _ = adaptive_step(ws, config, 2, np.random.default_rng(1),
+                                    r, min_diag(r))
+        sketch_b, _ = adaptive_step(ws, config, 2, np.random.default_rng(1),
+                                    r, min_diag(r))
+        sketch_c, _ = adaptive_step(ws, config, 2, np.random.default_rng(7),
+                                    r, min_diag(r))
         np.testing.assert_array_equal(sketch_a[0], sketch_b[0])
         assert sketch_c is not None
         assert not np.array_equal(sketch_a[0], sketch_c[0])
@@ -561,7 +604,8 @@ class TestAdaptiveStep:
             config, ws, r = make_workspace(window, self.F, [1.0, 7.0],
                                            lipschitz=1.0,
                                            adaptivity=adaptivity)
-            _, rec = adaptive_step(ws, config, 3, np.random.default_rng(0), r)
+            _, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
+                                   r, min_diag(r))
             decisions[adaptivity] = rec.reason
         assert decisions == {
             Adaptivity.SUBSELECT_CONSTANT: "rejected",
@@ -624,7 +668,8 @@ def _compare_with_reference_guard(seed, l1, c, log_lipschitz, adaptivity,
     config = SolverConfig(window=8, adaptivity=adaptivity,
                           sketch_percent=percent)
     draws = [np.random.default_rng(seed + 1) for _ in range(2)]
-    sketch, rec = adaptive_step(ws, config, 5, draws[0], r_window)
+    sketch, rec = adaptive_step(ws, config, 5, draws[0], r_window,
+                                min_diag(r_window))
     ref_sketch, ref = adaptive_step_reference(ws, config, 5, draws[1],
                                               r_window)
     assert rec.reason == ref.reason

@@ -299,11 +299,11 @@ def step(
     the step logs the restricted residual there and, when it mixed, its
     arrays.
     """
-    update_increments(ws, problem, omega)
     # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
     # contiguous real vector, without its per-call checks.
-    with np.errstate(over="ignore"):
-        # An overflowing norm is reported as NumericalBreakdown here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Overflow and NaN surface as NumericalBreakdown, here or at the next T(x).
+        update_increments(ws, problem, omega)
         relres = math.sqrt(np.dot(ws.f, ws.f)) / norm_f0
         if not math.isfinite(relres):
             raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
@@ -526,8 +526,11 @@ def solve(
     ws = allocate_workspace(problem, config)
 
     x0 = _resolve_x0(problem, x0)
-    f0 = evaluate_residual(problem, x0)
-    norm_f0 = float(np.linalg.norm(f0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = evaluate_residual(problem, x0)
+        norm_f0 = float(np.linalg.norm(f0))
+    if not math.isfinite(norm_f0):
+        raise NumericalBreakdown("initial residual norm overflowed")
     history = [1.0]
     mask_trace: list[MixingStep] = []
 
@@ -559,7 +562,8 @@ def solve(
 
     # Initialization: one relaxed Picard step, so x holds x_1 and (f, g)
     # hold the iteration-0 pair the first increments difference against.
-    picard_update(ws.x, ws.f, omega, ws.scratch)
+    with np.errstate(over="ignore"):  # an infinite x_1 fails its T(x) check
+        picard_update(ws.x, ws.f, omega, ws.scratch)
     np.copyto(ws.g, ws.x)
 
     converged = False

@@ -902,6 +902,21 @@ class TestCli:
         assert int(counts["no-factor"]) == fallbacks > 0
         assert set(counts) == {"disabled", "no-factor"}
 
+    @pytest.mark.parametrize("problem, size, message", [
+        # omega f overflows in the first increments while T(x) is finite.
+        ("saddle", 5, "residual norm overflowed at iteration 1"),
+        # omega f overflows already in the initial Picard step.
+        ("linear", 20, "state has a non-finite entry at index 3"),
+    ], ids=["increments", "initial-picard"])
+    def test_run_overflowing_relaxation_breaks_down_quietly(
+            self, problem, size, message, capsys, recwarn):
+        # Only the solver's finiteness checks may report the overflow.
+        code = main(["run", "--problem", problem, "--size", str(size),
+                     "--omega", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err == f"breakdown: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("adapt", ["none", "sub-pow"])
     def test_run_breakdown_exit_code(self, adapt, tmp_path, capsys, recwarn):
         # pytest records warnings instead of printing them, so the stderr

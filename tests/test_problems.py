@@ -11,6 +11,7 @@ from aap.problems import (
     PROBLEM_NAMES,
     ResourceLimit,
     _component_stiffness,
+    _slot_matrix,
     build_problem,
     make_bidomain_toy,
     make_linear,
@@ -83,8 +84,9 @@ class TestSineSolver:
         "shape", [(1, 2), (2, 1), (2, 3), (3, 2), (63, 64), (64, 63)]
     )
     def test_inverts_component_stiffness(self, shape):
-        stiffness = _component_stiffness(*shape)
-        b = np.random.default_rng(8).standard_normal(stiffness.shape[0])
+        n = shape[0] * shape[1]
+        stiffness = _slot_matrix(*_component_stiffness(*shape), (n, n))
+        b = np.random.default_rng(8).standard_normal(n)
         assert _relres(stiffness, sine_solver(shape)(b), b) <= 1e-13
 
     # The solver calls pocketfft below scipy.fft's dispatch; a scipy that
@@ -145,8 +147,9 @@ class TestSaddle:
             assert problem.dimension == n_u + n_v + n_p
 
     def test_system_is_canonical_and_exact(self):
-        # The system is assembled from index arrays straight into CSR; it
-        # must come out with sorted, unduplicated indices, and its entries
+        # The system is assembled from index arrays straight into CSR, each
+        # row's entries in column order and with no sort or duplicate pass;
+        # it must come out with sorted, unduplicated indices, and its entries
         # (4, -1, +-h and the grounding h^2) must equal the dense
         # assembly's exactly. The forcing goes through a vectorised sine,
         # which rounds differently from the scalar one at some sizes.
@@ -161,6 +164,19 @@ class TestSaddle:
                 problem.data["divergence"].toarray()[:-1],
                 oracle[n_u + n_v : -1, : n_u + n_v],
             )
+
+    def test_reference_data_are_the_systems_blocks(self):
+        # The stiffness and divergence that checks read are the system's
+        # own blocks, entry for entry. Only the system's last row is
+        # grounded, so B's last row is not compared.
+        for npts in range(3, 18):
+            data = make_saddle_point(npts).data
+            system = data["system"]
+            n_vel = data["stiffness"].shape[0]
+            for block, part in ((data["stiffness"], system[:n_vel, :n_vel]),
+                                (data["divergence"][:-1], system[n_vel:-1, :n_vel])):
+                assert block.shape == part.shape and block.nnz == part.nnz
+                np.testing.assert_array_equal(block.toarray(), part.toarray())
 
     def test_system_stores_no_zero(self):
         # A lattice side of 2 once made the velocity stiffness, and so the

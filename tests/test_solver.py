@@ -1,7 +1,11 @@
 """Solver loop: kernels, window management, and full solves."""
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +438,18 @@ class TestSolve:
         assert len(report.residual_history) == report.iterations
         assert np.isfinite(report.residual_history).all()
 
+    def test_overflowing_initial_norm_raises_breakdown(self):
+        # Every entry of T(x0) is finite but |T(x0)| overflows. The solve
+        # names the initial residual, warns nothing, and has no report: it
+        # broke down at the initial guess.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown,
+                               match="initial residual norm overflowed") as info:
+                solve(build_problem("saddle", 5), SolverConfig(),
+                      x0=np.full(40, 1e200))
+        assert info.value.report is None
+
 
 def assert_accepted_steps_hold(report):
     """Recompute the guard's decision on every accepted step of a traced
@@ -671,6 +687,38 @@ def test_pinned_solves_are_bitwise(case):
     with open(PIN_PATH) as fh:
         pin = json.load(fh)[pin_key(case)]
     assert pinned_solve(*case) == pin
+
+
+BENCHMARK_PIN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                  "benchmark-pin.json")
+
+
+def pinned_digest(case):
+    """SHA-256 of `pinned_solve`'s facts for ``case``, as sorted JSON."""
+    doc = json.dumps(pinned_solve(*case), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_benchmark_cases_are_bitwise():
+    # benchmark-pin.json holds `pinned_digest` of each of criterion 10's
+    # cases (the benchmark's sketched solves), written on an earlier build.
+    # Saddle-65's iterates depend on the number of BLAS threads, so the
+    # solves run in a child with one, as the benchmark runs them.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import json\n"
+            "from test_acceptance import BENCHMARK_CASES\n"
+            "from test_solver import pin_key, pinned_digest\n"
+            "print(json.dumps({pin_key(c): pinned_digest(c) "
+            "for c in BENCHMARK_CASES}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    with open(BENCHMARK_PIN_PATH) as fh:
+        assert json.loads(child.stdout) == json.load(fh)
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,8 +53,8 @@ class FixedPointProblem:
     initial_state : ndarray or None
         Default initial guess; solvers fall back to zeros when absent.
     data : dict
-        Handles that reference checks read (assembled operators, reference
-        solutions); empty when none needs one. Not part of the solver contract.
+        What the residual itself uses (an assembled operator, its right-hand
+        side), for reference checks. Not part of the solver contract.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]

@@ -23,7 +23,10 @@ from .fixed_point import FixedPointProblem
 
 SPECTRUM_LO = 0.1
 SPECTRUM_HI = 2.0
-MAX_SADDLE_POINTS = 65
+# Largest size `build_problem` takes (linear's dimension, the grids' points
+# per side). A build and short solve at the recommended window then peak at
+# 128 (linear), 6 (saddle), 29 (plaplace) and 191 MiB (bidomain).
+MAX_SIZE = {"linear": 2048, "saddle": 65, "plaplace": 257, "bidomain": 257}
 
 Q_LAPLACIAN_REG = 1e-10
 # The bidomain toy's physical values; `make_bidomain_toy` says which is which.
@@ -166,12 +169,9 @@ def make_saddle_point(npts: int) -> FixedPointProblem:
     applies P = blockdiag(K, h^2 I), solving with each velocity component's
     stiffness by `sine_solver`.
     The preconditioned operator is indefinite, so plain Richardson diverges
-    here and the mixing steps carry the iteration.
+    here and the mixing steps carry the iteration. ``data`` holds M and
+    [F; 0], which the residual reads; K and B are blocks of M.
     """
-    if npts > MAX_SADDLE_POINTS:
-        raise ResourceLimit(
-            f"saddle grid limited to {MAX_SADDLE_POINTS} points per side, got {npts}"
-        )
     h = _grid_spacing(npts)
     nc = npts - 1            # cells per side
     nxu, nyu = npts - 2, nc  # u faces: interior x lines, all cell rows
@@ -201,9 +201,7 @@ def make_saddle_point(npts: int) -> FixedPointProblem:
     cell, slot = np.nonzero(inside)
     columns[faces[inside], 6 - slot % 2] = n_vel + cell
     values[:n_vel, 5:] = h, -h
-    k_block = _slot_matrix(columns[:n_vel, :5], values[:n_vel, :5], (n_vel, n_vel))
-    b_div = _slot_matrix(columns[n_vel:, :4], values[n_vel:, :4], (n_p, n_vel))
-    # Ground the pressure in the system alone: h^2 p_last = 0 is its last row.
+    # Ground the pressure: h^2 p_last = 0 replaces the last continuity row.
     columns[-1], values[-1, 0] = [n - 1, -1, -1, -1, -1, -1, -1], h * h
     system = _slot_matrix(columns, values, (n, n))
 
@@ -231,8 +229,7 @@ def make_saddle_point(npts: int) -> FixedPointProblem:
         recommended_omega=1.0,
         recommended_window=10,
         name="saddle",
-        data={"system": system, "rhs": rhs, "divergence": b_div,
-              "stiffness": k_block},
+        data={"system": system, "rhs": rhs},
     )
 
 
@@ -289,7 +286,8 @@ def make_p_laplacian(
 
     init = "zero" starts from the zero function (the harmonic extension of
     the boundary data); init = "poisson" starts from the linear solution
-    (-Lap)^{-1} 1, which avoids the uniformly flat initial gradient.
+    (-Lap)^{-1} 1, which avoids the uniformly flat initial gradient; only
+    then is that solve run. ``data`` holds F, which the residual applies.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
@@ -307,8 +305,7 @@ def make_p_laplacian(
     def residual(u):
         return inv_beta * solve_lap(raw(u))
 
-    poisson = solve_lap(np.ones(n))
-    x0 = poisson.copy() if init == "poisson" else None
+    x0 = solve_lap(np.ones(n)) if init == "poisson" else None
     return FixedPointProblem(
         residual=residual,
         dimension=n,
@@ -317,7 +314,7 @@ def make_p_laplacian(
         recommended_window=10,
         name="plaplace",
         initial_state=x0,
-        data={"apply_q_laplacian": raw, "poisson_solution": poisson},
+        data={"apply_q_laplacian": raw},
     )
 
 
@@ -402,19 +399,20 @@ def build_problem(
 
     ``size`` is the system dimension for `linear` and points per side for
     the grid problems. ``init`` selects the starting guess and is only
-    meaningful for `plaplace` (it alone offers a non-default one).
+    meaningful for `plaplace` (it alone offers a non-default one). A size
+    above ``MAX_SIZE[name]`` raises ResourceLimit before any allocation.
     """
+    if name not in MAX_SIZE:
+        raise KeyError(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
+    if size > MAX_SIZE[name]:
+        raise ResourceLimit(f"{name} size limited to {MAX_SIZE[name]}, got {size}")
     if name == "plaplace":
         return make_p_laplacian(size, init=init)
     if init != "zero":
         raise ValueError(f"problem {name!r} has no {init!r} initial guess")
     if name == "linear":
         return make_linear(size, seed=seed)
-    if name == "saddle":
-        return make_saddle_point(size)
-    if name == "bidomain":
-        return make_bidomain_toy(size)
-    raise KeyError(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
+    return make_saddle_point(size) if name == "saddle" else make_bidomain_toy(size)
 
 
-PROBLEM_NAMES = ("linear", "saddle", "plaplace", "bidomain")
+PROBLEM_NAMES = tuple(MAX_SIZE)

@@ -19,7 +19,6 @@ from dataclasses import fields
 import numpy as np
 from oracles import gmres_iterates, matches_plain_loop, recording
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import spsolve
 
 import aap
 from aap.bench import (
@@ -490,29 +489,19 @@ BENCHMARK_CASES = (
 )
 
 
-def test_criterion_10_benchmark_cases_converge():
+def test_criterion_10_benchmark_cases_converge(benchmark_solves):
     # Saddle-65 with the pressure mask converges or not on the last bits
     # of its arithmetic (ROADMAP item 2), so a change that loses it must
     # fail here and not only in the benchmark. A saddle solve must also
     # match a direct solve of its assembled system to 1e-3, as perfbench
-    # checks.
-    t0 = time.perf_counter()
-    results = []
-    for name, size, mask, adapt in BENCHMARK_CASES:
-        problem = build_problem(name, size)
-        config = SolverConfig(static_mask=mask, adaptivity=adapt,
-                              rel_tolerance=1e-6, rng_seed=1)
-        report = solve(problem, config)
-        ok = report.converged
-        if "system" in problem.data:
-            direct = spsolve(problem.data["system"].tocsc(), problem.data["rhs"])
-            err = np.linalg.norm(report.final_state - direct) / np.linalg.norm(direct)
-            ok = ok and err <= 1e-3
-        results.append((f"{name}-{size}", report.iterations, ok))
-    elapsed = time.perf_counter() - t0
+    # checks. The solves run with one BLAS thread, as perfbench's do
+    # (the `benchmark_solves` fixture).
+    results = [(key, got["iterations"], got["converged"]
+                and (got["direct_error"] is None or got["direct_error"] <= 1e-3))
+               for key, got in benchmark_solves.items()]
     _verdict(
         10,
-        all(ok for *_, ok in results),
-        ", ".join(f"{label} {'converged' if ok else 'FAILED'} in {its}"
-                  for label, its, ok in results) + f", {elapsed:.2f}s",
+        len(results) == len(BENCHMARK_CASES) and all(ok for *_, ok in results),
+        ", ".join(f"{key} {'converged' if ok else 'FAILED'} in {its}"
+                  for key, its, ok in results),
     )

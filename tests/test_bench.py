@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aap import bench
+from aap import bench, problems
 from aap.bench import (
     ExperimentPlan,
     ParseError,
@@ -28,7 +28,7 @@ from aap.bench import (
 )
 from aap.cli import main
 from aap.fixed_point import NumericalBreakdown
-from aap.problems import build_problem
+from aap.problems import MAX_SIZE, PROBLEM_NAMES, build_problem
 from aap.sketching import Adaptivity, sketch_size
 from aap.solver import SolverConfig, solve
 
@@ -1037,6 +1037,20 @@ class TestCli:
             "--max-iterations", "1",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_size_above_cap_exit_code(self, name, capsys, monkeypatch):
+        # Past the cap, `aap run` exits 2 and a sweep cell fails, before a
+        # builder runs: they are replaced here, so nothing is allocated.
+        for builder in ("make_linear", "make_saddle_point", "make_p_laplacian",
+                        "make_bidomain_toy"):
+            monkeypatch.setattr(problems, builder, None)
+        size = MAX_SIZE[name] + 1
+        assert main(["run", "--problem", name, "--size", str(size)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name} size limited to {MAX_SIZE[name]}, got {size}\n")
+        [row] = run_experiment(ExperimentPlan(problem=name, sizes=(size,)))
+        assert not row.converged and row.iterations is None
 
     def test_run_invalid_input_exit_code(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aap import problems
 from aap.fixed_point import evaluate_residual
 from aap.problems import (
+    MAX_SIZE,
     PROBLEM_NAMES,
     ResourceLimit,
     _component_stiffness,
@@ -123,9 +125,9 @@ class TestSineSolver:
 
     def test_inverts_p_laplacian(self):
         lap = dense_laplacian_2d(7, 1.0 / 8)
-        problem = make_p_laplacian(9)
+        problem = make_p_laplacian(9, init="poisson")
         ones = np.ones(lap.shape[0])
-        assert _relres(lap, problem.data["poisson_solution"], ones) <= 1e-13
+        assert _relres(lap, problem.initial_state, ones) <= 1e-13
         # At q = 2, beta T(u) solves -Lap w = F(u).
         problem = make_p_laplacian(9, q=2.0, beta=4.0)
         u = np.random.default_rng(9).standard_normal(lap.shape[0])
@@ -147,44 +149,25 @@ class TestSaddle:
             assert problem.dimension == n_u + n_v + n_p
 
     def test_system_is_canonical_and_exact(self):
-        # The system is assembled from index arrays straight into CSR, each
-        # row's entries in column order and with no sort or duplicate pass;
-        # it must come out with sorted, unduplicated indices, and its entries
-        # (4, -1, +-h and the grounding h^2) must equal the dense
-        # assembly's exactly. The forcing goes through a vectorised sine,
-        # which rounds differently from the scalar one at some sizes.
+        # The system is assembled from ELLPACK-style row slots and converted
+        # to CSR once, each row's entries in column order and with no sort
+        # or duplicate pass; it must come out with sorted, unduplicated
+        # indices, and its entries (4, -1, +-h and the grounding h^2) must
+        # equal the dense assembly's exactly, its velocity block and
+        # continuity rows included. The forcing goes through a vectorised
+        # sine, which rounds differently from the scalar one at some sizes.
         for npts in (3, 4, 5, 9, 17):
-            problem = make_saddle_point(npts)
-            system = problem.data["system"]
-            oracle, rhs, n_u, n_v, n_p = dense_saddle_system(npts)
+            system = make_saddle_point(npts).data["system"]
+            oracle = dense_saddle_system(npts)[0]
             assert system.format == "csr" and system.has_canonical_format
             np.testing.assert_array_equal(system.toarray(), oracle)
-            # The grounded last cell keeps its divergence row in B.
-            np.testing.assert_array_equal(
-                problem.data["divergence"].toarray()[:-1],
-                oracle[n_u + n_v : -1, : n_u + n_v],
-            )
-
-    def test_reference_data_are_the_systems_blocks(self):
-        # The stiffness and divergence that checks read are the system's
-        # own blocks, entry for entry. Only the system's last row is
-        # grounded, so B's last row is not compared.
-        for npts in range(3, 18):
-            data = make_saddle_point(npts).data
-            system = data["system"]
-            n_vel = data["stiffness"].shape[0]
-            for block, part in ((data["stiffness"], system[:n_vel, :n_vel]),
-                                (data["divergence"][:-1], system[n_vel:-1, :n_vel])):
-                assert block.shape == part.shape and block.nnz == part.nnz
-                np.testing.assert_array_equal(block.toarray(), part.toarray())
 
     def test_system_stores_no_zero(self):
         # A lattice side of 2 once made the velocity stiffness, and so the
         # system, store explicit zeros (8 of 95 entries at size 4).
         for npts in range(3, 18):
-            data = make_saddle_point(npts).data
-            for name in ("system", "stiffness"):
-                assert np.count_nonzero(data[name].data == 0) == 0, (npts, name)
+            system = make_saddle_point(npts).data["system"]
+            assert np.count_nonzero(system.data == 0) == 0, npts
 
     # SHA-256 prefixes of the system's indptr and indices (as int64) and
     # data. The benchmark's saddle solves converge or not on the last bit
@@ -225,7 +208,8 @@ class TestSaddle:
 
     def test_velocity_block_symmetric_positive_definite(self):
         problem = make_saddle_point(9)
-        k = problem.data["stiffness"].toarray()
+        n_vel = dict(problem.fields)["velocity"][1]
+        k = problem.data["system"][:n_vel, :n_vel].toarray()
         np.testing.assert_allclose(k, k.T, rtol=0, atol=0)
         assert np.linalg.eigvalsh(k).min() > 0
 
@@ -234,13 +218,14 @@ class TestSaddle:
         report = solve(problem, SolverConfig(rel_tolerance=1e-10))
         assert report.converged
         n_vel = dict(problem.fields)["velocity"][1]
-        div = problem.data["divergence"] @ report.final_state[:n_vel]
-        # the grounded cell replaces one continuity row; drop it
-        assert np.abs(div[:-1]).max() < 1e-8
+        # The continuity rows but the last, which grounds the pressure.
+        div = problem.data["system"][n_vel:-1, :n_vel] @ report.final_state[:n_vel]
+        assert np.abs(div).max() < 1e-8
 
     def test_size_cap(self):
+        assert MAX_SIZE["saddle"] == 65
         with pytest.raises(ResourceLimit):
-            make_saddle_point(66)
+            build_problem("saddle", 66)
 
 
 class TestPLaplacian:
@@ -271,9 +256,10 @@ class TestPLaplacian:
         assert np.abs(raw(report.final_state)).max() < 1e-9
 
     def test_poisson_init(self):
+        # The unit-forcing Poisson solve, by the residual's own sine solver.
         problem = make_p_laplacian(9, init="poisson")
         np.testing.assert_array_equal(
-            problem.initial_state, problem.data["poisson_solution"]
+            problem.initial_state, sine_solver((7, 7), 64.0)(np.ones(49))
         )
         assert make_p_laplacian(9).initial_state is None
 
@@ -430,6 +416,21 @@ class TestBuildProblem:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             build_problem("heat", 9)
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_size_above_cap_refused_before_building(self, name, monkeypatch):
+        # The builders are replaced, so a size past the cap fails here
+        # without allocating; the cap itself must still build.
+        built = []
+        for builder in ("make_linear", "make_saddle_point", "make_p_laplacian",
+                        "make_bidomain_toy"):
+            monkeypatch.setattr(problems, builder,
+                                lambda size, **kw: built.append(size))
+        cap = MAX_SIZE[name]
+        with pytest.raises(ResourceLimit, match=f"{name} size limited to {cap}"):
+            build_problem(name, cap + 1)
+        build_problem(name, cap)
+        assert built == [cap]
 
     def test_init_only_for_plaplace(self):
         assert build_problem("plaplace", 7, init="poisson").initial_state is not None

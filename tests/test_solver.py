@@ -2,8 +2,6 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -11,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from aap import lsq
 from aap.bench import load_trace, verify_theorem_trace, write_trace
@@ -344,7 +343,7 @@ class TestSolve:
         assert len(report.mask_trace) <= 3
         np.testing.assert_allclose(
             report.final_state,
-            problem.data["poisson_solution"],
+            make_p_laplacian(9, init="poisson").initial_state,
             rtol=1e-8,
             atol=1e-12,
         )
@@ -664,12 +663,15 @@ def _hex(value):
     return None if value is None else float(value).hex()
 
 
-def pinned_solve(problem, size, mask, adaptivity):
+def _pinned_report(problem, size, mask, adaptivity):
+    built = build_problem(problem, size)
+    return built, solve(built, SolverConfig(static_mask=mask,
+                                            adaptivity=adaptivity, rng_seed=1))
+
+
+def pinned_facts(report):
     """The pinned facts of one solve: its residual history and every field
     of every MixingStep, floats as exact hex strings."""
-    report = solve(build_problem(problem, size),
-                   SolverConfig(static_mask=mask, adaptivity=adaptivity,
-                                rng_seed=1))
     return {
         "iterations": report.iterations,
         "residual_history": [_hex(v) for v in report.residual_history],
@@ -677,6 +679,10 @@ def pinned_solve(problem, size, mask, adaptivity):
                    _hex(rec.sigma_min), _hex(rec.eps_rhs)]
                   for rec in report.mask_trace],
     }
+
+
+def pinned_solve(*case):
+    return pinned_facts(_pinned_report(*case)[1])
 
 
 @pytest.mark.parametrize("case", PINNED_CASES, ids=pin_key)
@@ -693,32 +699,29 @@ BENCHMARK_PIN_PATH = os.path.join(os.path.dirname(__file__), "data",
                                   "benchmark-pin.json")
 
 
-def pinned_digest(case):
-    """SHA-256 of `pinned_solve`'s facts for ``case``, as sorted JSON."""
-    doc = json.dumps(pinned_solve(*case), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+def benchmark_solve(case):
+    """What the tests check of one of criterion 10's solves: the SHA-256 of
+    its `pinned_facts` as sorted JSON, its iterations, whether it
+    converged, and for a saddle its relative distance to a direct solve of
+    the assembled system."""
+    problem, report = _pinned_report(*case)
+    error = None
+    if "system" in problem.data:
+        direct = spsolve(problem.data["system"].tocsc(), problem.data["rhs"])
+        error = float(np.linalg.norm(report.final_state - direct)
+                      / np.linalg.norm(direct))
+    doc = json.dumps(pinned_facts(report), sort_keys=True)
+    return {"digest": hashlib.sha256(doc.encode()).hexdigest(),
+            "iterations": report.iterations, "converged": report.converged,
+            "direct_error": error}
 
 
-def test_benchmark_cases_are_bitwise():
-    # benchmark-pin.json holds `pinned_digest` of each of criterion 10's
-    # cases (the benchmark's sketched solves), written on an earlier build.
-    # Saddle-65's iterates depend on the number of BLAS threads, so the
-    # solves run in a child with one, as the benchmark runs them.
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    code = ("import json\n"
-            "from test_acceptance import BENCHMARK_CASES\n"
-            "from test_solver import pin_key, pinned_digest\n"
-            "print(json.dumps({pin_key(c): pinned_digest(c) "
-            "for c in BENCHMARK_CASES}))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
+def test_benchmark_cases_are_bitwise(benchmark_solves):
+    # benchmark-pin.json holds the digest of each of criterion 10's cases
+    # (the benchmark's sketched solves), written on an earlier build.
     with open(BENCHMARK_PIN_PATH) as fh:
-        assert json.loads(child.stdout) == json.load(fh)
+        pin = json.load(fh)
+    assert {key: got["digest"] for key, got in benchmark_solves.items()} == pin
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,20 +2,20 @@
 
 Two jobs live here because they share the same output conventions:
 
-* `run_experiment` executes a plan (a cross product of masks, adaptivity
-  strategies, and alternation values over a size grid) and collects one
-  record per run. Tables are CSV with a JSON metadata sidecar.
+* `run_experiment` executes a JSON plan (`load_plan`: a cross product of
+  masks, adaptivity strategies and alternation values over a size grid)
+  and collects one record per run; `write_result` writes a JSON result.
 * `write_trace` / `load_trace` / `verify_theorem_trace` store a traced
   solve as a numpy archive (format ``aap-trace-5``: a JSON header, the
   arrays of its `Trace` and one array per `MixingStep` field), read back
   the same records and `Trace`, and recheck the perturbation bound against
   them offline.
 
-Plans, tables and trace records are read and written field by field from
-their dataclasses, so each format is spelled out once.
+Plans, result rows and trace records are read and written field by field
+from their dataclasses, so each format is spelled out once.
 
-Tables and traces never contain wall-clock values in deterministic fields;
-timing lives in clearly named columns that consumers are free to ignore.
+Results and traces never contain wall-clock values in deterministic fields;
+timing lives in clearly named fields that consumers are free to ignore.
 """
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ import itertools
 import json
 import math
 import os
+import sys
 import zipfile
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,13 +54,7 @@ BOUND_SLACK = 1e-10
 
 
 class ParseError(ValueError):
-    """Malformed plan or trace input; carries a line number when known."""
-
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
+    """Malformed plan or trace input."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,8 @@ class ExperimentPlan:
 
 @dataclass
 class RunRecord:
-    """One row of an experiment table."""
+    """One row of an experiment result. ``wall_times_seconds`` holds the
+    wall time of each timed solve, and is empty when none finished."""
 
     problem: str
     size: int
@@ -120,69 +116,68 @@ class RunRecord:
     seed: int
     iterations: int | None
     converged: bool
-    wall_time_seconds: float | None
+    wall_times_seconds: list[float]
     best: bool = False
 
 
-def _read_value(kind: str, text: str):
-    """A plan value or table cell of a field annotated ``kind``: a tuple is
-    comma separated, and an optional field is None when empty or "none"."""
-    if kind.endswith(" | None") and text in ("", "none"):
+# The JSON types a plan value of each kind may have (a bool is no number).
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "bool": (bool,)}
+
+
+def _plan_value(kind: str, value):
+    """A plan value of a field annotated ``kind``: a tuple is a JSON list,
+    an optional field may be null, and a float field takes an integer."""
+    if value is None and kind.endswith(" | None"):
         return None
     kind = kind.removesuffix(" | None")
-    if kind.startswith("tuple["):
+    if kind.startswith("tuple[") and isinstance(value, list):
         item = kind.removeprefix("tuple[").removesuffix(", ...]")
-        return tuple(_read_value(item, v.strip()) for v in text.split(","))
-    if kind == "bool":
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {text!r}")
-        return text == "true"
-    return {"int": int, "float": float, "str": str}[kind](text)
+        return tuple(_plan_value(item, v) for v in value)
+    if type(value) not in _JSON_TYPES.get(kind, ()):
+        raise ValueError(f"expected {kind}, got {json.dumps(value)[:40]}")
+    return float(value) if kind == "float" else value
 
 
-def _write_value(value) -> str:
-    """A table cell: empty for None, true or false for a bool. A float's
-    str is its repr, so `load_table` reads back the same value."""
-    if value is None:
-        return ""
-    return str(value).lower() if isinstance(value, bool) else str(value)
+def _unique_object(pairs: list) -> dict:
+    """A JSON object that refuses a repeated key (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
-# Plan keys are the plan's field names, but for one alias.
-_PLAN_KEYS = {{"adaptivities": "adapt"}.get(f.name, f.name): f
-              for f in fields(ExperimentPlan)}
+def load_plan(data: bytes) -> ExperimentPlan:
+    """Read a plan: one UTF-8 JSON object whose keys are `ExperimentPlan`
+    field names, with JSON lists for the tuple fields. An absent ``traces``
+    defaults to ``<out>.traces`` when ``out`` is set; null skips traces.
 
-
-def parse_plan(text: str) -> ExperimentPlan:
-    """Parse a plain key = value plan file.
-
-    Lists are comma separated, `#` starts a comment, and unknown keys are
-    rejected with their line number.
+    Raises ParseError for bytes that are not UTF-8 JSON, a document that is
+    not an object, an unknown, repeated or missing key, a value of the wrong
+    JSON type, and a plan that breaks an `ExperimentPlan` invariant.
     """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key = value, got {line!r}", lineno)
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _PLAN_KEYS:
-            raise ParseError(f"unknown key {key!r}", lineno)
-        f = _PLAN_KEYS[key]
-        if f.name in values:
-            raise ParseError(f"duplicate key {key!r}", lineno)
+    try:
+        values = json.loads(data.decode(), object_pairs_hook=_unique_object)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+    if not isinstance(values, dict):
+        raise ParseError("plan is not a JSON object")
+    kinds = {f.name: f.type for f in fields(ExperimentPlan)}
+    for key, value in values.items():
+        if key not in kinds:
+            raise ParseError(f"unknown key {key!r}")
         try:
-            values[f.name] = _read_value(f.type, val.strip())
-        except ValueError as exc:
-            raise ParseError(f"{key}: {exc}", lineno) from exc
-    for key, f in _PLAN_KEYS.items():
+            values[key] = _plan_value(kinds[key], value)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{key}: {exc}") from exc
+    for f in fields(ExperimentPlan):
         if f.default is MISSING and f.name not in values:
-            raise ParseError(f"plan is missing {key!r}")
+            raise ParseError(f"plan is missing {f.name!r}")
     if "traces" not in values and values.get("out") is not None:
-        # A table-writing sweep keeps per-run traces next to the table
-        # unless the plan says traces = none.
+        # A sweep that writes its result keeps per-run traces next to it
+        # unless the plan sets traces to null.
         values["traces"] = values["out"] + ".traces"
     return ExperimentPlan(**values)
 
@@ -201,8 +196,8 @@ def _plan_config(plan: ExperimentPlan, mask: str, adapt: str, p: int) -> SolverC
 
 
 def run_record(problem: str, size: int, config: SolverConfig,
-               report: SolveReport | None, wall_time: float | None) -> RunRecord:
-    """The table row of a solve of ``problem`` at ``size`` under ``config``.
+               report: SolveReport | None, wall_times: list[float]) -> RunRecord:
+    """The result row of a solve of ``problem`` at ``size`` under ``config``.
 
     ``report`` is None for a run that failed before it solved, and may be
     the partial report of a breakdown.
@@ -219,20 +214,20 @@ def run_record(problem: str, size: int, config: SolverConfig,
         seed=config.rng_seed,
         iterations=None if report is None else report.iterations,
         converged=report is not None and report.converged,
-        wall_time_seconds=wall_time,
+        wall_times_seconds=wall_times,
     )
 
 
 def run_solve(problem, config: SolverConfig, trace: str | None = None,
-              repetitions: int = 1) -> tuple[SolveReport, float]:
-    """Solve ``problem`` under ``config``: (report, wall time).
+              repetitions: int = 1) -> tuple[SolveReport, list[float]]:
+    """Solve ``problem`` under ``config``: (report, wall times).
 
     With a ``trace`` path it first solves once with the trace captured and
     writes it there, a breakdown's partial trace included. It then makes
     ``repetitions`` untraced solves and returns the last report with the
-    least of their wall times. A
-    `NumericalBreakdown` propagates with its partial report attached;
-    tracing moves no iterate, so a traced solve's breakdown skips the rest.
+    wall time of each. A `NumericalBreakdown` propagates with its partial
+    report attached; tracing moves no iterate, so a traced solve's
+    breakdown skips the rest.
     """
     if trace is not None:
         report = None
@@ -244,11 +239,11 @@ def run_solve(problem, config: SolverConfig, trace: str | None = None,
         finally:
             if report is not None:
                 write_trace(report, trace)
-    wall = math.inf
+    walls = []
     for _ in range(repetitions):
         report = solve(problem, config, capture_trace=False)
-        wall = min(wall, report.wall_time_seconds)
-    return report, wall
+        walls.append(report.wall_time_seconds)
+    return report, walls
 
 
 def _run_one(plan: ExperimentPlan, problem, size: int, mask: str, adapt: str,
@@ -258,18 +253,19 @@ def _run_one(plan: ExperimentPlan, problem, size: int, mask: str, adapt: str,
     to build; such a cell, a solve that rejects its input and a breakdown
     become failed rows."""
     config = _plan_config(plan, mask, adapt, p)
-    report = wall = trace = None
+    report = trace = None
+    walls = []
     if plan.traces is not None:
         trace = os.path.join(plan.traces,
                              f"{plan.problem}-{size}-{mask}-{adapt}-p{p}.npz")
     try:
         if problem is not None:
-            report, wall = run_solve(problem, config, trace, plan.repetitions)
+            report, walls = run_solve(problem, config, trace, plan.repetitions)
     except NumericalBreakdown as exc:
         report = exc.report
     except ValueError:
         pass
-    return run_record(plan.problem, size, config, report, wall)
+    return run_record(plan.problem, size, config, report, walls)
 
 
 def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
@@ -279,7 +275,7 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
     non-converged rows. Each size's problem is built once, and every mask
     is looked up in it before any of its cells solves, so a mask the
     problem has no field for raises UnknownField before the first solve,
-    as an unwritable table or traces path raises OSError (`prepare_output`).
+    as an unwritable result or traces path raises OSError (`prepare_output`).
     When the plan names a traces directory, each cell's trace, a
     breakdown's included, is written there as soon as its traced solve
     ends, so only one traced report is held at a time.
@@ -302,21 +298,8 @@ def run_experiment(plan: ExperimentPlan) -> list[RunRecord]:
         for size in plan.sizes:
             done = [r for r in records if r.size == size and r.converged]
             if done:
-                min(done, key=lambda r: r.wall_time_seconds).best = True
+                min(done, key=lambda r: min(r.wall_times_seconds)).best = True
     return records
-
-
-_TABLE_COLUMNS = tuple(f.name for f in fields(RunRecord))
-
-
-def format_table(records: list[RunRecord]) -> str:
-    """CSV text for records, header included, one column per RunRecord
-    field; `load_table` reproduces the in-memory records exactly."""
-    lines = [",".join(_TABLE_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_write_value(getattr(rec, name))
-                              for name in _TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
 
 
 def prepare_output(path: str | None, directory: bool = False):
@@ -330,41 +313,18 @@ def prepare_output(path: str | None, directory: bool = False):
             raise OSError(f"cannot write {path!r}")
 
 
-def write_table(records: list[RunRecord], path: str, meta: dict | None = None):
-    """Write records as CSV plus a `.meta.json` sidecar, making the
-    directory if need be."""
+def write_result(records: list[RunRecord], meta: dict, path: str | None):
+    """Write ``{"meta": meta, "rows": [...]}``, one row of RunRecord fields
+    per record, as JSON to ``path``, making its directory if need be, or to
+    stdout when ``path`` is None."""
+    doc = {"meta": meta, "rows": [asdict(rec) for rec in records]}
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     prepare_output(path)
     with open(path, "w") as fh:
-        fh.write(format_table(records))
-    sidecar = dict(meta or {})
-    sidecar.setdefault("columns", list(_TABLE_COLUMNS))
-    sidecar.setdefault("rows", len(records))
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_table(path: str) -> list[RunRecord]:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != ",".join(_TABLE_COLUMNS):
-        raise ParseError("unrecognized table header", lineno=1)
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(_TABLE_COLUMNS):
-            raise ParseError(
-                f"expected {len(_TABLE_COLUMNS)} columns, got {len(parts)}",
-                lineno,
-            )
-        try:
-            records.append(RunRecord(*(
-                _read_value(f.type, cell)
-                for f, cell in zip(fields(RunRecord), parts)
-            )))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    return records
+        fh.write(text)
 
 
 def write_trace(report: SolveReport, path: str):
@@ -701,8 +661,14 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
 
 
 def build_meta(extra: dict | None = None) -> dict:
-    """Common sidecar metadata: versions and the package name."""
+    """A result's metadata: the package name, its numpy and scipy versions,
+    the CPU count, and each BLAS thread variable's value (None when unset),
+    then ``extra``."""
+    import scipy
+
     from . import __version__
 
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {"package": "aap", "version": __version__, "numpy": np.__version__,
-            **(extra or {})}
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in threads}, **(extra or {})}

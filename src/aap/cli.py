@@ -3,13 +3,13 @@
 Subcommands:
 
 * `aap run` solves one problem instance and optionally writes a one-row
-  result table and a step trace.
-* `aap sweep` executes a plan file (a cross product of configurations),
-  one cell at a time, and writes or prints the result table.
+  JSON result and a step trace.
+* `aap sweep` executes a JSON plan (a cross product of configurations),
+  one cell at a time, and writes or prints a result of one row per cell.
 * `aap verify-trace` rechecks the stability bound recorded in a trace.
 
 `aap run` and every sweep cell solve through `bench.run_solve`, so a row's
-wall time means the same in both: that of an untraced solve, any trace
+wall times mean the same in both: those of untraced solves, any trace
 coming from a solve of its own.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
@@ -26,15 +26,14 @@ from collections import Counter
 from .bench import (
     ParseError,
     build_meta,
-    format_table,
+    load_plan,
     load_trace,
-    parse_plan,
     prepare_output,
     run_experiment,
     run_record,
     run_solve,
     verify_theorem_trace,
-    write_table,
+    write_result,
 )
 from .fixed_point import NumericalBreakdown, UnknownField, field_rows
 from .problems import PROBLEM_NAMES, ResourceLimit, build_problem
@@ -75,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the step trace here, as an npz archive "
                           "(the name is kept as given)")
     run.add_argument("--out", default=None, metavar="PATH",
-                     help="write a one-row result table here")
+                     help="write a one-row JSON result here")
 
-    sweep = sub.add_parser("sweep", help="run a plan file")
+    sweep = sub.add_parser("sweep", help="run a JSON plan file")
     sweep.add_argument("--plan", required=True, metavar="FILE")
 
     verify = sub.add_parser("verify-trace",
@@ -110,18 +109,18 @@ def _cmd_run(args) -> int:
     prepare_output(args.out)
     prepare_output(args.trace)
     try:
-        report, wall_time = run_solve(problem, config, args.trace)
+        report, wall_times = run_solve(problem, config, args.trace)
     except NumericalBreakdown as exc:
         # The partial report of a breakdown still makes a summary and a
         # (failed) row; a breakdown at the initial guess has no report.
         print(f"breakdown: {exc}", file=sys.stderr)
-        report, wall_time = exc.report, None
+        report, wall_times = exc.report, []
     if report is not None:
         _print_summary(report)
 
     if args.out is not None:
-        record = run_record(args.problem, args.size, config, report, wall_time)
-        write_table([record], args.out, meta=build_meta({"seed": args.seed}))
+        record = run_record(args.problem, args.size, config, report, wall_times)
+        write_result([record], build_meta({"seed": args.seed}), args.out)
     return 0 if report is not None and report.converged else 1
 
 
@@ -146,20 +145,18 @@ def _print_summary(report) -> None:
 
 def _cmd_sweep(args) -> int:
     try:
-        with open(args.plan) as fh:
-            plan = parse_plan(fh.read())
+        with open(args.plan, "rb") as fh:
+            plan = load_plan(fh.read())
         records = run_experiment(plan)
     except (ParseError, UnknownField) as exc:
         print(f"error: {args.plan}: {exc.args[0]}", file=sys.stderr)
         return 2
     meta = build_meta({"plan": args.plan, "seed": plan.seed,
                        "repetitions": plan.repetitions})
+    write_result(records, meta, plan.out)
     if plan.out is not None:
-        write_table(records, plan.out, meta=meta)
         converged = sum(1 for r in records if r.converged)
         print(f"{len(records)} rows ({converged} converged) -> {plan.out}")
-    else:
-        sys.stdout.write(format_table(records))
     return 0
 
 

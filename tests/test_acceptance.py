@@ -14,20 +14,13 @@ import json
 import os
 import time
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 from oracles import gmres_iterates, matches_plain_loop, recording
 from scipy.linalg import svdvals
 
 import aap
-from aap.bench import (
-    RunRecord,
-    format_table,
-    load_table,
-    verify_theorem_trace,
-    write_trace,
-)
+from aap.bench import RunRecord, verify_theorem_trace, write_trace
 from aap.cli import main
 from aap.fixed_point import NumericalBreakdown, evaluate_residual
 from aap.problems import build_problem, make_linear
@@ -385,10 +378,10 @@ def _direct_solve(name, size, mask, adapt, p):
 
 def test_criterion_8_sweep_surface(tmp_path, capsys):
     # `aap sweep` is the package's one timing surface. At the smallest
-    # sizes its table must round-trip and match its sidecar, hold one row
-    # per cell in plan order, and agree with direct solves, breakdowns
-    # included; every cell's trace, a breakdown's partial one included,
-    # must verify. No timing is asserted.
+    # sizes its JSON result must hold its meta and one row of RunRecord
+    # fields per cell in plan order, and agree with direct solves,
+    # breakdowns included; every cell's trace, a breakdown's partial one
+    # included, must verify. No timing is asserted.
     t0 = time.perf_counter()
     bad = []
     cells_total = matched = verified = 0
@@ -398,19 +391,20 @@ def test_criterion_8_sweep_surface(tmp_path, capsys):
         cells = [(mask, adapt, p) for mask in masks
                  for adapt in ("none", "subselect-power") for p in (1, 2)]
         cells_total += len(cells)
-        out = tmp_path / f"{name}.csv"
-        plan = tmp_path / f"{name}.plan"
-        plan.write_text(
-            f"problem = {name}\nsizes = {size}\nmasks = {', '.join(masks)}\n"
-            f"adapt = none, sub-pow\nalternations = 1, 2\nout = {out}\n"
-        )
+        out = tmp_path / f"{name}.json"
+        plan = tmp_path / f"{name}.plan.json"
+        plan.write_text(json.dumps({
+            "problem": name, "sizes": [size], "masks": list(masks),
+            "adaptivities": ["none", "sub-pow"], "alternations": [1, 2],
+            "out": str(out),
+        }))
         if main(["sweep", "--plan", str(plan)]) != 0:
             bad.append(f"{name}: sweep failed")
             continue
-        rows = load_table(str(out))
-        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
-        if format_table(rows) != out.read_text() or meta["rows"] != len(rows):
-            bad.append(f"{name}: table does not round-trip")
+        doc = json.loads(out.read_text())
+        rows = [RunRecord(**row) for row in doc["rows"]]
+        if doc["meta"].get("package") != "aap" or len(doc) != 2:
+            bad.append(f"{name}: result is not one meta and its rows")
         if [(r.problem, r.size, r.mask, r.adaptivity, r.alternation)
                 for r in rows] != [(name, size, *cell) for cell in cells]:
             bad.append(f"{name}: rows are not the plan's cells")
@@ -449,33 +443,25 @@ def test_criterion_9_cli_determinism(tmp_path):
         "run", "--problem", "saddle", "--size", "17",
         "--mask", "pressure", "--adapt", "rand-const", "--seed", "11",
     ]
-    tables = []
+    results = []
     traces = []
     for label in ("a", "b"):
-        table = tmp_path / f"{label}.csv"
-        trace = tmp_path / f"{label}.json"
-        code = main(flags + ["--out", str(table), "--trace", str(trace)])
+        result = tmp_path / f"{label}.json"
+        trace = tmp_path / f"{label}.npz"
+        code = main(flags + ["--out", str(result), "--trace", str(trace)])
         assert code == 0
-        tables.append(table.read_bytes())
+        doc = json.loads(result.read_text())
+        for row in doc["rows"]:
+            del row["wall_times_seconds"]
+        results.append(doc)
         traces.append(trace.read_bytes())
 
-    wall_col = [f.name for f in fields(RunRecord)].index("wall_time_seconds")
-
-    def strip_timing(raw):
-        lines = raw.decode().splitlines()
-        rows = [line.split(",") for line in lines[1:]]
-        for row in rows:
-            row[wall_col] = ""
-        return lines[0], rows
-
-    ok = traces[0] == traces[1] and strip_timing(tables[0]) == strip_timing(
-        tables[1]
-    )
+    ok = traces[0] == traces[1] and results[0] == results[1]
     _verdict(
         9,
         ok,
-        "repeated run: traces byte-identical, tables identical outside "
-        "the wall-time field",
+        "repeated run: traces byte-identical, results identical outside "
+        "the wall-times field",
     )
 
 

@@ -1,10 +1,13 @@
-"""Plan parsing, the experiment driver, traces, the verifier and the CLI."""
+"""Plan loading, the experiment driver, traces, the verifier and the CLI."""
 import contextlib
 import io
 import json
 import os
+import re
 import warnings
 import zipfile
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +19,12 @@ from aap.bench import (
     ExperimentPlan,
     ParseError,
     RunRecord,
-    load_table,
+    build_meta,
+    load_plan,
     load_trace,
-    parse_plan,
     run_experiment,
     verify_theorem_trace,
-    write_table,
+    write_result,
     write_trace,
     _read_trace,
     _save_trace,
@@ -33,9 +36,14 @@ from aap.sketching import Adaptivity, sketch_size
 from aap.solver import SolverConfig, solve
 
 
+def plan_json(**values) -> bytes:
+    """The bytes of a JSON plan with these keys."""
+    return json.dumps(values).encode()
+
+
 class TestParsePlan:
     def test_minimal(self):
-        plan = parse_plan("problem = linear\nsizes = 10, 20\n")
+        plan = load_plan(b'{"problem": "linear", "sizes": [10, 20]}')
         assert plan.problem == "linear"
         assert plan.sizes == (10, 20)
         assert plan.masks == ("none",)
@@ -44,24 +52,25 @@ class TestParsePlan:
         assert plan.repetitions == 1
 
     def test_full(self):
-        text = """
-        # comment line
-        problem = saddle
-        sizes = 9, 17        # inline comment
-        masks = none, pressure
-        adapt = none, sub-pow, rand-const
-        alternations = 1, 2, 3, 4
-        sketch = 25
-        window = 12
-        tol = 1e-8
-        max_iterations = 500
-        repetitions = 2
-        seed = 7
-        best = true
-        out = /tmp/table.csv
-        traces = none
+        text = b"""
+        {
+          "problem": "saddle",
+          "sizes": [9, 17],
+          "masks": ["none", "pressure"],
+          "adaptivities": ["none", "sub-pow", "rand-const"],
+          "alternations": [1, 2, 3, 4],
+          "sketch": 25,
+          "window": 12,
+          "tol": 1e-8,
+          "max_iterations": 500,
+          "repetitions": 2,
+          "seed": 7,
+          "best": true,
+          "out": "/tmp/result.json",
+          "traces": null
+        }
         """
-        plan = parse_plan(text)
+        plan = load_plan(text)
         assert plan.masks == ("none", "pressure")
         assert plan.adaptivities == (
             "none", "subselect-power", "randomized-constant"
@@ -69,72 +78,159 @@ class TestParsePlan:
         assert plan.alternations == (1, 2, 3, 4)
         assert plan.window == 12 and plan.seed == 7 and plan.best
         assert plan.traces is None
+        # A float field takes a JSON integer and keeps a float.
+        assert type(plan.sketch) is float and plan.sketch == 25.0
 
-    def test_unknown_key_reports_line(self):
-        for key in ("colour = red", "workers = 2"):
-            with pytest.raises(ParseError, match="unknown key") as info:
-                parse_plan(f"problem = linear\nsizes = 4\n{key}\n")
-            assert info.value.lineno == 3
+    def test_readme_plan_loads(self):
+        # The README's one fenced json block, its plan example, is a valid
+        # plan, so the documented format cannot drift from the loader.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [block] = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+        plan = load_plan(block.encode())
+        assert plan.problem == "saddle" and plan.masks == ("none", "pressure")
+
+    def test_unknown_key_rejected(self):
+        # The alias "adapt" is gone: a plan key is a field name.
+        for key in ("colour", "workers", "adapt"):
+            with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+                load_plan(plan_json(problem="linear", sizes=[4], **{key: 2}))
 
     def test_duplicate_key(self):
-        with pytest.raises(ParseError):
-            parse_plan("problem = linear\nproblem = saddle\nsizes = 4\n")
+        with pytest.raises(ParseError, match="duplicate key 'problem'"):
+            load_plan(b'{"problem": "linear", "problem": "saddle", '
+                      b'"sizes": [4]}')
 
     def test_missing_required_keys(self):
-        with pytest.raises(ParseError):
-            parse_plan("problem = linear\n")
-        with pytest.raises(ParseError):
-            parse_plan("sizes = 4\n")
+        with pytest.raises(ParseError, match="missing 'sizes'"):
+            load_plan(plan_json(problem="linear"))
+        with pytest.raises(ParseError, match="missing 'problem'"):
+            load_plan(plan_json(sizes=[4]))
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(ParseError) as info:
-            parse_plan("problem = linear\nsizes = ten\n")
-        assert info.value.lineno == 2
+        # Malformed JSON reports its line and column; a value of the wrong
+        # JSON type names its key. A bool is not a number here.
+        with pytest.raises(ParseError, match="line 2 column 11"):
+            load_plan(b'{"problem": "linear",\n "sizes": ten}')
+        for key, value in (("sizes", "ten"), ("sizes", [4, "5"]),
+                           ("sizes", 4), ("sizes", [True]), ("seed", False),
+                           ("sketch", True), ("best", 1), ("masks", "none"),
+                           ("window", 2.0), ("out", 3)):
+            values = {"problem": "linear", "sizes": [4], key: value}
+            with pytest.raises(ParseError, match=f"^{key}: expected"):
+                load_plan(plan_json(**values))
+        with pytest.raises(ParseError, match="sketch: "):
+            load_plan(b'{"problem": "linear", "sizes": [4], "sketch": 1'
+                      + b"0" * 400 + b"}")
 
     def test_missing_equals(self):
-        with pytest.raises(ParseError) as info:
-            parse_plan("problem linear\n")
-        assert info.value.lineno == 1
+        # The JSON counterpart of a line without "=": a key without ":".
+        with pytest.raises(ParseError, match="line 1 column 12"):
+            load_plan(b'{"problem" "linear"}')
+
+    def test_not_a_plan_object(self):
+        for data in (b"[]", b'"linear"', b"null", b"", b"{} {}"):
+            with pytest.raises(ParseError):
+                load_plan(data)
+        with pytest.raises(ParseError, match="utf-8"):
+            load_plan(b'{"problem": "linear", "sizes": [4\xff]}')
+        with pytest.raises(ParseError, match="BOM"):
+            load_plan(b"\xef\xbb\xbf" + plan_json(problem="linear", sizes=[4]))
+        with pytest.raises(ParseError):
+            load_plan(b"[" * 100_000 + b"]" * 100_000)
 
     def test_traces_default_next_to_table(self):
-        plan = parse_plan("problem = linear\nsizes = 4\nout = /tmp/t.csv\n")
-        assert plan.traces == "/tmp/t.csv.traces"
-        bare = parse_plan("problem = linear\nsizes = 4\n")
+        plan = load_plan(plan_json(problem="linear", sizes=[4],
+                                   out="/tmp/t.json"))
+        assert plan.traces == "/tmp/t.json.traces"
+        bare = load_plan(plan_json(problem="linear", sizes=[4]))
         assert bare.traces is None
+        skipped = load_plan(plan_json(problem="linear", sizes=[4],
+                                      out="/tmp/t.json", traces=None))
+        assert skipped.traces is None
 
     def test_adapt_aliases(self):
         # A plan takes short and full names and keeps the full ones.
-        plan = parse_plan("problem = linear\nsizes = 4\n"
-                          "adapt = sub-pow, rand-const, none, subselect-power\n")
+        plan = load_plan(plan_json(
+            problem="linear", sizes=[4],
+            adaptivities=["sub-pow", "rand-const", "none", "subselect-power"]))
         assert plan.adaptivities == ("subselect-power", "randomized-constant",
                                      "none", "subselect-power")
         with pytest.raises(ValueError):
             Adaptivity("sub-geo")
         with pytest.raises(ParseError, match="sub-geo"):
-            parse_plan("problem = linear\nsizes = 4\nadapt = sub-geo\n")
+            load_plan(plan_json(problem="linear", sizes=[4],
+                                adaptivities=["sub-geo"]))
 
     def test_plan_invariants(self):
         with pytest.raises(ParseError):
             ExperimentPlan(problem="linear", sizes=())
         with pytest.raises(ParseError):
             ExperimentPlan(problem="linear", sizes=(4,), repetitions=0)
+        with pytest.raises(ParseError):
+            load_plan(plan_json(problem="linear", sizes=[]))
         # Every cell must make a valid SolverConfig.
         with pytest.raises(ParseError, match="sketch_percent"):
             ExperimentPlan(problem="linear", sizes=(4,), sketch=150.0)
         with pytest.raises(ParseError, match="alternation"):
             ExperimentPlan(problem="linear", sizes=(4,), alternations=(1, 0))
-        for tol in ("inf", "nan"):
+        for tol in (b"Infinity", b"NaN"):
             with pytest.raises(ParseError, match="rel_tolerance"):
-                parse_plan(f"problem = linear\nsizes = 4\ntol = {tol}\n")
+                load_plan(b'{"problem": "linear", "sizes": [4], "tol": '
+                          + tol + b"}")
         # A negative seed once made a failed row of every cell.
         with pytest.raises(ParseError, match="rng_seed"):
-            parse_plan("problem = saddle\nsizes = 9\nseed = -1\n")
+            load_plan(plan_json(problem="saddle", sizes=[9], seed=-1))
         # The problem name is checked when the plan is built, not left to
         # fail each cell as a row.
         with pytest.raises(ParseError, match="unknown problem 'sadle'"):
             ExperimentPlan(problem="sadle", sizes=(9,))
         with pytest.raises(ParseError, match="unknown problem"):
-            parse_plan("problem = sadle\nsizes = 9\n")
+            load_plan(plan_json(problem="sadle", sizes=[9]))
+
+
+# Any JSON document: scalars, lists and objects, some with plan keys.
+_PLAN_KEYS = st.sampled_from([f.name for f in fields(ExperimentPlan)])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8) | st.sampled_from(["linear", "saddle", "sub-pow"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_PLAN_KEYS | st.text(max_size=8), inner, max_size=6),
+    max_leaves=20,
+)
+
+
+class TestLoadPlanProperties:
+    """`load_plan` reads outside input: whatever it is given, it returns
+    an ExperimentPlan or raises ParseError, never anything else."""
+
+    @staticmethod
+    def _load(data: bytes):
+        try:
+            assert isinstance(load_plan(data), ExperimentPlan)
+        except ParseError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"problem": st.sampled_from([*PROBLEM_NAMES, "sadle"]),
+         "sizes": st.lists(st.integers(-1, 65), max_size=3)},
+        optional={f.name: _JSON_VALUES | st.integers(-1, 65)
+                  | st.lists(st.integers(-1, 4), max_size=3)
+                  for f in fields(ExperimentPlan)
+                  if f.name not in ("problem", "sizes")}))
+    def test_any_plan_object(self, values):
+        self._load(json.dumps(values).encode())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_VALUES)
+    def test_any_json_value(self, value):
+        self._load(json.dumps(value).encode())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64) | _JSON_VALUES.map(
+        lambda v: json.dumps(v).encode()[:-1] + b"\xff"))
+    def test_any_bytes(self, data):
+        self._load(data)
 
 
 class TestRunExperiment:
@@ -203,7 +299,7 @@ class TestRunExperiment:
             assert len(marked) == 1
             fastest = min(
                 (r for r in rows if r.converged),
-                key=lambda r: r.wall_time_seconds,
+                key=lambda r: min(r.wall_times_seconds),
             )
             assert marked[0] is fastest
 
@@ -216,7 +312,7 @@ class TestRunExperiment:
         assert all(r.converged and r.iterations for r in records)
 
     def test_traces_written_per_run(self, tmp_path):
-        out = tmp_path / "t.csv"
+        out = tmp_path / "t.json"
         plan = ExperimentPlan(
             problem="saddle",
             sizes=(9,),
@@ -268,7 +364,7 @@ class TestRunExperiment:
             except NumericalBreakdown as exc:
                 direct = exc.report
                 broke += 1
-                assert not rec.converged and rec.wall_time_seconds is None
+                assert not rec.converged and rec.wall_times_seconds == []
             assert rec.iterations == direct.iterations
             write_trace(direct, str(tmp_path / "direct.npz"))
             assert ((traces / name).read_bytes()
@@ -302,52 +398,38 @@ class TestRunExperiment:
 
 
 class TestTableRoundTrip:
-    def test_records_survive_exactly(self, tmp_path):
+    def test_records_survive_exactly(self, tmp_path, monkeypatch):
+        # A result's rows give back the records exactly, each wall time
+        # included, and its meta records the environment.
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
         records = [
             RunRecord(
                 problem="saddle", size=9, mask="pressure",
                 adaptivity="subselect-power", sketch=30.0, window=10,
                 alternation=2, tol=1e-6, seed=3, iterations=48,
-                converged=True, wall_time_seconds=0.012345678901234567,
+                converged=True,
+                wall_times_seconds=[0.012345678901234567, 0.1, 5e-324],
                 best=True,
             ),
             RunRecord(
                 problem="saddle", size=100, mask="none", adaptivity="none",
                 sketch=12.5, window=None, alternation=1, tol=1e-8, seed=0,
-                iterations=None, converged=False, wall_time_seconds=None,
+                iterations=None, converged=False, wall_times_seconds=[],
             ),
         ]
-        path = tmp_path / "table.csv"
-        write_table(records, str(path))
-        assert load_table(str(path)) == records
-        assert path.read_text().splitlines()[1].endswith(
-            ",true,0.012345678901234567,true")
-        meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
-        assert meta["rows"] == 2
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ParseError) as info:
-            load_table(str(path))
-        assert info.value.lineno == 1
-
-    def test_short_row_rejected(self, tmp_path):
-        records = [
-            RunRecord(
-                problem="linear", size=4, mask="none", adaptivity="none",
-                sketch=30.0, window=4, alternation=1, tol=1e-6, seed=0,
-                iterations=3, converged=True, wall_time_seconds=0.1,
-            )
-        ]
-        path = tmp_path / "t.csv"
-        write_table(records, str(path))
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].rsplit(",", 1)[0]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as info:
-            load_table(str(path))
-        assert info.value.lineno == 2
+        path = tmp_path / "result.json"
+        write_result(records, build_meta({"seed": 3}), str(path))
+        doc = json.loads(path.read_text())
+        assert [RunRecord(**row) for row in doc["rows"]] == records
+        assert doc["rows"][0] == asdict(records[0])
+        meta = doc["meta"]
+        assert meta["package"] == "aap" and meta["seed"] == 3
+        assert meta["cpu_count"] == os.cpu_count() and meta["scipy"]
+        assert (meta["OPENBLAS_NUM_THREADS"], meta["OMP_NUM_THREADS"],
+                meta["MKL_NUM_THREADS"]) == (None, None, "3")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
 
 
 def traced_report(adaptivity="subselect-power", mask="pressure", seed=3):
@@ -856,10 +938,15 @@ class TestVerifyTrace:
             verify_theorem_trace(doc)
 
 
+def result_rows(path) -> list[RunRecord]:
+    """The records of a JSON result file."""
+    return [RunRecord(**row) for row in json.loads(Path(path).read_text())["rows"]]
+
+
 class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
-        out = tmp_path / "run.csv"
-        trace = tmp_path / "run.json"
+        out = tmp_path / "run.json"
+        trace = tmp_path / "run.npz"
         code = main([
             "run", "--problem", "linear", "--size", "20",
             "--out", str(out), "--trace", str(trace),
@@ -868,7 +955,7 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "converged    yes" in printed
         assert "refactored\n" in printed
-        assert load_table(str(out))[0].converged
+        assert result_rows(out)[0].converged
         assert load_trace(str(trace))["problem"] == "linear"
         mixing = int(printed.split("mixing")[1].split()[0])
         assert f"guard        disabled {mixing}\n" in printed
@@ -923,7 +1010,7 @@ class TestCli:
         # check alone would pass vacuously; recwarn sees every warning. The
         # breakdown still prints the partial report's summary and writes
         # the failed row and the partial trace.
-        out, trace = tmp_path / "run.csv", tmp_path / "run.npz"
+        out, trace = tmp_path / "run.json", tmp_path / "run.npz"
         code = main([
             "run", "--problem", "saddle", "--size", "17",
             "--mask", "pressure", "-p", "2", "--adapt", adapt,
@@ -934,9 +1021,9 @@ class TestCli:
         assert "breakdown:" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        [row] = load_table(str(out))
+        [row] = result_rows(out)
         doc = load_trace(str(trace))
-        assert not row.converged and row.wall_time_seconds is None
+        assert not row.converged and row.wall_times_seconds == []
         assert row.iterations == doc["iterations"] == len(doc["residual_history"])
         assert f"iterations   {row.iterations}\n" in printed
         assert "converged    no\n" in printed
@@ -947,7 +1034,7 @@ class TestCli:
 
     def test_run_times_an_untraced_solve(self, tmp_path, monkeypatch):
         # With --trace, aap run solves once traced and writes that trace,
-        # then once untraced; the row's wall time is the untraced one's.
+        # then once untraced; the row's one wall time is the untraced one's.
         calls = []
 
         def spy(problem, config, capture_trace=False):
@@ -956,12 +1043,12 @@ class TestCli:
             return report
 
         monkeypatch.setattr(bench, "solve", spy)
-        out, trace = tmp_path / "run.csv", tmp_path / "run.npz"
+        out, trace = tmp_path / "run.json", tmp_path / "run.npz"
         assert main(["run", "--problem", "linear", "--size", "20",
                      "--out", str(out), "--trace", str(trace)]) == 0
         assert [traced for traced, _ in calls] == [True, False]
-        [row] = load_table(str(out))
-        assert row.wall_time_seconds == calls[1][1].wall_time_seconds
+        [row] = result_rows(out)
+        assert row.wall_times_seconds == [calls[1][1].wall_time_seconds]
         write_trace(calls[0][1], str(tmp_path / "direct.npz"))
         assert trace.read_bytes() == (tmp_path / "direct.npz").read_bytes()
 
@@ -978,8 +1065,8 @@ class TestCli:
     ])
     def test_adaptivity_spellings_agree(self, name, full, tmp_path,
                                         monkeypatch, capsys):
-        # SolverConfig, a plan's adapt key and aap run --adapt take the same
-        # nine names and make the same config from each.
+        # SolverConfig, a plan's adaptivities and aap run --adapt take the
+        # same nine names and make the same config from each.
         configs = []
 
         def spy(problem, config, capture_trace=False):
@@ -987,8 +1074,9 @@ class TestCli:
             return solve(problem, config, capture_trace=capture_trace)
 
         monkeypatch.setattr(bench, "solve", spy)
-        plan = tmp_path / "plan.txt"
-        plan.write_text(f"problem = linear\nsizes = 10\nadapt = {name}\n")
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="linear", sizes=[10],
+                                   adaptivities=[name]))
         assert main(["sweep", "--plan", str(plan)]) == 0
         assert main(["run", "--problem", "linear", "--size", "10",
                      "--adapt", name]) == 0
@@ -1003,31 +1091,33 @@ class TestCli:
     def test_run_is_a_one_cell_sweep(self, tmp_path, capsys, problem, mask,
                                      p, run_adapt, plan_adapt):
         # aap run and a one-cell plan with the same settings write the same
-        # row but for the wall time, and byte-identical traces, also after
-        # a breakdown (saddle-9 pressure at p = 2). Each makes the
-        # directory its trace goes in.
-        run_out, run_trace = tmp_path / "run.csv", tmp_path / "run" / "t.npz"
+        # document shape and the same row but for the wall times, and
+        # byte-identical traces, also after a breakdown (saddle-9 pressure
+        # at p = 2). Each makes the directory its trace goes in.
+        run_out, run_trace = tmp_path / "run.json", tmp_path / "run" / "t.npz"
         code = main([
             "run", "--problem", problem, "--size", "9", "--mask", mask,
             "-p", str(p), "--adapt", run_adapt, "--seed", "2",
             "--out", str(run_out), "--trace", str(run_trace),
         ])
-        sweep_out, plan = tmp_path / "sweep.csv", tmp_path / "plan.txt"
-        plan.write_text(
-            f"problem = {problem}\nsizes = 9\nmasks = {mask}\n"
-            f"adapt = {plan_adapt}\nalternations = {p}\nseed = 2\n"
-            f"out = {sweep_out}\n"
-        )
+        sweep_out, plan = tmp_path / "sweep.json", tmp_path / "plan.json"
+        plan.write_bytes(plan_json(
+            problem=problem, sizes=[9], masks=[mask],
+            adaptivities=[plan_adapt], alternations=[p], seed=2,
+            out=str(sweep_out)))
         assert main(["sweep", "--plan", str(plan)]) == 0
-        [run_row] = load_table(str(run_out))
-        [sweep_row] = load_table(str(sweep_out))
+        docs = [json.loads(path.read_text()) for path in (run_out, sweep_out)]
+        assert [list(doc) for doc in docs] == [["meta", "rows"]] * 2
+        assert docs[0]["meta"].keys() <= docs[1]["meta"].keys()
+        [run_row] = result_rows(run_out)
+        [sweep_row] = result_rows(sweep_out)
         assert code == (0 if run_row.converged else 1)
         assert run_row.converged == (problem == "plaplace")
         for row in (run_row, sweep_row):
-            assert (row.wall_time_seconds is None) == (not row.converged)
-            row.wall_time_seconds = None
+            assert len(row.wall_times_seconds) == row.converged
+            row.wall_times_seconds = []
         assert run_row == sweep_row
-        cell = (tmp_path / "sweep.csv.traces"
+        cell = (tmp_path / "sweep.json.traces"
                 / f"{problem}-9-{mask}-{run_adapt}-p{p}.npz")
         assert run_trace.read_bytes() == cell.read_bytes()
 
@@ -1085,19 +1175,19 @@ class TestCli:
         assert "must be positive and finite" in capsys.readouterr().err
 
     def test_writers_make_their_directories(self, tmp_path, capsys):
-        # A table in a missing directory once crashed after every solve had
-        # run; each writer makes its own directory.
-        out, trace = tmp_path / "a" / "run.csv", tmp_path / "b" / "run.npz"
+        # A result in a missing directory once crashed after every solve
+        # had run; each writer makes its own directory.
+        out, trace = tmp_path / "a" / "run.json", tmp_path / "b" / "run.npz"
         assert main(["run", "--problem", "linear", "--size", "5",
                      "--out", str(out), "--trace", str(trace)]) == 0
-        assert load_table(str(out))[0].converged
+        assert result_rows(out)[0].converged
         assert load_trace(str(trace))["problem"] == "linear"
-        sweep_out = tmp_path / "c" / "sweep.csv"
-        plan = tmp_path / "plan.txt"
-        plan.write_text(f"problem = linear\nsizes = 5\nout = {sweep_out}\n"
-                        "traces = none\n")
+        sweep_out = tmp_path / "c" / "sweep.json"
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="linear", sizes=[5],
+                                   out=str(sweep_out), traces=None))
         assert main(["sweep", "--plan", str(plan)]) == 0
-        assert len(load_table(str(sweep_out))) == 1
+        assert len(result_rows(sweep_out)) == 1
 
     def test_unwritable_path_exit_code(self, tmp_path, capsys, monkeypatch):
         # A path under a file cannot be written: an error line and exit 2,
@@ -1112,50 +1202,66 @@ class TestCli:
             assert main(["run", "--problem", "linear", "--size", "5",
                          flag, str(blocker / "x")]) == 2
             assert capsys.readouterr().err.startswith("error: ")
-        plan = tmp_path / "plan.txt"
-        for out, traces in ((blocker / "s.csv", "none"),
-                            (blocker / "s.csv", blocker / "traces"),
-                            (tmp_path / "s.csv", blocker / "traces"),
-                            (tmp_path / "s.csv", blocker)):
-            plan.write_text(f"problem = linear\nsizes = 5\n"
-                            f"out = {out}\ntraces = {traces}\n")
+        plan = tmp_path / "plan.json"
+        for out, traces in ((blocker / "s.json", None),
+                            (blocker / "s.json", blocker / "traces"),
+                            (tmp_path / "s.json", blocker / "traces"),
+                            (tmp_path / "s.json", blocker)):
+            plan.write_bytes(plan_json(
+                problem="linear", sizes=[5], out=str(out),
+                traces=None if traces is None else str(traces)))
             assert main(["sweep", "--plan", str(plan)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "s.json").exists()
 
     def test_sweep_runs_plan(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        plan = tmp_path / "plan.txt"
-        plan.write_text(
-            "problem = linear\nsizes = 10, 15\nalternations = 1, 2\n"
-            f"out = {out}\ntraces = none\n"
-        )
+        out = tmp_path / "sweep.json"
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="linear", sizes=[10, 15],
+                                   alternations=[1, 2], repetitions=3,
+                                   out=str(out), traces=None))
         assert main(["sweep", "--plan", str(plan)]) == 0
-        assert len(load_table(str(out))) == 4
+        rows = result_rows(out)
+        assert len(rows) == 4
+        assert all(len(r.wall_times_seconds) == 3 for r in rows)
+        assert capsys.readouterr().out == f"4 rows (4 converged) -> {out}\n"
 
     def test_sweep_stdout_mode(self, tmp_path, capsys):
-        plan = tmp_path / "plan.txt"
-        plan.write_text("problem = linear\nsizes = 10\n")
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="linear", sizes=[10]))
         assert main(["sweep", "--plan", str(plan)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("problem,") and len(lines) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["meta"]["plan"] == str(plan) and len(doc["rows"]) == 1
 
     def test_sweep_bad_plan_exit_code(self, tmp_path, capsys):
-        plan = tmp_path / "plan.txt"
-        plan.write_text("problem = linear\nsizes = 10\ncolour = red\n")
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"problem": "linear",\n "sizes": [10],\n colour}')
         assert main(["sweep", "--plan", str(plan)]) == 2
         assert "line 3" in capsys.readouterr().err
+        plan.write_bytes(plan_json(problem="linear", sizes=[10], colour="red"))
+        assert main(["sweep", "--plan", str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {plan}: unknown key 'colour'\n")
+
+    def test_sweep_plan_not_utf8_exit_code(self, tmp_path, capsys):
+        # Invalid UTF-8 once ended in a UnicodeDecodeError traceback.
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b'{"problem": "linear", "sizes": [4]}\xff')
+        assert main(["sweep", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
 
     def test_sweep_unknown_names_exit_code(self, tmp_path, capsys):
         # A misspelt problem or mask is an error in the plan: exit 2 with
-        # the message, and no table.
-        out = tmp_path / "sweep.csv"
-        plan = tmp_path / "plan.txt"
-        plan.write_text(f"problem = sadle\nsizes = 9\nout = {out}\n")
+        # the message, and no result.
+        out = tmp_path / "sweep.json"
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="sadle", sizes=[9], out=str(out)))
         assert main(["sweep", "--plan", str(plan)]) == 2
         assert "unknown problem 'sadle'" in capsys.readouterr().err
-        plan.write_text(f"problem = saddle\nsizes = 9\nmasks = presure\n"
-                        f"out = {out}\n")
+        plan.write_bytes(plan_json(problem="saddle", sizes=[9],
+                                   masks=["presure"], out=str(out)))
         assert main(["sweep", "--plan", str(plan)]) == 2
         err = capsys.readouterr().err
         assert "unknown field 'presure'" in err and "'pressure'" in err
@@ -1164,18 +1270,18 @@ class TestCli:
     def test_sweep_checks_masks_before_solving(self, tmp_path, capsys,
                                                monkeypatch):
         # As aap run does, a sweep looks every mask up before its first
-        # cell solves: no solve, no table and no traces directory.
+        # cell solves: no solve, no result and no traces directory.
         calls = []
         monkeypatch.setattr(bench, "solve", lambda *a, **k: calls.append(a))
-        out = tmp_path / "t.csv"
-        plan = tmp_path / "plan.txt"
-        plan.write_text(f"problem = saddle\nsizes = 9\nmasks = none, presure\n"
-                        f"out = {out}\n")
+        out = tmp_path / "t.json"
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_json(problem="saddle", sizes=[9],
+                                   masks=["none", "presure"], out=str(out)))
         assert main(["sweep", "--plan", str(plan)]) == 2
         assert "unknown field 'presure'" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
-        assert not (tmp_path / "t.csv.traces").exists()
+        assert not (tmp_path / "t.json.traces").exists()
 
     def test_verify_trace_ok(self, tmp_path):
         report = traced_report()

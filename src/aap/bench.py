@@ -250,8 +250,8 @@ def _run_one(plan: ExperimentPlan, problem, size: int, mask: str, adapt: str,
              p: int) -> RunRecord:
     """One cell of the plan matrix, solved by `run_solve` with its trace in
     the plan's traces directory. ``problem`` is None when the size failed
-    to build; such a cell, a solve that rejects its input and a breakdown
-    become failed rows."""
+    to build; such a cell and a breakdown become failed rows. Any other
+    error of the solve propagates."""
     config = _plan_config(plan, mask, adapt, p)
     report = trace = None
     walls = []
@@ -263,8 +263,6 @@ def _run_one(plan: ExperimentPlan, problem, size: int, mask: str, adapt: str,
             report, walls = run_solve(problem, config, trace, plan.repetitions)
     except NumericalBreakdown as exc:
         report = exc.report
-    except ValueError:
-        pass
     return run_record(plan.problem, size, config, report, walls)
 
 
@@ -360,7 +358,8 @@ def write_trace(report: SolveReport, path: str):
     }
     trace = report.trace
     arrays = {"residual_history": report.residual_history,
-              "residuals": trace.residuals, "dx_norms": trace.dx_norms}
+              "residuals": np.array(trace.residuals).T,
+              "dx_norms": trace.dx_norms}
     for name in _PIECES:
         pieces = [np.ravel(p) for p in getattr(trace, name) if p is not None]
         arrays[name] = np.concatenate([np.zeros(0, _ARRAYS[name]), *pieces])
@@ -491,7 +490,7 @@ def load_trace(path: str) -> dict:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return dict(header, l1=rows, residual_history=history, steps=steps,
-                trace=Trace(log, dx_norms, **pieces))
+                trace=Trace(list(log.T), dx_norms.tolist(), **pieces))
 
 
 # The header fields `load_trace` and `verify_theorem_trace` read, and the

@@ -262,16 +262,16 @@ def push_window(ws: Workspace, dx_norm: float):
     ws.dx_norms[j] = dx_norm
 
 
-def anderson_update(ws: Workspace, alpha: np.ndarray, omega: float):
-    """Mixing update x <- x - omega * f - dg_window[:, :c] @ alpha, in place.
+def anderson_update(ws: Workspace, alpha: np.ndarray):
+    """Mixing update x <- g - dg_window[:, :c] @ alpha, in place.
 
     ``alpha`` is the window least-squares solution, one coefficient per
     filled column, oldest first; the dg columns are combined by one
-    matrix-vector product into scratch.
+    matrix-vector product into scratch, and subtracted from the Picard
+    point g that `update_increments` formed.
     """
-    picard_update(ws.x, ws.f, omega, ws.scratch)
     np.dot(ws.dg_window[:, : len(alpha)], alpha, out=ws.scratch)
-    np.subtract(ws.x, ws.scratch, out=ws.x)
+    np.subtract(ws.g, ws.scratch, out=ws.x)
 
 
 def step(
@@ -292,8 +292,9 @@ def step(
     adaptivity on, the guard may replace that solution by the one of a row
     sketch it accepts. A rank-deficient window leaves the step without
     coefficients (reason "no-factor") and restarts the window. Every
-    iteration ends in one update of x: `anderson_update` with the step's
-    coefficients, `picard_update` when it has none. ``history`` (relres of
+    iteration ends in one update of x inside the step's overflow guard: the
+    Picard point g `update_increments` formed, or `anderson_update`'s
+    g - dG alpha with the step's coefficients. ``history`` (relres of
     iterations 0..k-1) is only read, by the stall detector. ``record`` is
     the step's MixingStep, None unless it mixed. When ``ws.trace`` is set,
     the step logs the restricted residual there and, when it mixed, its
@@ -352,10 +353,12 @@ def step(
             rec = MixingStep(k, c, ws.lipschitz, reason=reason)
         if ws.trace is not None:
             ws.trace.record(alpha, r_step, rows)
-    if alpha is None:
-        picard_update(ws.x, ws.f, omega, ws.scratch)
-    else:
-        anderson_update(ws, alpha, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowed x fails the next iteration's T(x) check.
+        if alpha is None:
+            np.copyto(ws.x, ws.g)
+        else:
+            anderson_update(ws, alpha)
     return relres, rec
 
 
@@ -365,13 +368,12 @@ class Trace:
     The log keeps the restricted residual f_r of every iteration that pushed
     a window column, and of iteration 0, with the dx_norm of each push: each
     iteration k >= 1 that does not converge pushes exactly one column, so
-    log column k is f_r(k) and dx_norm k - 1 is that of iteration k. The
-    solver forms each pushed increment as f_r(k) - f_r(k - 1), and a window
-    restart only empties the window, so the window of the mixing step at
-    iteration k with c columns is the differences of log columns k - c .. k,
-    bitwise the columns pushed (`window`), and its residual is log column k
-    (`residual`). The log is column-major and doubles when full; views of it
-    are valid until the next push. Per mixing step, in the order of the
+    ``residuals[k]`` is f_r(k) and ``dx_norms[k - 1]`` that of iteration k.
+    The solver forms each pushed increment as f_r(k) - f_r(k - 1), and a
+    window restart only empties the window, so the window of the mixing
+    step at iteration k with c columns is the differences of logged columns
+    k - c .. k, bitwise the columns pushed (`window`), and its residual is
+    logged column k (`residual`). Per mixing step, in the order of the
     report's mask_trace, the trace keeps the coefficients ``alpha``,
     triangular factor ``r_factor`` and sketch rows ``mask`` of the least
     squares used: None after a fallback, and ``mask`` None for the identity.
@@ -379,13 +381,12 @@ class Trace:
     trace in a file and `bench.load_trace` reads it back.
     """
 
-    def __init__(self, residuals: np.ndarray, dx_norms: np.ndarray,
+    def __init__(self, residuals: list[np.ndarray], dx_norms: list[float],
                  alpha=None, r_factor=None, mask=None):
-        """A trace over the column-major log ``residuals`` and the
-        ``dx_norms`` of its pushes, with the given per-step arrays (none by
-        default), each kept without a copy."""
-        self._residuals, self._dx_norms = residuals, dx_norms
-        self.size = residuals.shape[1]
+        """A trace over the logged columns ``residuals`` and the
+        ``dx_norms`` of their pushes, with the given per-step arrays (none
+        by default), each kept without a copy."""
+        self.residuals, self.dx_norms = residuals, dx_norms
         self.alpha: list[np.ndarray | None] = alpha or []
         self.r_factor: list[np.ndarray | None] = r_factor or []
         self.mask: list[np.ndarray | None] = mask or []
@@ -393,25 +394,10 @@ class Trace:
     def __len__(self) -> int:
         return len(self.alpha)
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return self._residuals[:, :self.size]
-
-    @property
-    def dx_norms(self) -> np.ndarray:
-        return self._dx_norms[:self.size - 1]
-
     def push(self, f_r: np.ndarray, dx_norm: float):
-        """Log one iteration's restricted residual and its push's dx_norm."""
-        n = self.size
-        if n == self._residuals.shape[1]:
-            grown = np.zeros((self._residuals.shape[0], 2 * n), order="F")
-            grown[:, :n] = self._residuals
-            self._residuals = grown
-            self._dx_norms = np.concatenate((self._dx_norms, np.zeros(n)))
-        self._residuals[:, n] = f_r
-        self._dx_norms[n - 1] = dx_norm
-        self.size = n + 1
+        """Log a copy of one iteration's restricted residual, and its dx_norm."""
+        self.residuals.append(f_r.copy())
+        self.dx_norms.append(dx_norm)
 
     def record(self, alpha, r_factor, mask):
         """Keep copies of one mixing step's least-squares arrays."""
@@ -420,14 +406,16 @@ class Trace:
             pieces.append(None if piece is None else np.array(piece))
 
     def window(self, rec: MixingStep) -> tuple[np.ndarray, np.ndarray]:
-        """The step's window increments, a fresh array, and its dx_norms, a
-        view of the log."""
+        """The step's window increments, from its c + 1 logged columns
+        stacked column-major as the solver's window is (so products round as
+        the solver's do), and its dx_norms."""
         lo, hi = rec.iteration - rec.columns, rec.iteration
-        return np.diff(self._residuals[:, lo:hi + 1], axis=1), self._dx_norms[lo:hi]
+        log = np.array(self.residuals[lo:hi + 1]).T
+        return np.diff(log, axis=1), np.array(self.dx_norms[lo:hi])
 
     def residual(self, rec: MixingStep) -> np.ndarray:
-        """The step's restricted residual, a view of the log."""
-        return self._residuals[:, rec.iteration]
+        """The step's restricted residual, the logged column."""
+        return self.residuals[rec.iteration]
 
 
 @dataclass
@@ -556,7 +544,7 @@ def solve(
     np.copyto(ws.x, x0)
     np.copyto(ws.f, f0)
     if capture_trace:
-        ws.trace = Trace(ws.f_r[:, None].copy(order="F"), np.zeros(0))
+        ws.trace = Trace([ws.f_r.copy()], [])
     if norm_f0 == 0.0:
         return report(True, 0)
 

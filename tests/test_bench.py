@@ -187,6 +187,13 @@ class TestParsePlan:
         with pytest.raises(ParseError, match="unknown problem"):
             load_plan(plan_json(problem="sadle", sizes=[9]))
 
+    @pytest.mark.parametrize("key", ["masks", "adaptivities", "alternations"])
+    def test_empty_config_matrix_rejected(self, key):
+        with pytest.raises(ParseError, match="plan config matrix is empty"):
+            ExperimentPlan(problem="linear", sizes=(4,), **{key: ()})
+        with pytest.raises(ParseError, match="plan config matrix is empty"):
+            load_plan(plan_json(problem="linear", sizes=[4], **{key: []}))
+
 
 # Any JSON document: scalars, lists and objects, some with plan keys.
 _PLAN_KEYS = st.sampled_from([f.name for f in fields(ExperimentPlan)])
@@ -272,6 +279,17 @@ class TestRunExperiment:
         assert len(records) == 2
         assert records[0].converged
         assert not records[1].converged and records[1].iterations is None
+
+    def test_solve_error_propagates(self, monkeypatch):
+        # Plans cannot set x0 or omega, so a ValueError out of a built
+        # problem's solve is a fault, not a failed row.
+        def broken(*args, **kwargs):
+            raise ValueError("no column was pushed since the last solve")
+
+        monkeypatch.setattr(bench, "solve", broken)
+        plan = ExperimentPlan(problem="linear", sizes=(10,))
+        with pytest.raises(ValueError, match="no column was pushed"):
+            run_experiment(plan)
 
     def test_iteration_counts_deterministic(self):
         plan = ExperimentPlan(
@@ -465,15 +483,16 @@ class TestTraceFiles:
         assert np.isnan(arrays["sigma_min"]).any()
         assert "accepted" not in arrays and "fallback" not in arrays
 
-    def test_residual_is_a_view_of_the_log(self, tmp_path):
+    def test_residual_is_the_logged_column(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_trace(traced_report(), str(path))
+        report = traced_report()
+        write_trace(report, str(path))
         doc = load_trace(str(path))
         trace = doc["trace"]
         for rec in doc["steps"]:
             residual = trace.residual(rec)
-            assert np.shares_memory(residual, trace.residuals)
-            assert residual.tobytes() == trace.residuals[:, rec.iteration].tobytes()
+            assert residual is trace.residuals[rec.iteration]
+            assert residual.tobytes() == report.trace.residual(rec).tobytes()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         write_trace(traced_report(), str(tmp_path / "x.json"))
@@ -596,6 +615,21 @@ class TestTraceFiles:
             load_trace(str(written))
         assert main(["verify-trace", str(written)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("header, message", [
+        (None, "trace has no header"),
+        (b"{not json", "trace header is not JSON"),
+        (b"[1, 2]", "trace header is not a JSON object"),
+    ])
+    def test_bad_header_rejected(self, written, header, message):
+        _, arrays = _read_trace(str(written))
+        if header is not None:
+            arrays["header"] = np.frombuffer(header, dtype=np.uint8)
+        with open(written, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ParseError, match=message):
+            _read_trace(str(written))
+        assert_rejected(written)
 
     def test_integral_sketch_percent_loads(self, written):
         # JSON writes 30.0 as 30.0, but a header that says 30 means the same.
@@ -878,6 +912,14 @@ class TestVerifyTrace:
         step = result.steps[0]
         assert step.hypotheses_satisfied
         assert step.delta > step.bound
+
+    def test_malformed_record_rejected(self, tmp_path):
+        # A hand-built document whose step has a window of no integer width:
+        # the verifier names the step instead of raising TypeError.
+        doc = load_trace(synthetic_trace(tmp_path / "t.npz", lipschitz=1.0))
+        doc["steps"][0].columns = "2"
+        with pytest.raises(ParseError, match="step 0: malformed record"):
+            verify_theorem_trace(doc)
 
     def test_each_check_holds_its_loaded_record(self, tmp_path):
         # A check keeps the step's record itself, not copies of its fields;
@@ -1173,6 +1215,12 @@ class TestCli:
         assert main(["run", "--problem", "linear", "--size", "4",
                      flag, value]) == 2
         assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_run_out_directory_exit_code(self, tmp_path, capsys):
+        # --out names a file; an existing directory there cannot be written.
+        assert main(["run", "--problem", "linear", "--size", "5",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {str(tmp_path)!r}\n"
 
     def test_writers_make_their_directories(self, tmp_path, capsys):
         # A result in a missing directory once crashed after every solve

@@ -67,6 +67,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["window", "max_iterations"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            SolverConfig(**{field: 0})
+        assert getattr(SolverConfig(**{field: 1}), field) == 1
+
     def test_rng_seed_must_not_be_negative(self):
         # numpy's default_rng once refused it when the workspace was made.
         with pytest.raises(ValueError, match="rng_seed must be >= 0"):
@@ -284,18 +290,18 @@ class TestAndersonUpdate:
         ws, _, _ = TestPushWindow().drive(3, [1, 2])
         rng = np.random.default_rng(6)
         ws.x[:] = rng.standard_normal(4)
-        ws.f[:] = rng.standard_normal(4)
-        expected = ws.x - 0.7 * ws.f
-        anderson_update(ws, np.zeros(2), 0.7)
-        np.testing.assert_allclose(ws.x, expected, rtol=0, atol=1e-16)
+        ws.g[:] = rng.standard_normal(4)
+        expected = ws.g.copy()
+        anderson_update(ws, np.zeros(2))
+        np.testing.assert_array_equal(ws.x, expected)
 
     def test_single_column(self):
         ws, _, dgs = TestPushWindow().drive(3, [1])
         rng = np.random.default_rng(7)
         ws.x[:] = rng.standard_normal(4)
-        ws.f[:] = rng.standard_normal(4)
-        expected = ws.x - 1.0 * ws.f - dgs[0]
-        anderson_update(ws, np.array([1.0]), 1.0)
+        ws.g[:] = rng.standard_normal(4)
+        expected = ws.g - dgs[0]
+        anderson_update(ws, np.array([1.0]))
         np.testing.assert_allclose(ws.x, expected, rtol=1e-15, atol=1e-15)
 
     def test_matches_dense_oracle_with_explicit_chronology(self):
@@ -306,14 +312,21 @@ class TestAndersonUpdate:
             c = ws.factor.columns
             alpha = rng.standard_normal(c)
             ws.x[:] = rng.standard_normal(4)
-            ws.f[:] = rng.standard_normal(4)
+            ws.g[:] = rng.standard_normal(4)
             g_chron = np.column_stack(shift_window_reference(dgs, 4)[-c:])
-            expected = ws.x - 0.9 * ws.f - g_chron @ alpha
-            anderson_update(ws, alpha, 0.9)
+            expected = ws.g - g_chron @ alpha
+            anderson_update(ws, alpha)
             np.testing.assert_allclose(ws.x, expected, rtol=1e-13, atol=1e-13)
 
 
 class TestSolve:
+    def test_x0_checked(self):
+        problem = shift_problem([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"x0 has shape \(3,\), expected \(2,\)"):
+            solve(problem, x0=np.zeros(3))
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            solve(problem, x0=np.array([0.0, np.nan]))
+
     def test_exact_picard_root_in_one_iteration(self):
         for m, p in [(1, 1), (5, 2), (10, 3)]:
             problem = shift_problem([1.0, -2.0, 3.0], recommended_omega=1.0)
@@ -482,9 +495,9 @@ def assert_accepted_steps_hold(report):
 
 def assert_same_trace(loaded, recorded):
     """Every array of a Trace read back from a file equals the recorded one,
-    dtype, shape and bytes."""
-    pairs = [(loaded.residuals, recorded.residuals),
-             (loaded.dx_norms, recorded.dx_norms)]
+    dtype, shape and bytes, the logged residuals column by column."""
+    pairs = [(np.array(loaded.dx_norms), np.array(recorded.dx_norms)),
+             *zip(loaded.residuals, recorded.residuals, strict=True)]
     for name in ("alpha", "r_factor", "mask"):
         pairs += zip(getattr(loaded, name), getattr(recorded, name), strict=True)
     for got, want in pairs:
@@ -827,3 +840,60 @@ def test_overflowing_window_column_breaks_down_quietly():
     with pytest.raises(NumericalBreakdown) as info:
         solve(noncontractive_problem(5, seed), config)
     assert info.value.report.iterations == 2854
+
+
+def diagonal_problem(entries):
+    """T(x) = diag(entries) x, one field."""
+    d = np.asarray(entries, dtype=float)
+    return FixedPointProblem(residual=lambda x: d * x, dimension=d.size,
+                             fields=(("s", (0, d.size)),))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_overflowing_picard_point_breaks_down_quietly(p):
+    # omega * f overflows in the first Picard point g. The update x <- g or
+    # x <- g - dG alpha must run inside the step's overflow guard, so the run
+    # ends in NumericalBreakdown with no numpy RuntimeWarning.
+    problem = diagonal_problem(np.linspace(0.1, 2.0, 6))
+    config = SolverConfig(relaxation=1e200, window=3, alternation=p)
+    with pytest.raises(NumericalBreakdown, match="non-finite entry") as info:
+        solve(problem, config, x0=np.full(6, 1e-90))
+    assert info.value.report.iterations == 2
+
+
+@st.composite
+def diagonal_starts(draw):
+    """Entries of a diagonal T in +-[0.1, 2] and a start direction u in
+    [-1, 1], both of one length n in 2..8."""
+    n = draw(st.integers(2, 8))
+    entries = [draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0))
+               for _ in range(n)]
+    return entries, draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=diagonal_starts(),
+    e=st.floats(-300, 300),
+    e_omega=st.floats(-3, 300),
+    p=st.integers(1, 3),
+    m=st.integers(1, 5),
+    adaptivity=st.sampled_from((Adaptivity.NONE, Adaptivity.SUBSELECT_POWER,
+                                Adaptivity.RANDOMIZED_POWER)),
+)
+# The reproduction of test_overflowing_picard_point_breaks_down_quietly.
+@example(case=(np.linspace(0.1, 2.0, 6), np.ones(6)), e=-90.0, e_omega=200.0,
+         p=1, m=3, adaptivity=Adaptivity.NONE)
+def test_no_numpy_warning_escapes_solve(case, e, e_omega, p, m, adaptivity):
+    # Diagonal problems started at x0 = 10^e u and relaxed by
+    # omega = 10^e_omega: a solve returns a report or raises
+    # NumericalBreakdown, and no numpy RuntimeWarning (an error under
+    # pyproject.toml) escapes it.
+    entries, u = case
+    config = SolverConfig(relaxation=10.0 ** e_omega, window=m, alternation=p,
+                          max_iterations=50, adaptivity=adaptivity)
+    try:
+        solve(diagonal_problem(entries), config,
+              x0=10.0 ** e * np.asarray(u, dtype=float))
+    except NumericalBreakdown:
+        pass

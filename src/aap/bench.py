@@ -442,7 +442,10 @@ def load_trace(path: str) -> dict:
     guard keeps of l1. Raises ParseError on anything malformed: a missing
     array or header key, a header field of the wrong type, an array of the
     wrong dtype kind, rank or length (`_read_array`), an unknown guard
-    reason, and windows or sketch rows that run past their arrays.
+    reason, windows or sketch rows that run past their arrays, and a
+    step's sketch rows that do not strictly increase: the guard keeps
+    distinct rows in ascending order, and the stability bound holds only
+    for a selection of distinct rows.
     """
     header, arrays = _read_trace(path)
     if header.get("format") != TRACE_FORMAT:
@@ -485,6 +488,10 @@ def load_trace(path: str) -> dict:
         mask = arrays["mask"]
         if mask.size and (mask.min() < 0 or mask.max() >= rows):
             raise ValueError(f"sketch rows run past the {rows} restricted rows")
+        for rec, kept in zip(steps, pieces["mask"]):
+            if kept is not None and not (np.diff(kept) > 0).all():
+                raise ValueError(f"step {rec.iteration}: sketch rows do not "
+                                 f"strictly increase")
     except KeyError as exc:
         raise ParseError(f"trace is missing array {exc}") from exc
     except ValueError as exc:

@@ -127,10 +127,10 @@ def _lapack(routine, *args):
 
 def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
     """(alpha, min |diag R|): alpha = R^{-1} Q^T r after the rank check on
-    diag(R). One max |alpha| checks finiteness and COEFF_LIMIT at once."""
+    diag(R), for R of at least one column (`qr_masked_solve` rejects
+    cols < 1, and `WindowFactor.solve` always has a pushed column). One
+    max |alpha| checks finiteness and COEFF_LIMIT at once."""
     d = np.abs(np.diagonal(r_factor))
-    if d.size == 0:
-        raise RankDeficient("empty factor")
     dmin, dmax = float(d.min()), float(d.max())
     if dmax == 0.0 or dmin < RANK_RTOL * dmax:
         raise RankDeficient(

@@ -208,20 +208,21 @@ class MixingStep:
         return self.reason == "no-factor"
 
 
-def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
-                  r_window: np.ndarray, r_min: float):
-    """Decide the level-two sketch for one mixing step.
+def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
+    """Decide the level-two sketch for one mixing step of the run in the
+    `solver.Workspace` ``ws``.
 
     ``r_window`` is the triangular factor of the whole restricted window
     and ``r_min`` its min |diag|, both as the step's least squares
     (`lsq.WindowFactor.solve`) returned them. The guard proposes rows by the
-    configured strategy, factors the sketched window, and accepts when
+    strategy and sketch size of ``ws.config``, a randomized strategy drawing
+    them from ``ws.rng``, factors the sketched window, and accepts when
     `stability_hypothesis` holds with that factor's exact smallest singular
     value and the sketch's eps_rhs. A sketch with fewer rows than the
     window has columns is "underdetermined", and a rank-deficient sketch is
-    rejected. The budget weights are the first c of ``workspace.etas``, set
-    once for the config's adaptivity. Each test below compares a sigma, or
-    a bound on one, with tau * (1 + eps), tau the step's one threshold.
+    rejected. The budget weights are the first c of ``ws.etas``, set once
+    for the config's adaptivity. Each test below compares a sigma, or a
+    bound on one, with tau * (1 + eps), tau the step's one threshold.
 
     Every other rejection is reached by the cheapest test that settles it,
     and each test is exact: it fails only where the test it stands in for
@@ -240,7 +241,7 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
        "accepted".
 
     The inequalities hold for exact singular values; a property test holds
-    the decision, the rows, alpha, the factor and every draw from ``rng``
+    the decision, the rows, alpha, the factor and every draw from ``ws.rng``
     to those of a guard that takes every SVD. Only ``sigma_min`` shows
     which test settled the step.
 
@@ -248,14 +249,13 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
     (rows, alpha, r_factor) of the sketched least squares; record is the
     step's MixingStep.
     """
-    ws = workspace
     f_r = ws.f_r
     l1 = f_r.shape[0]
     c = ws.factor.columns
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
     if ws.lipschitz <= 0.0:
         return None, rec
-    l2 = sketch_size(config.sketch_percent, l1)
+    l2 = sketch_size(ws.config.sketch_percent, l1)
     if l2 < c:
         rec.reason = "underdetermined"
         return None, rec
@@ -271,8 +271,8 @@ def adaptive_step(workspace, config, iteration: int, rng: np.random.Generator,
     if not rec.sigma_min >= tau:
         return None, rec
 
-    if config.adaptivity.randomized:
-        rows = select_randomized(l1, l2, rng)
+    if ws.config.adaptivity.randomized:
+        rows = select_randomized(l1, l2, ws.rng)
     else:
         rows = select_subselection(f_r, l2)
     rec.eps_rhs = epsilon_rhs(f_r, rows, norm_f)

@@ -104,13 +104,17 @@ class SolverConfig:
             object.__setattr__(self, "adaptivity", Adaptivity(self.adaptivity))
 
 
-@dataclass
 class Workspace:
-    """Preallocated solver state, and the per-run state `step` advances.
+    """Every buffer of a run, allocated once, and the run `step` advances.
 
-    ``f_r`` and ``df_r``, the level-one restriction, are views of the
-    field's rows of ``f`` and ``df``; they are never copied, since ``f``
-    and ``df`` are only ever written in place.
+    The run is its ``problem``, ``config``, resolved relaxation ``omega``,
+    ``norm_f0`` = |T(x0)| (NaN until `solve` sets it) and ``history``, the
+    relres of the iterations so far, 1 first. ``f_r`` and ``df_r``, the
+    level-one restriction, are views of the rows of ``f`` and ``df`` of the
+    field ``config.static_mask`` names (every row for None); they are never
+    copied, since ``f`` and ``df`` are only ever written in place. The
+    window ``m`` is the resolved one, clamped to that row count: a wider
+    window would make the least squares underdetermined.
     ``df_window`` (restricted rows), ``dg_window`` (full rows) and
     ``dx_norms`` share one chronological column order, oldest first. They
     are the width-m views at ``offset`` into column-major ``buffers`` s
@@ -120,73 +124,41 @@ class Workspace:
     columns enter and leave, and its ``columns`` is the windows' width; a
     restart resets it. ``etas`` holds the guard's budget weights of
     a full window; a window of c columns takes the first c, since weight j
-    does not depend on c. The scalars and ``rng`` are the run's state;
+    does not depend on c. ``rng`` draws the randomized sketches' rows, and
+    ``lipschitz``, ``stalled`` and ``last_accept`` are the guard's state;
     ``trace``, set only by a traced solve, keeps the restricted residual of
     every iteration and the arrays of every mixing step.
     """
 
-    m: int
-    x: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    df: np.ndarray
-    dg: np.ndarray
-    scratch: np.ndarray
-    f_r: np.ndarray
-    df_r: np.ndarray
-    df_window: np.ndarray
-    dg_window: np.ndarray
-    dx_norms: np.ndarray
-    views: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray]
-    factor: lsq.WindowFactor
-    etas: np.ndarray
-    rng: np.random.Generator
-    trace: Trace | None = None
-    offset: int = 0
-    lipschitz: float = 0.0
-    stalled: bool = False
-    last_accept: int = -1
-
-
-def allocate_workspace(problem: FixedPointProblem,
-                       config: SolverConfig) -> Workspace:
-    """Allocate every buffer the iteration needs, once.
-
-    The level-one restriction is the rows of the field
-    ``config.static_mask`` names (every row for None), and the window is
-    the resolved one, clamped to the restricted row count: a wider window
-    would make the least squares underdetermined.
-    """
-    n = problem.dimension
-    rows = field_rows(problem, config.static_mask)
-    l1 = rows.stop - rows.start
-    m = min(resolve_window(problem, config), l1)
-    width = m + _window_slack(m)
-    buffers = (np.zeros(l1 * width), np.zeros(n * width), np.zeros(width))
-    df_buf, dg_buf = (b.reshape((-1, width), order="F") for b in buffers[:2])
-    views = [(df_buf[:, o:o + m], dg_buf[:, o:o + m], buffers[2][o:o + m])
-             for o in range(width - m + 1)]
-    f, df = np.zeros(n), np.zeros(n)
-    return Workspace(
-        m=m,
-        x=np.zeros(n),
-        f=f,
-        g=np.zeros(n),
-        df=df,
-        dg=np.zeros(n),
-        scratch=np.zeros(n),
-        f_r=f[rows],
-        df_r=df[rows],
-        df_window=views[0][0],
-        dg_window=views[0][1],
-        dx_norms=views[0][2],
-        views=views,
-        buffers=buffers,
-        factor=lsq.WindowFactor(l1, m),
-        etas=np.array(budget_weights(config.adaptivity, m)),
-        rng=np.random.default_rng(config.rng_seed),
-    )
+    def __init__(self, problem: FixedPointProblem, config: SolverConfig):
+        n = problem.dimension
+        rows = field_rows(problem, config.static_mask)
+        l1 = rows.stop - rows.start
+        m = min(resolve_window(problem, config), l1)
+        width = m + _window_slack(m)
+        self.problem, self.config, self.m = problem, config, m
+        self.omega = resolve_omega(problem, config)
+        self.norm_f0 = math.nan
+        self.history = [1.0]
+        self.x, self.f, self.g, self.df, self.dg, self.scratch = (
+            np.zeros(n) for _ in range(6))
+        self.f_r, self.df_r = self.f[rows], self.df[rows]
+        self.buffers = (np.zeros(l1 * width), np.zeros(n * width),
+                        np.zeros(width))
+        df_buf, dg_buf = (b.reshape((-1, width), order="F")
+                          for b in self.buffers[:2])
+        self.views = [(df_buf[:, o:o + m], dg_buf[:, o:o + m],
+                       self.buffers[2][o:o + m])
+                      for o in range(width - m + 1)]
+        self.offset = 0
+        self.df_window, self.dg_window, self.dx_norms = self.views[0]
+        self.factor = lsq.WindowFactor(l1, m)
+        self.etas = np.array(budget_weights(config.adaptivity, m))
+        self.rng = np.random.default_rng(config.rng_seed)
+        self.lipschitz = 0.0
+        self.stalled = False
+        self.last_accept = -1
+        self.trace: Trace | None = None
 
 
 def picard_update(x, f, omega, work):
@@ -200,16 +172,17 @@ def picard_update(x, f, omega, work):
     return x
 
 
-def update_increments(ws: Workspace, problem: FixedPointProblem, omega: float):
+def update_increments(ws: Workspace):
     """Advance residual state by one evaluation, in place.
 
     df <- T(x) - f_old, dg <- g_new - g_old, then f <- T(x) and
-    g <- x - omega * f. Exactly one residual evaluation per call.
+    g <- x - omega * f, with T the run's problem and omega its relaxation.
+    Exactly one residual evaluation per call.
     """
     np.copyto(ws.df, ws.f)
     np.copyto(ws.dg, ws.g)
-    np.copyto(ws.f, evaluate_residual(problem, ws.x))
-    np.multiply(ws.f, omega, out=ws.scratch)
+    np.copyto(ws.f, evaluate_residual(ws.problem, ws.x))
+    np.multiply(ws.f, ws.omega, out=ws.scratch)
     np.subtract(ws.x, ws.scratch, out=ws.g)
     np.subtract(ws.f, ws.df, out=ws.df)
     np.subtract(ws.g, ws.dg, out=ws.dg)
@@ -274,19 +247,12 @@ def anderson_update(ws: Workspace, alpha: np.ndarray):
     np.subtract(ws.g, ws.scratch, out=ws.x)
 
 
-def step(
-    ws: Workspace,
-    problem: FixedPointProblem,
-    config: SolverConfig,
-    omega: float,
-    k: int,
-    norm_f0: float,
-    history: list[float],
-):
-    """Run iteration k in place; returns (relres, record).
+def step(ws: Workspace, k: int):
+    """Run iteration k of the workspace's run in place; returns (relres,
+    record).
 
-    Returns at once, x untouched, when relres = |T(x)| / norm_f0 is below
-    the tolerance, and raises NumericalBreakdown when it is not finite.
+    Returns at once, x untouched, when relres = |T(x)| / ``ws.norm_f0`` is
+    below the tolerance, and raises NumericalBreakdown when it is not finite.
     Otherwise the increments enter the window and, when k = 0 mod p, a
     mixing step solves the whole window from the kept factor; with
     adaptivity on, the guard may replace that solution by the one of a row
@@ -294,23 +260,23 @@ def step(
     coefficients (reason "no-factor") and restarts the window. Every
     iteration ends in one update of x inside the step's overflow guard: the
     Picard point g `update_increments` formed, or `anderson_update`'s
-    g - dG alpha with the step's coefficients. ``history`` (relres of
-    iterations 0..k-1) is only read, by the stall detector. ``record`` is
-    the step's MixingStep, None unless it mixed. When ``ws.trace`` is set,
-    the step logs the restricted residual there and, when it mixed, its
-    arrays.
+    g - dG alpha with the step's coefficients. The stall detector only
+    reads ``ws.history`` (relres of iterations 0..k-1); the caller appends
+    relres. ``record`` is the step's MixingStep, None unless it mixed. When
+    ``ws.trace`` is set, the step logs the restricted residual there and,
+    when it mixed, its arrays.
     """
     # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
     # contiguous real vector, without its per-call checks.
     with np.errstate(over="ignore", invalid="ignore"):
         # Overflow and NaN surface as NumericalBreakdown, here or at the next T(x).
-        update_increments(ws, problem, omega)
-        relres = math.sqrt(np.dot(ws.f, ws.f)) / norm_f0
+        update_increments(ws)
+        relres = math.sqrt(np.dot(ws.f, ws.f)) / ws.norm_f0
         if not math.isfinite(relres):
             raise NumericalBreakdown(f"residual norm overflowed at iteration {k}")
-        if relres < config.rel_tolerance:
+        if relres < ws.config.rel_tolerance:
             return relres, None
-        np.multiply(ws.df, omega, out=ws.scratch)
+        np.multiply(ws.df, ws.omega, out=ws.scratch)
         np.add(ws.scratch, ws.dg, out=ws.scratch)
         # These norms can overflow while ‖f‖ is still finite; the next
         # iteration's check then raises NumericalBreakdown.
@@ -321,19 +287,19 @@ def step(
     if ws.trace is not None:
         ws.trace.push(ws.f_r, dx_norm)
 
-    adaptive = config.adaptivity is not Adaptivity.NONE
+    adaptive = ws.config.adaptivity is not Adaptivity.NONE
     stall_span = max(ws.m, STALL_SPAN)
     if (
         adaptive
         and not ws.stalled
         and k >= ws.m + stall_span
         and ws.last_accept > k - stall_span
-        and relres > STALL_FACTOR * history[k - stall_span]
+        and relres > STALL_FACTOR * ws.history[k - stall_span]
     ):
         ws.stalled = True
 
     rec = alpha = r_step = rows = None
-    if k % config.alternation == 0:
+    if k % ws.config.alternation == 0:
         c = ws.factor.columns
         try:
             alpha, r_step, r_min = ws.factor.solve(ws.df_window, ws.f_r)
@@ -343,7 +309,7 @@ def step(
             # lets mixing resume on the next step.
             ws.factor.reset()
         if alpha is not None and adaptive and not ws.stalled:
-            sketch, rec = adaptive_step(ws, config, k, ws.rng, r_step, r_min)
+            sketch, rec = adaptive_step(ws, k, r_step, r_min)
             if sketch is not None:
                 rows, alpha, r_step = sketch
                 ws.last_accept = k
@@ -510,16 +476,14 @@ def solve(
     is a diagnostic mode and allocates.
     """
     t_start = time.perf_counter()
-    omega = resolve_omega(problem, config)
-    ws = allocate_workspace(problem, config)
+    ws = Workspace(problem, config)
 
     x0 = _resolve_x0(problem, x0)
     with np.errstate(over="ignore", invalid="ignore"):
         f0 = evaluate_residual(problem, x0)
-        norm_f0 = float(np.linalg.norm(f0))
-    if not math.isfinite(norm_f0):
+        ws.norm_f0 = float(np.linalg.norm(f0))
+    if not math.isfinite(ws.norm_f0):
         raise NumericalBreakdown("initial residual norm overflowed")
-    history = [1.0]
     mask_trace: list[MixingStep] = []
 
     def report(converged, iterations):
@@ -529,11 +493,11 @@ def solve(
             l1=ws.f_r.size,
             converged=converged,
             iterations=iterations,
-            residual_history=history,
+            residual_history=ws.history,
             mask_trace=mask_trace,
             wall_time_seconds=time.perf_counter() - t_start,
             final_state=ws.x.copy(),
-            omega=omega,
+            omega=ws.omega,
             window=ws.m,
             config=config,
             trace=ws.trace,
@@ -545,21 +509,21 @@ def solve(
     np.copyto(ws.f, f0)
     if capture_trace:
         ws.trace = Trace([ws.f_r.copy()], [])
-    if norm_f0 == 0.0:
+    if ws.norm_f0 == 0.0:
         return report(True, 0)
 
     # Initialization: one relaxed Picard step, so x holds x_1 and (f, g)
     # hold the iteration-0 pair the first increments difference against.
     with np.errstate(over="ignore"):  # an infinite x_1 fails its T(x) check
-        picard_update(ws.x, ws.f, omega, ws.scratch)
+        picard_update(ws.x, ws.f, ws.omega, ws.scratch)
     np.copyto(ws.g, ws.x)
 
     converged = False
     k = 0
     try:
         for k in range(1, config.max_iterations + 1):
-            relres, rec = step(ws, problem, config, omega, k, norm_f0, history)
-            history.append(relres)
+            relres, rec = step(ws, k)
+            ws.history.append(relres)
             if relres < config.rel_tolerance:
                 converged = True
                 break

@@ -27,9 +27,8 @@ from aap.problems import build_problem, make_linear
 from aap.sketching import budget_weights, stability_hypothesis
 from aap.solver import (
     SolverConfig,
-    allocate_workspace,
+    Workspace,
     picard_update,
-    resolve_omega,
     solve,
     step,
 )
@@ -237,22 +236,22 @@ def _drive_step(problem, config, iterations):
     allocation sites in the package's modules over iterations 2..K, and
     the guard reasons seen.
 
-    The loop keeps nothing `step` returns except relres, which goes into a
-    preallocated history for the stall detector to read: keeping the
-    records is the report's growth, which `solve` does on purpose.
+    The loop keeps nothing `step` returns except relres, which goes into
+    ``ws.history``, preallocated here, for the stall detector to read:
+    keeping the records is the report's growth, which `solve` does on
+    purpose.
     """
-    omega = resolve_omega(problem, config)
-    ws = allocate_workspace(problem, config)
+    ws = Workspace(problem, config)
 
     x0 = np.zeros(problem.dimension)
     f0 = evaluate_residual(problem, x0)
-    norm_f0 = float(np.linalg.norm(f0))
+    ws.norm_f0 = float(np.linalg.norm(f0))
     np.copyto(ws.x, x0)
     np.copyto(ws.f, f0)
-    picard_update(ws.x, ws.f, omega, ws.scratch)
+    picard_update(ws.x, ws.f, ws.omega, ws.scratch)
     np.copyto(ws.g, ws.x)
 
-    history = np.ones(iterations + 1)
+    ws.history = np.ones(iterations + 1)
     reasons = {}
     # numpy keeps freed array metadata in small bounded free lists, which
     # would show as retained blocks the first time a deeper call path runs.
@@ -264,8 +263,7 @@ def _drive_step(problem, config, iterations):
         # No local keeps relres: a float taken from the interpreter's free
         # list at one snapshot and freshly allocated at the other would
         # read as retained.
-        history[k], rec = step(ws, problem, config, omega, k, norm_f0,
-                               history)
+        ws.history[k], rec = step(ws, k)
         reasons[rec.reason] = reasons.get(rec.reason, 0) + 1
         del rec
         if k == 1:
@@ -286,7 +284,7 @@ def _drive_step(problem, config, iterations):
         if stat.size_diff > 0
         and stat.traceback[-1].filename.startswith(package)
     )
-    return ws, norm_f0, growth, reasons
+    return ws, ws.norm_f0, growth, reasons
 
 
 def test_criterion_6_workspace_memory_shape():

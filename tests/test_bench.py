@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aap import bench, problems
+from aap import bench, lsq, problems
 from aap.bench import (
     ExperimentPlan,
     ParseError,
@@ -740,6 +740,11 @@ def assert_rejected(path):
     assert main(["verify-trace", str(path)]) == 2
 
 
+# A trace archive an earlier build wrote (test_archive_of_an_earlier_build_loads).
+EARLIER_ARCHIVE = os.path.join(os.path.dirname(__file__), "data",
+                               "plaplace-9-rand-pow-s1.npz")
+
+
 # Every array of an aap-trace-5 archive.
 ARCHIVE_ARRAYS = ("residual_history", "residuals", "dx_norms", "alpha",
                   "r_factor", "mask", "iteration", "columns", "lipschitz",
@@ -892,16 +897,43 @@ class TestVerifyTrace:
         # Written by an earlier build with `aap run --problem plaplace
         # --size 9 --adapt rand-pow --seed 1 --trace ...`: 24 iterations
         # and two accepted sketches. The format must keep reading it.
-        path = os.path.join(os.path.dirname(__file__), "data",
-                            "plaplace-9-rand-pow-s1.npz")
-        doc = load_trace(path)
+        doc = load_trace(EARLIER_ARCHIVE)
         assert doc["iterations"] == 24 and doc["converged"]
         result = verify_theorem_trace(doc)
         assert result.passed and len(result.checked) == 2
-        assert main(["verify-trace", path]) == 0
+        assert main(["verify-trace", EARLIER_ARCHIVE]) == 0
         out = capsys.readouterr().out
         assert "checked      2 of 2 accepted\n" in out
         assert "verdict      ok\n" in out
+
+    @pytest.mark.parametrize("edit", ["duplicated", "unsorted"])
+    def test_sketch_rows_must_strictly_increase(self, tmp_path, edit):
+        # The stability bound assumes a sketch keeps distinct rows, and the
+        # guard only ever keeps them in ascending order. Rewrite the first
+        # accepted step's rows with a duplicate (or out of order), with the
+        # alpha and R the least squares gives on them, so that the stored
+        # factor still fits: the archive is refused, not verified.
+        doc = load_trace(EARLIER_ARCHIVE)
+        steps, trace = doc["steps"], doc["trace"]
+        i = next(i for i, rec in enumerate(steps) if rec.accepted)
+        rec = steps[i]
+        rows = trace.mask[i].copy()
+        if edit == "duplicated":
+            rows[1] = rows[0]
+        else:
+            rows[[0, 1]] = rows[[1, 0]]
+        alpha, r_factor, _ = lsq.qr_masked_solve(
+            trace.window(rec)[0], trace.residual(rec), rows, rec.columns)
+        solved = [r for r in steps[:i] if not r.fallback]
+        a0 = sum(r.columns for r in solved)
+        r0 = sum(r.columns ** 2 for r in solved)
+        header, arrays = _read_trace(EARLIER_ARCHIVE)
+        arrays["mask"][: rows.size] = rows
+        arrays["alpha"][a0:a0 + alpha.size] = alpha
+        arrays["r_factor"][r0:r0 + r_factor.size] = r_factor.ravel()
+        path = tmp_path / "t.npz"
+        _save_trace(str(path), header, arrays)
+        assert_rejected(path)
 
     def test_constructed_violation_fails(self, tmp_path):
         # Hypotheses forced true by a tiny Lipschitz estimate, but a

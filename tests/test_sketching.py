@@ -28,7 +28,7 @@ from aap.sketching import (
     update_lipschitz,
 )
 from aap.lsq import estimate_sigma_min
-from aap.solver import SolverConfig, allocate_workspace, push_window
+from aap.solver import SolverConfig, Workspace, push_window
 
 
 class TestBuildStaticMask:
@@ -37,7 +37,7 @@ class TestBuildStaticMask:
 
     @staticmethod
     def restricted_rows(problem, static_mask):
-        ws = allocate_workspace(problem, SolverConfig(static_mask=static_mask))
+        ws = Workspace(problem, SolverConfig(static_mask=static_mask))
         ws.f[:] = np.arange(problem.dimension)
         ws.df[:] = -ws.f
         np.testing.assert_array_equal(ws.df_r, -ws.f_r)
@@ -62,7 +62,7 @@ class TestBuildStaticMask:
     def test_unknown_field(self):
         problem = make_saddle_point(5)
         with pytest.raises(UnknownField):
-            allocate_workspace(problem, SolverConfig(static_mask="temperature"))
+            Workspace(problem, SolverConfig(static_mask="temperature"))
 
 
 class TestLipschitz:
@@ -351,6 +351,15 @@ class TestSelectRandomized:
         freq = counts / draws
         np.testing.assert_allclose(freq, 0.3, atol=0.02)
 
+    def test_bounds_checked(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            select_randomized(3, 0, rng)
+        with pytest.raises(ValueError):
+            select_randomized(3, 4, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestSketchSize:
     def test_thirty_percent_of_ten(self):
@@ -370,23 +379,26 @@ class TestSketchSize:
 
 
 def make_workspace(columns, f_values, dx_norms, lipschitz,
-                   adaptivity=Adaptivity.SUBSELECT_CONSTANT):
+                   adaptivity=Adaptivity.SUBSELECT_CONSTANT,
+                   sketch_percent=30.0):
     """Workspace in a handcrafted post-push state for adaptive_step.
 
-    ``columns`` (l1 x c) are pushed into the window with ``dx_norms``.
-    Returns the config, the workspace and the whole window's triangular
+    ``columns`` (l1 x c) are pushed into the window with ``dx_norms``; the
+    config's rng_seed is 0, so ``ws.rng`` is ``default_rng(0)`` until a test
+    replaces it. Returns the workspace and the whole window's triangular
     factor.
     """
     columns = np.asarray(columns, dtype=float)
     l1, c = columns.shape
-    config = SolverConfig(window=8, adaptivity=adaptivity)
-    ws = allocate_workspace(from_fixed_point_form(lambda x: x, l1), config)
+    config = SolverConfig(window=8, adaptivity=adaptivity,
+                          sketch_percent=sketch_percent)
+    ws = Workspace(from_fixed_point_form(lambda x: x, l1), config)
     for col, dx_norm in zip(columns.T, dx_norms, strict=True):
         ws.df[:] = col
         push_window(ws, dx_norm)
     ws.f[:] = f_values
     ws.lipschitz = lipschitz
-    return config, ws, np.linalg.qr(columns, mode="reduced")[1]
+    return ws, np.linalg.qr(columns, mode="reduced")[1]
 
 
 def min_diag(r):
@@ -409,11 +421,10 @@ class TestAdaptiveStep:
     F = np.linspace(1.0, 2.0, 10)
 
     def test_no_lipschitz_gives_identity(self):
-        config, ws, r = make_workspace(
+        ws, r = make_workspace(
             spikes(10, [(7, 1.0)]), self.F, [1.0], lipschitz=0.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
-                                    r, min_diag(r))
+        sketch, rec = adaptive_step(ws, 2, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "no-lipschitz"
 
@@ -421,11 +432,10 @@ class TestAdaptiveStep:
         # min |diag R| of the whole window already fails the hypothesis at
         # eps = 0; it bounds sigma from above, so no row subset can pass,
         # and neither an SVD nor a sketch is taken.
-        config, ws, r = make_workspace(
+        ws, r = make_workspace(
             spikes(10, [(7, 1e-6)]), self.F, [1.0], lipschitz=1.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
-                                    r, min_diag(r))
+        sketch, rec = adaptive_step(ws, 2, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "lhs-negative"
         assert rec.sigma_min is None
@@ -435,10 +445,9 @@ class TestAdaptiveStep:
         # R = [[1, 10], [0, 1]]: its diagonal passes at eps = 0, its sigma
         # (about 0.099) does not, so the SVD decides and is recorded.
         window = spikes(10, [(7, 1.0)], [(7, 10.0), (8, 1.0)])
-        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
-                                       lipschitz=0.1)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                               lipschitz=0.1)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "lhs-negative"
         assert rec.sigma_min == estimate_sigma_min(r)
@@ -449,10 +458,9 @@ class TestAdaptiveStep:
         # A large sigma on the kept rows admits the sketch: the hypothesis
         # holds with the sketched factor's sigma and the dropped share.
         window = spikes(10, [(7, 50.0)], [(8, 40.0)])
-        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
-                                       lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                               lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert rec.accepted and rec.reason == "accepted"
         rows, alpha, r_sketch = sketch
         np.testing.assert_array_equal(rows, [7, 8, 9])
@@ -474,11 +482,10 @@ class TestAdaptiveStep:
             raise AssertionError("a sketch was factored")
 
         monkeypatch.setattr(lsq, "qr_masked_solve", no_sketch)
-        config, ws, r = make_workspace(
+        ws, r = make_workspace(
             spikes(10, [(7, 6.0)]), self.F, [1.0], lipschitz=1.0
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
-                                    r, min_diag(r))
+        sketch, rec = adaptive_step(ws, 2, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected"
         assert rec.sigma_min == estimate_sigma_min(r) == 6.0
@@ -497,10 +504,9 @@ class TestAdaptiveStep:
 
         monkeypatch.setattr(sketching, "estimate_sigma_min", counted)
         window = spikes(10, [(0, 50.0), (7, 1.0)], [(1, 40.0), (8, 1.0)])
-        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
-                                       lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                               lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected" and not rec.accepted
         assert rec.sigma_min is None
@@ -523,10 +529,9 @@ class TestAdaptiveStep:
 
         monkeypatch.setattr(lsq, "qr_masked_solve", zero_min)
         monkeypatch.setattr(sketching, "estimate_sigma_min", counted)
-        config, ws, r = make_workspace(spikes(10, [(7, 50.0)], [(8, 40.0)]),
-                                       self.F, [1.0, 1.0], lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(spikes(10, [(7, 50.0)], [(8, 40.0)]),
+                               self.F, [1.0, 1.0], lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected" and rec.sigma_min is None
         assert svds == [(2, 2)]
@@ -536,10 +541,9 @@ class TestAdaptiveStep:
         # its sigma (about 0.099) fails, and is recorded.
         window = spikes(10, [(0, 50.0), (7, 1.0)],
                         [(1, 40.0), (7, 10.0), (8, 1.0)])
-        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
-                                       lipschitz=0.05)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                               lipschitz=0.05)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected"
         r_sketch = np.linalg.qr(window[[7, 8, 9]], mode="r")
@@ -549,47 +553,44 @@ class TestAdaptiveStep:
 
     def test_rank_deficient_sketch_rejected(self):
         window = spikes(10, [(0, 50.0)], [(1, 40.0)])
-        config, ws, r = make_workspace(window, self.F, [1.0, 1.0],
-                                       lipschitz=1e-3)
-        sketch, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, [1.0, 1.0],
+                               lipschitz=1e-3)
+        sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "rejected" and rec.sigma_min is None
 
     def test_underdetermined_sketch_rejected(self):
         # l2 = 30% of 10 = 3 rows cannot support 4 window columns.
         window = spikes(10, *[[(6 + j, 50.0)] for j in range(4)])
-        config, ws, r = make_workspace(window, self.F, np.ones(4),
-                                       lipschitz=1.0)
-        sketch, rec = adaptive_step(ws, config, 5, np.random.default_rng(0),
-                                    r, min_diag(r))
+        ws, r = make_workspace(window, self.F, np.ones(4),
+                               lipschitz=1.0)
+        sketch, rec = adaptive_step(ws, 5, r, min_diag(r))
         assert sketch is None
         assert rec.reason == "underdetermined"
 
     def test_zero_residual_gives_zero_coefficients(self):
         # Nothing to drop and nothing to fit: the hypothesis holds at once
         # and the sketched coefficients are those of the whole window, zero.
-        config, ws, r = make_workspace(
+        ws, r = make_workspace(
             spikes(10, [(0, 50.0), (7, 1.0)]), np.zeros(10), [1.0],
             lipschitz=1.0,
         )
-        sketch, rec = adaptive_step(ws, config, 2, np.random.default_rng(0),
-                                    r, min_diag(r))
+        sketch, rec = adaptive_step(ws, 2, r, min_diag(r))
         assert rec.accepted and rec.eps_rhs == 0.0
         np.testing.assert_array_equal(sketch[1], [0.0])
 
     def test_randomized_strategy_uses_rng(self):
         f = np.linspace(1.0, 2.0, 20)
-        config, ws, r = make_workspace(
+        ws, r = make_workspace(
             np.full((20, 1), 100.0), f, [1.0], lipschitz=1.0,
             adaptivity=Adaptivity.RANDOMIZED_CONSTANT,
         )
-        sketch_a, _ = adaptive_step(ws, config, 2, np.random.default_rng(1),
-                                    r, min_diag(r))
-        sketch_b, _ = adaptive_step(ws, config, 2, np.random.default_rng(1),
-                                    r, min_diag(r))
-        sketch_c, _ = adaptive_step(ws, config, 2, np.random.default_rng(7),
-                                    r, min_diag(r))
+        ws.rng = np.random.default_rng(1)
+        sketch_a, _ = adaptive_step(ws, 2, r, min_diag(r))
+        ws.rng = np.random.default_rng(1)
+        sketch_b, _ = adaptive_step(ws, 2, r, min_diag(r))
+        ws.rng = np.random.default_rng(7)
+        sketch_c, _ = adaptive_step(ws, 2, r, min_diag(r))
         np.testing.assert_array_equal(sketch_a[0], sketch_b[0])
         assert sketch_c is not None
         assert not np.array_equal(sketch_a[0], sketch_c[0])
@@ -601,11 +602,10 @@ class TestAdaptiveStep:
         decisions = {}
         for adaptivity in (Adaptivity.SUBSELECT_CONSTANT,
                            Adaptivity.SUBSELECT_POWER):
-            config, ws, r = make_workspace(window, self.F, [1.0, 7.0],
-                                           lipschitz=1.0,
-                                           adaptivity=adaptivity)
-            _, rec = adaptive_step(ws, config, 3, np.random.default_rng(0),
-                                   r, min_diag(r))
+            ws, r = make_workspace(window, self.F, [1.0, 7.0],
+                                   lipschitz=1.0,
+                                   adaptivity=adaptivity)
+            _, rec = adaptive_step(ws, 3, r, min_diag(r))
             decisions[adaptivity] = rec.reason
         assert decisions == {
             Adaptivity.SUBSELECT_CONSTANT: "rejected",
@@ -663,14 +663,12 @@ def _compare_with_reference_guard(seed, l1, c, log_lipschitz, adaptivity,
         columns *= 10.0 ** rng.uniform(-3.0, 0.0, c)
     f = rng.standard_normal(l1) * 10.0 ** rng.uniform(-2.0, 2.0)
     dx_norms = rng.uniform(0.1, 2.0, c)
-    _, ws, r_window = make_workspace(columns, f, dx_norms,
-                                     10.0 ** log_lipschitz, adaptivity)
-    config = SolverConfig(window=8, adaptivity=adaptivity,
-                          sketch_percent=percent)
+    ws, r_window = make_workspace(columns, f, dx_norms,
+                                  10.0 ** log_lipschitz, adaptivity, percent)
     draws = [np.random.default_rng(seed + 1) for _ in range(2)]
-    sketch, rec = adaptive_step(ws, config, 5, draws[0], r_window,
-                                min_diag(r_window))
-    ref_sketch, ref = adaptive_step_reference(ws, config, 5, draws[1],
+    ws.rng = draws[0]
+    sketch, rec = adaptive_step(ws, 5, r_window, min_diag(r_window))
+    ref_sketch, ref = adaptive_step_reference(ws, ws.config, 5, draws[1],
                                               r_window)
     assert rec.reason == ref.reason
     assert rec.eps_rhs == ref.eps_rhs

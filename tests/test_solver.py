@@ -33,7 +33,7 @@ from aap.sketching import (
 )
 from aap.solver import (
     SolverConfig,
-    allocate_workspace,
+    Workspace,
     anderson_update,
     picard_update,
     push_window,
@@ -57,7 +57,7 @@ def shift_problem(b, **kw):
 
 def workspace(n, m):
     """A fresh workspace for an n-row problem, window m, no restriction."""
-    return allocate_workspace(shift_problem(np.zeros(n)), SolverConfig(window=m))
+    return Workspace(shift_problem(np.zeros(n)), SolverConfig(window=m))
 
 
 class TestSolverConfig:
@@ -110,7 +110,7 @@ class TestPicardUpdate:
         np.testing.assert_array_equal(x, [0.0, 0.5])
 
 
-class TestAllocateWorkspace:
+class TestWorkspace:
     cases = (("linear", 8), ("saddle", 9), ("plaplace", 9), ("bidomain", 9))
 
     def check_shapes(self, field_ranges):
@@ -124,7 +124,7 @@ class TestAllocateWorkspace:
             for field, (start, stop) in field_ranges(problem):
                 for window in (None, 100):
                     config = SolverConfig(window=window, static_mask=field)
-                    ws = allocate_workspace(problem, config)
+                    ws = Workspace(problem, config)
                     assert ws.m == min(resolve_window(problem, config),
                                        stop - start)
                     ws.f[:] = np.arange(n)
@@ -166,7 +166,8 @@ class TestUpdateIncrements:
         ws = workspace(5, 3)
         x0 = np.random.default_rng(2).standard_normal(5)
         self.prime(ws, x0, 1.0)
-        update_increments(ws, self.problem, 1.0)
+        ws.problem = self.problem
+        update_increments(ws)
         np.testing.assert_array_equal(ws.df, np.zeros(5))
         np.testing.assert_array_equal(ws.dg, np.zeros(5))
 
@@ -177,7 +178,8 @@ class TestUpdateIncrements:
         self.prime(ws, x0, 1.0)
         x1 = rng.standard_normal(5)
         ws.x[:] = x1
-        update_increments(ws, self.problem, 1.0)
+        ws.problem = self.problem
+        update_increments(ws)
         np.testing.assert_allclose(
             ws.df, self.a @ (x1 - x0), rtol=1e-13, atol=1e-13
         )
@@ -193,11 +195,12 @@ class TestUpdateIncrements:
             residual=counted, dimension=5, fields=(("state", (0, 5)),)
         )
         ws = workspace(5, 3)
+        ws.problem = problem
         ws.x[:] = np.zeros(5)
         ws.f[:] = -self.b
         ws.g[:] = -ws.f
         for _ in range(7):
-            update_increments(ws, problem, 1.0)
+            update_increments(ws)
         assert calls["n"] == 7
 
     def test_solve_evaluates_residual_iterations_plus_one_times(self):

@@ -120,20 +120,20 @@ class RunRecord:
     best: bool = False
 
 
-# The JSON types a plan value of each kind may have (a bool is no number).
+# The JSON types a value of each kind may have (a bool is no number).
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
                "bool": (bool,)}
 
 
-def _plan_value(kind: str, value):
-    """A plan value of a field annotated ``kind``: a tuple is a JSON list,
-    an optional field may be null, and a float field takes an integer."""
+def _json_value(kind: str, value):
+    """A plan or header value of a field annotated ``kind``: a tuple is a
+    JSON list, an optional field may be null, a float takes an integer."""
     if value is None and kind.endswith(" | None"):
         return None
     kind = kind.removesuffix(" | None")
     if kind.startswith("tuple[") and isinstance(value, list):
         item = kind.removeprefix("tuple[").removesuffix(", ...]")
-        return tuple(_plan_value(item, v) for v in value)
+        return tuple(_json_value(item, v) for v in value)
     if type(value) not in _JSON_TYPES.get(kind, ()):
         raise ValueError(f"expected {kind}, got {json.dumps(value)[:40]}")
     return float(value) if kind == "float" else value
@@ -169,7 +169,7 @@ def load_plan(data: bytes) -> ExperimentPlan:
         if key not in kinds:
             raise ParseError(f"unknown key {key!r}")
         try:
-            values[key] = _plan_value(kinds[key], value)
+            values[key] = _json_value(kinds[key], value)
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{key}: {exc}") from exc
     for f in fields(ExperimentPlan):
@@ -501,22 +501,23 @@ def load_trace(path: str) -> dict:
 
 
 # The header fields `load_trace` and `verify_theorem_trace` read, and the
-# types their JSON values may have (a bool is not an int here).
-_HEADER = {"problem": (str,), "sketch_percent": (int, float),
-           "adaptivity": (str,), "iterations": (int,), "converged": (bool,)}
+# kind of each, checked as a plan field of that kind is (`_json_value`).
+_HEADER = {"problem": "str", "sketch_percent": "float", "adaptivity": "str",
+           "iterations": "int", "converged": "bool"}
 
 
 def _check_header(header: dict):
     """Raise ParseError unless the header has every field of `_HEADER`, of
-    one of its types, iterations >= 0 and an adaptivity that names one."""
-    for key, types in _HEADER.items():
+    its kind, iterations >= 0 and an adaptivity that names one."""
+    for key, kind in _HEADER.items():
         if key not in header:
             raise ParseError(f"trace is missing {key!r}")
-        value = header[key]
-        if type(value) not in types or key == "iterations" and value < 0:
-            names = " or ".join(t.__name__ for t in types)
-            raise ParseError(f"trace header {key!r} is {value!r}, expected "
-                             f"{'a count' if key == 'iterations' else names}")
+        try:
+            header[key] = _json_value(kind, header[key])
+            if key == "iterations" and header[key] < 0:
+                raise ValueError(f"expected a count, got {header[key]}")
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"trace header {key!r} is invalid: {exc}") from None
     try:
         Adaptivity(header["adaptivity"])
     except ValueError:

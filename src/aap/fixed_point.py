@@ -67,6 +67,7 @@ class FixedPointProblem:
     data: dict = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        check_integers(self, "dimension", "recommended_window")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not 0.0 < self.recommended_omega < np.inf:
@@ -87,6 +88,16 @@ class FixedPointProblem:
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
+
+
+def check_integers(owner, *names: str):
+    """Raise ValueError unless each named field of ``owner`` is None or a
+    Python or numpy int: a float or bool count would run as another."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer, type(None))):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def evaluate_residual(problem: FixedPointProblem, x: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from . import lsq
 from .fixed_point import (
     FixedPointProblem,
     NumericalBreakdown,
+    check_integers,
     evaluate_residual,
     field_rows,
 )
@@ -86,6 +87,7 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "window", "alternation", "max_iterations", "rng_seed")
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1")
         if self.alternation < 1:
@@ -107,30 +109,37 @@ class SolverConfig:
 class Workspace:
     """Every buffer of a run, allocated once, and the run `step` advances.
 
-    The run is its ``problem``, ``config``, resolved relaxation ``omega``,
-    ``norm_f0`` = |T(x0)| (NaN until `solve` sets it) and ``history``, the
-    relres of the iterations so far, 1 first. ``f_r`` and ``df_r``, the
-    level-one restriction, are views of the rows of ``f`` and ``df`` of the
-    field ``config.static_mask`` names (every row for None); they are never
+    Constructing one starts the run at ``x0`` (else the problem's initial
+    state, else zeros): T(x0) and, unless x0 is a root, the iteration-0
+    Picard step, so ``x`` is x_1 and (``f``, ``g``) the pair the first
+    increments difference against. ``step(ws, k)``, k = 1, 2, ..., runs the
+    rest. The run is its ``problem``, ``config``, resolved relaxation
+    ``omega``, ``norm_f0`` = |T(x0)|, and what `step`'s caller appends to:
+    ``history``, the relres of the iterations so far, 1 first, and
+    ``steps``, the MixingSteps. ``f_r`` and ``df_r``, the level-one
+    restriction, are views of the rows of ``f`` and ``df`` of the field
+    ``config.static_mask`` names (every row for None); they are never
     copied, since ``f`` and ``df`` are only ever written in place. The
     window ``m`` is the resolved one, clamped to that row count: a wider
-    window would make the least squares underdetermined.
-    ``df_window`` (restricted rows), ``dg_window`` (full rows) and
-    ``dx_norms`` share one chronological column order, oldest first. They
-    are the width-m views at ``offset`` into column-major ``buffers`` s
-    columns wider; ``views`` holds the triple for each offset 0..s, and only
-    `push_window` moves them. ``factor``, the thin QR factor of
-    ``df_window`` that every mixing step solves from first, is updated as
-    columns enter and leave, and its ``columns`` is the windows' width; a
-    restart resets it. ``etas`` holds the guard's budget weights of
-    a full window; a window of c columns takes the first c, since weight j
-    does not depend on c. ``rng`` draws the randomized sketches' rows, and
-    ``lipschitz``, ``stalled`` and ``last_accept`` are the guard's state;
-    ``trace``, set only by a traced solve, keeps the restricted residual of
-    every iteration and the arrays of every mixing step.
+    window would make the least squares underdetermined. ``df_window``
+    (restricted rows), ``dg_window`` (full rows) and ``dx_norms`` share one
+    chronological column order, oldest first. They are the width-m views at
+    ``offset`` into column-major ``buffers`` s columns wider; ``views``
+    holds the triple for each offset 0..s, and only `push_window` moves
+    them. ``factor``, the thin QR factor of ``df_window`` that every mixing
+    step solves from first, is updated as columns enter and leave, and its
+    ``columns`` is the windows' width; a restart resets it. ``etas`` holds
+    the guard's budget weights of a full window; a window of c columns takes
+    the first c, since weight j does not depend on c. ``rng`` draws the
+    randomized sketches' rows, and ``lipschitz``, ``stalled`` and
+    ``last_accept`` are the guard's state; ``trace``, set only when
+    ``capture_trace`` is, keeps the restricted residual of every iteration
+    and the arrays of every mixing step. A bad x0 raises ValueError, and an
+    overflowing |T(x0)| NumericalBreakdown.
     """
 
-    def __init__(self, problem: FixedPointProblem, config: SolverConfig):
+    def __init__(self, problem: FixedPointProblem, config: SolverConfig,
+                 x0: np.ndarray | None = None, *, capture_trace: bool = False):
         n = problem.dimension
         rows = field_rows(problem, config.static_mask)
         l1 = rows.stop - rows.start
@@ -138,8 +147,8 @@ class Workspace:
         width = m + _window_slack(m)
         self.problem, self.config, self.m = problem, config, m
         self.omega = resolve_omega(problem, config)
-        self.norm_f0 = math.nan
         self.history = [1.0]
+        self.steps: list[MixingStep] = []
         self.x, self.f, self.g, self.df, self.dg, self.scratch = (
             np.zeros(n) for _ in range(6))
         self.f_r, self.df_r = self.f[rows], self.df[rows]
@@ -158,7 +167,25 @@ class Workspace:
         self.lipschitz = 0.0
         self.stalled = False
         self.last_accept = -1
-        self.trace: Trace | None = None
+
+        x0 = problem.initial_state if x0 is None else x0
+        if x0 is not None:
+            x0 = np.asarray(x0, float)
+            if x0.shape != (n,):
+                raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
+            if not np.isfinite(x0).all():
+                raise ValueError("x0 has non-finite entries")
+            np.copyto(self.x, x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(self.f, evaluate_residual(problem, self.x))
+            self.norm_f0 = float(np.linalg.norm(self.f))
+        if not math.isfinite(self.norm_f0):
+            raise NumericalBreakdown("initial residual norm overflowed")
+        self.trace = Trace([self.f_r.copy()], []) if capture_trace else None
+        if self.norm_f0 > 0.0:
+            with np.errstate(over="ignore"):  # an infinite x_1 fails its T(x) check
+                picard_update(self.x, self.f, self.omega, self.scratch)
+            np.copyto(self.g, self.x)
 
 
 def picard_update(x, f, omega, work):
@@ -251,18 +278,19 @@ def step(ws: Workspace, k: int):
     """Run iteration k of the workspace's run in place; returns (relres,
     record).
 
-    Returns at once, x untouched, when relres = |T(x)| / ``ws.norm_f0`` is
-    below the tolerance, and raises NumericalBreakdown when it is not finite.
-    Otherwise the increments enter the window and, when k = 0 mod p, a
-    mixing step solves the whole window from the kept factor; with
+    Any workspace whose x0 is not a root can be stepped, from k = 1 on a new
+    one. Returns at once, x untouched, when relres = |T(x)| / ``ws.norm_f0``
+    is below the tolerance, and raises NumericalBreakdown when it is not
+    finite. Otherwise the increments enter the window and, when k = 0 mod p,
+    a mixing step solves the whole window from the kept factor; with
     adaptivity on, the guard may replace that solution by the one of a row
     sketch it accepts. A rank-deficient window leaves the step without
     coefficients (reason "no-factor") and restarts the window. Every
     iteration ends in one update of x inside the step's overflow guard: the
-    Picard point g `update_increments` formed, or `anderson_update`'s
-    g - dG alpha with the step's coefficients. The stall detector only
-    reads ``ws.history`` (relres of iterations 0..k-1); the caller appends
-    relres. ``record`` is the step's MixingStep, None unless it mixed. When
+    Picard point g `update_increments` formed, or `anderson_update`'s g - dG
+    alpha with the step's coefficients. The stall detector only reads
+    ``ws.history`` (relres of iterations 0..k-1); the caller appends relres.
+    ``record`` is the step's MixingStep, None unless it mixed. When
     ``ws.trace`` is set, the step logs the restricted residual there and,
     when it mixed, its arrays.
     """
@@ -440,17 +468,19 @@ def resolve_window(problem: FixedPointProblem, config: SolverConfig) -> int:
     return DEFAULT_WINDOW
 
 
-def _resolve_x0(problem, x0):
-    if x0 is None:
-        x0 = problem.initial_state
-    x0 = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, float)
-    if x0.shape != (problem.dimension,):
-        raise ValueError(
-            f"x0 has shape {x0.shape}, expected ({problem.dimension},)"
-        )
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 has non-finite entries")
-    return x0
+def _report(ws: Workspace, iterations: int, t_start: float) -> SolveReport:
+    """The report of the run in ``ws`` after ``iterations`` iterations (k
+    for a breakdown at k); it holds no reference to ``ws``."""
+    converged = (ws.history[-1] < ws.config.rel_tolerance
+                 if len(ws.history) > 1 else ws.norm_f0 == 0.0)
+    return SolveReport(
+        problem=ws.problem.name, n=ws.problem.dimension, l1=ws.f_r.size,
+        converged=converged, iterations=iterations,
+        residual_history=ws.history, mask_trace=ws.steps,
+        wall_time_seconds=time.perf_counter() - t_start,
+        final_state=ws.x.copy(), omega=ws.omega, window=ws.m,
+        config=ws.config, trace=ws.trace, factor_updates=ws.factor.updates,
+        factor_refreshes=ws.factor.refreshes)
 
 
 def solve(
@@ -476,61 +506,18 @@ def solve(
     is a diagnostic mode and allocates.
     """
     t_start = time.perf_counter()
-    ws = Workspace(problem, config)
-
-    x0 = _resolve_x0(problem, x0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f0 = evaluate_residual(problem, x0)
-        ws.norm_f0 = float(np.linalg.norm(f0))
-    if not math.isfinite(ws.norm_f0):
-        raise NumericalBreakdown("initial residual norm overflowed")
-    mask_trace: list[MixingStep] = []
-
-    def report(converged, iterations):
-        return SolveReport(
-            problem=problem.name,
-            n=problem.dimension,
-            l1=ws.f_r.size,
-            converged=converged,
-            iterations=iterations,
-            residual_history=ws.history,
-            mask_trace=mask_trace,
-            wall_time_seconds=time.perf_counter() - t_start,
-            final_state=ws.x.copy(),
-            omega=ws.omega,
-            window=ws.m,
-            config=config,
-            trace=ws.trace,
-            factor_updates=ws.factor.updates,
-            factor_refreshes=ws.factor.refreshes,
-        )
-
-    np.copyto(ws.x, x0)
-    np.copyto(ws.f, f0)
-    if capture_trace:
-        ws.trace = Trace([ws.f_r.copy()], [])
-    if ws.norm_f0 == 0.0:
-        return report(True, 0)
-
-    # Initialization: one relaxed Picard step, so x holds x_1 and (f, g)
-    # hold the iteration-0 pair the first increments difference against.
-    with np.errstate(over="ignore"):  # an infinite x_1 fails its T(x) check
-        picard_update(ws.x, ws.f, ws.omega, ws.scratch)
-    np.copyto(ws.g, ws.x)
-
-    converged = False
+    ws = Workspace(problem, config, x0, capture_trace=capture_trace)
     k = 0
     try:
-        for k in range(1, config.max_iterations + 1):
+        while ws.norm_f0 > 0.0 and k < config.max_iterations:
+            k += 1
             relres, rec = step(ws, k)
             ws.history.append(relres)
             if relres < config.rel_tolerance:
-                converged = True
                 break
             if rec is not None:
-                mask_trace.append(rec)
+                ws.steps.append(rec)
     except NumericalBreakdown as exc:
-        exc.report = report(False, k)
+        exc.report = _report(ws, k, t_start)
         raise
-
-    return report(converged, k)
+    return _report(ws, k, t_start)

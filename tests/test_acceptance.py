@@ -22,13 +22,12 @@ from scipy.linalg import svdvals
 import aap
 from aap.bench import RunRecord, verify_theorem_trace, write_trace
 from aap.cli import main
-from aap.fixed_point import NumericalBreakdown, evaluate_residual
+from aap.fixed_point import NumericalBreakdown
 from aap.problems import build_problem, make_linear
 from aap.sketching import budget_weights, stability_hypothesis
 from aap.solver import (
     SolverConfig,
     Workspace,
-    picard_update,
     solve,
     step,
 )
@@ -231,8 +230,8 @@ def test_criterion_5_pressure_mask_trend():
 
 
 def _drive_step(problem, config, iterations):
-    """Run `step` for iterations 1..K on a workspace set up the way `solve`
-    sets it up; returns the workspace, |T(x0)|, the bytes retained by
+    """Run `step` for iterations 1..K on a new workspace, which starts the
+    run as `solve` does; returns the workspace, the bytes retained by
     allocation sites in the package's modules over iterations 2..K, and
     the guard reasons seen.
 
@@ -242,15 +241,6 @@ def _drive_step(problem, config, iterations):
     purpose.
     """
     ws = Workspace(problem, config)
-
-    x0 = np.zeros(problem.dimension)
-    f0 = evaluate_residual(problem, x0)
-    ws.norm_f0 = float(np.linalg.norm(f0))
-    np.copyto(ws.x, x0)
-    np.copyto(ws.f, f0)
-    picard_update(ws.x, ws.f, ws.omega, ws.scratch)
-    np.copyto(ws.g, ws.x)
-
     ws.history = np.ones(iterations + 1)
     reasons = {}
     # numpy keeps freed array metadata in small bounded free lists, which
@@ -284,7 +274,7 @@ def _drive_step(problem, config, iterations):
         if stat.size_diff > 0
         and stat.traceback[-1].filename.startswith(package)
     )
-    return ws, ws.norm_f0, growth, reasons
+    return ws, growth, reasons
 
 
 def test_criterion_6_workspace_memory_shape():
@@ -300,13 +290,13 @@ def test_criterion_6_workspace_memory_shape():
     details = []
     for adaptivity in ("none", "subselect-power"):
         config = SolverConfig(static_mask="pressure", adaptivity=adaptivity)
-        ws, norm_f0, growth, reasons = _drive_step(problem, config, iterations)
+        ws, growth, reasons = _drive_step(problem, config, iterations)
         sketched = reasons.get("accepted", 0) + reasons.get("rejected", 0)
         shape_ok = (
             ws.df_window.shape == (l1, ws.m)
             and ws.factor.q.shape == (l1, ws.m)
             and ws.factor.updates + ws.factor.refreshes == iterations
-            and float(np.linalg.norm(ws.f_r)) < norm_f0
+            and float(np.linalg.norm(ws.f_r)) < ws.norm_f0
             and ws.f_r.shape == (l1,)
             and l1 < problem.dimension
             and (adaptivity == "none" or sketched > 0)

@@ -173,6 +173,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             FixedPointProblem(residual=lambda x: x, dimension=0, fields=())
 
+    @pytest.mark.parametrize("field", ["dimension", "recommended_window"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        # dimension=3.0 once failed in np.zeros; recommended_window=2.5 was
+        # cut to 2 when a solve resolved its window.
+        counts = {"dimension": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FixedPointProblem(residual=lambda x: x, fields=(), **counts)
+        counts[field] = np.int64(3)
+        problem = FixedPointProblem(residual=lambda x: x, fields=(), **counts)
+        assert getattr(problem, field) == 3
+
     @pytest.mark.parametrize("omega", [np.nan, 0.0, -1.0, np.inf])
     def test_recommended_omega_not_positive_and_finite_rejected(self, omega):
         # As SolverConfig refuses the relaxation: NaN would end in a

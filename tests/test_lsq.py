@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr_delete, qr_multiply, solve_triangular, svdvals
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from aap import lsq
 from aap.lsq import (
@@ -253,6 +254,17 @@ def drive_window(factor, window, columns, rhs_rng=None):
         alpha, r, _ = factor.solve(window, rhs)
         last = (alpha, r, rhs)
     return filled, last
+
+
+def test_lapack_illegal_argument_raises(capfd):
+    # A right-hand side taller than the factor leaves the factor's leading
+    # dimension, LAPACK's argument 7, too small. LAPACK reports that through
+    # XERBLA, which prints to stdout, and a negative info, which `_lapack`
+    # raises.
+    qr, tau = lsq._lapack(dgeqrf, np.ones((4, 2)))
+    with pytest.raises(ValueError, match="dormqr: illegal argument 7"):
+        lsq._lapack(dormqr, "L", "T", qr, tau, np.ones((6, 1)))
+    capfd.readouterr()
 
 
 def factor_errors(factor, window, cols):

@@ -39,6 +39,7 @@ from aap.solver import (
     push_window,
     resolve_window,
     solve,
+    step,
     update_increments,
 )
 
@@ -72,6 +73,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             SolverConfig(**{field: 0})
         assert getattr(SolverConfig(**{field: 1}), field) == 1
+
+    @pytest.mark.parametrize(
+        "field", ["window", "alternation", "max_iterations", "rng_seed"])
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, np.float64(2.0)])
+    def test_counts_must_be_integers(self, field, value):
+        # alternation=1.5 once mixed at k = 3, 6, 9, ... while the report
+        # said 1.5; window=2.5 failed inside numpy, rng_seed=1.5 inside
+        # default_rng.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+        assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
 
     def test_rng_seed_must_not_be_negative(self):
         # numpy's default_rng once refused it when the workspace was made.
@@ -553,6 +565,78 @@ class TestTraceLog:
             assert got.shape == window.shape
             assert got.tobytes() == window.tobytes()
             assert report.trace.residual(rec).tobytes() == f_r.tobytes()
+
+
+class TestSteppedWorkspace:
+    """A new workspace is a started run: stepping it from k = 1 and
+    appending each relres to its history is `solve`, bit for bit."""
+
+    @staticmethod
+    def run_steps(problem, config, x0=None, capture_trace=False):
+        """Step a new workspace until it converges or runs out of
+        iterations; returns it, its mixing records and the breakdown that
+        ended it, if one did."""
+        ws = Workspace(problem, config, x0, capture_trace=capture_trace)
+        records = []
+        try:
+            for k in range(1, config.max_iterations + 1):
+                relres, rec = step(ws, k)
+                ws.history.append(relres)
+                if relres < config.rel_tolerance:
+                    break
+                if rec is not None:
+                    records.append(rec)
+        except NumericalBreakdown as exc:
+            return ws, records, exc
+        return ws, records, None
+
+    @pytest.mark.parametrize("name, size, mask, adaptivity, p, traced", [
+        ("saddle", 17, "pressure", "sub-pow", 1, True),
+        ("saddle", 17, "pressure", "sub-pow", 2, True),
+        ("saddle", 17, None, "none", 2, False),
+        ("plaplace", 15, None, "rand-pow", 2, True),
+        ("plaplace", 15, None, "sub-pow", 3, False),
+        ("linear", 30, None, "none", 3, False),
+        ("bidomain", 9, "extracellular", "rand-pow", 1, False),
+    ])
+    def test_steps_reproduce_solve(self, name, size, mask, adaptivity, p,
+                                   traced):
+        problem = build_problem(name, size)
+        config = SolverConfig(static_mask=mask, adaptivity=adaptivity,
+                              alternation=p, rng_seed=1)
+        ws, records, broke = self.run_steps(problem, config,
+                                            capture_trace=traced)
+        try:
+            report = solve(problem, config, capture_trace=traced)
+        except NumericalBreakdown as exc:
+            report = exc.report
+            # saddle-17 pressure + sub-pow at p = 2 breaks down at 241.
+            assert broke is not None and str(broke) == str(exc)
+        else:
+            assert broke is None and report.converged
+        assert ws.history == report.residual_history
+        assert np.array_equal(ws.x, report.final_state)
+        assert records == report.mask_trace
+        if traced:
+            assert_same_trace(ws.trace, report.trace)
+        else:
+            assert ws.trace is None is report.trace
+
+    def test_start_at_a_root(self):
+        # |T(x0)| = 0: no Picard step, x stays x0, and the trace logs only
+        # the residual at x0; solve converges at iteration 0.
+        b = np.array([1.0, -2.0, 3.0])
+        problem = shift_problem(b)
+        ws = Workspace(problem, SolverConfig(), b, capture_trace=True)
+        assert ws.norm_f0 == 0.0
+        np.testing.assert_array_equal(ws.x, b)
+        np.testing.assert_array_equal(ws.g, np.zeros(3))
+        assert len(ws.trace.residuals) == 1 and ws.trace.dx_norms == []
+        report = solve(problem, SolverConfig(), b, capture_trace=True)
+        assert report.converged and report.iterations == 0
+        assert report.residual_history == [1.0] and report.mask_trace == []
+        np.testing.assert_array_equal(report.final_state, b)
+        assert_same_trace(report.trace, ws.trace)
 
 
 class TestBreakdownRecovery:

@@ -546,13 +546,16 @@ def _read_array(arrays: dict, name: str, *lengths) -> np.ndarray:
 @dataclass
 class StepCheck:
     """Verification outcome for one mixing step: its ``record`` and what
-    the verifier found. A step the verifier does not test (a fallback or an
-    unsketched step) passes vacuously."""
+    the verifier found. ``alpha_solves`` says whether the step's
+    coefficients solve the least squares it records (a fallback has none
+    and passes); the bound is tested on sketched steps only, and others
+    pass it vacuously."""
 
     record: MixingStep
     hypotheses_satisfied: bool = False
     delta: float = 0.0
     bound: float = 0.0
+    alpha_solves: bool = True
 
     @property
     def masked(self) -> bool:
@@ -571,9 +574,10 @@ class TraceVerification:
 
     ``accepted`` lists the steps that mixed with a sketch, and ``checked``
     those of them whose stability hypothesis the verifier confirmed. The
-    trace passes when the bound holds wherever the hypothesis does and every
-    accepted sketch is checked: an accepted step that fails the hypothesis
-    means the guard and the verifier disagree.
+    trace passes when the bound holds wherever the hypothesis does, every
+    accepted sketch is checked, and every step's coefficients solve its
+    least squares: an accepted step that fails the hypothesis means the
+    guard and the verifier disagree.
     """
 
     steps: list[StepCheck] = field(default_factory=list)
@@ -595,7 +599,8 @@ class TraceVerification:
 
     @property
     def passed(self) -> bool:
-        return not self.violations and len(self.checked) == len(self.accepted)
+        return (not self.violations and len(self.checked) == len(self.accepted)
+                and all(s.alpha_solves for s in self.steps))
 
 
 def verify_theorem_trace(path_or_doc) -> TraceVerification:
@@ -605,7 +610,11 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     step the stored triangular factor is checked against the restricted
     increments (mismatch means a corrupted trace); both are scaled by one
     power of two near the largest increment first, so the Gram matrices
-    compared cannot overflow. For a step that mixed with a sketch,
+    compared cannot overflow. The coefficients must solve the recorded
+    least squares: the residual of its normal equations, (SF)^T (Sf - SF
+    alpha), is at most FACTOR_RTOL |SF| |Sf| (Frobenius norms), on the
+    same scale, and on an accepted step |alpha| sigma_min(R) <= |Sf|, the
+    premise of the bound's proof. For a step that mixed with a sketch,
     `stability_hypothesis` is recomputed from the record:
     the factor's smallest singular value, the recorded Lipschitz estimate
     and increment norms, the residual's norm and the share of it the sketch
@@ -633,12 +642,14 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
     mask, alpha, r_factor = trace.mask[i], trace.alpha[i], trace.r_factor[i]
 
     restricted = increments if mask is None else increments[mask]
+    f_res = trace.residual(rec)
+    rhs = f_res if mask is None else f_res[mask]
     # Scaling by a power of two near 1 / max |F| is exact and keeps the Gram
     # matrices from overflowing. frexp gives exponent 0 for a zero or
     # non-finite maximum, and a non-finite mismatch fails below.
     top = float(np.abs(restricted).max())
     scale = math.ldexp(1.0, -max(math.frexp(top)[1], -1022))
-    scaled, scaled_r = restricted * scale, r_factor * scale
+    scaled, scaled_r, scaled_f = restricted * scale, r_factor * scale, rhs * scale
     gram = scaled.T @ scaled
     mismatch = float(np.linalg.norm(gram - scaled_r.T @ scaled_r))
     if not mismatch <= FACTOR_RTOL * max(float(np.linalg.norm(gram)), 1e-300):
@@ -646,17 +657,22 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
             f"step {rec.iteration}: stored triangular factor disagrees "
             "with the recorded increments"
         )
+    normal = float(np.linalg.norm(scaled.T @ (scaled_f - scaled @ alpha)))
+    solves = normal <= (FACTOR_RTOL * float(np.linalg.norm(scaled))
+                        * float(np.linalg.norm(scaled_f)))
 
     if mask is None:
-        return StepCheck(rec)
+        return StepCheck(rec, alpha_solves=solves)
 
     delta = perturbation_norm(increments, mask, alpha)
 
-    f_res = trace.residual(rec)
     etas = budget_weights(adaptivity, rec.columns)
     norm_f = float(np.linalg.norm(f_res))
+    sigma = estimate_sigma_min(r_factor)
+    solves = solves and (float(np.linalg.norm(alpha)) * sigma
+                         <= (1.0 + FACTOR_RTOL) * float(np.linalg.norm(rhs)))
     hyp_ok = stability_hypothesis(
-        estimate_sigma_min(r_factor),
+        sigma,
         rec.lipschitz,
         norm_f,
         dx_norms,
@@ -664,7 +680,7 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
         epsilon_rhs(f_res, mask, norm_f),
     )
     return StepCheck(rec, hypotheses_satisfied=hyp_ok, delta=delta,
-                     bound=float(sum(etas)) + BOUND_SLACK)
+                     bound=float(sum(etas)) + BOUND_SLACK, alpha_solves=solves)
 
 
 def build_meta(extra: dict | None = None) -> dict:

@@ -14,8 +14,9 @@ coming from a solve of its own.
 
 Exit codes: 0 on success, 1 when a single run fails to converge, 2 for
 invalid input of any kind, a path that cannot be read or written included,
-3 when trace verification finds a violation of the bound or an accepted
-sketch that fails the stability hypothesis.
+3 when trace verification finds a violation of the bound, an accepted
+sketch that fails the stability hypothesis, or coefficients that do not
+solve their step's least squares.
 """
 from __future__ import annotations
 
@@ -138,8 +139,8 @@ def _print_summary(report) -> None:
     reasons = Counter(rec.reason for rec in report.mask_trace).most_common()
     print("guard        " + (", ".join(f"{r} {n}" for r, n in reasons)
                              or "no mixing steps"))
-    print(f"factor       {report.factor_updates} updated, "
-          f"{report.factor_refreshes} refactored")
+    print(f"factor       {report.filtered} of {len(report.mask_trace)} "
+          "mixing steps filtered")
     print(f"wall time    {report.wall_time_seconds:.3f} s")
 
 
@@ -176,6 +177,10 @@ def _cmd_verify(args) -> int:
         if not step.hypotheses_satisfied:
             print(f"unchecked    iteration {step.record.iteration}: "
                   "accepted sketch fails the stability hypothesis")
+    for step in result.steps:
+        if not step.alpha_solves:
+            print(f"alpha        iteration {step.record.iteration}: "
+                  "coefficients do not solve the recorded least squares")
     for step in result.violations:
         print(f"violation    iteration {step.record.iteration}: "
               f"delta {step.delta:.6e} > bound {step.bound:.6e}")

@@ -1,59 +1,56 @@
 """Row-restricted least squares and the smallest singular value.
 
 The mixing step solves min_alpha |M alpha - r|_2 where M is the increment
-window or a row subset of it. Two factorizations serve it:
+window or a row subset of it. Two solves serve it:
 
-* `WindowFactor` keeps a thin QR factor of the whole (statically restricted)
-  window and updates it as the window moves: the oldest column leaves by
-  Givens rotations and each new one enters by classical Gram-Schmidt in
-  two passes, one column at a time. The second pass rides on two-column
-  products made anyway, and the correction it brings waits for the next
-  column's, so a column costs three reads of the basis, not five. A step
-  costs O(l1 m) per new column instead of the O(l1 m^2) of a fresh
-  factorization. The factor is recomputed by Householder QR only when a
-  second pass shows loss of orthogonality.
+* `WindowFactor` keeps the Gram matrix G = F^T F of the whole (statically
+  restricted) window as the window moves, and solves the normal equations
+  by a Cholesky factor of G over the newest columns that are numerically
+  independent of the newer ones: a filter, not a restart. A step reads the
+  window once per new column, O(l1 m), where a fresh factorization costs
+  O(l1 m^2).
 * `qr_masked_solve` factors a row subset afresh (Householder QR without
   pivoting, LAPACK), for the row sketch the stability guard proposes.
 
-Both return one triple, (alpha, R, min |R_ii|): the coefficients, the
-triangular factor R, which has the singular values of M, and the least
-magnitude on its diagonal, which the back substitution's rank check takes
-anyway. `estimate_sigma_min` takes the smallest singular value exactly,
-from an SVD of the small c x c factor. min |R_ii| bounds it from above at
-no cost: the diagonal entries are R's eigenvalues, and an eigenvector v
-gives |R_ii| = |R v| / |v| >= sigma_min(R). The stability guard takes the
-exact value only where that bound does not already settle its test: on
-the whole window's factor when the bound passes, and on a sketched factor
-when the bound passes there too. The offline trace verifier takes it on
-every accepted sketch.
+Both return (alpha, R, min |R_ii|): the coefficients, a triangular R with
+R^T R = M^T M, which has the singular values of M, and the least magnitude
+on its diagonal. `estimate_sigma_min` takes the smallest singular value
+exactly, from an SVD of the small c x c factor. min |R_ii| bounds it from
+above at no cost: the diagonal entries are R's eigenvalues, and an
+eigenvector v gives |R_ii| = |R v| / |v| >= sigma_min(R). The stability
+guard takes the exact value only where that bound does not settle its test,
+and the offline trace verifier takes it on every accepted sketch.
 
-The Givens sweep, the sketch's QR and the SVD call the compiled routines
-under scipy's `qr_delete`, `qr_multiply` and `svdvals` directly, with the
-arguments those functions pass: on a window of ten columns the wrappers
-cost more than the routines. Results are bitwise the public functions',
-which tests/test_lsq.py checks call by call.
+The sketch's QR and the SVD call the LAPACK routines under scipy's
+`qr_multiply` and `svdvals` directly, with the arguments those functions
+pass: on a window of ten columns the wrappers cost more than the routines.
+Results are bitwise the public functions', which tests/test_lsq.py checks.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, qr_delete
-from scipy.linalg.lapack import _compute_lwork, dgeqrf, dormqr, dtrtrs
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import (_compute_lwork, dgeqrf, dormqr, dpotrf,
+                                 dpotrs, dtrtrs)
 
-# The Cython routine under qr_delete's array-API wrapper, and the LAPACK
-# SVD svdvals looks up.
-_qr_delete = qr_delete.__wrapped__
+# The LAPACK SVD svdvals looks up.
 _gesdd, _gesdd_lwork = get_lapack_funcs(
     ("gesdd", "gesdd_lwork"), (np.zeros((1, 1)),), ilp64="preferred")
 
-# Relative floor on |diag(R)| below which the factor is treated as singular.
+# Relative floor on |diag(R)| below which a sketch's factor is singular.
 RANK_RTOL = 1e-14
 
-# An appended column whose second Gram-Schmidt pass keeps less than this
-# share of the norm the first pass left has lost orthogonality to the basis
-# (a third pass would be needed); the factor is then recomputed.
-REORTH_KEEP = 2.0 ** -0.5
+# The window's solve keeps a column only while the sine of its angle to the
+# newer columns kept, U_jj / sqrt(G_jj), is at least this. Cholesky computes
+# U_jj^2 with an absolute error of about c eps G_jj, so at this sine U_jj is
+# still good to about 1% at m = 50, where 1e-7 would leave it to rounding.
+# It filters only the saddle pressure windows of the built-in problems. Of
+# 1e-6 and 1e-4, neither lost a run to rounding noise there, 1e-6 took
+# fewer iterations under it at sizes 33 and 65, and 1e-4 also filtered
+# plaplace-31 at p = 2, 18% slower (CHANGES.md).
+KEEP_SINE = 1e-6
 
 # Mixing coefficients beyond this magnitude mean the window fit is
 # numerically meaningless (healthy runs stay several orders below it); the
@@ -128,8 +125,7 @@ def _lapack(routine, *args):
 def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
     """(alpha, min |diag R|): alpha = R^{-1} Q^T r after the rank check on
     diag(R), for R of at least one column (`qr_masked_solve` rejects
-    cols < 1, and `WindowFactor.solve` always has a pushed column). One
-    max |alpha| checks finiteness and COEFF_LIMIT at once."""
+    cols < 1). One max |alpha| checks finiteness and COEFF_LIMIT at once."""
     d = np.abs(np.diagonal(r_factor))
     dmin, dmax = float(d.min()), float(d.max())
     if dmax == 0.0 or dmin < RANK_RTOL * dmax:
@@ -139,7 +135,7 @@ def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
         )
     # LAPACK's trtrs, called as scipy's solve_triangular calls it but
     # without its per-call wrapper: a factor that is not Fortran-contiguous
-    # (the window factor's view) is solved as the transposed lower system,
+    # (as np.triu returns it) is solved as the transposed lower system,
     # so the result is bitwise solve_triangular's.
     if r_factor.flags.f_contiguous:
         alpha, info = dtrtrs(r_factor, qtr, lower=0, trans=0)
@@ -151,84 +147,47 @@ def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
 
 
 class WindowFactor:
-    """Thin QR factor of the leading columns of a chronological window.
+    """Gram matrix of a chronological window, and its filtered solve.
 
-    ``q`` (rows x m, column-major) and ``r`` (m x m) are allocated once; the
-    leading ``cols`` columns of q and the leading cols x cols block of r
-    factor the window columns pushed so far. The factor trails the window:
-    `push` records that a column entered it, and `solve` first brings the
-    factor up to date. ``columns``, the factor's columns and the pushes
-    since capped at m, is the window's width: the solver keeps no count of
-    its own. Every mixing step solves from it first, sketched or not, so it
-    is brought up to date once per mixing step. `reset` empties the factor
+    ``gram`` (m x m) is allocated once; the lower triangle of its leading
+    ``cols`` x ``cols`` block holds G = F^T F of the window columns pushed so
+    far, oldest first. G trails the window: `push` records that a column
+    entered it, and `solve` first moves the rows of the columns still in
+    the window up by the number that left, then takes the new rows and
+    F^T f from products over the window, two vectors at a time through a
+    2 x ``rows`` work pair, so that one new column and f cost one read of
+    F. ``columns``, the pushes since the last `reset` capped at m, is the
+    window's width: the solver keeps no count of its own. `reset` empties G
     and so the window when it restarts.
 
-    Each column enters by classical Gram-Schmidt in two passes, riding on
-    products each step makes anyway, each at most two columns wide, after
-    DCGS2 (Swirydowicz et al. 2021). With Q1 the columns held but the
-    newest, q~ the newest after its first pass (``delayed``), v the new
-    column and f the right-hand side:
-
-    1. ``q^T v`` gives v's coordinates in the basis with q~ corrected;
-    2. one product ``[Q1 q~] C`` gives both that correction,
-       (q~ - Q1 a) / |q~ - Q1 a|, and the projection of v, which enters as
-       the next column after its first pass. When the factor was full the
-       Givens sweep of ``qr_delete`` then drops the oldest column; only its
-       last rotation touches the new column, so only the newest column
-       kept has had one pass;
-    3. ``q^T [q~ f]`` gives that column's second-pass coefficients
-       a = Q1^T q~ along with q^T f. They are folded into r and into
-       q^T f, so the solve is as after both passes, and the pass is
-       checked there. The correction of q~ itself waits for step 2 of the
-       next column; until then q r reproduces the window to rounding, as
-       the pass changes r by about eps |v|.
-
-    That is three reads of q and one sweep per column; both passes at once
-    (CGS2) and a separate ``q^T f`` read q five times. A solve after
-    several pushes enters them one at a time, each followed by step 3, so
-    it is bitwise the same pushes each followed by a solve. A column
-    entering an empty factor (the first, or all of them when none of the
-    factor is left in the window) is only normalised.
-
-    ``updates`` counts solves served by an updated factor and ``refreshes``
-    those that needed a fresh Householder QR of the window because a second
-    pass lost orthogonality.
+    The solve factors G newest column first (`dpotrf` on the reversed G,
+    U^T U). U_jj / sqrt(G_jj) is the sine of column j's angle to the newer
+    columns, and the solve keeps the newest columns up to the first whose
+    sine is below KEEP_SINE or that `dpotrf` cannot factor, after Pollock &
+    Rebholz, "Filtering for Anderson acceleration" (SISC 2023), who filter
+    by the same ratio of a QR factor. The older columns stay in the window
+    and get no coefficient at this step. ``filtered`` counts the solves that
+    kept fewer columns than the window holds.
     """
 
     def __init__(self, rows: int, m: int):
-        # A spare column past the window, where a column is appended before
-        # a drop and f is put next to q~.
-        self._q = q = np.zeros((rows, m + 1), order="F")
-        self.q = q[:, :m]
-        self.r = np.zeros((m, m), order="F")
-        # r one larger for the append before a drop. r itself stays m x m:
-        # its layout sets the back substitution's rounding.
-        self._r_grown = np.zeros((m + 1, m + 1), order="F")
+        self.gram = np.zeros((m, m))
+        self._work = np.zeros((2, rows))
+        # Flat buffers, each viewed at the size a solve needs, so that a
+        # solve allocates no array: the products, U, and the sines, the
+        # right-hand side and the coefficients.
+        self._prod = np.zeros((m + 1) * m)
+        self._u = np.zeros(m * m)
+        self._sines, self._beta, self._alpha = np.zeros((3, m))
         self.cols = 0
         self.pending = 0
-        self.updates = 0
-        self.refreshes = 0
-        # The newest column of q waits for its correction by the second
-        # pass's coefficients a and kept norm rho (in an array, so that a
-        # solve leaves no new object behind).
-        self.delayed = False
-        self._a = np.zeros(m)
-        self._rho = np.ones(1)
-        self._h = np.zeros(m)
-        # Two-column products are taken transposed, with (2, n) row-major
-        # operands, so that each is one gemm writing a contiguous output.
-        self._work = np.zeros((2, rows))
-        self._pair = np.zeros(2 * m)
-        # Per width c, built once: q[:, :c], q[:, :c].T, h[:c], pair, r[:c, :c].
-        self._views = [(q[:, :c], q[:, :c].T, self._h[:c],
-                        self._pair[:2 * c].reshape(2, c), self.r[:c, :c])
-                       for c in range(m + 1)]
+        self.filtered = 0
 
     @property
     def columns(self) -> int:
         """The window's width: the columns pushed since the last `reset`,
         capped at m."""
-        return min(self.cols + self.pending, self.r.shape[0])
+        return min(self.cols + self.pending, self.gram.shape[0])
 
     def push(self):
         """Record that one column entered the window (dropping its oldest
@@ -239,125 +198,66 @@ class WindowFactor:
         """Forget every column; the window restarts empty."""
         self.cols = 0
         self.pending = 0
-        self.delayed = False
 
     def solve(self, window: np.ndarray, rhs: np.ndarray):
-        """Least squares over the window's ``columns`` leading columns, from
-        the updated factor.
+        """Least squares over the newest columns of the window's ``columns``
+        leading ones that pass the filter, from the normal equations.
 
-        Same contract as ``qr_masked_solve`` over every row: returns
-        (alpha, r_factor, r_min) and raises RankDeficient on a collapsed
-        diagonal or non-finite or oversized coefficients. ``r_factor`` is a
-        view of the factor, valid until the next call. Raises ValueError
-        when no column was pushed since the last solve: the pending second
-        pass would otherwise be folded into r twice.
+        Returns (alpha, r_factor, r_min) as ``qr_masked_solve`` does, for the
+        newest len(alpha) columns: R is lower triangular (U reversed), with
+        R^T R = G of those columns. alpha and R are views of the factor's
+        buffers, valid until the next call. Raises RankDeficient when no
+        column passes (the newest is zero or not finite) or a coefficient is
+        not finite or exceeds COEFF_LIMIT, and ValueError when no column was
+        pushed since the last solve.
         """
         if self.pending == 0:
             raise ValueError("no column was pushed since the last solve")
-        m = self.r.shape[0]
-        cols = self.columns
-        keep = cols - self.pending
-        self.pending = 0
-        if keep <= 0:
-            self.reset()
-        # Overflowing columns leave non-finite entries, which the rank
-        # check below rejects and the solver's next finite check reports.
+        c = self.columns
+        old = max(c - self.pending, 0)
+        gram, left = self.gram, self.cols - old
+        gram[:old, :old] = gram[left:self.cols, left:self.cols]
+        self.cols, self.pending = c, 0
+        vectors = [window[:, j] for j in range(old, c)] + [rhs]
+        prod = self._prod[:len(vectors) * c].reshape(-1, c)
+        # Overflowing columns leave non-finite entries, which the filter
+        # drops and the solver's next finite check reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(max(keep, 0), cols):
-                self._push_one(window[:, j], self.cols == m)
-                solved = self._project(rhs, self.cols)
-                if solved is None:
-                    break
-        if solved is None:
-            self._refactor(window, cols)
-            solved = self._project(rhs, cols)
-        else:
-            self.updates += 1
-        r_factor, qtr = solved
-        alpha, r_min = _back_substitute(r_factor, qtr)
-        return alpha, r_factor, r_min
+            for i in range(0, len(vectors), 2):
+                pair = self._work[:len(vectors[i:i + 2])]
+                for row, v in zip(pair, vectors[i:i + 2]):
+                    row[:] = v
+                np.dot(pair, window[:, :c], out=prod[i:i + len(pair)])
+            gram[old:c, :c] = prod[:-1]
+            u, info = self._factor(c)
+            k = c if info == 0 else info - 1
+            sines = self._sines[:k]
+            np.sqrt(np.diagonal(gram)[c - 1::-1][:k], out=sines)
+            np.divide(np.diagonal(u)[:k], sines, out=sines)
+        t = next((j for j, s in enumerate(sines) if not s >= KEEP_SINE), k)
+        if t == 0:
+            raise RankDeficient("no window column passes the filter")
+        if t < c:
+            # U's leading block factors the columns kept; LAPACK takes it
+            # contiguous, so it is factored again in place.
+            self.filtered += 1
+            u, info = self._factor(t)
+        beta = self._beta[:t]
+        beta[:] = prod[-1, c - 1::-1][:t]
+        _, solved = dpotrs(u, beta, overwrite_b=1)
+        alpha = self._alpha[:t]
+        alpha[:] = beta[::-1]
+        if info or solved or not float(np.abs(alpha).max()) <= COEFF_LIMIT:
+            raise RankDeficient("coefficients non-finite or past COEFF_LIMIT")
+        return alpha, u[::-1, ::-1], float(np.diagonal(u).min())
 
-    def _refactor(self, window: np.ndarray, cols: int):
-        """Fresh Householder QR of ``window[:, :cols]`` into the buffers."""
-        q, r = np.linalg.qr(window[:, :cols], mode="reduced")
-        self.q[:, :cols] = q
-        self.r[:cols, :cols] = r
-        self.cols = cols
-        self.delayed = False
-        self.refreshes += 1
-
-    def _project(self, rhs: np.ndarray, cols: int):
-        """(R, Q^T rhs) as after every second pass, or None when the
-        newest column's pass lost orthogonality."""
-        _, qt, qtr, prod, r_cols = self._views[cols]
-        if not self.delayed:
-            np.dot(qt, rhs, out=qtr)
-            return r_cols, qtr
-        q, k = self._q, cols - 1
-        q[:, cols] = rhs
-        np.dot(q[:, k:cols + 1].T, q[:, :cols], out=prod)
-        a = self._a[:k]
-        a[:] = prod[0, :k]
-        # The pass keeps |q~|^2 - |a|^2 of |q~|^2 (Pythagoras).
-        norm2 = float(prod[0, k])
-        kept2 = norm2 - float(np.dot(a, a))
-        if not (kept2 > 0.0 and kept2 >= REORTH_KEEP ** 2 * norm2):
-            return None
-        self._rho[0] = rho = math.sqrt(kept2)
-        qtr[:] = prod[1]
-        qtr[k] = (qtr[k] - np.dot(a, qtr[:k])) / rho
-        r = self.r
-        r[:k, k] += r[k, k] * a
-        r[k, k] *= rho
-        return r_cols, qtr
-
-    def _push_one(self, v: np.ndarray, drop: bool):
-        """Enter ``v`` after its first pass, making a pending correction on
-        the way, then drop the oldest column when ``drop``.
-
-        A column in the numerical span of the basis leaves a diagonal entry
-        at roundoff level (zero for an exact copy), which the rank check of
-        `solve` then rejects.
-        """
+    def _factor(self, t: int):
+        """(U, info) of `dpotrf` on G of the window's newest t columns,
+        newest first, in the flat buffer."""
         c = self.cols
-        q, r, work = self._q, self.r, self._work
-        new = q[:, c]
-        q_cols, qt, b, coef, r_cols = self._views[c]
-        np.dot(qt, v, out=b)
-        if self.delayed:
-            k = c - 1
-            a, rho = self._a[:k], self._rho[0]
-            b[k] = (b[k] - np.dot(a, b[:k])) / rho
-            # Over [Q1 q~], row 0 of C gives the corrected column and row 1
-            # Q1 b[:k] + b[k] times it.
-            np.multiply(a, -1.0 / rho, out=coef[0, :k])
-            coef[0, k] = 1.0 / rho
-            coef[1, k] = b[k] / rho
-            np.multiply(a, -coef[1, k], out=coef[1, :k])
-            coef[1, :k] += b[:k]
-            np.dot(coef, qt, out=work)
-            q[:, k] = work[0]
-        else:
-            np.dot(q_cols, b, out=work[1])
-        np.subtract(v, work[1], out=new)
-        rho = math.sqrt(np.dot(new, new))
-        if rho > 0.0:
-            new /= rho
-        if drop:
-            r = self._r_grown
-            r[:c, :c] = r_cols
-        r[:c, c] = b
-        r[c, :c] = 0.0
-        r[c, c] = rho
-        if drop:
-            # Deleting column 0 leaves r upper Hessenberg; qr_delete
-            # restores it by Givens rotations applied to q, in place.
-            _qr_delete(q[:, :c + 1], r[:c + 1, :c + 1], 0, 1, which="col",
-                       overwrite_qr=True, check_finite=False)
-            r_cols[:] = r[:c, :c]
-        else:
-            self.cols = c + 1
-        self.delayed = c > 0
+        u = self._u[:t * t].reshape((t, t), order="F")
+        u[:] = self.gram[c - t:c, c - t:c][::-1, ::-1]
+        return dpotrf(u, lower=0, clean=1, overwrite_a=1)
 
 
 def estimate_sigma_min(r_factor: np.ndarray) -> float:

@@ -212,9 +212,10 @@ def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
     """Decide the level-two sketch for one mixing step of the run in the
     `solver.Workspace` ``ws``.
 
-    ``r_window`` is the triangular factor of the whole restricted window
-    and ``r_min`` its min |diag|, both as the step's least squares
-    (`lsq.WindowFactor.solve`) returned them. The guard proposes rows by the
+    ``r_window`` is the triangular factor of the restricted window's newest
+    c columns that the step's least squares (`lsq.WindowFactor.solve`)
+    solved over, and ``r_min`` its min |diag|, both as it returned them;
+    those c columns are "the window" below. The guard proposes rows by the
     strategy and sketch size of ``ws.config``, a randomized strategy drawing
     them from ``ws.rng``, factors the sketched window, and accepts when
     `stability_hypothesis` holds with that factor's exact smallest singular
@@ -251,7 +252,8 @@ def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
     """
     f_r = ws.f_r
     l1 = f_r.shape[0]
-    c = ws.factor.columns
+    c = r_window.shape[0]
+    lo = ws.factor.columns - c
     rec = MixingStep(iteration, c, ws.lipschitz, reason="no-lipschitz")
     if ws.lipschitz <= 0.0:
         return None, rec
@@ -261,7 +263,7 @@ def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
         return None, rec
 
     norm_f = math.sqrt(np.dot(f_r, f_r))
-    tau = stability_threshold(ws.lipschitz, norm_f, ws.dx_norms[:c],
+    tau = stability_threshold(ws.lipschitz, norm_f, ws.dx_norms[lo:lo + c],
                               ws.etas[:c])
 
     rec.reason = "lhs-negative"
@@ -282,7 +284,8 @@ def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
         return None, rec
     rec.sigma_min = None
     try:
-        alpha, r_factor, r_min = lsq.qr_masked_solve(ws.df_window, f_r, rows, c)
+        alpha, r_factor, r_min = lsq.qr_masked_solve(ws.df_window[:, lo:], f_r,
+                                                     rows, c)
     except lsq.RankDeficient:
         return None, rec
     if not r_min >= need:

@@ -126,7 +126,7 @@ class Workspace:
     chronological column order, oldest first. They are the width-m views at
     ``offset`` into column-major ``buffers`` s columns wider; ``views``
     holds the triple for each offset 0..s, and only `push_window` moves
-    them. ``factor``, the thin QR factor of ``df_window`` that every mixing
+    them. ``factor``, the Gram matrix of ``df_window`` that every mixing
     step solves from first, is updated as columns enter and leave, and its
     ``columns`` is the windows' width; a restart resets it. ``etas`` holds
     the guard's budget weights of a full window; a window of c columns takes
@@ -263,14 +263,16 @@ def push_window(ws: Workspace, dx_norm: float):
 
 
 def anderson_update(ws: Workspace, alpha: np.ndarray):
-    """Mixing update x <- g - dg_window[:, :c] @ alpha, in place.
+    """Mixing update x <- g - dG alpha, in place.
 
     ``alpha`` is the window least-squares solution, one coefficient per
-    filled column, oldest first; the dg columns are combined by one
+    column it was solved over, oldest first; those are the window's newest
+    len(alpha) columns. Their dg columns dG are combined by one
     matrix-vector product into scratch, and subtracted from the Picard
     point g that `update_increments` formed.
     """
-    np.dot(ws.dg_window[:, : len(alpha)], alpha, out=ws.scratch)
+    c = ws.factor.columns
+    np.dot(ws.dg_window[:, c - len(alpha):c], alpha, out=ws.scratch)
     np.subtract(ws.g, ws.scratch, out=ws.x)
 
 
@@ -279,21 +281,26 @@ def step(ws: Workspace, k: int):
     record).
 
     Any workspace whose x0 is not a root can be stepped, from k = 1 on a new
-    one. Returns at once, x untouched, when relres = |T(x)| / ``ws.norm_f0``
-    is below the tolerance, and raises NumericalBreakdown when it is not
-    finite. Otherwise the increments enter the window and, when k = 0 mod p,
-    a mixing step solves the whole window from the kept factor; with
-    adaptivity on, the guard may replace that solution by the one of a row
-    sketch it accepts. A rank-deficient window leaves the step without
-    coefficients (reason "no-factor") and restarts the window. Every
-    iteration ends in one update of x inside the step's overflow guard: the
-    Picard point g `update_increments` formed, or `anderson_update`'s g - dG
-    alpha with the step's coefficients. The stall detector only reads
+    one; one started at a root raises ValueError. Returns at once, x
+    untouched, when relres = |T(x)| / ``ws.norm_f0`` is below the tolerance,
+    and raises NumericalBreakdown when it is not finite. Otherwise the
+    increments enter the window and, when k = 0 mod p, a mixing step solves
+    the window from its Gram matrix over the newest columns that pass the
+    factor's filter; with adaptivity on, the guard may replace that
+    solution by the one of a row sketch of the same columns it accepts. A
+    window none of whose columns pass, or whose coefficients pass
+    `lsq.COEFF_LIMIT`, leaves the step without coefficients (reason
+    "no-factor") and restarts the window. Every iteration ends in one
+    update of x inside the step's overflow guard: the Picard point g
+    `update_increments` formed, or `anderson_update`'s g - dG alpha with
+    the step's coefficients. The stall detector only reads
     ``ws.history`` (relres of iterations 0..k-1); the caller appends relres.
     ``record`` is the step's MixingStep, None unless it mixed. When
     ``ws.trace`` is set, the step logs the restricted residual there and,
     when it mixed, its arrays.
     """
+    if ws.norm_f0 == 0.0:
+        raise ValueError("x0 is a root: the run has no step to take")
     # Norms are sqrt(v . v), which is what np.linalg.norm computes for a
     # contiguous real vector, without its per-call checks.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,9 +339,8 @@ def step(ws: Workspace, k: int):
         try:
             alpha, r_step, r_min = ws.factor.solve(ws.df_window, ws.f_r)
         except lsq.RankDeficient:
-            # Restart the window: a degenerate column would otherwise force
-            # this fallback for m consecutive steps. Dropping the history
-            # lets mixing resume on the next step.
+            # Restart the window: a degenerate newest column would otherwise
+            # cut the filter's run of kept columns for its next m steps.
             ws.factor.reset()
         if alpha is not None and adaptive and not ws.stalled:
             sketch, rec = adaptive_step(ws, k, r_step, r_min)
@@ -344,7 +350,8 @@ def step(ws: Workspace, k: int):
         else:
             reason = ("no-factor" if alpha is None
                       else "stalled" if ws.stalled else "disabled")
-            rec = MixingStep(k, c, ws.lipschitz, reason=reason)
+            rec = MixingStep(k, c if alpha is None else len(alpha),
+                             ws.lipschitz, reason=reason)
         if ws.trace is not None:
             ws.trace.record(alpha, r_step, rows)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,16 +432,11 @@ class SolveReport:
     is measurement, not behavior: identical configurations and seeds give
     identical reports except for it.
 
-    Every mixing step solves the whole window from its kept factor first, so
-    the counters split the mixing steps by how that factor was brought up
-    to date: ``factor_updates`` by dropping and appending columns,
-    ``factor_refreshes`` by a fresh QR of the window after a Gram-Schmidt
-    pass lost orthogonality. Each column enters on its own and gets its
-    second pass from a least-squares product of the step it entered (only
-    the correction of the stored column is delayed), so the refresh is
-    counted at that step. A column entering an empty factor is only
-    normalised and cannot cause one. A fallback (reason "no-factor")
-    empties the window, so the fallback records count the restarts.
+    Every mixing step solves the window from its Gram matrix first, over
+    the newest columns that pass the factor's filter; ``filtered`` counts
+    the mixing steps at which the filter left older columns out. A
+    fallback (reason "no-factor") empties the window, so the fallback
+    records count the restarts.
     """
 
     problem: str
@@ -450,8 +452,7 @@ class SolveReport:
     window: int
     config: SolverConfig
     trace: Trace | None = None
-    factor_updates: int = 0
-    factor_refreshes: int = 0
+    filtered: int = 0
 
 
 def resolve_omega(problem: FixedPointProblem, config: SolverConfig) -> float:
@@ -479,8 +480,7 @@ def _report(ws: Workspace, iterations: int, t_start: float) -> SolveReport:
         residual_history=ws.history, mask_trace=ws.steps,
         wall_time_seconds=time.perf_counter() - t_start,
         final_state=ws.x.copy(), omega=ws.omega, window=ws.m,
-        config=ws.config, trace=ws.trace, factor_updates=ws.factor.updates,
-        factor_refreshes=ws.factor.refreshes)
+        config=ws.config, trace=ws.trace, filtered=ws.factor.filtered)
 
 
 def solve(

@@ -333,10 +333,13 @@ def solve_plain(problem, config):
         picard_update(x, f, omega, scratch)
         if k % p == 0:
             try:
+                # The coefficients are those of the newest columns that
+                # pass the factor's filter.
                 alpha, _, _ = factor.solve(f_window, f)
-                np.dot(g_window[:, :cols], alpha, out=scratch)
+                kept = len(alpha)
+                np.dot(g_window[:, cols - kept:cols], alpha, out=scratch)
                 np.subtract(x, scratch, out=x)
-                steps.append(MixingStep(k, cols, math.nan, reason="disabled"))
+                steps.append(MixingStep(k, kept, math.nan, reason="disabled"))
             except lsq.RankDeficient:
                 steps.append(MixingStep(k, cols, math.nan, reason="no-factor"))
                 factor.reset()
@@ -354,6 +357,5 @@ def solve_plain(problem, config):
         omega=omega,
         window=m,
         config=config,
-        factor_updates=factor.updates,
-        factor_refreshes=factor.refreshes,
+        filtered=factor.filtered,
     )

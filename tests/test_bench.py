@@ -451,7 +451,7 @@ class TestTableRoundTrip:
 
 
 def traced_report(adaptivity="subselect-power", mask="pressure", seed=3):
-    problem = build_problem("saddle", 9)
+    problem = build_problem("saddle", 17)
     config = SolverConfig(
         static_mask=mask, adaptivity=adaptivity, rng_seed=seed
     )
@@ -906,6 +906,24 @@ class TestVerifyTrace:
         assert "checked      2 of 2 accepted\n" in out
         assert "verdict      ok\n" in out
 
+    def test_coefficients_must_solve_the_least_squares(self, tmp_path, capsys):
+        # Each alpha of the earlier build's archive replaced by
+        # 1e-3 sign(alpha): every factor still fits its window and both
+        # accepted sketches still meet the hypothesis and the bound, but no
+        # step's coefficients solve its least squares.
+        header, arrays = _read_trace(EARLIER_ARCHIVE)
+        arrays["alpha"] = 1e-3 * np.sign(arrays["alpha"])
+        path = tmp_path / "t.npz"
+        _save_trace(str(path), header, arrays)
+        result = verify_theorem_trace(str(path))
+        assert len(result.checked) == 2 and result.violations == []
+        assert not any(s.alpha_solves for s in result.steps)
+        assert main(["verify-trace", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "checked      2 of 2 accepted\n" in out
+        assert out.count("coefficients do not solve") == len(result.steps)
+        assert "verdict      FAIL\n" in out
+
     @pytest.mark.parametrize("edit", ["duplicated", "unsorted"])
     def test_sketch_rows_must_strictly_increase(self, tmp_path, edit):
         # The stability bound assumes a sketch keeps distinct rows, and the
@@ -979,7 +997,7 @@ class TestVerifyTrace:
 
     def test_factor_check_survives_overflowing_windows(self, tmp_path):
         # Saddle-17 pressure + sub-pow at p = 2 diverges until its residual
-        # norm overflows at iteration 241. On many of its windows the Gram
+        # norm overflows at iteration 263. On many of its windows the Gram
         # matrix F^T F, or its norm, overflows, so the factor check must
         # scale before it squares: the trace verifies with no RuntimeWarning
         # (an error under pytest), and a doubled factor on such a step is
@@ -990,7 +1008,7 @@ class TestVerifyTrace:
         with pytest.raises(NumericalBreakdown) as info:
             solve(problem, config, capture_trace=True)
         report = info.value.report
-        assert report.iterations == 241
+        assert report.iterations == 263
         path = tmp_path / "t.npz"
         write_trace(report, str(path))
         doc = load_trace(str(path))
@@ -1028,7 +1046,7 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "converged    yes" in printed
-        assert "refactored\n" in printed
+        assert "mixing steps filtered\n" in printed
         assert result_rows(out)[0].converged
         assert load_trace(str(trace))["problem"] == "linear"
         mixing = int(printed.split("mixing")[1].split()[0])

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,8 +128,8 @@ class TestWorkspace:
 
     def check_shapes(self, field_ranges):
         # f_r and df_r are views of the restricted rows of f and df, the
-        # residual window and its factor have those rows, and the window is
-        # clamped to them.
+        # residual window has those rows and is clamped to them, and the
+        # factor's Gram matrix has a row and a column per window column.
         assert {name for name, _ in self.cases} == set(PROBLEM_NAMES)
         for name, size in self.cases:
             problem = build_problem(name, size)
@@ -146,7 +147,7 @@ class TestWorkspace:
                     np.testing.assert_array_equal(ws.f_r, np.arange(start, stop))
                     np.testing.assert_array_equal(ws.df_r, -ws.f_r)
                     assert ws.df_window.shape == (stop - start, ws.m)
-                    assert ws.factor.q.shape == (stop - start, ws.m)
+                    assert ws.factor.gram.shape == (ws.m, ws.m)
                     assert ws.dg_window.shape == (n, ws.m)
 
     def test_masked_shapes(self):
@@ -529,8 +530,10 @@ class TestTraceLog:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("case", ["saddle", "bidomain", "constant"])
     def test_windows_and_residuals_are_the_solvers(self, monkeypatch, case, p):
-        # saddle-9 pressure + sub-pow restarts its window after fallbacks;
-        # T(x) = c falls back and restarts at every mixing step.
+        # saddle-9 pressure + sub-pow restarts its window after fallbacks
+        # and filters it on other steps; T(x) = c falls back and restarts at
+        # every mixing step. A step's window is the newest columns its least
+        # squares kept, all of them after a fallback.
         if case == "constant":
             c = np.array([1.0, 2.0])
             problem = FixedPointProblem(residual=lambda x: c.copy(),
@@ -560,7 +563,11 @@ class TestTraceLog:
         assert len(seen) == len(report.mask_trace) > 0
         if case != "bidomain":
             assert any(rec.fallback for rec in report.mask_trace)
+        if case == "saddle":
+            assert any(rec.columns < window.shape[1]
+                       for rec, (window, _) in zip(report.mask_trace, seen))
         for rec, (window, f_r) in zip(report.mask_trace, seen, strict=True):
+            window = window[:, window.shape[1] - rec.columns:]
             got = report.trace.window(rec)[0]
             assert got.shape == window.shape
             assert got.tobytes() == window.tobytes()
@@ -610,7 +617,7 @@ class TestSteppedWorkspace:
             report = solve(problem, config, capture_trace=traced)
         except NumericalBreakdown as exc:
             report = exc.report
-            # saddle-17 pressure + sub-pow at p = 2 breaks down at 241.
+            # saddle-17 pressure + sub-pow at p = 2 breaks down at 263.
             assert broke is not None and str(broke) == str(exc)
         else:
             assert broke is None and report.converged
@@ -637,6 +644,16 @@ class TestSteppedWorkspace:
         assert report.residual_history == [1.0] and report.mask_trace == []
         np.testing.assert_array_equal(report.final_state, b)
         assert_same_trace(report.trace, ws.trace)
+
+
+    def test_stepping_a_root_is_refused(self):
+        # A run started at a root has nothing to step: relres would divide
+        # by |T(x0)| = 0.
+        b = np.array([1.0, -2.0, 3.0])
+        ws = Workspace(shift_problem(b), SolverConfig(), b)
+        with pytest.raises(ValueError, match="x0 is a root"):
+            step(ws, 1)
+        np.testing.assert_array_equal(ws.x, b)
 
 
 class TestBreakdownRecovery:
@@ -685,18 +702,29 @@ class TestBreakdownRecovery:
         assert all(r == "stalled" for r in reasons[first:])
 
     def test_factor_counters_cover_mixing_steps(self):
-        # Every mixing step solves the whole window from its factor first,
-        # updated or refactored, sketched or not; every fallback restarts
-        # the window, so at p = 1 the next step mixes over one column.
-        problem = build_problem("saddle", 9)
+        # Every mixing step solves the window from its Gram matrix first,
+        # sketched or not, and `filtered` counts the steps whose record has
+        # fewer columns than the window held. Every fallback restarts the
+        # window, so at p = 1 the window after iteration k holds
+        # min(m, k - j) columns, j the last fallback before k (0 if none),
+        # and the next step mixes over one column.
+        problem = build_problem("saddle", 17)
         config = SolverConfig(
             static_mask="pressure", adaptivity="subselect-power", rng_seed=3
         )
         report = solve(problem, config)
         steps = report.mask_trace
         assert any(rec.accepted for rec in steps)
-        assert report.factor_updates > 0
-        assert report.factor_updates + report.factor_refreshes == len(steps)
+        restart, filtered = 0, 0
+        for rec in steps:
+            width = min(report.window, rec.iteration - restart)
+            if rec.fallback:
+                assert rec.columns == width
+                restart = rec.iteration
+            else:
+                assert 1 <= rec.columns <= width
+                filtered += rec.columns < width
+        assert report.filtered == filtered > 0
         after = [b for a, b in zip(steps, steps[1:]) if a.fallback]
         assert after and all(b.columns == 1 for b in after)
 
@@ -726,12 +754,12 @@ class TestTransparency:
                 assert matches_plain_loop(problem, config)
 
     def test_factor_counters_identical(self):
-        problem = build_problem("saddle", 9)
-        config = SolverConfig(alternation=2, rel_tolerance=1e-8)
+        # At this tolerance bidomain-9 filters its window on 10 steps.
+        problem = build_problem("bidomain", 9)
+        config = SolverConfig(rel_tolerance=1e-12)
         full = solve(problem, config)
         plain = solve_plain(problem, config)
-        assert full.factor_updates == plain.factor_updates > 0
-        assert full.factor_refreshes == plain.factor_refreshes
+        assert full.filtered == plain.filtered > 0
         assert ([(r.iteration, r.columns, r.reason) for r in full.mask_trace]
                 == [(r.iteration, r.columns, r.reason) for r in plain.mask_trace])
 
@@ -917,16 +945,43 @@ def noncontractive_problem(n, seed):
 
 
 def test_overflowing_window_column_breaks_down_quietly():
-    # A draw whose entering window column overflows in its first-pass norm
-    # while |f| is still finite. It must end in NumericalBreakdown with no numpy
-    # RuntimeWarning, which pyproject.toml turns into an error.
+    # A draw whose entering window column overflows its Gram matrix entry
+    # while the column and |f| are still finite. It must end in
+    # NumericalBreakdown with no numpy RuntimeWarning, which pyproject.toml
+    # turns into an error.
     seed = 915436966
     config = SolverConfig(window=5, alternation=3, rel_tolerance=1e-10,
                           max_iterations=3000, static_mask="head",
                           adaptivity=Adaptivity.SUBSELECT_POWER, rng_seed=seed)
     with pytest.raises(NumericalBreakdown) as info:
         solve(noncontractive_problem(5, seed), config)
-    assert info.value.report.iterations == 2854
+    assert info.value.report.iterations == 2824
+
+
+def test_saddle_pressure_converges_under_rounding_noise():
+    # T(x) times (1 + 1e-16 z) entry by entry, z standard normal from
+    # default_rng(draw): a perturbation of an ulp or none. The pressure
+    # windows are near dependent, and with a window restart on every rank
+    # loss in place of the filter, draws 7 and 15 break down and draw 9
+    # does not converge in 1,000 iterations.
+    base = build_problem("saddle", 33)
+    config = SolverConfig(static_mask="pressure", adaptivity="sub-pow",
+                          rng_seed=1)
+    failed = []
+    for draw in range(40):
+        rng = np.random.default_rng(draw)
+
+        def residual(x, rng=rng):
+            v = base.residual(x)
+            return v * (1.0 + 1e-16 * rng.standard_normal(v.size))
+
+        try:
+            converged = solve(replace(base, residual=residual), config).converged
+        except NumericalBreakdown:
+            converged = False
+        if not converged:
+            failed.append(draw)
+    assert failed == []
 
 
 def diagonal_problem(entries):

@@ -39,6 +39,7 @@ from .sketching import (
     budget_weights,
     epsilon_rhs,
     perturbation_norm,
+    select_subselection,
     sketch_size,
     stability_hypothesis,
 )
@@ -548,14 +549,17 @@ class StepCheck:
     """Verification outcome for one mixing step: its ``record`` and what
     the verifier found. ``alpha_solves`` says whether the step's
     coefficients solve the least squares it records (a fallback has none
-    and passes); the bound is tested on sketched steps only, and others
-    pass it vacuously."""
+    and passes), and ``rows_selected`` whether a subselection's rows are
+    the ones its rule takes from the recorded residual (randomized rows
+    are not rechecked and pass); the bound is tested on sketched steps
+    only, and others pass it vacuously."""
 
     record: MixingStep
     hypotheses_satisfied: bool = False
     delta: float = 0.0
     bound: float = 0.0
     alpha_solves: bool = True
+    rows_selected: bool = True
 
     @property
     def masked(self) -> bool:
@@ -575,9 +579,10 @@ class TraceVerification:
     ``accepted`` lists the steps that mixed with a sketch, and ``checked``
     those of them whose stability hypothesis the verifier confirmed. The
     trace passes when the bound holds wherever the hypothesis does, every
-    accepted sketch is checked, and every step's coefficients solve its
-    least squares: an accepted step that fails the hypothesis means the
-    guard and the verifier disagree.
+    accepted sketch is checked, every step's coefficients solve its least
+    squares and every subselection keeps the rows its rule selects: an
+    accepted step that fails the hypothesis means the guard and the
+    verifier disagree.
     """
 
     steps: list[StepCheck] = field(default_factory=list)
@@ -600,7 +605,8 @@ class TraceVerification:
     @property
     def passed(self) -> bool:
         return (not self.violations and len(self.checked) == len(self.accepted)
-                and all(s.alpha_solves for s in self.steps))
+                and all(s.alpha_solves and s.rows_selected
+                        for s in self.steps))
 
 
 def verify_theorem_trace(path_or_doc) -> TraceVerification:
@@ -614,8 +620,10 @@ def verify_theorem_trace(path_or_doc) -> TraceVerification:
     least squares: the residual of its normal equations, (SF)^T (Sf - SF
     alpha), is at most FACTOR_RTOL |SF| |Sf| (Frobenius norms), on the
     same scale, and on an accepted step |alpha| sigma_min(R) <= |Sf|, the
-    premise of the bound's proof. For a step that mixed with a sketch,
-    `stability_hypothesis` is recomputed from the record:
+    premise of the bound's proof. A subselection's rows must be those
+    `select_subselection` takes from the recorded residual. For a step that
+    mixed with a sketch, `stability_hypothesis` is recomputed from the
+    record:
     the factor's smallest singular value, the recorded Lipschitz estimate
     and increment norms, the residual's norm and the share of it the sketch
     dropped (`epsilon_rhs`). Where it holds, the perturbation norm must stay
@@ -679,8 +687,11 @@ def _verify_step(rec: MixingStep, trace: Trace, i: int, adaptivity: Adaptivity):
         etas,
         epsilon_rhs(f_res, mask, norm_f),
     )
+    selected = adaptivity.randomized or np.array_equal(
+        mask, select_subselection(f_res, len(mask)))
     return StepCheck(rec, hypotheses_satisfied=hyp_ok, delta=delta,
-                     bound=float(sum(etas)) + BOUND_SLACK, alpha_solves=solves)
+                     bound=float(sum(etas)) + BOUND_SLACK, alpha_solves=solves,
+                     rows_selected=selected)
 
 
 def build_meta(extra: dict | None = None) -> dict:

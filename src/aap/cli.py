@@ -181,6 +181,9 @@ def _cmd_verify(args) -> int:
         if not step.alpha_solves:
             print(f"alpha        iteration {step.record.iteration}: "
                   "coefficients do not solve the recorded least squares")
+        if not step.rows_selected:
+            print(f"rows         iteration {step.record.iteration}: "
+                  "sketch rows are not the residual's subselection")
     for step in result.violations:
         print(f"violation    iteration {step.record.iteration}: "
               f"delta {step.delta:.6e} > bound {step.bound:.6e}")

@@ -1,30 +1,32 @@
 """Row-restricted least squares and the smallest singular value.
 
 The mixing step solves min_alpha |M alpha - r|_2 where M is the increment
-window or a row subset of it. Two solves serve it:
+window or a row subset of it. One kernel, `_filtered_solve`, solves it
+from the Gram matrix G = M^T M: a Cholesky factor of G taken newest column
+first keeps the newest columns that are numerically independent of the
+newer ones, a filter rather than a restart. Two callers form G:
 
-* `WindowFactor` keeps the Gram matrix G = F^T F of the whole (statically
-  restricted) window as the window moves, and solves the normal equations
-  by a Cholesky factor of G over the newest columns that are numerically
-  independent of the newer ones: a filter, not a restart. A step reads the
-  window once per new column, O(l1 m), where a fresh factorization costs
-  O(l1 m^2).
-* `qr_masked_solve` factors a row subset afresh (Householder QR without
-  pivoting, LAPACK), for the row sketch the stability guard proposes.
+* `WindowFactor` keeps G of the whole (statically restricted) window as
+  the window moves. A step reads the window once per new column, O(l1 m),
+  where a fresh product costs O(l1 m^2).
+* `qr_masked_solve` forms G of a row subset afresh, for the row sketch the
+  stability guard proposes, and refuses a sketch the filter would thin.
 
-Both return (alpha, R, min |R_ii|): the coefficients, a triangular R with
-R^T R = M^T M, which has the singular values of M, and the least magnitude
-on its diagonal. `estimate_sigma_min` takes the smallest singular value
-exactly, from an SVD of the small c x c factor. min |R_ii| bounds it from
-above at no cost: the diagonal entries are R's eigenvalues, and an
-eigenvector v gives |R_ii| = |R v| / |v| >= sigma_min(R). The stability
-guard takes the exact value only where that bound does not settle its test,
-and the offline trace verifier takes it on every accepted sketch.
+Both return (alpha, R, min |R_ii|): the coefficients, a lower triangular R
+with R^T R = G of the columns solved over, and the least magnitude on its
+diagonal. R has the singular values of those columns to the accuracy of
+G, and alpha is good to about kappa^2 eps. `estimate_sigma_min` takes the
+smallest singular value exactly, from an SVD of the small c x c factor.
+min |R_ii| bounds it from above at no cost: the diagonal entries are R's
+eigenvalues, and an eigenvector v gives |R_ii| = |R v| / |v| >=
+sigma_min(R). The stability guard takes the exact value only where that
+bound does not settle its test, and the offline trace verifier takes it
+on every accepted sketch.
 
-The sketch's QR and the SVD call the LAPACK routines under scipy's
-`qr_multiply` and `svdvals` directly, with the arguments those functions
-pass: on a window of ten columns the wrappers cost more than the routines.
-Results are bitwise the public functions', which tests/test_lsq.py checks.
+LAPACK's Cholesky routines and SVD are called directly: on a window of ten
+columns scipy's wrappers cost more than the routines. The SVD is called
+with the arguments `svdvals` passes, so its result is bitwise svdvals',
+which tests/test_lsq.py checks.
 """
 from __future__ import annotations
 
@@ -32,18 +34,14 @@ import math
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import (_compute_lwork, dgeqrf, dormqr, dpotrf,
-                                 dpotrs, dtrtrs)
+from scipy.linalg.lapack import _compute_lwork, dpotrf, dpotrs
 
 # The LAPACK SVD svdvals looks up.
 _gesdd, _gesdd_lwork = get_lapack_funcs(
     ("gesdd", "gesdd_lwork"), (np.zeros((1, 1)),), ilp64="preferred")
 
-# Relative floor on |diag(R)| below which a sketch's factor is singular.
-RANK_RTOL = 1e-14
-
-# The window's solve keeps a column only while the sine of its angle to the
-# newer columns kept, U_jj / sqrt(G_jj), is at least this. Cholesky computes
+# A solve keeps a column only while the sine of its angle to the newer
+# columns kept, U_jj / sqrt(G_jj), is at least this. Cholesky computes
 # U_jj^2 with an absolute error of about c eps G_jj, so at this sine U_jj is
 # still good to about 1% at m = 50, where 1e-7 would leave it to rounding.
 # It filters only the saddle pressure windows of the built-in problems. Of
@@ -62,37 +60,17 @@ class RankDeficient(RuntimeError):
     """Triangular factor is numerically rank deficient."""
 
 
-def qr_masked_solve(
-    window: np.ndarray,
-    rhs: np.ndarray,
-    rows: np.ndarray,
-    cols: int,
-):
-    """Solve the row-restricted least-squares problem of the mixing step.
+def qr_masked_solve(window: np.ndarray, rhs: np.ndarray, rows: np.ndarray,
+                    cols: int):
+    """Least squares of the sketch: min |S F alpha - S f| over the rows
+    ``rows`` (sorted) of the window's leading ``cols`` columns F and of
+    ``rhs`` f, 1 <= cols <= m, from its Gram matrix (SF)^T SF.
 
-    Parameters
-    ----------
-    window : (l1, m) ndarray
-        Increment window; only the leading ``cols`` columns participate.
-    rhs : (l1,) ndarray
-        Restricted residual vector.
-    rows : sorted int ndarray
-        Row subset defining the restriction.
-    cols : int
-        Number of filled window columns, 1 <= cols <= m.
-
-    Returns
-    -------
-    alpha : (cols,) ndarray
-        argmin_alpha |M alpha - r|_2 over the restricted system.
-    r_factor : (cols, cols) ndarray
-        R factor of the restricted matrix.
-    r_min : float
-        min |diag(r_factor)|, an upper bound on its smallest singular value.
-
-    The input window is never modified. Raises RankDeficient when the factor
-    diagonal collapses below a relative threshold of 1e-14 or a coefficient
-    is not finite (as after a non-finite entry) or exceeds COEFF_LIMIT.
+    Returns (alpha, r_factor, r_min) as `_filtered_solve` does, over all
+    ``cols`` columns; the window is never modified. Raises RankDeficient
+    where `_filtered_solve` does and where the filter would leave out a
+    column. It keeps the name it had as a Householder QR, by which
+    perfbench's spans wrap it.
     """
     if cols < 1 or cols > window.shape[1]:
         raise ValueError(f"cols={cols} outside [1, {window.shape[1]}]")
@@ -101,49 +79,83 @@ def qr_masked_solve(
         raise ValueError(
             f"restricted system has {rows.size} rows for {cols} columns"
         )
-    # Q^T r from the Householder reflectors, without forming Q: geqrf and
-    # ormqr, called as scipy's qr_multiply(mode="right") calls them.
-    qr, tau = _lapack(dgeqrf, window[rows, :cols])
-    qtr, = _lapack(dormqr, "L", "T", qr, tau, rhs[rows][:, None])
-    r_factor = np.triu(qr[:cols])
-    alpha, r_min = _back_substitute(r_factor, qtr[:cols, 0])
+    # [SF Sf]^T [SF Sf] holds G_S and (SF)^T Sf in one symmetric product.
+    prod = _gram(np.column_stack((window[rows, :cols], rhs[rows])))
+    alpha, r_factor, r_min = _filtered_solve(
+        prod[cols - 1::-1, cols - 1::-1], prod[cols, cols - 1::-1],
+        np.empty(cols * (cols + 3)))
+    if len(alpha) < cols:
+        raise RankDeficient(
+            f"the filter keeps {len(alpha)} of the sketch's {cols} columns")
     return alpha, r_factor, r_min
 
 
-def _lapack(routine, *args):
-    """Call a LAPACK routine with the workspace its query returns, as
-    scipy's own calls do; returns the outputs before (work, info)."""
-    # int(), not scipy's astype(np.int_): that cast leaves numpy-cached
-    # blocks behind, which criterion 6 reads as growth.
-    lwork = int(routine(*args, lwork=-1)[-2][0])
-    *out, _, info = routine(*args, lwork=lwork)
-    if info < 0:
-        raise ValueError(f"{routine.__name__}: illegal argument {-info}")
-    return out
+def _gram(a):
+    """A^T A. An overflow leaves non-finite entries, which fail the filter,
+    without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.T @ a
 
 
-def _back_substitute(r_factor: np.ndarray, qtr: np.ndarray):
-    """(alpha, min |diag R|): alpha = R^{-1} Q^T r after the rank check on
-    diag(R), for R of at least one column (`qr_masked_solve` rejects
-    cols < 1). One max |alpha| checks finiteness and COEFF_LIMIT at once."""
-    d = np.abs(np.diagonal(r_factor))
-    dmin, dmax = float(d.min()), float(d.max())
-    if dmax == 0.0 or dmin < RANK_RTOL * dmax:
-        raise RankDeficient(
-            f"diagonal range [{dmin:.3e}, {dmax:.3e}] below relative "
-            f"threshold {RANK_RTOL:g}"
-        )
-    # LAPACK's trtrs, called as scipy's solve_triangular calls it but
-    # without its per-call wrapper: a factor that is not Fortran-contiguous
-    # (as np.triu returns it) is solved as the transposed lower system,
-    # so the result is bitwise solve_triangular's.
-    if r_factor.flags.f_contiguous:
-        alpha, info = dtrtrs(r_factor, qtr, lower=0, trans=0)
-    else:
-        alpha, info = dtrtrs(r_factor.T, qtr, lower=1, trans=1)
-    if info != 0 or not float(np.abs(alpha).max()) <= COEFF_LIMIT:
+def _filtered_solve(gram, gtf, buf):
+    """Least squares over the newest columns that pass the filter, from the
+    normal equations: the kernel of both solves.
+
+    ``gram`` (c x c) holds G = F^T F in its upper triangle and ``gtf``
+    holds F^T f, both with the columns newest first. The solve works in
+    the flat buffer ``buf`` of at least c (c + 3) floats, U's c^2 and
+    three vectors of c, so that it allocates no array.
+
+    G is factored as U^T U by `dpotrf`, and the solve keeps the newest
+    columns up to the first that `_kept_columns` refuses, after Pollock &
+    Rebholz, "Filtering for Anderson acceleration" (SISC 2023), who filter
+    by the same ratio of a QR factor. Returns (alpha, r_factor, r_min) for
+    the newest len(alpha) columns, oldest first: R is lower triangular (U
+    reversed), with R^T R = G of those columns, and alpha and R are views
+    of the buffer. Raises RankDeficient when no column passes (the newest
+    is zero or not finite) or a coefficient is not finite or exceeds
+    COEFF_LIMIT.
+    """
+    c = gram.shape[0]
+    u, info = _factor(gram, buf)
+    v = c * c  # where the vectors start, after U
+    t = _kept_columns(gram, u, c if info == 0 else info - 1, buf[v:v + c])
+    if t == 0:
+        raise RankDeficient("no column passes the filter")
+    if t < c:
+        # U's leading block factors the columns kept; LAPACK takes it
+        # contiguous, so it is factored again in place.
+        u, info = _factor(gram[:t, :t], buf)
+    beta = buf[v + c:v + c + t]
+    np.copyto(beta, gtf[:t])
+    _, solved = dpotrs(u, beta, overwrite_b=1)
+    alpha = buf[v + 2 * c:v + 2 * c + t]
+    np.copyto(alpha, beta[::-1])
+    if info or solved or not float(np.abs(alpha).max()) <= COEFF_LIMIT:
         raise RankDeficient("coefficients non-finite or past COEFF_LIMIT")
-    return alpha, dmin
+    return alpha, u[::-1, ::-1], float(np.diagonal(u).min())
+
+
+def _factor(gram, buf):
+    """(U, info) of `dpotrf` on ``gram``, copied to the head of the flat
+    buffer ``buf``."""
+    t = gram.shape[0]
+    u = buf[:t * t].reshape((t, t), order="F")
+    np.copyto(u, gram)
+    return dpotrf(u, lower=0, clean=1, overwrite_a=1)
+
+
+def _kept_columns(gram, u, k: int, sines) -> int:
+    """How many of the newest columns the filter keeps, given that U
+    factors the first k: those before the first whose sine to the newer
+    columns, U_jj / sqrt(G_jj), is below KEEP_SINE. ``sines`` is a buffer
+    of c floats."""
+    # Past k, and at non-finite entries of G, the quotients are meaningless
+    # and ignored without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.sqrt(np.diagonal(gram), out=sines)
+        np.divide(np.diagonal(u), sines, out=sines)
+    return next((j for j in range(k) if not sines[j] >= KEEP_SINE), k)
 
 
 class WindowFactor:
@@ -160,25 +172,20 @@ class WindowFactor:
     window's width: the solver keeps no count of its own. `reset` empties G
     and so the window when it restarts.
 
-    The solve factors G newest column first (`dpotrf` on the reversed G,
-    U^T U). U_jj / sqrt(G_jj) is the sine of column j's angle to the newer
-    columns, and the solve keeps the newest columns up to the first whose
-    sine is below KEEP_SINE or that `dpotrf` cannot factor, after Pollock &
-    Rebholz, "Filtering for Anderson acceleration" (SISC 2023), who filter
-    by the same ratio of a QR factor. The older columns stay in the window
-    and get no coefficient at this step. ``filtered`` counts the solves that
-    kept fewer columns than the window holds.
+    The solve is the filtered Cholesky solve of `_filtered_solve`: it keeps
+    the newest columns that are numerically independent of the newer ones.
+    The older columns stay in the window and get no coefficient at this
+    step. ``filtered`` counts the solves that kept fewer columns than the
+    window holds.
     """
 
     def __init__(self, rows: int, m: int):
         self.gram = np.zeros((m, m))
         self._work = np.zeros((2, rows))
         # Flat buffers, each viewed at the size a solve needs, so that a
-        # solve allocates no array: the products, U, and the sines, the
-        # right-hand side and the coefficients.
+        # solve allocates no array: the products, and `_filtered_solve`'s.
         self._prod = np.zeros((m + 1) * m)
-        self._u = np.zeros(m * m)
-        self._sines, self._beta, self._alpha = np.zeros((3, m))
+        self._buf = np.zeros(m * (m + 3))
         self.cols = 0
         self.pending = 0
         self.filtered = 0
@@ -203,13 +210,11 @@ class WindowFactor:
         """Least squares over the newest columns of the window's ``columns``
         leading ones that pass the filter, from the normal equations.
 
-        Returns (alpha, r_factor, r_min) as ``qr_masked_solve`` does, for the
-        newest len(alpha) columns: R is lower triangular (U reversed), with
-        R^T R = G of those columns. alpha and R are views of the factor's
-        buffers, valid until the next call. Raises RankDeficient when no
-        column passes (the newest is zero or not finite) or a coefficient is
-        not finite or exceeds COEFF_LIMIT, and ValueError when no column was
-        pushed since the last solve.
+        Returns (alpha, r_factor, r_min) as `_filtered_solve` does, for the
+        newest len(alpha) columns; alpha and R are views of the factor's
+        buffers, valid until the next call. Raises RankDeficient as
+        `_filtered_solve` does, and ValueError when no column was pushed
+        since the last solve.
         """
         if self.pending == 0:
             raise ValueError("no column was pushed since the last solve")
@@ -228,36 +233,11 @@ class WindowFactor:
                 for row, v in zip(pair, vectors[i:i + 2]):
                     row[:] = v
                 np.dot(pair, window[:, :c], out=prod[i:i + len(pair)])
-            gram[old:c, :c] = prod[:-1]
-            u, info = self._factor(c)
-            k = c if info == 0 else info - 1
-            sines = self._sines[:k]
-            np.sqrt(np.diagonal(gram)[c - 1::-1][:k], out=sines)
-            np.divide(np.diagonal(u)[:k], sines, out=sines)
-        t = next((j for j, s in enumerate(sines) if not s >= KEEP_SINE), k)
-        if t == 0:
-            raise RankDeficient("no window column passes the filter")
-        if t < c:
-            # U's leading block factors the columns kept; LAPACK takes it
-            # contiguous, so it is factored again in place.
-            self.filtered += 1
-            u, info = self._factor(t)
-        beta = self._beta[:t]
-        beta[:] = prod[-1, c - 1::-1][:t]
-        _, solved = dpotrs(u, beta, overwrite_b=1)
-        alpha = self._alpha[:t]
-        alpha[:] = beta[::-1]
-        if info or solved or not float(np.abs(alpha).max()) <= COEFF_LIMIT:
-            raise RankDeficient("coefficients non-finite or past COEFF_LIMIT")
-        return alpha, u[::-1, ::-1], float(np.diagonal(u).min())
-
-    def _factor(self, t: int):
-        """(U, info) of `dpotrf` on G of the window's newest t columns,
-        newest first, in the flat buffer."""
-        c = self.cols
-        u = self._u[:t * t].reshape((t, t), order="F")
-        u[:] = self.gram[c - t:c, c - t:c][::-1, ::-1]
-        return dpotrf(u, lower=0, clean=1, overwrite_a=1)
+        gram[old:c, :c] = prod[:-1]
+        alpha, r_factor, r_min = _filtered_solve(
+            gram[c - 1::-1, c - 1::-1], prod[-1, ::-1], self._buf)
+        self.filtered += len(alpha) < c
+        return alpha, r_factor, r_min
 
 
 def estimate_sigma_min(r_factor: np.ndarray) -> float:

@@ -188,8 +188,8 @@ class MixingStep:
     whole window's or the sketched factor's on a rejection. It is None when
     the guard took no SVD, because it did not run or a bound on the
     factor's diagonal already settled the step, and when the sketched
-    factor was rank deficient. ``eps_rhs`` is the share of |f| the
-    proposed rows drop (None when the guard proposed none).
+    window failed the filter (rank deficient). ``eps_rhs`` is the share of
+    |f| the proposed rows drop (None when the guard proposed none).
     """
 
     iteration: int
@@ -217,13 +217,15 @@ def adaptive_step(ws, iteration: int, r_window: np.ndarray, r_min: float):
     solved over, and ``r_min`` its min |diag|, both as it returned them;
     those c columns are "the window" below. The guard proposes rows by the
     strategy and sketch size of ``ws.config``, a randomized strategy drawing
-    them from ``ws.rng``, factors the sketched window, and accepts when
+    them from ``ws.rng``, solves the sketched window from its Gram matrix
+    (`lsq.qr_masked_solve`, through the window's filter), and accepts when
     `stability_hypothesis` holds with that factor's exact smallest singular
     value and the sketch's eps_rhs. A sketch with fewer rows than the
-    window has columns is "underdetermined", and a rank-deficient sketch is
-    rejected. The budget weights are the first c of ``ws.etas``, set once
-    for the config's adaptivity. Each test below compares a sigma, or a
-    bound on one, with tau * (1 + eps), tau the step's one threshold.
+    window has columns is "underdetermined", and a sketch the filter would
+    thin (rank deficient) is rejected. The budget weights are the first c
+    of ``ws.etas``, set once for the config's adaptivity. Each test below
+    compares a sigma, or a bound on one, with tau * (1 + eps), tau the
+    step's one threshold.
 
     Every other rejection is reached by the cheapest test that settles it,
     and each test is exact: it fails only where the test it stands in for

@@ -20,6 +20,7 @@ from oracles import gmres_iterates, matches_plain_loop, recording
 from scipy.linalg import svdvals
 
 import aap
+from aap import lsq
 from aap.bench import RunRecord, verify_theorem_trace, write_trace
 from aap.cli import main
 from aap.fixed_point import NumericalBreakdown
@@ -232,8 +233,9 @@ def test_criterion_5_pressure_mask_trend():
 def _drive_step(problem, config, iterations):
     """Run `step` for iterations 1..K on a new workspace, which starts the
     run as `solve` does; returns the workspace, the bytes retained by
-    allocation sites in the package's modules over iterations 2..K, and
-    the guard reasons seen.
+    allocation sites in the package's modules over iterations 2..K, the
+    guard reasons seen, and how many times the guard factored a sketch
+    (called `lsq.qr_masked_solve`).
 
     The loop keeps nothing `step` returns except relres, which goes into
     ``ws.history``, preallocated here, for the stall detector to read:
@@ -247,6 +249,13 @@ def _drive_step(problem, config, iterations):
     # would show as retained blocks the first time a deeper call path runs.
     # One untraced solve of the same case fills them first.
     solve(problem, config)
+    factor_sketch, factored = lsq.qr_masked_solve, [0]
+
+    def counted(*args):
+        factored[0] += 1
+        return factor_sketch(*args)
+
+    lsq.qr_masked_solve = counted
     tracemalloc.start(25)
     try:
         for k in range(1, iterations + 1):
@@ -265,6 +274,7 @@ def _drive_step(problem, config, iterations):
         # Tracing left on would slow every later test by an order of
         # magnitude.
         tracemalloc.stop()
+        lsq.qr_masked_solve = factor_sketch
 
     # Every module of the package counts, the residual's included, since
     # `step` evaluates it. Library frames do not: counted too, they hold
@@ -277,7 +287,7 @@ def _drive_step(problem, config, iterations):
         if stat.size_diff > 0
         and stat.traceback[-1].filename.startswith(package)
     )
-    return ws, growth, reasons
+    return ws, growth, reasons, factored[0]
 
 
 def test_criterion_6_workspace_memory_shape():
@@ -288,15 +298,15 @@ def test_criterion_6_workspace_memory_shape():
     start, stop = dict(problem.fields)["pressure"]
     l1 = stop - start
     # At this tolerance both runs take over 100 iterations, and the guarded
-    # sketch first reaches its sketched QR at iteration 44.
+    # sketch first factors a sketch at iteration 44.
     iterations = 60
     ok = True
     details = []
     for adaptivity in ("none", "subselect-power"):
         config = SolverConfig(static_mask="pressure", adaptivity=adaptivity,
                               rel_tolerance=1e-10)
-        ws, growth, reasons = _drive_step(problem, config, iterations)
-        sketched = reasons.get("accepted", 0) + reasons.get("rejected", 0)
+        ws, growth, reasons, sketched = _drive_step(problem, config,
+                                                    iterations)
         shape_ok = (
             ws.df_window.shape == (l1, ws.m)
             and ws.factor.gram.shape == (ws.m, ws.m)
@@ -307,7 +317,8 @@ def test_criterion_6_workspace_memory_shape():
             and (adaptivity == "none" or sketched > 0)
         )
         ok = ok and shape_ok and growth == 0
-        details.append(f"{adaptivity}: {growth} bytes, {sketched} sketched QRs")
+        details.append(f"{adaptivity}: {growth} bytes, {sketched} sketched "
+                       "factors")
     _verdict(
         6,
         ok,

@@ -740,6 +740,30 @@ def assert_rejected(path):
     assert main(["verify-trace", str(path)]) == 2
 
 
+def resketch_first_accepted(source, out, choose):
+    """Write to ``out`` the archive ``source`` with its first accepted
+    step's rows replaced by ``choose(rows, residual)``, and with the alpha
+    and R the least squares gives on them, so that the stored factor still
+    fits. Returns that step's record."""
+    doc = load_trace(str(source))
+    steps, trace = doc["steps"], doc["trace"]
+    i = next(i for i, rec in enumerate(steps) if rec.accepted)
+    rec = steps[i]
+    residual = trace.residual(rec)
+    rows = choose(trace.mask[i].copy(), residual)
+    alpha, r_factor, _ = lsq.qr_masked_solve(
+        trace.window(rec)[0], residual, rows, rec.columns)
+    solved = [r for r in steps[:i] if not r.fallback]
+    a0 = sum(r.columns for r in solved)
+    r0 = sum(r.columns ** 2 for r in solved)
+    header, arrays = _read_trace(str(source))
+    arrays["mask"][: rows.size] = rows
+    arrays["alpha"][a0:a0 + alpha.size] = alpha
+    arrays["r_factor"][r0:r0 + r_factor.size] = r_factor.ravel()
+    _save_trace(str(out), header, arrays)
+    return rec
+
+
 # A trace archive an earlier build wrote (test_archive_of_an_earlier_build_loads).
 EARLIER_ARCHIVE = os.path.join(os.path.dirname(__file__), "data",
                                "plaplace-9-rand-pow-s1.npz")
@@ -928,30 +952,48 @@ class TestVerifyTrace:
     def test_sketch_rows_must_strictly_increase(self, tmp_path, edit):
         # The stability bound assumes a sketch keeps distinct rows, and the
         # guard only ever keeps them in ascending order. Rewrite the first
-        # accepted step's rows with a duplicate (or out of order), with the
-        # alpha and R the least squares gives on them, so that the stored
-        # factor still fits: the archive is refused, not verified.
-        doc = load_trace(EARLIER_ARCHIVE)
-        steps, trace = doc["steps"], doc["trace"]
-        i = next(i for i, rec in enumerate(steps) if rec.accepted)
-        rec = steps[i]
-        rows = trace.mask[i].copy()
-        if edit == "duplicated":
-            rows[1] = rows[0]
-        else:
-            rows[[0, 1]] = rows[[1, 0]]
-        alpha, r_factor, _ = lsq.qr_masked_solve(
-            trace.window(rec)[0], trace.residual(rec), rows, rec.columns)
-        solved = [r for r in steps[:i] if not r.fallback]
-        a0 = sum(r.columns for r in solved)
-        r0 = sum(r.columns ** 2 for r in solved)
-        header, arrays = _read_trace(EARLIER_ARCHIVE)
-        arrays["mask"][: rows.size] = rows
-        arrays["alpha"][a0:a0 + alpha.size] = alpha
-        arrays["r_factor"][r0:r0 + r_factor.size] = r_factor.ravel()
+        # accepted step's rows with a duplicate (or out of order): the
+        # archive is refused, not verified.
+        def choose(rows, residual):
+            if edit == "duplicated":
+                rows[1] = rows[0]
+            else:
+                rows[[0, 1]] = rows[[1, 0]]
+            return rows
+
         path = tmp_path / "t.npz"
-        _save_trace(str(path), header, arrays)
+        resketch_first_accepted(EARLIER_ARCHIVE, path, choose)
         assert_rejected(path)
+
+    def test_subselection_keeps_the_residuals_largest_rows(self, tmp_path,
+                                                          capsys):
+        # A subselection keeps the rows of the largest residual entries.
+        # Swap the first accepted step's smallest kept row for the largest
+        # row it dropped, still strictly increasing: the factor fits, alpha
+        # solves, and the hypothesis and the bound hold, but the rows are
+        # not the ones the guard's rule selects.
+        def choose(rows, residual):
+            dropped = np.setdiff1d(np.arange(residual.size), rows)
+            swap = (np.argmin(np.abs(residual[rows])),
+                    dropped[np.argmax(np.abs(residual[dropped]))])
+            rows[swap[0]] = swap[1]
+            return np.sort(rows)
+
+        written = tmp_path / "trace.npz"
+        write_trace(traced_report(), str(written))
+        assert verify_theorem_trace(str(written)).passed
+        path = tmp_path / "t.npz"
+        rec = resketch_first_accepted(written, path, choose)
+        result = verify_theorem_trace(str(path))
+        assert len(result.checked) == len(result.accepted) > 1
+        assert result.violations == []
+        assert all(s.alpha_solves for s in result.steps)
+        assert [s.record.iteration for s in result.steps
+                if not s.rows_selected] == [rec.iteration]
+        assert main(["verify-trace", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert f"rows         iteration {rec.iteration}: " in out
+        assert "verdict      FAIL\n" in out
 
     def test_constructed_violation_fails(self, tmp_path):
         # Hypotheses forced true by a tiny Lipschitz estimate, but a

@@ -537,10 +537,11 @@ class TestAdaptiveStep:
         assert svds == [(2, 2)]
 
     def test_sketch_sigma_settles_rejection(self):
-        # The sketched factor is R = [[1, 10], [0, 1]]: its diagonal passes,
-        # its sigma (about 0.099) fails, and is recorded.
-        window = spikes(10, [(0, 50.0), (7, 1.0)],
-                        [(1, 40.0), (7, 10.0), (8, 1.0)])
+        # The sketched rows hold [[10, 1], [1, 0]]. Newest column first, the
+        # Cholesky factor of their Gram matrix is [[1, 10], [0, 1]]: its
+        # diagonal passes, its sigma (about 0.099) fails, and is recorded.
+        window = spikes(10, [(0, 50.0), (7, 10.0), (8, 1.0)],
+                        [(1, 40.0), (7, 1.0)])
         ws, r = make_workspace(window, self.F, [1.0, 1.0],
                                lipschitz=0.05)
         sketch, rec = adaptive_step(ws, 3, r, min_diag(r))
